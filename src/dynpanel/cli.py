@@ -20,6 +20,7 @@ import json
 import os
 import re
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -52,6 +53,15 @@ from .transforms import TransformKind
 SPEC_CHOICES = ("pooled", "fe", "re", "od", "fd")
 
 _EXOG_RE = re.compile(r"^(?P<name>\w+)(?:\((?:-(?P<single>\d+)|(?P<from>\d+)\.\.(?P<to>\d+))\))?$")
+
+
+@contextmanager
+def _spec_errors():
+    """Report a spec's ``ValueError`` on bad arguments as a usage error."""
+    try:
+        yield
+    except ValueError as exc:
+        raise DataError(str(exc)) from None
 
 
 def _parse_exog(terms: list[str]) -> tuple[ExogTerm, ...]:
@@ -149,7 +159,8 @@ def _fit_one(spec: str, model: ModelSpec, data: PanelDataset, args) -> Estimatio
             return fit_fixed_effects(model, data, method=args.fe_method)
         return fit_random_effects(model, data)
     if args.instruments:
-        inst = parse_instruments(args.instruments)
+        with _spec_errors():
+            inst = parse_instruments(args.instruments)
     else:
         inst = _default_instruments(spec, model)
     # instrumented level specifications keep the intercept inside the
@@ -221,8 +232,9 @@ def _result_csv(result: EstimationResult) -> str:
 
 def cmd_estimate(args) -> int:
     data = _load_dataset(args)
-    exog = _parse_exog(args.exog or [])
-    model = _model_for(args.spec, args.dep, args.ar, exog, args.intercept)
+    with _spec_errors():
+        exog = _parse_exog(args.exog or [])
+        model = _model_for(args.spec, args.dep, args.ar, exog, args.intercept)
     result = _fit_one(args.spec, model, data, args)
     report = report_for(result)
 
@@ -345,18 +357,19 @@ def cmd_replicate(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    betas = tuple(float(b) for b in args.betas.split(",")) if args.betas else (1.0,)
-    dgp = DgpSpec(
-        n_entities=args.entities,
-        n_periods=args.periods,
-        rho=args.rho,
-        exogenous_betas=betas,
-        sigma_effect=args.sigma_effect,
-        sigma_noise=args.sigma_noise,
-        burn_in=args.burn_in,
-        missingness=args.missingness,
-        seed=args.seed,
-    )
+    with _spec_errors():
+        betas = tuple(float(b) for b in args.betas.split(",")) if args.betas else (1.0,)
+        dgp = DgpSpec(
+            n_entities=args.entities,
+            n_periods=args.periods,
+            rho=args.rho,
+            exogenous_betas=betas,
+            sigma_effect=args.sigma_effect,
+            sigma_noise=args.sigma_noise,
+            burn_in=args.burn_in,
+            missingness=args.missingness,
+            seed=args.seed,
+        )
     n_x = len(betas)
     weighting = Weighting.parse(args.weighting, max_iter=args.max_iter, tol=args.tol)
     fresh = {

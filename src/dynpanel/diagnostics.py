@@ -23,9 +23,11 @@ from .estimators import (
     ModelSpec,
     VarianceComponents,
     _demean_by_entity,
-    _entity_slices,
+    _entity_means,
+    _entity_starts,
     _invert_weight,
     _ols,
+    _scores,
     _spd_inverse,
     build_design,
 )
@@ -102,44 +104,77 @@ class ArTestResult:
         return f"AR({self.order}) z = {self.statistic:.4f} (p = {self.p_value:.4f})"
 
 
-def _fd_pieces(result: EstimationResult):
-    """Differenced residuals, design and instruments for the AR test.
+def _ar_tests(result: EstimationResult):
+    """The AR(m) test of a result as a function of m.
 
-    A first-difference fit supplies them directly; for an orthogonal
+    The differenced residuals, design and moments are built once. A
+    first-difference fit supplies them directly; for an orthogonal
     deviation fit the differenced equation is rebuilt and evaluated at
     the same coefficients, since the test is defined on differenced
     residuals.
     """
     if result.transform is TransformKind.FIRST_DIFFERENCE:
-        return (
-            result.residuals,
-            result.design_matrix,
-            result.instruments.matrix if result.instruments else None,
-            result.weighting_matrix,
-            result.entity_ids,
-            result.periods,
-        )
-    if result.transform is not TransformKind.ORTHOGONAL_DEVIATION:
+        e, X = result.residuals, result.design_matrix
+        entity_ids, periods = result.entity_ids, result.periods
+        Z = result.instruments.matrix if result.instruments else None
+        W = result.weighting_matrix
+    elif result.transform is TransformKind.ORTHOGONAL_DEVIATION:
+        model_fd = replace(result.model, transform=TransformKind.FIRST_DIFFERENCE)
+        design = build_design(model_fd, result.dataset)
+        e, X = design.y - design.X @ result.coefficients, design.X
+        entity_ids, periods = design.entity_ids, design.periods
+        Z = W = None
+        if result.instrument_spec is not None:
+            Z = assemble(
+                result.instrument_spec, result.dataset, design.sample,
+                transform=TransformKind.FIRST_DIFFERENCE,
+            ).matrix
+    else:
         raise DiagnosticError(
             "serial-correlation test is defined for FD or OD results, "
             f"not {result.transform.value!r}"
         )
-    model_fd = replace(result.model, transform=TransformKind.FIRST_DIFFERENCE)
-    design = build_design(model_fd, result.dataset)
-    resid = design.y - design.X @ result.coefficients
-    Z = W = None
-    if result.instrument_spec is not None:
-        zmat = assemble(
-            result.instrument_spec, result.dataset, design.sample,
-            transform=TransformKind.FIRST_DIFFERENCE,
-        )
-        Z = zmat.matrix
-        S = np.zeros((Z.shape[1], Z.shape[1]))
-        for rows in _entity_slices(design.entity_ids):
-            g = Z[rows].T @ resid[rows]
-            S += np.outer(g, g)
-        W, _ = _invert_weight(S, "pinv", "AR test")
-    return resid, design.X, Z, W, design.entity_ids, design.periods
+    starts = _entity_starts(entity_ids)
+    # one key per (entity, period); a row's order-m lag is the row whose
+    # key is m smaller within the same entity
+    p0 = periods.min()
+    key = entity_ids * (int(periods.max() - p0) + 1) + (periods - p0)
+    by_key = np.argsort(key)
+    projected = None
+    if Z is not None:
+        U = _scores(Z, e, starts)
+        if W is None:
+            W, _ = _invert_weight(None, "pinv", "AR test", U)
+        G = Z.T @ X
+        projected = _spd_inverse(G.T @ W @ G, "AR test projection") @ (G.T @ W) @ U.T
+
+    def test(order: int) -> ArTestResult:
+        if order < 1:
+            raise ValueError("order must be >= 1")
+        pos = np.searchsorted(key[by_key], key - order).clip(max=key.size - 1)
+        j = by_key[pos]
+        hit = (key[j] == key - order) & (entity_ids[j] == entity_ids)
+        n_pairs = int(hit.sum())
+        if n_pairs == 0:
+            raise DiagnosticError(f"too few periods for AR({order})")
+        lagged = np.where(hit, e[j], 0.0)
+
+        b = float(lagged @ e)
+        w = np.add.reduceat(lagged * e, starts)
+        term1 = float(w @ w)
+        q = X.T @ lagged
+        var = term1
+        if projected is not None:
+            var += -2.0 * float(q @ (projected @ w))
+        var += float(q @ result.covariance @ q)
+        if var <= 0:  # numerical corner: fall back to the leading term
+            var = term1
+        if var == 0:
+            raise DiagnosticError(f"degenerate variance in AR({order}) test")
+        z = b / math.sqrt(var)
+        return ArTestResult(order, z, 2.0 * normal_sf(abs(z)), n_pairs)
+
+    return test
 
 
 def ab_serial_correlation(result: EstimationResult, order: int = 2) -> ArTestResult:
@@ -151,43 +186,7 @@ def ab_serial_correlation(result: EstimationResult, order: int = 2) -> ArTestRes
     and the coefficient-covariance quadratic form. Asymptotically
     standard normal under the null of no order-m correlation.
     """
-    if order < 1:
-        raise ValueError("order must be >= 1")
-    e, X, Z, W, entity_ids, periods = _fd_pieces(result)
-
-    lagged = np.zeros_like(e)
-    hit = np.zeros(e.size, dtype=bool)
-    pos = {(int(a), int(t)): i for i, (a, t) in enumerate(zip(entity_ids, periods))}
-    for i, (a, t) in enumerate(zip(entity_ids, periods)):
-        j = pos.get((int(a), int(t) - order))
-        if j is not None:
-            lagged[i] = e[j]
-            hit[i] = True
-    n_pairs = int(hit.sum())
-    if n_pairs == 0:
-        raise DiagnosticError(f"too few periods for AR({order})")
-
-    b = float(lagged @ e)
-    term1 = 0.0
-    M = np.zeros(Z.shape[1]) if Z is not None else None
-    for rows in _entity_slices(entity_ids):
-        w_i = float(lagged[rows] @ e[rows])
-        term1 += w_i * w_i
-        if Z is not None:
-            M += (Z[rows].T @ e[rows]) * w_i
-    q = X.T @ lagged
-    var = term1
-    if Z is not None and W is not None:
-        G = Z.T @ X
-        P_inv = _spd_inverse(G.T @ W @ G, "AR test projection")
-        var += -2.0 * float(q @ (P_inv @ (G.T @ W) @ M))
-    var += float(q @ result.covariance @ q)
-    if var <= 0:  # numerical corner: fall back to the leading term
-        var = term1
-    if var == 0:
-        raise DiagnosticError(f"degenerate variance in AR({order}) test")
-    z = b / math.sqrt(var)
-    return ArTestResult(order, z, 2.0 * normal_sf(abs(z)), n_pairs)
+    return _ar_tests(result)(order)
 
 
 def swamy_arora(model: ModelSpec, data: PanelDataset) -> VarianceComponents:
@@ -203,8 +202,8 @@ def swamy_arora(model: ModelSpec, data: PanelDataset) -> VarianceComponents:
     names = list(design.x_names)
     Xw = _demean_by_entity(design.X, design.entity_ids)
     yw = _demean_by_entity(design.y, design.entity_ids)
-    ents = np.unique(design.entity_ids)
-    n, k, n_ent = design.n, design.X.shape[1], ents.size
+    starts = _entity_starts(design.entity_ids)
+    n, k, n_ent = design.n, design.X.shape[1], starts.size
     df_within = n - n_ent - k
     if df_within <= 0:
         raise EstimationError(
@@ -215,13 +214,9 @@ def swamy_arora(model: ModelSpec, data: PanelDataset) -> VarianceComponents:
     resid_w = yw - Xw @ beta_w
     sigma_e2 = float(resid_w @ resid_w) / df_within
 
-    ybar = np.empty(n_ent)
-    xbar = np.empty((n_ent, k))
-    counts = np.empty(n_ent)
-    for idx, rows in enumerate(_entity_slices(design.entity_ids)):
-        ybar[idx] = design.y[rows].mean()
-        xbar[idx] = design.X[rows].mean(axis=0)
-        counts[idx] = rows.size
+    ybar = _entity_means(design.y, starts)
+    xbar = _entity_means(design.X, starts)
+    counts = np.diff(starts, append=n)
     Xb = np.column_stack([xbar, np.ones(n_ent)])
     df_between = n_ent - (k + 1)
     if df_between <= 0:
@@ -437,9 +432,10 @@ def report_for(result: EstimationResult, ar_orders: Sequence[int] = (1, 2)) -> D
         TransformKind.FIRST_DIFFERENCE,
         TransformKind.ORTHOGONAL_DEVIATION,
     ):
+        ar_test = _ar_tests(result)
         for m in ar_orders:
             try:
-                ar_tests.append(ab_serial_correlation(result, m))
+                ar_tests.append(ar_test(m))
             except DiagnosticError:
                 continue
     return DiagnosticsReport(

@@ -404,24 +404,36 @@ def _squared_correlation(y: np.ndarray, fitted: np.ndarray) -> float:
     return float(np.corrcoef(y, fitted)[0, 1] ** 2)
 
 
-def _entity_slices(entity_ids: np.ndarray) -> list[np.ndarray]:
-    return [np.flatnonzero(entity_ids == e) for e in np.unique(entity_ids)]
+def _entity_starts(entity_ids: np.ndarray) -> np.ndarray:
+    """Row offset where each entity's block of rows begins.
+
+    Design rows come from ``np.nonzero`` on the entity x period grid, so
+    they are grouped by entity, in period order; the block sums rely on it.
+    """
+    starts = np.concatenate(([0], np.flatnonzero(np.diff(entity_ids)) + 1))
+    if np.unique(entity_ids[starts]).size != starts.size:
+        raise ValueError("design rows are not grouped by entity")
+    return starts
+
+
+def _entity_means(arr: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Per-entity means of the rows of ``arr``, one row per entity."""
+    counts = np.diff(starts, append=arr.shape[0])
+    sums = np.add.reduceat(arr, starts, axis=0)
+    return sums / counts.reshape((-1,) + (1,) * (arr.ndim - 1))
 
 
 def _demean_by_entity(
     arr: np.ndarray, entity_ids: np.ndarray, theta: np.ndarray | float = 1.0
 ) -> np.ndarray:
     """Subtract theta_a times the per-entity mean over sample rows."""
-    out = np.array(arr, dtype=float, copy=True)
+    arr = np.asarray(arr, dtype=float)
+    starts = _entity_starts(entity_ids)
     thetas = np.asarray(theta, dtype=float)
-    for rows in _entity_slices(entity_ids):
-        e = entity_ids[rows[0]]
-        th = float(thetas[e]) if thetas.ndim else float(thetas)
-        if arr.ndim == 1:
-            out[rows] -= th * arr[rows].mean()
-        else:
-            out[rows] -= th * arr[rows].mean(axis=0)
-    return out
+    if thetas.ndim:
+        thetas = thetas[entity_ids[starts]]
+    shift = _entity_means(arr, starts) * thetas.reshape((-1,) + (1,) * (arr.ndim - 1))
+    return arr - np.repeat(shift, np.diff(starts, append=arr.shape[0]), axis=0)
 
 
 def _result_shell(
@@ -520,6 +532,9 @@ def fit_fixed_effects(
         raise EstimationError("fixed effects need at least 2 entities in sample")
 
     names = list(design.x_names)
+    starts = _entity_starts(design.entity_ids)
+    ent_ids = design.entity_ids[starts]
+    xbar = _entity_means(design.X, starts)
     Xw = _demean_by_entity(design.X, design.entity_ids)
     yw = _demean_by_entity(design.y, design.entity_ids)
     dead = [n for j, n in enumerate(names) if np.max(np.abs(Xw[:, j])) < 1e-12]
@@ -542,10 +557,7 @@ def fit_fixed_effects(
     else:
         beta = _ols(yw, Xw, names)
         resid = yw - Xw @ beta
-        for rows in _entity_slices(design.entity_ids):
-            e = design.entity_ids[rows[0]]
-            alphas[e] = design.y[rows].mean() - design.X[rows].mean(axis=0) @ beta
-    ent_ids = np.unique(design.entity_ids)
+        alphas[ent_ids] = _entity_means(design.y, starts) - xbar @ beta
 
     # Slope inference on the within (partialled) representation; by the
     # Frisch-Waugh identity this is the LSDV slope block as well, since
@@ -558,9 +570,6 @@ def fit_fixed_effects(
     if model.intercept:
         # grand-mean intercept: mean over entities of alpha_a; delta-method SE
         # through the slope covariance (alpha_a = ybar_a - xbar_a'beta)
-        xbar = np.vstack([
-            design.X[design.entity_ids == e].mean(axis=0) for e in ent_ids
-        ])
         w = xbar.mean(axis=0)
         const = float(np.nanmean(alphas[ent_ids]))
         const_var = float(w @ cov_slopes @ w)
@@ -657,57 +666,56 @@ def fit_random_effects(
 def _one_step_weight_blocks(
     design: Design, Z: np.ndarray
 ) -> np.ndarray:
-    """Sum of Z_i' H Z_i with H identity except tridiagonal for FD."""
-    L = Z.shape[1]
-    A = np.zeros((L, L))
-    fd = design.model.transform is TransformKind.FIRST_DIFFERENCE
-    for rows in _entity_slices(design.entity_ids):
-        Zi = Z[rows]
-        if fd:
-            p = design.periods[rows]
-            H = 2.0 * np.eye(rows.size)
-            adj = np.abs(p[:, None] - p[None, :]) == 1
-            H[adj] = -1.0
-            A += Zi.T @ H @ Zi
-        else:
-            A += Zi.T @ Zi
-    return A
+    """Sum of Z_i' H Z_i with H identity except tridiagonal for FD.
+
+    FD: H is 2 on the diagonal and -1 between rows one period apart, so
+    the sum is 2 Z'Z - B - B' with B over those adjacent rows.
+    """
+    A = Z.T @ Z
+    if design.model.transform is not TransformKind.FIRST_DIFFERENCE:
+        return A
+    adj = (np.diff(design.entity_ids) == 0) & (np.diff(design.periods) == 1)
+    B = Z[:-1][adj].T @ Z[1:][adj]
+    return 2.0 * A - B - B.T
 
 
-def _moment_outer(
-    Z: np.ndarray, resid: np.ndarray, entity_ids: np.ndarray
-) -> np.ndarray:
-    """Clustered moment covariance: sum over entities of (Z_i'e_i)(Z_i'e_i)'."""
-    L = Z.shape[1]
-    S = np.zeros((L, L))
-    for rows in _entity_slices(entity_ids):
-        g = Z[rows].T @ resid[rows]
-        S += np.outer(g, g)
-    return S
+def _scores(Z: np.ndarray, resid: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Entity score matrix U (N x L), row i holding Z_i'e_i; S = U'U."""
+    return np.add.reduceat(Z * resid[:, None], starts, axis=0)
 
 
 def _invert_weight(
-    A: np.ndarray, on_singular: str, context: str
+    A: np.ndarray | None, on_singular: str, context: str, U: np.ndarray | None = None
 ) -> tuple[np.ndarray, int]:
-    """Inverse (or eigenvalue-thresholded pseudo-inverse) and its rank."""
-    try:
-        c, low = scipy.linalg.cho_factor(A)
-        return scipy.linalg.cho_solve((c, low), np.eye(A.shape[0])), A.shape[0]
-    except np.linalg.LinAlgError:
-        pass
+    """Inverse of a weighting matrix, or its pseudo-inverse, and its rank.
+
+    The pseudo-inverse keeps eigenvalues above 1e-12 of the largest.
+    Given the entity scores U of A = U'U (A may then be None), they are
+    the s^2 of the thin SVD U' = V diag(s) P', and A^+ = V diag(1/s^2) V';
+    with fewer rows than columns in U, A is singular and never formed.
+    """
+    if U is None or U.shape[0] >= U.shape[1]:
+        A = U.T @ U if A is None else A
+        try:
+            c, low = scipy.linalg.cho_factor(A)
+            return scipy.linalg.cho_solve((c, low), np.eye(A.shape[0])), A.shape[0]
+        except np.linalg.LinAlgError:
+            pass
     if on_singular == "error":
         raise SingularWeightingError(
             f"{context} weighting matrix is singular; collapse the dynamic "
             "instrument blocks or bound their lag depth (or pass on_singular='pinv')"
         )
-    w, V = np.linalg.eigh(A)
-    cut = 1e-12 * max(w[-1], 0.0)
-    keep = w > cut
+    if U is None:
+        w, V = np.linalg.eigh(A)
+    else:
+        V, s, _ = np.linalg.svd(U.T, full_matrices=False)
+        w = s * s
+    keep = w > 1e-12 * max(w.max(), 0.0)
     rank = int(keep.sum())
     if rank == 0:
         raise SingularWeightingError(f"{context} weighting matrix is zero")
-    inv_w = np.where(keep, 1.0 / np.where(keep, w, 1.0), 0.0)
-    return (V * inv_w) @ V.T, rank
+    return (V[:, keep] / w[keep]) @ V[:, keep].T, rank
 
 
 def _gmm_beta(G: np.ndarray, W: np.ndarray, v: np.ndarray, names) -> np.ndarray:
@@ -742,32 +750,27 @@ def fit_gmm(
     applies the finite-sample correction to two-step/n-step standard
     errors.
 
-    ``on_singular='pinv'`` substitutes an eigenvalue-thresholded
-    pseudo-inverse when a weighting matrix is singular (more instrument
-    columns than cross-sections), tracking the effective rank.
+    ``on_singular='pinv'`` substitutes a pseudo-inverse when a weighting
+    matrix is singular, tracking the effective rank. For the moment
+    covariance S = U'U (U the N x L entity score matrix) it comes from
+    the thin SVD of U, with no Cholesky tried when N < L.
     """
     theta_all = None
-    if model.transform is TransformKind.QUASI_DEMEAN:
-        if components is None:
-            from .diagnostics import swamy_arora
+    if model.transform in (TransformKind.QUASI_DEMEAN, TransformKind.WITHIN):
+        design = build_design(
+            replace(model, effects="none", transform=TransformKind.NONE,
+                    intercept=False), data
+        )
+        design.model = model
+        theta = 1.0
+        if model.transform is TransformKind.QUASI_DEMEAN:
+            if components is None:
+                from .diagnostics import swamy_arora
 
-            components = swamy_arora(model, data)
-        design = build_design(
-            replace(model, effects="none", transform=TransformKind.NONE,
-                    intercept=False), data
-        )
-        design.model = model
-        theta_all = components.theta(design.entity_counts())
-        design.X = _demean_by_entity(design.X, design.entity_ids, theta_all)
-        design.y = _demean_by_entity(design.y, design.entity_ids, theta_all)
-    elif model.transform is TransformKind.WITHIN:
-        design = build_design(
-            replace(model, effects="none", transform=TransformKind.NONE,
-                    intercept=False), data
-        )
-        design.model = model
-        design.X = _demean_by_entity(design.X, design.entity_ids)
-        design.y = _demean_by_entity(design.y, design.entity_ids)
+                components = swamy_arora(model, data)
+            theta = theta_all = components.theta(design.entity_counts())
+        design.X = _demean_by_entity(design.X, design.entity_ids, theta)
+        design.y = _demean_by_entity(design.y, design.entity_ids, theta)
     else:
         design = build_design(model, data)
 
@@ -810,26 +813,25 @@ def fit_gmm(
         raise RankError("Z'X is rank deficient; instruments do not identify "
                         f"{list(names)}", names)
     v = Z.T @ y
+    starts = _entity_starts(design.entity_ids)
 
     A1 = _one_step_weight_blocks(design, Z)
     W, w_rank = _invert_weight(A1, on_singular, "one-step")
+    W1 = W
     beta = _gmm_beta(G, W, v, names)
     steps = 1
     trace: list[float] = []
-    prev_resid = y - X @ beta
 
     if weighting.kind in ("two_step", "n_step"):
         max_iter = 1 if weighting.kind == "two_step" else weighting.max_iter
         converged = weighting.kind == "two_step"
         for _ in range(max_iter):
-            resid = y - X @ beta
-            S = _moment_outer(Z, resid, design.entity_ids)
-            W, w_rank = _invert_weight(S, on_singular, "moment covariance")
+            U_prev = _scores(Z, y - X @ beta, starts)
+            W, w_rank = _invert_weight(None, on_singular, "moment covariance", U_prev)
             beta_new = _gmm_beta(G, W, v, names)
             steps += 1
             delta = float(np.max(np.abs(beta_new - beta)))
             trace.append(delta)
-            prev_resid = resid
             beta = beta_new
             if weighting.kind == "n_step" and delta < weighting.tol:
                 converged = True
@@ -845,26 +847,22 @@ def fit_gmm(
 
     resid = y - X @ beta
     fitted = X @ beta
-    S_final = _moment_outer(Z, resid, design.entity_ids)
+    U = _scores(Z, resid, starts)
+    S_final = U.T @ U
     GW = G.T @ W
     P_inv = _spd_inverse(GW @ G, "GMM covariance")
     Q = P_inv @ GW
     cov = Q @ S_final @ Q.T
     if windmeijer and weighting.kind in ("two_step", "n_step"):
-        cov = _windmeijer_correct(
-            design, X, Z, W, beta, prev_resid, G, P_inv, cov, on_singular
-        )
+        cov = _windmeijer_correct(X, Z, starts, W, W1, U_prev, U, G, P_inv, cov)
 
     # level-space fitted values and (for within) the derived intercept
     alphas = None
     if model.transform is TransformKind.WITHIN:
+        ent_ids = design.entity_ids[starts]
+        xbar = _entity_means(design.X_level, starts)
         alphas = np.full(len(design.data.entities), np.nan)
-        for rows in _entity_slices(design.entity_ids):
-            e = design.entity_ids[rows[0]]
-            alphas[e] = (
-                design.y_level[rows].mean()
-                - design.X_level[rows].mean(axis=0) @ beta
-            )
+        alphas[ent_ids] = _entity_means(design.y_level, starts) - xbar @ beta
         fitted_level_rows = alphas[design.entity_ids] + design.X_level @ beta
     elif model.transform is TransformKind.QUASI_DEMEAN:
         X_lvl = design.X_level
@@ -877,10 +875,6 @@ def fit_gmm(
         fitted_level_rows = None
 
     if derive_const:
-        ent_ids = np.unique(design.entity_ids)
-        xbar = np.vstack([
-            design.X_level[design.entity_ids == e].mean(axis=0) for e in ent_ids
-        ])
         w = xbar.mean(axis=0)
         const = float(np.nanmean(alphas[ent_ids]))
         cov_ext = np.zeros((k + 1, k + 1))
@@ -921,42 +915,32 @@ def fit_gmm(
 
 
 def _windmeijer_correct(
-    design: Design,
     X: np.ndarray,
     Z: np.ndarray,
+    starts: np.ndarray,
     W: np.ndarray,
-    beta: np.ndarray,
-    step1_resid: np.ndarray,
+    W1: np.ndarray,
+    U1: np.ndarray,
+    U: np.ndarray,
     G: np.ndarray,
     P_inv: np.ndarray,
     cov2: np.ndarray,
-    on_singular: str,
 ) -> np.ndarray:
     """Finite-sample correction for two-step GMM covariance.
 
     Propagates the estimation error of the weighting matrix through the
-    second step: V_c = (I+D) V2 (I+D)' + D V1 D' - D V1 D' form reduced
-    to the usual V2 + D V2 + V2 D' + D V1 D'.
+    second step: V_c = V2 + D V2 + V2 D' + D V1 D'. U1 holds the entity
+    scores of the residuals that built W, U those of the final ones, W1
+    is the one-step weight. Column j of D is -P_inv G'W dS_j a with
+    a = W gbar, dS_j = -(H_j'U1 + U1'H_j) and H_j = reduceat(Z * X_j).
     """
-    k = X.shape[1]
-    GW = G.T @ W
-    gbar = Z.T @ (design.y - X @ beta)
-    slices = _entity_slices(design.entity_ids)
-    D = np.zeros((k, k))
-    for j in range(k):
-        dS = np.zeros((Z.shape[1], Z.shape[1]))
-        for rows in slices:
-            Zi = Z[rows]
-            gi = Zi.T @ step1_resid[rows]
-            hj = Zi.T @ X[rows, j]
-            dS -= np.outer(hj, gi) + np.outer(gi, hj)
-        D[:, j] = -P_inv @ GW @ dS @ W @ gbar
-    A1 = _one_step_weight_blocks(design, Z)
-    W1, _ = _invert_weight(A1, on_singular, "one-step")
+    a = W @ U.sum(axis=0)
+    Ha = np.add.reduceat((Z @ a)[:, None] * X, starts, axis=0)
+    U1a = np.repeat(U1 @ a, np.diff(starts, append=Z.shape[0]))
+    D = P_inv @ (G.T @ W) @ (Z.T @ (X * U1a[:, None]) + U1.T @ Ha)
     P1_inv = _spd_inverse(G.T @ W1 @ G, "one-step covariance")
     Q1 = P1_inv @ G.T @ W1
-    S1 = _moment_outer(Z, step1_resid, design.entity_ids)
-    V1 = Q1 @ S1 @ Q1.T
+    V1 = Q1 @ (U1.T @ U1) @ Q1.T
     return cov2 + D @ cov2 + cov2 @ D.T + D @ V1 @ D.T
 
 

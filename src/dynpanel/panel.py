@@ -9,6 +9,7 @@ masked-out cells so that lags remain calendar lags.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -177,7 +178,10 @@ def _parse_cell(token: str, missing_tokens: frozenset[str]) -> tuple[float, bool
     if text in missing_tokens:
         return np.nan, False
     # tolerate thousands separators as printed in source tables
-    return float(text.replace(",", "")), True
+    value = float(text.replace(",", ""))
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite value {text!r}")
+    return value, True
 
 
 def ingest_long_csv(
@@ -188,7 +192,8 @@ def ingest_long_csv(
     """Read a long-format CSV with header ``entity,period,<var1>,...``.
 
     Entity order is first appearance; the period axis spans the observed
-    min..max range. Duplicate (entity, period) rows and unparseable cells
+    min..max range. Duplicate (entity, period) rows and unparseable or
+    non-finite cells
     are rejected with their location.
     """
     missing = frozenset(missing_tokens)
@@ -246,7 +251,7 @@ def ingest_long_csv(
             except ValueError:
                 raise DataError(
                     f"{path}:{lineno}: cell ({entity}, {period}, {v}) "
-                    f"value {token!r} is not numeric"
+                    f"value {token!r} is not a finite number"
                 ) from None
             if present:
                 values[v][i, j] = val
@@ -318,7 +323,7 @@ def ingest_wide_csv(
             except ValueError:
                 raise DataError(
                     f"{path}: cell ({entities[i]}, {year_labels[j]}) "
-                    f"value {token!r} is not numeric"
+                    f"value {token!r} is not a finite number"
                 ) from None
             if present:
                 values[i, j] = val

@@ -114,6 +114,42 @@ def test_estimate_missing_file_exit_2(tmp_path, capsys):
     assert "absent.csv" in err
 
 
+def test_estimate_negative_ar_exit_2(brand_panel_csv, tmp_path, capsys):
+    code, _, err = run_cli(
+        capsys, "estimate", "--data", brand_panel_csv, "--spec", "fd",
+        "--dep", "pp", "--ar", "-1", "--output-dir", str(tmp_path),
+    )
+    assert code == 2
+    assert err.startswith("error: ar_lags must be >= 0")
+
+
+def test_estimate_bad_instrument_lag_exit_2(brand_panel_csv, tmp_path, capsys):
+    code, _, err = run_cli(
+        capsys, "estimate", "--data", brand_panel_csv, "--spec", "fd",
+        "--dep", "pp", "--instruments", "dyn(pp,0)", "--output-dir", str(tmp_path),
+    )
+    assert code == 2
+    assert "starting lag must be >= 1" in err
+
+
+def test_estimate_nan_cell_exit_2(tmp_path, capsys):
+    rng = np.random.default_rng(4)
+    rows = ["entity,period,y"]
+    for a in range(20):
+        for t in range(1, 9):
+            rows.append(f"e{a},{t},{rng.standard_normal()!r}")
+    rows[5] = "e0,5,nan"
+    path = tmp_path / "nan.csv"
+    path.write_text("\n".join(rows) + "\n")
+    code, _, err = run_cli(
+        capsys, "estimate", "--data", str(path), "--spec", "fd", "--dep", "y",
+        "--output-dir", str(tmp_path),
+    )
+    assert code == 2
+    assert "nan.csv:6: cell (e0, 5, y)" in err
+    assert "Traceback" not in err
+
+
 def test_estimate_failure_exit_1(brand_panel_csv, tmp_path, capsys):
     # singular weighting with on-singular=error is an estimation failure
     code, _, err = run_cli(
@@ -233,3 +269,12 @@ def test_simulate_unknown_estimator_exit_2(tmp_path, capsys):
     )
     assert code == 2
     assert "bogus" in err
+
+
+def test_simulate_nonstationary_rho_exit_2(tmp_path, capsys):
+    code, _, err = run_cli(
+        capsys, "simulate", "--rho", "1.0", "--reps", "1",
+        "--output-dir", str(tmp_path),
+    )
+    assert code == 2
+    assert err.startswith("error: |rho| must be < 1")

@@ -413,3 +413,149 @@ def test_fd_fitted_levels_anchor_on_lagged_actuals(brand_panel):
         j = t - brand_panel.periods[0]
         expected = pp.values[e, j - 1] + table.fitted_transformed[i]
         assert table.fitted_level[i] == pytest.approx(expected)
+
+
+# ---------------------------------------------------------------------------
+# entity-block algebra against its per-entity definitions
+
+def gapped_panel(seed=5, n=14, T=10):
+    """Random unbalanced panel with interior gaps and ragged spans."""
+    rng = np.random.default_rng(seed)
+    y = rng.standard_normal((n, T)).cumsum(axis=1)
+    x1 = rng.standard_normal((n, T))
+    absent = rng.random((n, T)) < 0.12
+    absent[0] = False
+    absent[0, 5] = True      # one interior hole
+    absent[1, :2] = True     # late entry
+    y[absent] = np.nan
+    x1[absent] = np.nan
+    return from_arrays([f"e{a}" for a in range(n)], range(2001, 2001 + T),
+                       {"y": y, "x1": x1})
+
+
+def fd_design_and_instruments(data):
+    from dynpanel.instruments import assemble
+
+    model = ar1_model(TransformKind.FIRST_DIFFERENCE)
+    design = build_design(model, data)
+    spec = InstrumentSpec(dynamic=(DynamicInstrument("y", 2, 4),),
+                          static=(StaticInstrument("x1"),))
+    Z = assemble(spec, data, design.sample,
+                 transform=TransformKind.FIRST_DIFFERENCE).matrix
+    return model, spec, design, Z
+
+
+def entity_rows(entity_ids):
+    return [np.flatnonzero(entity_ids == e) for e in np.unique(entity_ids)]
+
+
+def test_fd_one_step_weight_equals_explicit_h():
+    from dataclasses import replace
+
+    from dynpanel.estimators import _one_step_weight_blocks
+
+    _, _, design, Z = fd_design_and_instruments(gapped_panel())
+    # move the first entity's second row one period earlier, so that its
+    # adjacent rows are two periods apart and must get no -1 in H
+    periods = design.periods.copy()
+    rows0 = entity_rows(design.entity_ids)[0]
+    assert rows0.size >= 3
+    periods[rows0[0]] = periods[rows0[1]] - 2
+    design = replace(design, periods=periods)
+    gaps = [np.diff(periods[r]) for r in entity_rows(design.entity_ids)]
+    assert any((g == 2).any() for g in gaps)
+    assert any((g > 2).any() for g in gaps)
+
+    expected = np.zeros((Z.shape[1], Z.shape[1]))
+    for rows in entity_rows(design.entity_ids):
+        p = periods[rows]
+        H = 2.0 * np.eye(rows.size)
+        H[np.abs(p[:, None] - p[None, :]) == 1] = -1.0
+        expected += Z[rows].T @ H @ Z[rows]
+    got = _one_step_weight_blocks(design, Z)
+    assert np.allclose(got, expected, rtol=1e-12, atol=1e-12 * np.abs(expected).max())
+
+
+def test_moment_covariance_equals_entity_outer_products():
+    from dynpanel.estimators import _entity_starts, _scores
+
+    _, _, design, Z = fd_design_and_instruments(gapped_panel())
+    e = np.random.default_rng(1).standard_normal(design.n)
+    U = _scores(Z, e, _entity_starts(design.entity_ids))
+    expected = sum(
+        np.outer(Z[r].T @ e[r], Z[r].T @ e[r]) for r in entity_rows(design.entity_ids)
+    )
+    assert U.shape == (np.unique(design.entity_ids).size, Z.shape[1])
+    assert np.allclose(U.T @ U, expected, rtol=1e-12, atol=1e-12 * np.abs(expected).max())
+
+
+def test_windmeijer_matches_entity_loop_reference():
+    data = gapped_panel(seed=9, n=40)
+    model, spec, design, Z = fd_design_and_instruments(data)
+    one = fit_gmm(model, data, spec, weighting=ONE_STEP)
+    two = fit_gmm(model, data, spec, weighting=TWO_STEP)
+    corrected = fit_gmm(model, data, spec, weighting=TWO_STEP, windmeijer=True)
+
+    X, y = design.X, design.y
+    W1, W = one.weighting_matrix, two.weighting_matrix
+    e1, e2 = one.residuals, y - X @ two.coefficients
+    G = Z.T @ X
+    P_inv = np.linalg.inv(G.T @ W @ G)
+    gbar = Z.T @ e2
+    k = X.shape[1]
+    D = np.zeros((k, k))
+    for j in range(k):
+        dS = np.zeros((Z.shape[1], Z.shape[1]))
+        for rows in entity_rows(design.entity_ids):
+            g = Z[rows].T @ e1[rows]
+            h = Z[rows].T @ X[rows, j]
+            dS -= np.outer(h, g) + np.outer(g, h)
+        D[:, j] = -P_inv @ G.T @ W @ dS @ W @ gbar
+    Q1 = np.linalg.inv(G.T @ W1 @ G) @ G.T @ W1
+    S1 = sum(np.outer(Z[r].T @ e1[r], Z[r].T @ e1[r])
+             for r in entity_rows(design.entity_ids))
+    V1 = Q1 @ S1 @ Q1.T
+    V2 = two.covariance
+    expected = V2 + D @ V2 + V2 @ D.T + D @ V1 @ D.T
+    assert np.allclose(corrected.covariance, expected, rtol=1e-9, atol=0.0)
+    assert not np.allclose(corrected.covariance, V2, rtol=1e-3)
+
+
+def test_entity_starts_rejects_interleaved_entities():
+    from dynpanel.estimators import _entity_starts
+
+    assert _entity_starts(np.array([0, 0, 2, 2, 2, 5])).tolist() == [0, 2, 5]
+    with pytest.raises(ValueError, match="not grouped by entity"):
+        _entity_starts(np.array([0, 0, 1, 0]))
+
+
+def test_pinv_weight_rank_matches_eigh_threshold_when_columns_exceed_entities():
+    from dynpanel.estimators import _entity_starts, _invert_weight, _scores
+
+    data = gapped_panel(seed=3, n=7, T=12)
+    model = ar1_model(TransformKind.FIRST_DIFFERENCE)
+    spec = InstrumentSpec(dynamic=(DynamicInstrument("y", 2, 4),),
+                          static=(StaticInstrument("x1"),))
+    one = fit_gmm(model, data, spec, weighting=ONE_STEP)
+    two = fit_gmm(model, data, spec, weighting=TWO_STEP, on_singular="pinv")
+    Z = one.instruments.matrix
+    n_entities = np.unique(one.entity_ids).size
+    assert Z.shape[1] > n_entities
+
+    U = _scores(Z, one.residuals, _entity_starts(one.entity_ids))
+    S = U.T @ U
+    w, V = np.linalg.eigh(S)
+    keep = w > 1e-12 * w[-1]
+    reference = (V[:, keep] / w[keep]) @ V[:, keep].T
+    W, rank = _invert_weight(S, "pinv", "test", U)
+    assert rank == int(keep.sum()) == two.weighting_rank <= n_entities
+    assert np.allclose(W, reference, rtol=0, atol=1e-8 * np.abs(reference).max())
+    assert np.allclose(two.weighting_matrix, W, rtol=1e-10, atol=0)
+    with pytest.raises(SingularWeightingError, match="collapse"):
+        _invert_weight(S, "error", "moment covariance", U)
+
+    # the cut is on s^2 (the eigenvalues of S), not on s: s = 1e-7 goes
+    P, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((4, 4)))
+    Vt = np.linalg.qr(np.random.default_rng(1).standard_normal((9, 4)))[0].T
+    U = P @ np.diag([1.0, 1e-3, 1e-5, 1e-7]) @ Vt
+    assert _invert_weight(None, "pinv", "test", U)[1] == 3

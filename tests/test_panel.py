@@ -56,6 +56,13 @@ def test_long_bad_value_names_cell(tmp_path):
         ingest_long_csv(path)
 
 
+@pytest.mark.parametrize("token", ["nan", "inf", "-inf", "-Infinity"])
+def test_long_non_finite_value_names_cell(tmp_path, token):
+    path = write(tmp_path, f"entity,period,x\na,2010,1\na,2011,{token}\n")
+    with pytest.raises(DataError, match=r":3: cell \(a, 2011, x\).*not a finite number"):
+        ingest_long_csv(path)
+
+
 def test_long_entity_order_is_first_appearance(tmp_path):
     path = write(tmp_path, "entity,period,x\nz,2010,1\na,2010,2\nz,2011,3\n")
     assert ingest_long_csv(path).entities == ("z", "a")
@@ -120,6 +127,13 @@ def test_wide_single_firm(tmp_path):
 def test_wide_bad_year_header(tmp_path):
     path = write(tmp_path, "name,2005,zzz\nfirm,1,2\n")
     with pytest.raises(DataError, match="non-numeric year"):
+        ingest_wide_csv(path, "pp")
+
+
+@pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+def test_wide_non_finite_value_names_cell(tmp_path, token):
+    path = write(tmp_path, f"name,2005,2006\nfirm,1,{token}\n")
+    with pytest.raises(DataError, match=r"cell \(firm, 2006\).*not a finite number"):
         ingest_wide_csv(path, "pp")
 
 
