@@ -120,21 +120,12 @@ def _load_dataset(args) -> PanelDataset:
 
 def _model_for(spec: str, dep: str, ar: int, exog: tuple[ExogTerm, ...],
                intercept: bool | None) -> ModelSpec:
-    transform = {
-        "pooled": TransformKind.NONE,
-        "fe": TransformKind.WITHIN,
-        "re": TransformKind.QUASI_DEMEAN,
-        "od": TransformKind.ORTHOGONAL_DEVIATION,
-        "fd": TransformKind.FIRST_DIFFERENCE,
-    }[spec]
-    effects = {"fe": "fixed", "re": "random"}.get(spec, "none")
-    if intercept is None:
+    if intercept is None or spec in ("od", "fd"):
         intercept = spec in ("pooled", "fe", "re")
-    if spec in ("od", "fd"):
-        intercept = False
     return ModelSpec(
-        dependent=dep, ar_lags=ar, exogenous=exog,
-        intercept=intercept, effects=effects, transform=transform,
+        dependent=dep, ar_lags=ar, exogenous=exog, intercept=intercept,
+        effects={"fe": "fixed", "re": "random"}.get(spec, "none"),
+        transform=TransformKind.parse(spec),
     )
 
 
@@ -223,10 +214,8 @@ def _result_json(result: EstimationResult, report: DiagnosticsReport) -> dict:
 def _result_csv(result: EstimationResult) -> str:
     lines = ["name,coefficient,se,t"]
     for i, name in enumerate(result.param_names):
-        lines.append(
-            f"{name},{result.coefficients[i]!r},{result.standard_errors[i]!r},"
-            f"{result.t_statistics[i]!r}"
-        )
+        values = (result.coefficients[i], result.standard_errors[i], result.t_statistics[i])
+        lines.append(",".join([name] + [repr(float(v)) for v in values]))
     return "\n".join(lines) + "\n"
 
 
@@ -258,6 +247,21 @@ def cmd_estimate(args) -> int:
 REPLICATE_SPECS = ("pooled", "fe", "re", "od", "fd")
 
 
+def _coefficient_rows(results: dict[str, EstimationResult]):
+    """The replicate grid: (name, piece, one value per spec) for every
+    parameter of any spec, pieces "" (coefficient), "se" and "t"; the
+    value is None where a spec has no such parameter."""
+    names = list(dict.fromkeys(n for r in results.values() for n in r.param_names))
+    for name in names:
+        for piece, attr in (("", "coefficients"), ("se", "standard_errors"),
+                            ("t", "t_statistics")):
+            yield name, piece, [
+                getattr(r, attr)[r.param_names.index(name)] if name in r.param_names
+                else None
+                for r in (results[s] for s in REPLICATE_SPECS)
+            ]
+
+
 def cmd_replicate(args) -> int:
     data = _load_dataset(args)
     needed = [args.dep] + list(args.exog_vars)
@@ -271,21 +275,13 @@ def cmd_replicate(args) -> int:
     exog = tuple(ExogTerm(v, 0) for v in args.exog_vars)
     results: dict[str, EstimationResult] = {}
     reports: dict[str, DiagnosticsReport] = {}
+    weighting = Weighting.parse(args.weighting, max_iter=args.max_iter, tol=args.tol)
     for spec in REPLICATE_SPECS:
         model = _model_for(spec, args.dep, 1, exog, None)
         inst = _default_instruments(spec, model)
-        weighting = Weighting.parse(args.weighting, max_iter=args.max_iter, tol=args.tol)
-        result = fit_gmm(
-            model, data, inst, weighting=weighting, on_singular="pinv",
-        )
+        result = fit_gmm(model, data, inst, weighting=weighting, on_singular="pinv")
         results[spec] = result
         reports[spec] = report_for(result)
-
-    names: list[str] = []
-    for r in results.values():
-        for n in r.param_names:
-            if n not in names:
-                names.append(n)
 
     outputs: list[str] = []
     if args.out == "json":
@@ -293,21 +289,10 @@ def cmd_replicate(args) -> int:
         print(json.dumps(payload, indent=2, sort_keys=True))
     elif args.out == "csv":
         lines = ["row," + ",".join(REPLICATE_SPECS)]
-        for n in names:
-            for piece, fmt in (("", "coefficient"), ("se", "se"), ("t", "t")):
-                cells = []
-                for s in REPLICATE_SPECS:
-                    r = results[s]
-                    if n in r.param_names:
-                        i = r.param_names.index(n)
-                        val = {"coefficient": r.coefficients[i],
-                               "se": r.standard_errors[i],
-                               "t": r.t_statistics[i]}[fmt]
-                        cells.append(repr(float(val)))
-                    else:
-                        cells.append("")
-                label = n if fmt == "coefficient" else f"{n}:{fmt}"
-                lines.append(label + "," + ",".join(cells))
+        for name, piece, values in _coefficient_rows(results):
+            label = f"{name}:{piece}" if piece else name
+            cells = ["" if v is None else repr(float(v)) for v in values]
+            lines.append(label + "," + ",".join(cells))
         lines.append("r2," + ",".join(repr(results[s].r_squared_unweighted)
                                       for s in REPLICATE_SPECS))
         lines.append("j," + ",".join(
@@ -325,19 +310,10 @@ def cmd_replicate(args) -> int:
         lines = [header, "-" * len(header)]
         def row(label, cells):
             lines.append(f"{label:<12}" + "".join(f"{c:>{colw}}" for c in cells))
-        for n in names:
-            for fmt, deco in (("coef", "%s"), ("se", "(%s)"), ("t", "[%s]")):
-                cells = []
-                for s in REPLICATE_SPECS:
-                    r = results[s]
-                    if n in r.param_names:
-                        i = r.param_names.index(n)
-                        v = {"coef": r.coefficients[i], "se": r.standard_errors[i],
-                             "t": r.t_statistics[i]}[fmt]
-                        cells.append(deco % _fmt(v))
-                    else:
-                        cells.append("-")
-                row(n if fmt == "coef" else "", cells)
+        deco = {"": "%s", "se": "(%s)", "t": "[%s]"}
+        for name, piece, values in _coefficient_rows(results):
+            row("" if piece else name,
+                ["-" if v is None else deco[piece] % _fmt(v) for v in values])
         row("R-squared", [_fmt(results[s].r_squared_unweighted) for s in REPLICATE_SPECS])
         row("J-stat", [
             _fmt(reports[s].j.statistic) if reports[s].j else "-"
@@ -378,18 +354,12 @@ def cmd_simulate(args) -> int:
     configs = []
     for spec in args.estimators.split(","):
         spec = spec.strip()
-        if spec in ("od", "fd"):
-            # fresh-lag bounded dynamic blocks: the canonical comparison sets
-            configs.append(fresh[spec])
-            continue
-        transform = {
-            "pooled": TransformKind.NONE,
-            "fe": TransformKind.WITHIN,
-            "re": TransformKind.QUASI_DEMEAN,
-        }.get(spec)
-        if transform is None:
+        if spec not in SPEC_CHOICES:
             raise DataError(f"unknown estimator {spec!r}; choose from {SPEC_CHOICES}")
-        configs.append(EstimatorConfig(spec, ar1_model(transform, n_x=n_x)))
+        # od/fd use the fresh-lag bounded dynamic blocks of the canonical
+        # comparison sets
+        configs.append(fresh[spec] if spec in ("od", "fd") else
+                       EstimatorConfig(spec, ar1_model(TransformKind.parse(spec), n_x=n_x)))
     summary = run_experiment(dgp, configs, reps=args.reps)
 
     out_dir = Path(args.output_dir)

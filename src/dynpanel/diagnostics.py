@@ -22,9 +22,6 @@ from .estimators import (
     EstimationResult,
     ModelSpec,
     VarianceComponents,
-    _demean_by_entity,
-    _entity_means,
-    _entity_starts,
     _invert_weight,
     _ols,
     _scores,
@@ -33,7 +30,7 @@ from .estimators import (
 )
 from .instruments import assemble
 from .panel import PanelDataset, align
-from .transforms import TransformKind
+from .transforms import TransformKind, entity_means, entity_starts
 
 
 def chi_square_sf(x: float, df: int) -> float:
@@ -134,7 +131,7 @@ def _ar_tests(result: EstimationResult):
             "serial-correlation test is defined for FD or OD results, "
             f"not {result.transform.value!r}"
         )
-    starts = _entity_starts(entity_ids)
+    starts = entity_starts(entity_ids)
     # one key per (entity, period); a row's order-m lag is the row whose
     # key is m smaller within the same entity
     p0 = periods.min()
@@ -197,25 +194,24 @@ def swamy_arora(model: ModelSpec, data: PanelDataset) -> VarianceComponents:
     the harmonic-mean correction for unbalanced entity lengths and is
     floored at zero.
     """
-    base = replace(model, effects="none", transform=TransformKind.NONE, intercept=False)
-    design = build_design(base, data)
-    names = list(design.x_names)
-    Xw = _demean_by_entity(design.X, design.entity_ids)
-    yw = _demean_by_entity(design.y, design.entity_ids)
-    starts = _entity_starts(design.entity_ids)
-    n, k, n_ent = design.n, design.X.shape[1], starts.size
+    design = build_design(
+        replace(model, effects="fixed", transform=TransformKind.WITHIN), data
+    )
+    Xw, yw = design.X, design.y
+    starts = entity_starts(design.entity_ids)
+    n, k, n_ent = design.n, Xw.shape[1], starts.size
     df_within = n - n_ent - k
     if df_within <= 0:
         raise EstimationError(
             f"non-positive within degrees of freedom ({df_within}); "
             "panel too short for variance components"
         )
-    beta_w = _ols(yw, Xw, names)
+    beta_w = _ols(yw, Xw, design.x_names)
     resid_w = yw - Xw @ beta_w
     sigma_e2 = float(resid_w @ resid_w) / df_within
 
-    ybar = _entity_means(design.y, starts)
-    xbar = _entity_means(design.X, starts)
+    ybar = entity_means(design.y_level, starts)
+    xbar = entity_means(design.X_level, starts)
     counts = np.diff(starts, append=n)
     Xb = np.column_stack([xbar, np.ones(n_ent)])
     df_between = n_ent - (k + 1)

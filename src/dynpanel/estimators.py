@@ -9,7 +9,7 @@ clustered by entity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -20,14 +20,19 @@ from .errors import (
     RankError,
     SingularWeightingError,
 )
-from .instruments import InstrumentMatrix, InstrumentSpec, assemble
+from .instruments import InstrumentMatrix, InstrumentSpec, assemble, intercept_column
 from .panel import AlignedSample, PanelDataset, align, lagged_grid
 from .transforms import (
     TransformKind,
     apply_grid,
+    demean_by_entity,
+    entity_means,
+    entity_starts,
     expand_dummies,
     reconstruct_levels,
 )
+
+_entity_starts = entity_starts  # still importable here under its former private name
 
 _CALENDAR_TRANSFORMS = (
     TransformKind.FIRST_DIFFERENCE,
@@ -249,107 +254,100 @@ class EstimationResult:
 # design construction
 
 
-@dataclass
+@dataclass(frozen=True)
 class Design:
-    """Aligned regression arrays for one model on one dataset."""
+    """Regression arrays for one model on one dataset, transform applied.
+
+    ``y`` and ``X`` (slope columns only) are in the model's transformed
+    units; ``y_level`` and ``X_level`` hold the level values at the same
+    rows. ``theta`` is the per-entity quasi-demeaning weight of a random
+    effects design, and ``components`` the variance components behind it.
+    """
 
     model: ModelSpec
     data: PanelDataset
     entity_ids: np.ndarray
     periods: np.ndarray
     y: np.ndarray
-    X: np.ndarray            # slope columns only
+    X: np.ndarray
     x_names: list[str]
-    y_level: np.ndarray      # level dependent at the same rows
-    X_level: np.ndarray      # level slope columns at the same rows
+    y_level: np.ndarray
+    X_level: np.ndarray
     sample: AlignedSample
+    theta: np.ndarray | None = None
+    components: VarianceComponents | None = None
 
     @property
     def n(self) -> int:
         return self.y.size
 
     def entity_counts(self) -> np.ndarray:
-        counts = np.zeros(len(self.data.entities), dtype=int)
-        ids, c = np.unique(self.entity_ids, return_counts=True)
-        counts[ids] = c
-        return counts
+        return np.bincount(self.entity_ids, minlength=self.data.n_entities)
 
 
-def build_design(model: ModelSpec, data: PanelDataset) -> Design:
-    """Align the model's columns, applying calendar transforms if any.
+def build_design(
+    model: ModelSpec,
+    data: PanelDataset,
+    components: VarianceComponents | None = None,
+) -> Design:
+    """Align the model's columns and apply its transform.
 
-    For FD/OD the transform is applied per entity to each lagged level
-    grid first and rows are kept where every transformed cell exists;
-    the level values at those rows are kept alongside for
-    reconstruction. Demeaning transforms are sample statistics and are
-    applied by the fit functions, not here.
+    FD/OD are applied per entity to each lagged level grid, and rows are
+    kept where every transformed cell exists. Within and quasi-demeaning
+    subtract theta_a times the entity mean over the aligned rows: theta_a
+    is 1 for within and Swamy-Arora's weight for random effects, from
+    ``components`` or, when none are given, estimated here. Pooled and
+    dummies designs stay in levels. ``sample.matrix`` holds level values
+    in every case.
     """
     cols = model.regressor_columns()
-    variables = [model.dependent] + [v for v, _, _ in cols]
-    sample = align(data, list(dict.fromkeys(variables)), model.required_lags())
-
-    if model.transform in _CALENDAR_TRANSFORMS:
-        grids = []
-        for v, l in [(model.dependent, 0)] + [(v, l) for v, l, _ in cols]:
-            g = lagged_grid(data, v, l)
-            grids.append(apply_grid(model.transform, g.values, g.mask))
-        keep = np.ones((data.n_entities, data.n_periods), dtype=bool)
-        for _, m in grids:
-            keep &= m
-        ent_idx, per_idx = np.nonzero(keep)
+    columns = [(model.dependent, 0)] + [(v, l) for v, l, _ in cols]
+    sample = align(data, list(dict.fromkeys(v for v, _ in columns)), model.required_lags())
+    kind = model.transform
+    if kind in _CALENDAR_TRANSFORMS:
+        grids = [lagged_grid(data, v, l) for v, l in columns]
+        moved = [apply_grid(kind, g.values, g.mask) for g in grids]
+        ent_idx, per_idx = np.nonzero(np.logical_and.reduce([m for _, m in moved]))
         if ent_idx.size == 0:
-            raise EstimationError(
-                f"no estimable observations after {model.transform.value} transform"
-            )
-        matrix = np.column_stack([g[0][ent_idx, per_idx] for g in grids])
-        periods = np.asarray(data.periods)[per_idx]
-        y = matrix[:, 0]
-        X = matrix[:, 1:]
-        # level columns at the same cells (present by construction of align?
-        # not necessarily: transformed cells can exist where alignment rows
-        # were dropped -- read levels directly off the grids)
-        lev = []
-        for v, l in [(model.dependent, 0)] + [(v, l) for v, l, _ in cols]:
-            g = lagged_grid(data, v, l)
-            lev.append(g.values[ent_idx, per_idx])
-        y_level = lev[0]
-        X_level = np.column_stack(lev[1:]) if len(lev) > 1 else np.empty((y.size, 0))
-        return Design(
-            model=model,
-            data=data,
+            raise EstimationError(f"no estimable observations after {kind.value} transform")
+        sample = AlignedSample(
+            entities=data.entities,
             entity_ids=ent_idx.astype(np.int64),
-            periods=periods.astype(np.int64),
-            y=y,
-            X=X,
-            x_names=[n for _, _, n in cols],
-            y_level=y_level,
-            X_level=X_level,
-            sample=AlignedSample(
-                entities=data.entities,
-                entity_ids=ent_idx.astype(np.int64),
-                periods=periods.astype(np.int64),
-                columns=tuple([(model.dependent, 0)] + [(v, l) for v, l, _ in cols]),
-                matrix=matrix,
-            ),
+            periods=np.asarray(data.periods)[per_idx].astype(np.int64),
+            columns=tuple(columns),
+            matrix=np.column_stack([g.values[ent_idx, per_idx] for g in grids]),
         )
+        yX = np.column_stack([v[ent_idx, per_idx] for v, _ in moved])
 
-    y = sample.column(model.dependent, 0)
-    X = (
+    y_level = sample.column(model.dependent, 0).copy()
+    X_level = (
         np.column_stack([sample.column(v, l) for v, l, _ in cols])
         if cols
-        else np.empty((y.size, 0))
+        else np.empty((y_level.size, 0))
     )
+    y, X, theta = y_level, X_level, None
+    if kind in _CALENDAR_TRANSFORMS:
+        y, X = yX[:, 0], yX[:, 1:]
+    elif kind in (TransformKind.WITHIN, TransformKind.QUASI_DEMEAN):
+        if kind is TransformKind.QUASI_DEMEAN:
+            if components is None:
+                from .diagnostics import swamy_arora
+
+                components = swamy_arora(model, data)
+            if components.sigma_e2 <= 0:
+                raise EstimationError(
+                    f"idiosyncratic variance must be positive, got {components.sigma_e2}"
+                )
+            counts = np.bincount(sample.entity_ids, minlength=data.n_entities)
+            theta = components.theta(counts)
+        shift = 1.0 if theta is None else theta
+        y = demean_by_entity(y, sample.entity_ids, shift)
+        X = demean_by_entity(X, sample.entity_ids, shift)
     return Design(
-        model=model,
-        data=data,
-        entity_ids=sample.entity_ids,
-        periods=sample.periods,
-        y=y.copy(),
-        X=X,
-        x_names=[n for _, _, n in cols],
-        y_level=y.copy(),
-        X_level=X.copy(),
-        sample=sample,
+        model=model, data=data, entity_ids=sample.entity_ids, periods=sample.periods,
+        y=y, X=X, x_names=[n for _, _, n in cols],
+        y_level=y_level, X_level=X_level, sample=sample, theta=theta,
+        components=components,
     )
 
 
@@ -390,6 +388,17 @@ def _white_covariance(X: np.ndarray, resid: np.ndarray) -> np.ndarray:
     return bread @ meat @ bread
 
 
+def _ols_fit(y: np.ndarray, X: np.ndarray, names: Sequence[str]):
+    """OLS: coefficients, fitted values, residuals, White and classical covariances."""
+    beta = _ols(y, X, names)
+    fitted = X @ beta
+    resid = y - fitted
+    classical = float(resid @ resid) / max(y.size - X.shape[1], 1) * _spd_inverse(
+        X.T @ X, "classical covariance"
+    )
+    return beta, fitted, resid, _white_covariance(X, resid), classical
+
+
 def _r_squared(y: np.ndarray, fitted: np.ndarray, center: bool) -> float:
     resid = y - fitted
     ss_res = float(resid @ resid)
@@ -402,38 +411,6 @@ def _squared_correlation(y: np.ndarray, fitted: np.ndarray) -> float:
     if y.size < 2 or np.std(y) == 0 or np.std(fitted) == 0:
         return np.nan
     return float(np.corrcoef(y, fitted)[0, 1] ** 2)
-
-
-def _entity_starts(entity_ids: np.ndarray) -> np.ndarray:
-    """Row offset where each entity's block of rows begins.
-
-    Design rows come from ``np.nonzero`` on the entity x period grid, so
-    they are grouped by entity, in period order; the block sums rely on it.
-    """
-    starts = np.concatenate(([0], np.flatnonzero(np.diff(entity_ids)) + 1))
-    if np.unique(entity_ids[starts]).size != starts.size:
-        raise ValueError("design rows are not grouped by entity")
-    return starts
-
-
-def _entity_means(arr: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """Per-entity means of the rows of ``arr``, one row per entity."""
-    counts = np.diff(starts, append=arr.shape[0])
-    sums = np.add.reduceat(arr, starts, axis=0)
-    return sums / counts.reshape((-1,) + (1,) * (arr.ndim - 1))
-
-
-def _demean_by_entity(
-    arr: np.ndarray, entity_ids: np.ndarray, theta: np.ndarray | float = 1.0
-) -> np.ndarray:
-    """Subtract theta_a times the per-entity mean over sample rows."""
-    arr = np.asarray(arr, dtype=float)
-    starts = _entity_starts(entity_ids)
-    thetas = np.asarray(theta, dtype=float)
-    if thetas.ndim:
-        thetas = thetas[entity_ids[starts]]
-    shift = _entity_means(arr, starts) * thetas.reshape((-1,) + (1,) * (arr.ndim - 1))
-    return arr - np.repeat(shift, np.diff(starts, append=arr.shape[0]), axis=0)
 
 
 def _result_shell(
@@ -475,6 +452,59 @@ def _result_shell(
     )
 
 
+def _add_intercept(
+    design: Design, X: np.ndarray, names: list[str], level: bool = False
+) -> tuple[np.ndarray, list[str]]:
+    """Append the model's intercept column to X, if its equation has one.
+
+    The column is ``intercept_column`` under the design's transform (ones,
+    or 1 - theta_a when quasi-demeaned), or ones with ``level=True``. The
+    within transform absorbs the intercept, and FD/OD models have none.
+    """
+    if not design.model.intercept or design.model.transform is TransformKind.WITHIN:
+        return X, names
+    kind = TransformKind.NONE if level else design.model.transform
+    const = intercept_column(design.sample, kind, design.theta)
+    return np.column_stack([X, const]), names + ["const"]
+
+
+def _entity_effects(design: Design, beta: np.ndarray) -> np.ndarray:
+    """alpha_a = ybar_a - xbar_a'beta over each entity's level rows.
+
+    One value per entity index; NaN for entities outside the sample.
+    """
+    starts = entity_starts(design.entity_ids)
+    alphas = np.full(design.data.n_entities, np.nan)
+    alphas[design.entity_ids[starts]] = (
+        entity_means(design.y_level, starts) - entity_means(design.X_level, starts) @ beta
+    )
+    return alphas
+
+
+def _grand_mean_intercept(
+    design: Design, beta: np.ndarray, names: list[str], alphas: np.ndarray, *covs
+):
+    """Append the grand-mean intercept, the mean of alpha_a over entities.
+
+    Each slope covariance V in ``covs`` gains the intercept's delta-method
+    row and column through alpha_a = ybar_a - xbar_a'beta: variance
+    w'Vw and covariance -Vw, w the mean of the entity means xbar_a.
+    Returns beta, names and the extended covariances.
+    """
+    starts = entity_starts(design.entity_ids)
+    w = entity_means(design.X_level, starts).mean(axis=0)
+    const = float(np.nanmean(alphas[design.entity_ids[starts]]))
+    k = beta.size
+    extended = []
+    for V in covs:
+        ext = np.zeros((k + 1, k + 1))
+        ext[:k, :k] = V
+        ext[k, k] = float(w @ V @ w)
+        ext[:k, k] = ext[k, :k] = -V @ w
+        extended.append(ext)
+    return (np.append(beta, const), names + ["const"], *extended)
+
+
 # ---------------------------------------------------------------------------
 # plain estimators
 
@@ -484,19 +514,8 @@ def fit_pooled(model: ModelSpec, data: PanelDataset) -> EstimationResult:
     if model.effects != "none" or model.transform is not TransformKind.NONE:
         model = replace(model, effects="none", transform=TransformKind.NONE)
     design = build_design(model, data)
-    names = list(design.x_names)
-    X = design.X
-    if model.intercept:
-        X = np.column_stack([X, np.ones(design.n)]) if X.size else np.ones((design.n, 1))
-        names = names + ["const"]
-    beta = _ols(design.y, X, names)
-    fitted = X @ beta
-    resid = design.y - fitted
-    cov = _white_covariance(X, resid)
-    k = X.shape[1]
-    classical = float(resid @ resid) / max(design.n - k, 1) * _spd_inverse(
-        X.T @ X, "classical covariance"
-    )
+    X, names = _add_intercept(design, design.X, list(design.x_names))
+    beta, fitted, resid, cov, classical = _ols_fit(design.y, X, names)
     r2 = _r_squared(design.y, fitted, center=model.intercept)
     result = _result_shell(
         "pooled", design, names, beta, cov, resid, fitted,
@@ -523,76 +542,55 @@ def fit_fixed_effects(
         model,
         effects="fixed",
         transform=TransformKind.DUMMIES if method == "lsdv" else TransformKind.WITHIN,
-        intercept=model.intercept,
     )
-    design = build_design(replace(base, transform=TransformKind.NONE, effects="none",
-                                  intercept=False), data)
-    design.model = base
-    if np.unique(design.entity_ids).size < 2:
+    # LSDV shares the within design; the result keeps the dummies model
+    design = replace(
+        build_design(replace(base, transform=TransformKind.WITHIN), data), model=base
+    )
+    n_ent = np.unique(design.entity_ids).size
+    if n_ent < 2:
         raise EstimationError("fixed effects need at least 2 entities in sample")
 
     names = list(design.x_names)
-    starts = _entity_starts(design.entity_ids)
-    ent_ids = design.entity_ids[starts]
-    xbar = _entity_means(design.X, starts)
-    Xw = _demean_by_entity(design.X, design.entity_ids)
-    yw = _demean_by_entity(design.y, design.entity_ids)
+    Xw, yw = design.X, design.y
     dead = [n for j, n in enumerate(names) if np.max(np.abs(Xw[:, j])) < 1e-12]
     if dead:
         raise EstimationError(
             f"slope(s) {dead} constant within every entity; not identifiable under fixed effects"
         )
-    k = design.X.shape[1]
-    alphas = np.full(len(design.data.entities), np.nan)
+    k = Xw.shape[1]
     if method == "lsdv":
-        dummies, dummy_ents = expand_dummies(
-            design.entity_ids, len(design.data.entities)
-        )
-        X_full = np.column_stack([design.X, dummies])
+        dummies, dummy_ents = expand_dummies(design.entity_ids, design.data.n_entities)
+        X_full = np.column_stack([design.X_level, dummies])
         full_names = names + [f"effect[{design.data.entities[e]}]" for e in dummy_ents]
-        beta_full_lsdv = _ols(design.y, X_full, full_names)
+        beta_full_lsdv = _ols(design.y_level, X_full, full_names)
         beta = beta_full_lsdv[:k]
+        alphas = np.full(design.data.n_entities, np.nan)
         alphas[dummy_ents] = beta_full_lsdv[k:]
-        resid = design.y - X_full @ beta_full_lsdv
+        resid = design.y_level - X_full @ beta_full_lsdv
     else:
         beta = _ols(yw, Xw, names)
         resid = yw - Xw @ beta
-        alphas[ent_ids] = _entity_means(design.y, starts) - xbar @ beta
+        alphas = _entity_effects(design, beta)
 
     # Slope inference on the within (partialled) representation; by the
     # Frisch-Waugh identity this is the LSDV slope block as well, since
     # both paths share residuals and the demeaned regressors.
-    cov_slopes = _white_covariance(Xw, resid)
-    n, n_ent = design.n, ent_ids.size
-    sigma2_within = float(resid @ resid) / max(n - n_ent - k, 1)
-    classical_slopes = sigma2_within * _spd_inverse(Xw.T @ Xw, "within covariance")
-
+    cov = _white_covariance(Xw, resid)
+    sigma2_within = float(resid @ resid) / max(design.n - n_ent - k, 1)
+    classical = sigma2_within * _spd_inverse(Xw.T @ Xw, "within covariance")
+    beta_full = beta
     if model.intercept:
-        # grand-mean intercept: mean over entities of alpha_a; delta-method SE
-        # through the slope covariance (alpha_a = ybar_a - xbar_a'beta)
-        w = xbar.mean(axis=0)
-        const = float(np.nanmean(alphas[ent_ids]))
-        const_var = float(w @ cov_slopes @ w)
-        names_full = names + ["const"]
-        beta_full = np.append(beta, const)
-        cov_full = np.zeros((k + 1, k + 1))
-        cov_full[:k, :k] = cov_slopes
-        cov_full[k, k] = const_var
-        cov_full[:k, k] = cov_full[k, :k] = -cov_slopes @ w
-        classical_full = np.zeros((k + 1, k + 1))
-        classical_full[:k, :k] = classical_slopes
-        classical_full[k, k] = float(w @ classical_slopes @ w)
-    else:
-        names_full, beta_full, cov_full, classical_full = (
-            names, beta, cov_slopes, classical_slopes
+        beta_full, names, cov, classical = _grand_mean_intercept(
+            design, beta, names, alphas, cov, classical
         )
 
-    fitted_level = alphas[design.entity_ids] + design.X @ beta
-    r2 = _r_squared(design.y, fitted_level, center=True)
+    fitted_level = alphas[design.entity_ids] + design.X_level @ beta
+    r2 = _r_squared(design.y_level, fitted_level, center=True)
     result = _result_shell(
-        f"fe/{method}", design, names_full, beta_full, cov_full,
+        f"fe/{method}", design, names, beta_full, cov,
         resid, Xw @ beta,
-        classical_covariance=classical_full,
+        classical_covariance=classical,
         entity_effects=alphas,
         design_matrix=Xw,
     )
@@ -613,48 +611,22 @@ def fit_random_effects(
     entity's own T_a on unbalanced data. sigma_u = 0 collapses to
     pooled OLS exactly.
     """
-    if components is None:
-        from .diagnostics import swamy_arora
-
-        components = swamy_arora(model, data)
-    if components.sigma_e2 <= 0:
-        raise EstimationError(
-            f"idiosyncratic variance must be positive, got {components.sigma_e2}"
-        )
-    base = replace(model, effects="none", transform=TransformKind.NONE)
-    design = build_design(replace(base, intercept=False), data)
-    design.model = replace(model, effects="random", transform=TransformKind.QUASI_DEMEAN)
-
-    theta_all = components.theta(design.entity_counts())
-    Xq = _demean_by_entity(design.X, design.entity_ids, theta_all)
-    yq = _demean_by_entity(design.y, design.entity_ids, theta_all)
-    names = list(design.x_names)
-    if model.intercept:
-        const_col = 1.0 - theta_all[design.entity_ids]
-        Xq = np.column_stack([Xq, const_col])
-        names = names + ["const"]
-    beta = _ols(yq, Xq, names)
-    fitted_q = Xq @ beta
-    resid = yq - fitted_q
-    cov = _white_covariance(Xq, resid)
-    k = Xq.shape[1]
-    classical = float(resid @ resid) / max(design.n - k, 1) * _spd_inverse(
-        Xq.T @ Xq, "classical covariance"
+    design = build_design(
+        replace(model, effects="random", transform=TransformKind.QUASI_DEMEAN),
+        data, components,
     )
-
-    X_level = design.X_level
-    if model.intercept:
-        X_level = np.column_stack([X_level, np.ones(design.n)])
-    fitted_level = X_level @ beta
+    Xq, names = _add_intercept(design, design.X, list(design.x_names))
+    beta, fitted_q, resid, cov, classical = _ols_fit(design.y, Xq, names)
+    fitted_level = _add_intercept(design, design.X_level, names, level=True)[0] @ beta
     result = _result_shell(
         "re", design, names, beta, cov, resid, fitted_q,
         classical_covariance=classical,
-        theta=theta_all,
-        variance_components=components,
+        theta=design.theta,
+        variance_components=design.components,
         design_matrix=Xq,
     )
-    result.r_squared_weighted = _r_squared(yq, fitted_q, center=True)
-    result.r_squared_unweighted = _r_squared(design.y, fitted_level, center=True)
+    result.r_squared_weighted = _r_squared(design.y, fitted_q, center=True)
+    result.r_squared_unweighted = _r_squared(design.y_level, fitted_level, center=True)
     result.fitted_levels = _level_fit_table(design, fitted_level)
     return result
 
@@ -755,38 +727,9 @@ def fit_gmm(
     covariance S = U'U (U the N x L entity score matrix) it comes from
     the thin SVD of U, with no Cholesky tried when N < L.
     """
-    theta_all = None
-    if model.transform in (TransformKind.QUASI_DEMEAN, TransformKind.WITHIN):
-        design = build_design(
-            replace(model, effects="none", transform=TransformKind.NONE,
-                    intercept=False), data
-        )
-        design.model = model
-        theta = 1.0
-        if model.transform is TransformKind.QUASI_DEMEAN:
-            if components is None:
-                from .diagnostics import swamy_arora
-
-                components = swamy_arora(model, data)
-            theta = theta_all = components.theta(design.entity_counts())
-        design.X = _demean_by_entity(design.X, design.entity_ids, theta)
-        design.y = _demean_by_entity(design.y, design.entity_ids, theta)
-    else:
-        design = build_design(model, data)
-
-    names = list(design.x_names)
-    X, y = design.X, design.y
-    # the within transform absorbs the intercept; it is derived from the
-    # entity means afterwards instead of entering the design
-    derive_const = (
-        model.intercept and model.transform is TransformKind.WITHIN
-    )
-    if model.intercept and not derive_const and model.transform not in _CALENDAR_TRANSFORMS:
-        if model.transform is TransformKind.QUASI_DEMEAN:
-            X = np.column_stack([X, 1.0 - theta_all[design.entity_ids]])
-        else:
-            X = np.column_stack([X, np.ones(design.n)])
-        names = names + ["const"]
+    design = build_design(model, data, components)
+    y = design.y
+    X, names = _add_intercept(design, design.X, list(design.x_names))
     k = X.shape[1]
     _check_rank(X, names)
 
@@ -801,7 +744,7 @@ def fit_gmm(
         inst_spec = instruments
         zmat = assemble(
             instruments, data, design.sample,
-            transform=model.transform, theta=theta_all, n_regressors=k,
+            transform=model.transform, theta=design.theta, n_regressors=k,
         )
     Z = zmat.matrix
     if Z.shape[1] < k:
@@ -813,7 +756,7 @@ def fit_gmm(
         raise RankError("Z'X is rank deficient; instruments do not identify "
                         f"{list(names)}", names)
     v = Z.T @ y
-    starts = _entity_starts(design.entity_ids)
+    starts = entity_starts(design.entity_ids)
 
     A1 = _one_step_weight_blocks(design, Z)
     W, w_rank = _invert_weight(A1, on_singular, "one-step")
@@ -859,31 +802,16 @@ def fit_gmm(
     # level-space fitted values and (for within) the derived intercept
     alphas = None
     if model.transform is TransformKind.WITHIN:
-        ent_ids = design.entity_ids[starts]
-        xbar = _entity_means(design.X_level, starts)
-        alphas = np.full(len(design.data.entities), np.nan)
-        alphas[ent_ids] = _entity_means(design.y_level, starts) - xbar @ beta
+        alphas = _entity_effects(design, beta)
         fitted_level_rows = alphas[design.entity_ids] + design.X_level @ beta
-    elif model.transform is TransformKind.QUASI_DEMEAN:
-        X_lvl = design.X_level
         if model.intercept:
-            X_lvl = np.column_stack([X_lvl, np.ones(design.n)])
-        fitted_level_rows = X_lvl @ beta
+            beta, names, cov = _grand_mean_intercept(design, beta, names, alphas, cov)
+    elif model.transform is TransformKind.QUASI_DEMEAN:
+        fitted_level_rows = _add_intercept(design, design.X_level, names, level=True)[0] @ beta
     elif model.transform is TransformKind.NONE:
         fitted_level_rows = fitted
     else:
         fitted_level_rows = None
-
-    if derive_const:
-        w = xbar.mean(axis=0)
-        const = float(np.nanmean(alphas[ent_ids]))
-        cov_ext = np.zeros((k + 1, k + 1))
-        cov_ext[:k, :k] = cov
-        cov_ext[k, k] = float(w @ cov @ w)
-        cov_ext[:k, k] = cov_ext[k, :k] = -cov @ w
-        beta = np.append(beta, const)
-        cov = cov_ext
-        names = names + ["const"]
 
     r2 = _squared_correlation(y, fitted)
     result = _result_shell(
@@ -893,8 +821,8 @@ def fit_gmm(
         instruments=zmat,
         instrument_spec=inst_spec,
         weighting=weighting,
-        theta=theta_all,
-        variance_components=components,
+        theta=design.theta,
+        variance_components=design.components,
         design_matrix=X,
         weighting_rank=w_rank,
         entity_effects=alphas,
@@ -976,9 +904,10 @@ def _level_fit_table(
         actual_transformed = design.y
         fitted_transformed = gmm_fitted
     else:
+        # plain fits report level values in the transformed columns
         fitted_level = fitted_level_rows
         level_mask = np.ones(design.n, dtype=bool)
-        actual_transformed = design.y
+        actual_transformed = design.y if gmm_fitted is not None else design.y_level
         fitted_transformed = (
             gmm_fitted if gmm_fitted is not None else fitted_level_rows
         )

@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import DataError, EstimationError, UnderIdentifiedError
 from .panel import AlignedSample, PanelDataset, lagged_grid
-from .transforms import TransformKind, apply_grid
+from .transforms import TransformKind, apply_grid, demean_by_entity
 
 logger = logging.getLogger(__name__)
 
@@ -223,8 +223,8 @@ def build_static_block(
 
     The column is transformed like the equation: calendar transforms
     (FD/OD) are applied on the grid before reading the rows; demeaning
-    transforms use per-entity means over the sample rows themselves.
-    Absent cells are zero-filled after transforming.
+    transforms use per-entity means over the sample rows where the lag is
+    present. Absent cells are zero-filled after transforming.
     """
     cols: list[np.ndarray] = []
     labels: list[str] = []
@@ -248,12 +248,7 @@ def build_static_block(
             scale = 1.0 if transform is TransformKind.WITHIN else theta
             if scale is None:
                 raise ValueError("quasi_demean static instruments need theta")
-            thetas = np.broadcast_to(np.asarray(scale, dtype=float), (data.n_entities,))
-            col = col.copy()
-            for e in np.unique(sample.entity_ids):
-                rows = (sample.entity_ids == e) & present
-                if rows.any():
-                    col[rows] = col[rows] - thetas[e] * col[rows].mean()
+            col = demean_by_entity(col, sample.entity_ids, scale, present)
         col = np.where(present, col, 0.0)
         if not np.any(present):
             raise DataError(

@@ -292,9 +292,8 @@ def ingest_wide_csv(
         if any(b - a != 1 for a, b in zip(year_labels, year_labels[1:])):
             raise DataError(f"{path}: year headers must be consecutive, got {year_labels}")
 
-        entities: list[str] = []
-        data_rows: list[list[str]] = []
-        checksum = None
+        rows: list[tuple[int, str, list[str]]] = []
+        total_row = None
         for lineno, row in enumerate(reader, start=2):
             if not row or all(not c.strip() for c in row):
                 continue
@@ -304,31 +303,33 @@ def ingest_wide_csv(
                 )
             name = row[0].strip()
             if name.upper().startswith(total_label.upper()):
-                checksum = np.array([float(c.strip().replace(",", "")) for c in row[1:]])
-                continue
-            if name in entities:
+                total_row = (lineno, name, row[1:])
+            elif any(name == r[1] for r in rows):
                 raise DataError(f"{path}:{lineno}: duplicate entity {name!r}")
-            entities.append(name)
-            data_rows.append(row[1:])
-    if not entities:
+            else:
+                rows.append((lineno, name, row[1:]))
+    if not rows:
         raise DataError(f"{path}: no entity rows")
 
-    shape = (len(entities), len(year_labels))
-    values = np.full(shape, np.nan)
-    mask = np.zeros(shape, dtype=bool)
-    for i, cells in enumerate(data_rows):
+    def parse_row(lineno: int, name: str, cells: list[str], required: bool) -> np.ndarray:
+        # NaN marks a missing cell; a checksum row may have none
+        out = np.full(len(year_labels), np.nan)
         for j, token in enumerate(cells):
             try:
-                val, present = _parse_cell(token, missing)
+                out[j], present = _parse_cell(token, missing)
             except ValueError:
+                present = None
+            if present is None or (required and not present):
                 raise DataError(
-                    f"{path}: cell ({entities[i]}, {year_labels[j]}) "
+                    f"{path}:{lineno}: cell ({name}, {year_labels[j]}) "
                     f"value {token!r} is not a finite number"
-                ) from None
-            if present:
-                values[i, j] = val
-                mask[i, j] = True
+                )
+        return out
 
+    values = np.array([parse_row(*r, required=False) for r in rows])
+    mask = ~np.isnan(values)
+    checksum = parse_row(*total_row, required=True) if total_row else None
+    entities = [name for _, name, _ in rows]
     units = {variable_name: unit} if unit else {}
     checksums = {variable_name: _freeze(checksum)} if checksum is not None else {}
     return PanelDataset(
@@ -403,7 +404,9 @@ class AlignedSample:
 
     ``matrix[:, c]`` holds the level value of ``columns[c] = (variable, lag)``
     at each row's (entity, period). Rows are entity-contiguous, ordered by
-    entity first-appearance and period.
+    entity first-appearance and period. A sample built for an FD or OD
+    design keeps the rows where every transformed cell exists, and its
+    ``matrix`` still holds the levels there.
     """
 
     entities: tuple[str, ...]

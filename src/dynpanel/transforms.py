@@ -4,6 +4,10 @@ All functions take a value vector and a presence mask indexed by calendar
 period for a single entity, and return the transformed pair. Missingness
 propagates; no transform ever mixes values across entities. Grid-level
 helpers apply the same operation row by row to entity-by-period matrices.
+
+Entity-block helpers work on sample rows instead of the grid. Sample rows
+are grouped by entity, so one offset per entity (``entity_starts``) and
+``np.add.reduceat`` give per-entity means and demeaned columns.
 """
 
 from __future__ import annotations
@@ -149,6 +153,53 @@ def apply_grid(
     for i in range(values.shape[0]):
         out_v[i], out_m[i] = fn(values[i], mask[i])
     return out_v, out_m
+
+
+def entity_starts(entity_ids: np.ndarray) -> np.ndarray:
+    """Row offset where each entity's block of rows begins.
+
+    Sample rows come from ``np.nonzero`` on the entity x period grid, so
+    they are grouped by entity, in period order; the block sums rely on it.
+    """
+    starts = np.concatenate(([0], np.flatnonzero(np.diff(entity_ids)) + 1))
+    if np.unique(entity_ids[starts]).size != starts.size:
+        raise ValueError("design rows are not grouped by entity")
+    return starts
+
+
+def entity_means(arr: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Per-entity means of the rows of ``arr``, one row per entity."""
+    counts = np.diff(starts, append=arr.shape[0])
+    sums = np.add.reduceat(arr, starts, axis=0)
+    return sums / counts.reshape((-1,) + (1,) * (arr.ndim - 1))
+
+
+def demean_by_entity(
+    arr: np.ndarray,
+    entity_ids: np.ndarray,
+    theta: np.ndarray | float = 1.0,
+    present: np.ndarray | None = None,
+) -> np.ndarray:
+    """Subtract theta_a times the per-entity mean over sample rows.
+
+    ``theta`` is a scalar or one weight per entity index. Given a mask
+    ``present`` shaped like ``arr``, each mean runs over the entity's
+    present cells only (an entity with none gets no shift), and absent
+    cells carry no meaningful value on return.
+    """
+    arr = np.asarray(arr, dtype=float)
+    starts = entity_starts(entity_ids)
+    sizes = np.diff(starts, append=arr.shape[0])
+    if present is None:
+        means = entity_means(arr, starts)
+    else:
+        sums = np.add.reduceat(np.where(present, arr, 0.0), starts, axis=0)
+        means = sums / np.maximum(np.add.reduceat(present.astype(int), starts, axis=0), 1)
+    thetas = np.asarray(theta, dtype=float)
+    if thetas.ndim:
+        thetas = thetas[entity_ids[starts]]
+    shift = means * thetas.reshape((-1,) + (1,) * (arr.ndim - 1))
+    return arr - np.repeat(shift, sizes, axis=0)
 
 
 def expand_dummies(

@@ -1,5 +1,6 @@
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -54,6 +55,19 @@ def test_describe_table1(table1_path, capsys, tmp_path):
     assert stats["n"] > 250
     assert set(stats) == {"mean", "median", "max", "min", "sd",
                           "skewness", "kurtosis", "n"}
+
+
+@pytest.mark.parametrize("token", ["abc", "nan"])
+def test_describe_wide_bad_total_cell_exit_2(tmp_path, capsys, token):
+    path = tmp_path / "wide.csv"
+    path.write_text(f"name,2005,2006\nfirm,1,2\nfirm2,2,4\nTOTAL,{token},3\n")
+    code, _, err = run_cli(
+        capsys, "describe", "--data", str(path), "--wide", "pp",
+        "--output-dir", str(tmp_path),
+    )
+    assert code == 2
+    assert "wide.csv:4: cell (TOTAL, 2005)" in err
+    assert "Traceback" not in err
 
 
 def test_describe_missing_file_exit_2(capsys):
@@ -175,6 +189,26 @@ def test_estimate_fitted_out(brand_panel_csv, tmp_path, capsys):
     assert len(lines) == 1 + 258
 
 
+@pytest.mark.parametrize("extra", [("--spec", "pooled", "--plain"),
+                                   ("--spec", "fd", "--weighting", "one-step")])
+def test_estimate_csv_cells_are_plain_floats(brand_panel_csv, tmp_path, capsys, extra):
+    args = ["estimate", "--data", brand_panel_csv, "--dep", "pp", "--exog", "bv",
+            "--exog", "bt", "--on-singular", "pinv", *extra,
+            "--output-dir", str(tmp_path)]
+    code, out_csv, _ = run_cli(capsys, *args, "--out", "csv")
+    assert code == 0
+    code, out_json, _ = run_cli(capsys, *args, "--out", "json")
+    assert code == 0
+    payload = json.loads(out_json)
+    lines = out_csv.strip().split("\n")
+    assert lines[0] == "name,coefficient,se,t"
+    assert len(lines) == 1 + len(payload["coefficients"])
+    for line in lines[1:]:
+        name, *cells = line.split(",")
+        values = [float(c) for c in cells]
+        assert values == [payload[k][name] for k in ("coefficients", "se", "t")]
+
+
 def test_estimate_plain_fe(brand_panel_csv, tmp_path, capsys):
     code, out, _ = run_cli(
         capsys, "estimate", "--data", brand_panel_csv, "--spec", "fe",
@@ -278,3 +312,26 @@ def test_simulate_nonstationary_rho_exit_2(tmp_path, capsys):
     )
     assert code == 2
     assert err.startswith("error: |rho| must be < 1")
+
+
+# ---------------------------------------------------------------------------
+# golden tables: the 4-decimal tables on the suite's brand panel, byte for
+# byte. To regenerate, write conftest.build_brand_panel() with to_long_csv
+# and run the same arguments through ``python -m dynpanel.cli``.
+
+GOLDEN = Path(__file__).parent / "data" / "golden"
+GMM_ARGS = ("--dep", "pp", "--exog", "bv", "--exog", "bt",
+            "--on-singular", "pinv", "--max-iter", "500")
+
+
+@pytest.mark.parametrize("golden, argv", [
+    ("replicate_table.txt", ("replicate",)),
+    ("estimate_fe_table.txt", ("estimate", "--spec", "fe", *GMM_ARGS)),
+    ("estimate_re_table.txt", ("estimate", "--spec", "re", *GMM_ARGS)),
+    ("estimate_fd_table.txt", ("estimate", "--spec", "fd", *GMM_ARGS)),
+])
+def test_golden_table(brand_panel_csv, tmp_path, capsys, golden, argv):
+    code, out, _ = run_cli(capsys, *argv, "--data", brand_panel_csv,
+                           "--out", "table", "--output-dir", str(tmp_path))
+    assert code == 0
+    assert out == (GOLDEN / golden).read_text(encoding="utf-8")

@@ -253,3 +253,49 @@ def test_sample_orthogonality_shrinks_with_n():
     g50, g500 = max_moment(50), max_moment(500)
     assert g500 < g50
     assert g500 < 0.2
+
+
+def static_lag_by_entity_loop(data, sample, variable, lag, thetas):
+    """Reference: a static lag demeaned entity by entity over the rows
+    where it is present, zero on the rows where it is absent."""
+    series = data.series[variable]
+    src = sample.periods - data.periods[0] - lag
+    ok = src >= 0
+    values = np.where(ok, series.values[sample.entity_ids, src.clip(0)], np.nan)
+    present = ok & series.mask[sample.entity_ids, src.clip(0)]
+    out = np.zeros(sample.n_rows)
+    for e in np.unique(sample.entity_ids):
+        rows = (sample.entity_ids == e) & present
+        if rows.any():
+            out[rows] = values[rows] - thetas[e] * values[rows].mean()
+    return out, present
+
+
+@pytest.mark.parametrize("transform", [TransformKind.WITHIN, TransformKind.QUASI_DEMEAN])
+def test_static_block_demeans_present_rows_by_entity(transform):
+    data = generate(DgpSpec(n_entities=30, n_periods=8, rho=0.5,
+                            missingness=0.2, seed=41))
+    model = ModelSpec("y", ar_lags=1, exogenous=(ExogTerm("x1"),), intercept=False)
+    sample = build_design(model, data).sample
+    rng = np.random.default_rng(5)
+    if transform is TransformKind.WITHIN:
+        thetas, theta_arg = np.ones(data.n_entities), None
+    else:
+        thetas = theta_arg = rng.uniform(0.1, 0.9, data.n_entities)
+    block, labels = build_static_block(
+        data, sample, StaticInstrument("x1", 0, 3), transform, theta_arg
+    )
+    assert labels == ["x1", "x1(-1)", "x1(-2)", "x1(-3)"]
+    mixed = 0
+    for j in range(4):
+        expected, present = static_lag_by_entity_loop(data, sample, "x1", j, thetas)
+        mixed += sum(
+            present[sample.entity_ids == e].any() and not present[sample.entity_ids == e].all()
+            for e in np.unique(sample.entity_ids)
+        )
+        assert np.all(block[~present, j] == 0.0)
+        scale = np.abs(expected).max()
+        assert np.allclose(block[:, j], expected, rtol=0, atol=1e-13 * scale)
+    # the deeper lags are absent on some sample rows of entities that
+    # still have present rows, so the present-rows-only mean is exercised
+    assert mixed > 10

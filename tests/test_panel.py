@@ -137,6 +137,19 @@ def test_wide_non_finite_value_names_cell(tmp_path, token):
         ingest_wide_csv(path, "pp")
 
 
+@pytest.mark.parametrize("token", ["abc", "nan", "inf", "", "-"])
+def test_wide_total_row_rejects_bad_cell(tmp_path, token):
+    path = write(tmp_path, f"name,2005,2006\nfirm,1,2\nTOTAL,{token},3\n")
+    with pytest.raises(DataError, match=r"data.csv:3: cell \(TOTAL, 2005\) .*not a finite number"):
+        ingest_wide_csv(path, "pp")
+
+
+def test_wide_total_row_parsed_like_cells(tmp_path):
+    path = write(tmp_path, 'name,2005,2006\nfirm,1,2\nTOTAL," 1,001.5",3\n')
+    data = ingest_wide_csv(path, "pp")
+    assert data.checksums["pp"].tolist() == [1001.5, 3.0]
+
+
 def test_wide_ragged_row(tmp_path):
     path = write(tmp_path, "name,2005,2006\nfirm,1\n")
     with pytest.raises(DataError, match="ragged"):
