@@ -303,3 +303,118 @@ def test_white_noise_serial_correlation_signature():
     od_v, od_m = apply_grid(TransformKind.ORTHOGONAL_DEVIATION, values, mask)
     assert pooled_lag1(fd_v, fd_m) == pytest.approx(-0.5, abs=0.05)
     assert pooled_lag1(od_v, od_m) == pytest.approx(0.0, abs=0.05)
+
+
+# ---------------------------------------------------------------------------
+# whole-grid transforms against a per-entity reference loop
+
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
+
+
+def reference_fd(values, mask):
+    out_v = np.full(values.shape, np.nan)
+    out_m = np.zeros(mask.shape, dtype=bool)
+    for i in range(values.shape[0]):
+        both = mask[i, 1:] & mask[i, :-1]
+        out_v[i, 1:][both] = values[i, 1:][both] - values[i, :-1][both]
+        out_m[i, 1:] = both
+    return out_v, out_m
+
+
+def reference_od(values, mask, fitted=None, fitted_mask=None):
+    """OD by a backward running sum per entity; with ``fitted`` given,
+    the OD level reconstruction anchored on ``values`` instead."""
+    out_v = np.full(values.shape, np.nan)
+    out_m = np.zeros(mask.shape, dtype=bool)
+    for i in range(values.shape[0]):
+        later_sum, later_n = 0.0, 0
+        for t in np.flatnonzero(mask[i])[::-1]:
+            if later_n > 0 and (fitted is None or fitted_mask[i, t]):
+                c = np.sqrt(later_n / (later_n + 1.0))
+                if fitted is None:
+                    out_v[i, t] = c * (values[i, t] - later_sum / later_n)
+                else:
+                    out_v[i, t] = fitted[i, t] / c + later_sum / later_n
+                out_m[i, t] = True
+            later_sum += values[i, t]
+            later_n += 1
+    return out_v, out_m
+
+
+def reference_demean(values, mask, thetas):
+    out_v = np.full(values.shape, np.nan)
+    for i in range(values.shape[0]):
+        if mask[i].any():
+            out_v[i][mask[i]] = values[i][mask[i]] - thetas[i] * values[i][mask[i]].mean()
+    return out_v, mask.copy()
+
+
+@st.composite
+def gapped_grids(draw, extra=0):
+    """(values, mask, *extra grids) on one random entity x period shape."""
+    shape = (draw(st.integers(1, 6)), draw(st.integers(1, 9)))
+    cells = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+    out = []
+    for _ in range(1 + extra):
+        mask = draw(hnp.arrays(np.bool_, shape))
+        out += [np.where(mask, draw(hnp.arrays(np.float64, shape, elements=cells)), np.nan), mask]
+    return tuple(out)
+
+
+def assert_bit_equal(got, want):
+    assert np.array_equal(got[1], want[1])
+    assert got[0].tobytes() == want[0].tobytes()
+
+
+GRID_SETTINGS = settings(max_examples=150, derandomize=True, deadline=None)
+
+
+@GRID_SETTINGS
+@given(gapped_grids())
+def test_grid_fd_matches_entity_loop_bitwise(case):
+    values, mask = case
+    assert_bit_equal(apply_grid(TransformKind.FIRST_DIFFERENCE, values, mask),
+                     reference_fd(values, mask))
+
+
+@GRID_SETTINGS
+@given(gapped_grids())
+def test_grid_od_matches_entity_loop_bitwise(case):
+    values, mask = case
+    assert_bit_equal(apply_grid(TransformKind.ORTHOGONAL_DEVIATION, values, mask),
+                     reference_od(values, mask))
+
+
+@GRID_SETTINGS
+@given(gapped_grids(extra=1))
+def test_grid_od_reconstruction_matches_entity_loop_bitwise(case):
+    actual, actual_mask, fitted, fitted_mask = case
+    got = reconstruct_levels(fitted, fitted_mask, actual, actual_mask,
+                             TransformKind.ORTHOGONAL_DEVIATION)
+    assert_bit_equal(got, reference_od(actual, actual_mask, fitted, fitted_mask))
+
+
+@GRID_SETTINGS
+@given(gapped_grids(), st.data())
+def test_grid_demeaning_matches_entity_loop(case, data):
+    values, mask = case
+    n = values.shape[0]
+    thetas = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)))
+    scale = 1e-12 * max(1.0, float(np.abs(values[mask]).max(initial=0.0)))
+    for kind, theta, ref_theta in (
+        (TransformKind.WITHIN, None, np.ones(n)),
+        (TransformKind.QUASI_DEMEAN, thetas, thetas),
+        (TransformKind.QUASI_DEMEAN, float(thetas[0]), np.full(n, thetas[0])),
+    ):
+        got_v, got_m = apply_grid(kind, values, mask, theta)
+        want_v, want_m = reference_demean(values, mask, ref_theta)
+        assert np.array_equal(got_m, want_m)
+        assert np.isnan(got_v[~mask]).all()
+        assert np.allclose(got_v[mask], want_v[mask], rtol=0.0, atol=scale)
+
+
+def test_grid_quasi_demean_rejects_theta_outside_unit_interval():
+    g = grid([[1, 2], [3, 4]])
+    with pytest.raises(ValueError, match="theta"):
+        apply_grid(TransformKind.QUASI_DEMEAN, g.values, g.mask, np.array([0.5, 1.5]))
