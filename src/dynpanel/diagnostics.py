@@ -424,10 +424,7 @@ def report_for(result: EstimationResult, ar_orders: Sequence[int] = (1, 2)) -> D
     ar_tests: list[ArTestResult] = []
     if result.instruments is not None:
         j = j_test(result)
-    if result.transform in (
-        TransformKind.FIRST_DIFFERENCE,
-        TransformKind.ORTHOGONAL_DEVIATION,
-    ):
+    if result.transform.is_calendar:
         ar_test = _ar_tests(result)
         for m in ar_orders:
             try:

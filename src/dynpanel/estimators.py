@@ -16,6 +16,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import (
+    AlignmentError,
     EstimationError,
     RankError,
     SingularWeightingError,
@@ -33,11 +34,6 @@ from .transforms import (
 )
 
 _entity_starts = entity_starts  # still importable here under its former private name
-
-_CALENDAR_TRANSFORMS = (
-    TransformKind.FIRST_DIFFERENCE,
-    TransformKind.ORTHOGONAL_DEVIATION,
-)
 
 
 @dataclass(frozen=True)
@@ -74,7 +70,7 @@ class ModelSpec:
             raise ValueError("ar_lags must be >= 0")
         if self.effects not in ("none", "fixed", "random"):
             raise ValueError(f"unknown effects {self.effects!r}")
-        if self.transform in _CALENDAR_TRANSFORMS:
+        if self.transform.is_calendar:
             if self.intercept:
                 raise ValueError("differenced/deviated equations have no intercept")
             if self.effects != "none":
@@ -292,20 +288,24 @@ def build_design(
 ) -> Design:
     """Align the model's columns and apply its transform.
 
-    FD/OD are applied per entity to each lagged level grid, and rows are
+    FD/OD are applied to each lagged level grid, read once, and rows are
     kept where every transformed cell exists. Within and quasi-demeaning
     subtract theta_a times the entity mean over the aligned rows: theta_a
     is 1 for within and Swamy-Arora's weight for random effects, from
-    ``components`` or, when none are given, estimated here. Pooled and
-    dummies designs stay in levels. ``sample.matrix`` holds level values
-    in every case.
+    ``components`` or, when none are given, estimated here; only a
+    random-effects design keeps ``components``. Pooled and dummies designs
+    stay in levels. ``sample.matrix`` holds level values in every case.
     """
     cols = model.regressor_columns()
     columns = [(model.dependent, 0)] + [(v, l) for v, l, _ in cols]
-    sample = align(data, list(dict.fromkeys(v for v, _ in columns)), model.required_lags())
     kind = model.transform
-    if kind in _CALENDAR_TRANSFORMS:
+    if not kind.is_calendar:
+        sample = align(data, list(dict.fromkeys(v for v, _ in columns)), model.required_lags())
+    else:
+        # the columns are every (variable, lag 0..k) that align would read
         grids = [lagged_grid(data, v, l) for v, l in columns]
+        if not np.logical_and.reduce([g.mask for g in grids]).any():
+            raise AlignmentError("no estimable observations after alignment")
         moved = [apply_grid(kind, g.values, g.mask) for g in grids]
         ent_idx, per_idx = np.nonzero(np.logical_and.reduce([m for _, m in moved]))
         if ent_idx.size == 0:
@@ -326,7 +326,7 @@ def build_design(
         else np.empty((y_level.size, 0))
     )
     y, X, theta = y_level, X_level, None
-    if kind in _CALENDAR_TRANSFORMS:
+    if kind.is_calendar:
         y, X = yX[:, 0], yX[:, 1:]
     elif kind in (TransformKind.WITHIN, TransformKind.QUASI_DEMEAN):
         if kind is TransformKind.QUASI_DEMEAN:
@@ -347,7 +347,7 @@ def build_design(
         model=model, data=data, entity_ids=sample.entity_ids, periods=sample.periods,
         y=y, X=X, x_names=[n for _, _, n in cols],
         y_level=y_level, X_level=X_level, sample=sample, theta=theta,
-        components=components,
+        components=components if kind is TransformKind.QUASI_DEMEAN else None,
     )
 
 
@@ -888,7 +888,7 @@ def _level_fit_table(
     anchored on the actual series.
     """
     model, data = design.model, design.data
-    if model.transform in _CALENDAR_TRANSFORMS:
+    if model.transform.is_calendar:
         assert gmm_fitted is not None
         grid_fit = np.full((data.n_entities, data.n_periods), np.nan)
         grid_mask = np.zeros((data.n_entities, data.n_periods), dtype=bool)

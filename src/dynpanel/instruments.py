@@ -234,10 +234,7 @@ def build_static_block(
                 f"static instrument lag {j} of {static.variable!r} exceeds panel depth"
             )
         grid = lagged_grid(data, static.variable, j)
-        if transform in (
-            TransformKind.FIRST_DIFFERENCE,
-            TransformKind.ORTHOGONAL_DEVIATION,
-        ):
+        if transform.is_calendar:
             values, mask = apply_grid(transform, grid.values, grid.mask)
         else:
             values, mask = grid.values, grid.mask
@@ -276,11 +273,7 @@ def intercept_column(
             (len(sample.entities),),
         )
         return 1.0 - thetas[sample.entity_ids]
-    if transform in (
-        TransformKind.WITHIN,
-        TransformKind.FIRST_DIFFERENCE,
-        TransformKind.ORTHOGONAL_DEVIATION,
-    ):
+    if transform is TransformKind.WITHIN or transform.is_calendar:
         return np.zeros(n)
     return np.ones(n)
 

@@ -15,6 +15,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from . import transforms
 from .errors import AlignmentError, DataError
 
 DEFAULT_MISSING_TOKENS = frozenset({"", "-", "NA", "na"})
@@ -440,11 +441,7 @@ def lagged_grid(data: PanelDataset, variable: str, lag: int) -> PanelSeries:
     s = data.require(variable)
     if lag == 0:
         return s
-    values = np.full_like(s.values, np.nan)
-    mask = np.zeros_like(s.mask)
-    values[:, lag:] = s.values[:, :-lag]
-    mask[:, lag:] = s.mask[:, :-lag]
-    return PanelSeries(values, mask)
+    return PanelSeries(*transforms.lag(s.values, s.mask, lag))
 
 
 def align(

@@ -64,61 +64,59 @@ class DgpSpec:
 def generate(dgp: DgpSpec, replication: int = 0) -> PanelDataset:
     """Simulate one panel; fully deterministic given (spec, replication).
 
-    Entity a uses the PCG64 stream spawned with key (replication, a),
-    so panels are reproducible across runs and platforms. With ``y0``
-    set the recursion starts from that value at the first period and no
-    burn-in is applied; otherwise the start is drawn near the stationary
-    mean and ``burn_in`` periods are discarded.
+    Entity a uses the PCG64 stream spawned with key (replication, a) and
+    draws omega, the x paths, the noise and then the missingness mask, so
+    panels are reproducible across runs and platforms. The time recursion
+    then runs once across all entities. With ``y0`` set the recursion
+    starts from that value at the first period and no burn-in is applied;
+    otherwise the start is drawn near the stationary mean and ``burn_in``
+    periods are discarded.
     """
     n_x = len(dgp.exogenous_betas)
-    T = dgp.n_periods
+    N, T = dgp.n_entities, dgp.n_periods
+    burn = 0 if dgp.y0 is not None else dgp.burn_in
+    total = burn + T
     betas = np.asarray(dgp.exogenous_betas)
-    y = np.empty((dgp.n_entities, T))
-    xs = np.empty((n_x, dgp.n_entities, T))
-    keep = np.ones((dgp.n_entities, T), dtype=bool)
-
-    for a in range(dgp.n_entities):
+    omega = np.empty(N)
+    x_path = np.empty((N, n_x, total))
+    eps = np.empty((N, total))
+    keep = np.ones((N, T), dtype=bool)
+    for a in range(N):
         rng = np.random.default_rng(
             np.random.SeedSequence(dgp.seed, spawn_key=(replication, a))
         )
-        omega = dgp.sigma_effect * rng.standard_normal()
-        if dgp.y0 is not None:
-            x_path = rng.standard_normal((n_x, T)) + dgp.effect_loading * omega
-            eps = dgp.sigma_noise * rng.standard_normal(T)
-            y[a, 0] = dgp.y0
-            for t in range(1, T):
-                y[a, t] = (
-                    dgp.rho * y[a, t - 1] + betas @ x_path[:, t] + omega + eps[t]
-                )
-            xs[:, a, :] = x_path
-        else:
-            total = dgp.burn_in + T
-            x_path = rng.standard_normal((n_x, total)) + dgp.effect_loading * omega
-            eps = dgp.sigma_noise * rng.standard_normal(total)
-            x_mean = dgp.effect_loading * omega
-            level = (omega + float(betas.sum()) * x_mean) / (1.0 - dgp.rho)
-            yt = level
-            path = np.empty(total)
-            for t in range(total):
-                yt = dgp.rho * yt + betas @ x_path[:, t] + omega + eps[t]
-                path[t] = yt
-            y[a] = path[dgp.burn_in:]
-            xs[:, a, :] = x_path[:, dgp.burn_in:]
+        omega[a] = rng.standard_normal()
+        x_path[a] = rng.standard_normal((n_x, total))
+        eps[a] = rng.standard_normal(total)
         if dgp.missingness > 0.0:
             drop = rng.random(T) < dgp.missingness
             if drop.all():
                 drop[0] = False  # keep every entity observable
             keep[a] = ~drop
+    omega *= dgp.sigma_effect
+    x_path += dgp.effect_loading * omega[:, None, None]
+    eps *= dgp.sigma_noise
+    if n_x == 1:
+        bx = betas[0] * x_path[:, 0]
+    else:
+        # the per-cell dot product fixes the rounding of x'beta
+        bx = np.array([[betas @ x[:, t] for t in range(total)] for x in x_path])
 
-    variables = {"y": np.where(keep, y, np.nan)}
-    for j in range(n_x):
-        variables[f"x{j + 1}"] = np.where(keep, xs[j], np.nan)
-    entities = [f"e{a + 1}" for a in range(dgp.n_entities)]
-    periods = range(1, T + 1)
-    series = {
-        name: PanelSeries(vals, ~np.isnan(vals)) for name, vals in variables.items()
-    }
-    return PanelDataset(tuple(entities), tuple(periods), series)
+    path = np.empty((N, total))
+    if dgp.y0 is not None:
+        path[:, 0] = yt = np.full(N, float(dgp.y0))
+        first = 1
+    else:
+        x_mean = dgp.effect_loading * omega
+        yt = (omega + float(betas.sum()) * x_mean) / (1.0 - dgp.rho)
+        first = 0
+    for t in range(first, total):
+        yt = dgp.rho * yt + bx[:, t] + omega + eps[:, t]
+        path[:, t] = yt
+    grids = {"y": path[:, burn:], **{f"x{j + 1}": x_path[:, j, burn:] for j in range(n_x)}}
+    series = {name: PanelSeries(np.where(keep, g, np.nan), keep.copy()) for name, g in grids.items()}
+    entities = tuple(f"e{a + 1}" for a in range(N))
+    return PanelDataset(entities, tuple(range(1, T + 1)), series)
 
 
 def ar1_model(

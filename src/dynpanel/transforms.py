@@ -1,9 +1,13 @@
-"""Per-entity panel transformations.
+"""Panel transformations on the entity-by-period grid.
 
-All functions take a value vector and a presence mask indexed by calendar
-period for a single entity, and return the transformed pair. Missingness
-propagates; no transform ever mixes values across entities. Grid-level
-helpers apply the same operation row by row to entity-by-period matrices.
+Every transform works on a whole (entities, periods) value grid and its
+presence mask at once, and never mixes values across rows: first
+differences are one masked slice difference, forward orthogonal
+deviations read the sums and counts of later present cells off a reverse
+``cumsum`` along each row, and (quasi-)demeaning subtracts row means over
+present cells. Missingness propagates. The one-entity functions
+(``first_difference``, ``orthogonal_deviation``, ...) are the same
+transforms on a one-row grid.
 
 Entity-block helpers work on sample rows instead of the grid. Sample rows
 are grouped by entity, so one offset per entity (``entity_starts``) and
@@ -50,27 +54,77 @@ class TransformKind(Enum):
         except KeyError:
             raise ValueError(f"unknown transform {text!r}") from None
 
+    @property
+    def is_calendar(self) -> bool:
+        """FD and OD: each output cell reads other periods of its entity."""
+        return self in (TransformKind.FIRST_DIFFERENCE, TransformKind.ORTHOGONAL_DEVIATION)
+
 
 def lag(values: np.ndarray, mask: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Shift back by k calendar periods; missing where the source is."""
+    """Shift back by k calendar periods along the last axis; missing where
+    the source is."""
     if k < 1:
         raise ValueError("lag order must be >= 1")
     out_v = np.full_like(values, np.nan, dtype=float)
     out_m = np.zeros_like(mask)
-    if k < values.size:
-        out_v[k:] = values[:-k]
-        out_m[k:] = mask[:-k]
+    if k < values.shape[-1]:
+        out_v[..., k:] = values[..., :-k]
+        out_m[..., k:] = mask[..., :-k]
     return out_v, out_m
+
+
+def _row(fn, values: np.ndarray, mask: np.ndarray, *args) -> tuple[np.ndarray, np.ndarray]:
+    """A grid transform applied to one entity's vector."""
+    out_v, out_m = fn(values[None], mask[None], *args)
+    return out_v[0], out_m[0]
+
+
+def _first_difference_grid(values: np.ndarray, mask: np.ndarray):
+    out_v = np.full_like(values, np.nan, dtype=float)
+    out_m = np.zeros_like(mask)
+    both = mask[:, 1:] & mask[:, :-1]
+    out_v[:, 1:][both] = values[:, 1:][both] - values[:, :-1][both]
+    out_m[:, 1:] = both
+    return out_v, out_m
+
+
+def _later_sums(values: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sum and count of the present cells after each period, per row.
+
+    A reverse cumsum over a leading 0.0 adds the same terms in the same
+    order as a backward running sum started at 0.0, so the sums are
+    bit-identical to that loop.
+    """
+    n, T = values.shape
+    sums = np.zeros((n, T + 1))
+    sums[:, 1:] = np.where(mask, values, 0.0)[:, ::-1]
+    np.cumsum(sums, axis=1, out=sums)
+    counts = np.zeros((n, T + 1), dtype=np.int64)
+    counts[:, 1:] = mask[:, ::-1]
+    np.cumsum(counts, axis=1, out=counts)
+    return sums[:, T - 1::-1], counts[:, T - 1::-1]
+
+
+def _orthogonal_deviation_grid(values: np.ndarray, mask: np.ndarray):
+    later_sum, later_n = _later_sums(values, mask)
+    out_m = mask & (later_n > 0)
+    out_v = np.full_like(values, np.nan, dtype=float)
+    n = later_n[out_m]
+    out_v[out_m] = np.sqrt(n / (n + 1.0)) * (values[out_m] - later_sum[out_m] / n)
+    return out_v, out_m
+
+
+def _quasi_demean_grid(values: np.ndarray, mask: np.ndarray, theta):
+    thetas = np.broadcast_to(np.asarray(theta, dtype=float), (values.shape[0],))
+    if not np.all((thetas >= 0.0) & (thetas <= 1.0)):
+        raise ValueError(f"theta must be in [0, 1], got {theta}")
+    means = np.where(mask, values, 0.0).sum(axis=1) / np.maximum(mask.sum(axis=1), 1)
+    return np.where(mask, values - (thetas * means)[:, None], np.nan), mask.copy()
 
 
 def first_difference(values: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """x_t - x_{t-1} where both sides are present; missing otherwise."""
-    out_v = np.full_like(values, np.nan, dtype=float)
-    out_m = np.zeros_like(mask)
-    both = mask[1:] & mask[:-1]
-    out_v[1:][both] = values[1:][both] - values[:-1][both]
-    out_m[1:] = both
-    return out_v, out_m
+    return _row(_first_difference_grid, values, mask)
 
 
 def orthogonal_deviation(values: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -81,51 +135,19 @@ def orthogonal_deviation(values: np.ndarray, mask: np.ndarray) -> tuple[np.ndarr
     values). The entity's last present period has no output. The scale
     factor keeps homoskedastic white noise white.
     """
-    out_v = np.full_like(values, np.nan, dtype=float)
-    out_m = np.zeros_like(mask)
-    present = np.flatnonzero(mask)
-    if present.size < 2:
-        return out_v, out_m
-    # walk backwards keeping a running sum of later present values
-    later_sum = 0.0
-    later_n = 0
-    for t in present[::-1]:
-        if later_n > 0:
-            c = np.sqrt(later_n / (later_n + 1.0))
-            out_v[t] = c * (values[t] - later_sum / later_n)
-            out_m[t] = True
-        later_sum += values[t]
-        later_n += 1
-    return out_v, out_m
+    return _row(_orthogonal_deviation_grid, values, mask)
 
 
 def within_demean(values: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Subtract the entity's own mean over its present periods."""
-    out_v = np.full_like(values, np.nan, dtype=float)
-    out_m = mask.copy()
-    if mask.any():
-        out_v[mask] = values[mask] - values[mask].mean()
-    return out_v, out_m
+    return _row(_quasi_demean_grid, values, mask, 1.0)
 
 
 def quasi_demean(
     values: np.ndarray, mask: np.ndarray, theta: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """x_t - theta * (entity mean); theta=0 is identity, theta=1 is within."""
-    if not 0.0 <= theta <= 1.0:
-        raise ValueError(f"theta must be in [0, 1], got {theta}")
-    out_v = np.full_like(values, np.nan, dtype=float)
-    out_m = mask.copy()
-    if mask.any():
-        out_v[mask] = values[mask] - theta * values[mask].mean()
-    return out_v, out_m
-
-
-_VECTOR_TRANSFORMS = {
-    TransformKind.FIRST_DIFFERENCE: first_difference,
-    TransformKind.ORTHOGONAL_DEVIATION: orthogonal_deviation,
-    TransformKind.WITHIN: within_demean,
-}
+    return _row(_quasi_demean_grid, values, mask, theta)
 
 
 def apply_grid(
@@ -134,25 +156,21 @@ def apply_grid(
     mask: np.ndarray,
     theta: float | np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Apply a transform entity-by-entity to an (entities, periods) grid.
+    """Apply a transform to every row of an (entities, periods) grid.
 
     ``theta`` is required for QUASI_DEMEAN and may be per-entity.
     """
-    if kind in (TransformKind.NONE, TransformKind.DUMMIES):
-        return values.copy(), mask.copy()
-    out_v = np.empty_like(values, dtype=float)
-    out_m = np.empty_like(mask)
+    if kind is TransformKind.FIRST_DIFFERENCE:
+        return _first_difference_grid(values, mask)
+    if kind is TransformKind.ORTHOGONAL_DEVIATION:
+        return _orthogonal_deviation_grid(values, mask)
+    if kind is TransformKind.WITHIN:
+        return _quasi_demean_grid(values, mask, 1.0)
     if kind is TransformKind.QUASI_DEMEAN:
         if theta is None:
             raise ValueError("quasi_demean needs theta")
-        thetas = np.broadcast_to(np.asarray(theta, dtype=float), (values.shape[0],))
-        for i in range(values.shape[0]):
-            out_v[i], out_m[i] = quasi_demean(values[i], mask[i], float(thetas[i]))
-        return out_v, out_m
-    fn = _VECTOR_TRANSFORMS[kind]
-    for i in range(values.shape[0]):
-        out_v[i], out_m[i] = fn(values[i], mask[i])
-    return out_v, out_m
+        return _quasi_demean_grid(values, mask, theta)
+    return values.copy(), mask.copy()
 
 
 def entity_starts(entity_ids: np.ndarray) -> np.ndarray:
@@ -212,14 +230,12 @@ def expand_dummies(
     the first appearing entity's column for use next to an intercept.
     Returns the indicator block and the entity index each column encodes.
     """
-    present = sorted(set(int(e) for e in entity_ids))
+    present = [int(e) for e in np.unique(entity_ids)]
     if len(present) < 2:
         raise EstimationError("entity dummies need at least 2 entities in sample")
     if drop_first:
         present = present[1:]
-    block = np.zeros((entity_ids.size, len(present)))
-    for c, e in enumerate(present):
-        block[entity_ids == e, c] = 1.0
+    block = (np.asarray(entity_ids)[:, None] == np.array(present)).astype(float)
     return block, present
 
 
@@ -239,25 +255,16 @@ def reconstruct_levels(
     reproduces the original levels exactly. Cells without an anchor are
     left missing.
     """
-    if kind not in (TransformKind.FIRST_DIFFERENCE, TransformKind.ORTHOGONAL_DEVIATION):
+    if not kind.is_calendar:
         raise ValueError(f"no level reconstruction for transform {kind.value!r}")
     out_v = np.full_like(actual, np.nan, dtype=float)
-    out_m = np.zeros_like(actual_mask)
-    n_entities = actual.shape[0]
     if kind is TransformKind.FIRST_DIFFERENCE:
-        anchor = actual_mask[:, :-1] & fitted_mask[:, 1:]
-        out_v[:, 1:][anchor] = actual[:, :-1][anchor] + fitted[:, 1:][anchor]
-        out_m[:, 1:] = anchor
+        out_m = np.zeros_like(actual_mask)
+        out_m[:, 1:] = anchor = actual_mask[:, :-1] & fitted_mask[:, 1:]
+        out_v[out_m] = actual[:, :-1][anchor] + fitted[out_m]
         return out_v, out_m
-    for i in range(n_entities):
-        present = np.flatnonzero(actual_mask[i])
-        later_sum = 0.0
-        later_n = 0
-        for t in present[::-1]:
-            if later_n > 0 and fitted_mask[i, t]:
-                c = np.sqrt(later_n / (later_n + 1.0))
-                out_v[i, t] = fitted[i, t] / c + later_sum / later_n
-                out_m[i, t] = True
-            later_sum += actual[i, t]
-            later_n += 1
+    later_sum, later_n = _later_sums(actual, actual_mask)
+    out_m = actual_mask & fitted_mask & (later_n > 0)
+    n = later_n[out_m]
+    out_v[out_m] = fitted[out_m] / np.sqrt(n / (n + 1.0)) + later_sum[out_m] / n
     return out_v, out_m

@@ -3,6 +3,7 @@ import pytest
 import scipy.optimize
 
 from dynpanel import (
+    AlignmentError,
     EstimationError,
     InstrumentMatrix,
     InstrumentSpec,
@@ -559,3 +560,45 @@ def test_pinv_weight_rank_matches_eigh_threshold_when_columns_exceed_entities():
     Vt = np.linalg.qr(np.random.default_rng(1).standard_normal((9, 4)))[0].T
     U = P @ np.diag([1.0, 1e-3, 1e-5, 1e-7]) @ Vt
     assert _invert_weight(None, "pinv", "test", U)[1] == 3
+
+
+# ---------------------------------------------------------------------------
+# FD/OD design errors and attached variance components
+
+FD_OD = [TransformKind.FIRST_DIFFERENCE, TransformKind.ORTHOGONAL_DEVIATION]
+
+
+def _ar1_instruments(kind):
+    first = 2 if kind is TransformKind.FIRST_DIFFERENCE else 1
+    return InstrumentSpec(dynamic=(DynamicInstrument("y", first),),
+                          static=(StaticInstrument("x1", 0, 0),))
+
+
+@pytest.mark.parametrize("kind", FD_OD)
+def test_fd_od_fit_on_unalignable_panel_raises_alignment_error(kind):
+    # y is present in one period per entity, so y and y(-1) never meet
+    y = np.full((3, 3), np.nan)
+    y[[0, 1, 2], [0, 1, 2]] = 1.0
+    data = from_arrays(["a", "b", "c"], [1, 2, 3], {"y": y, "x1": np.ones((3, 3))})
+    with pytest.raises(AlignmentError) as info:
+        fit_gmm(ar1_model(kind), data, _ar1_instruments(kind))
+    assert str(info.value) == "no estimable observations after alignment"
+
+
+@pytest.mark.parametrize("kind", FD_OD)
+def test_fd_od_fit_aligned_but_empty_after_transform_raises(kind):
+    # two periods align y and y(-1), but no transformed y(-1) survives
+    data = from_arrays(["a", "b"], [1, 2], {"y": np.ones((2, 2)), "x1": np.ones((2, 2))})
+    with pytest.raises(EstimationError, match=f"after {kind.value} transform"):
+        fit_gmm(ar1_model(kind), data, _ar1_instruments(kind))
+
+
+def test_variance_components_reported_only_for_random_effects():
+    data = generate(DgpSpec(n_entities=40, n_periods=6, rho=0.5, seed=3))
+    comp = VarianceComponents(5.0, 1.0, False)
+    fd = fit_gmm(ar1_model(TransformKind.FIRST_DIFFERENCE), data,
+                 _ar1_instruments(TransformKind.FIRST_DIFFERENCE), components=comp)
+    assert fd.variance_components is None
+    re_inst = InstrumentSpec(static=(StaticInstrument("x1", 0, 1),), include_intercept=True)
+    re = fit_gmm(ar1_model(TransformKind.QUASI_DEMEAN), data, re_inst, components=comp)
+    assert re.variance_components == comp

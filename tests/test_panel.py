@@ -13,6 +13,7 @@ from dynpanel import (
     ingest_long_csv,
     ingest_wide_csv,
 )
+from dynpanel.panel import lagged_grid
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -293,3 +294,15 @@ def test_align_unknown_variable():
     data = from_arrays(["a"], [1, 2], {"y": np.array([[1.0, 2.0]])})
     with pytest.raises(DataError, match="unknown variable"):
         align(data, ["z"], {})
+
+
+@pytest.mark.parametrize("k", [1, 2, 10, 11, 12])
+def test_lagged_grid_is_calendar_shift(brand_panel, k):
+    s = brand_panel.require("pp")
+    got = lagged_grid(brand_panel, "pp", k)
+    T = s.values.shape[1]
+    assert not got.mask[:, :min(k, T)].any()
+    if k < T:
+        assert np.array_equal(got.mask[:, k:], s.mask[:, :-k])
+        assert np.array_equal(got.values[:, k:], s.values[:, :-k], equal_nan=True)
+    assert lagged_grid(brand_panel, "pp", 0) is s

@@ -50,6 +50,16 @@ def test_lag_requires_positive_k():
         lag(v, m, 0)
 
 
+def test_lag_shifts_each_row_of_a_grid():
+    g = grid([[1, 2, None, 4], [5, None, 7, 8]])
+    out_v, out_m = lag(g.values, g.mask, 2)
+    for i in range(2):
+        row_v, row_m = lag(g.values[i], g.mask[i], 2)
+        assert np.array_equal(out_m[i], row_m)
+        assert np.array_equal(out_v[i], row_v, equal_nan=True)
+    assert np.array_equal(lag(g.values, g.mask, 4)[1], np.zeros((2, 4), dtype=bool))
+
+
 # ---------------------------------------------------------------------------
 # first difference
 
