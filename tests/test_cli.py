@@ -1,4 +1,5 @@
 import json
+import math
 import os
 from pathlib import Path
 
@@ -315,9 +316,11 @@ def test_simulate_nonstationary_rho_exit_2(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
-# golden tables: the 4-decimal tables on the suite's brand panel, byte for
-# byte. To regenerate, write conftest.build_brand_panel() with to_long_csv
-# and run the same arguments through ``python -m dynpanel.cli``.
+# golden outputs on the suite's brand panel: the 4-decimal tables byte for
+# byte, the full-precision CSV and JSON records after parsing. To
+# regenerate, write conftest.build_brand_panel() with to_long_csv and run
+# the same arguments through ``python -m dynpanel.cli`` with
+# OPENBLAS_NUM_THREADS=1.
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
 GMM_ARGS = ("--dep", "pp", "--exog", "bv", "--exog", "bt",
@@ -335,3 +338,55 @@ def test_golden_table(brand_panel_csv, tmp_path, capsys, golden, argv):
                            "--out", "table", "--output-dir", str(tmp_path))
     assert code == 0
     assert out == (GOLDEN / golden).read_text(encoding="utf-8")
+
+
+def _assert_close(got, want, where="output"):
+    """Same keys or labels in the same order, numbers within 1e-10 relative.
+
+    Full-precision cells move by about 1e-12 with the BLAS thread count, so
+    the records are compared after parsing rather than byte for byte.
+    """
+    if isinstance(want, dict):
+        assert list(got) == list(want), where
+        for key in want:
+            _assert_close(got[key], want[key], f"{where}.{key}")
+    elif isinstance(want, list):
+        assert len(got) == len(want), where
+        for i, (g, w) in enumerate(zip(got, want)):
+            _assert_close(g, w, f"{where}[{i}]")
+    elif isinstance(want, float):
+        assert isinstance(got, float), where
+        assert math.isclose(got, want, rel_tol=1e-10) or (
+            math.isnan(got) and math.isnan(want)), f"{where}: {got!r} != {want!r}"
+    else:
+        assert got == want, where
+
+
+def _parse_record(text: str, fmt: str):
+    if fmt == "json":
+        return json.loads(text)
+
+    def cell(c):
+        try:
+            return float(c)
+        except ValueError:
+            return c
+
+    return [[label] + [cell(c) for c in cells]
+            for label, *cells in (line.split(",") for line in text.splitlines())]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("stem, argv", [
+    ("replicate", ("replicate",)),
+    ("estimate_fe", ("estimate", "--spec", "fe", *GMM_ARGS)),
+    ("estimate_re", ("estimate", "--spec", "re", *GMM_ARGS)),
+    ("estimate_fd", ("estimate", "--spec", "fd", *GMM_ARGS)),
+    ("estimate_fe_plain", ("estimate", "--spec", "fe", "--plain", *GMM_ARGS)),
+])
+def test_golden_record(brand_panel_csv, tmp_path, capsys, stem, argv, fmt):
+    code, out, _ = run_cli(capsys, *argv, "--data", brand_panel_csv,
+                           "--out", fmt, "--output-dir", str(tmp_path))
+    assert code == 0
+    want = (GOLDEN / f"{stem}.{fmt}").read_text(encoding="utf-8")
+    _assert_close(_parse_record(out, fmt), _parse_record(want, fmt))
