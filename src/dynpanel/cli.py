@@ -168,55 +168,56 @@ def _fmt(x: float, nd: int = 4) -> str:
     return f"{x:.{nd}f}"
 
 
-def _render_column(result: EstimationResult, report: DiagnosticsReport) -> str:
-    lines = []
-    lines.append(f"Method: {result.method}   weighting steps: {result.steps_taken}")
-    lines.append(
-        f"Sample: {result.sample_size} obs, {result.cross_sections} cross-sections, "
-        f"{result.periods_used} periods"
-    )
-    width = max(len("J-statistic"), *(len(n) for n in result.param_names)) + 2
-    for i, name in enumerate(result.param_names):
-        lines.append(f"{name:<{width}}{_fmt(result.coefficients[i])}")
-        lines.append(f"{'':<{width}}({_fmt(result.standard_errors[i])})")
-        lines.append(f"{'':<{width}}[{_fmt(result.t_statistics[i])}]")
-    if result.r_squared_weighted != result.r_squared_unweighted:
-        lines.append(f"{'R-squared':<{width}}{_fmt(result.r_squared_weighted)} (weighted)")
-        lines.append(f"{'':<{width}}{_fmt(result.r_squared_unweighted)} (unweighted)")
+def _record(result: EstimationResult, report: DiagnosticsReport) -> dict:
+    """The one record of a fit that every ``--out`` format renders."""
+    names = result.param_names
+    return {
+        "method": result.method,
+        "coefficients": dict(zip(names, map(float, result.coefficients))),
+        "se": dict(zip(names, map(float, result.standard_errors))),
+        "t": dict(zip(names, map(float, result.t_statistics))),
+        "r2": result.r_squared_unweighted,
+        "r2_weighted": result.r_squared_weighted,
+        "n": result.sample_size,
+        "cross_sections": result.cross_sections,
+        "periods": result.periods_used,
+        "steps": result.steps_taken,
+        "j": None,
+        "j_p": None,
+        **report.to_json_dict(),
+    }
+
+
+def _render_column(rec: dict) -> str:
+    lines = [
+        f"Method: {rec['method']}   weighting steps: {rec['steps']}",
+        f"Sample: {rec['n']} obs, {rec['cross_sections']} cross-sections, "
+        f"{rec['periods']} periods",
+    ]
+    width = max(len("J-statistic"), *(len(n) for n in rec["coefficients"])) + 2
+    for name, coef in rec["coefficients"].items():
+        lines.append(f"{name:<{width}}{_fmt(coef)}")
+        lines.append(f"{'':<{width}}({_fmt(rec['se'][name])})")
+        lines.append(f"{'':<{width}}[{_fmt(rec['t'][name])}]")
+    if rec["r2_weighted"] != rec["r2"]:
+        lines.append(f"{'R-squared':<{width}}{_fmt(rec['r2_weighted'])} (weighted)")
+        lines.append(f"{'':<{width}}{_fmt(rec['r2'])} (unweighted)")
     else:
-        lines.append(f"{'R-squared':<{width}}{_fmt(result.r_squared_unweighted)}")
-    if report.j is not None:
+        lines.append(f"{'R-squared':<{width}}{_fmt(rec['r2'])}")
+    if rec["j"] is not None:
         lines.append(
-            f"{'J-statistic':<{width}}{_fmt(report.j.statistic)} ({_fmt(report.j.p_value)})"
-            f"  df={report.j.df}"
+            f"{'J-statistic':<{width}}{_fmt(rec['j'])} ({_fmt(rec['j_p'])})"
+            f"  df={rec['j_df']}"
         )
-    for t in report.ar_tests:
-        lines.append(f"{f'AR({t.order})':<{width}}{_fmt(t.statistic)} ({_fmt(t.p_value)})")
-    vc = result.variance_components
+    for t in rec.get("ar", ()):
+        label = f"AR({t['order']})"
+        lines.append(f"{label:<{width}}{_fmt(t['z'])} ({_fmt(t['p'])})")
+    vc = rec.get("variance_components")
     if vc is not None:
-        lines.append(
-            f"{'rho_u/rho_e':<{width}}{_fmt(vc.rho_u)} / {_fmt(vc.rho_e)}"
-        )
-        if vc.sigma_u2 == 0.0:
+        lines.append(f"{'rho_u/rho_e':<{width}}{_fmt(vc['rho_u'])} / {_fmt(vc['rho_e'])}")
+        if vc["sigma_u2"] == 0.0:
             lines.append("note: rho_u = 0; coefficients identical to pooled")
     return "\n".join(lines)
-
-
-def _result_json(result: EstimationResult, report: DiagnosticsReport) -> dict:
-    out = result.to_json_dict()
-    out.update(report.to_json_dict())
-    if "j" not in out and result.instruments is None:
-        out["j"] = None
-        out["j_p"] = None
-    return out
-
-
-def _result_csv(result: EstimationResult) -> str:
-    lines = ["name,coefficient,se,t"]
-    for i, name in enumerate(result.param_names):
-        values = (result.coefficients[i], result.standard_errors[i], result.t_statistics[i])
-        lines.append(",".join([name] + [repr(float(v)) for v in values]))
-    return "\n".join(lines) + "\n"
 
 
 def cmd_estimate(args) -> int:
@@ -225,7 +226,7 @@ def cmd_estimate(args) -> int:
         exog = _parse_exog(args.exog or [])
         model = _model_for(args.spec, args.dep, args.ar, exog, args.intercept)
     result = _fit_one(args.spec, model, data, args)
-    report = report_for(result)
+    rec = _record(result, report_for(result))
 
     outputs = []
     out_dir = Path(args.output_dir)
@@ -235,11 +236,13 @@ def cmd_estimate(args) -> int:
         result.fitted_levels.to_csv(fit_path)
         outputs.append(str(fit_path))
     if args.out == "json":
-        print(json.dumps(_result_json(result, report), indent=2, sort_keys=True))
+        print(json.dumps(rec, indent=2, sort_keys=True))
     elif args.out == "csv":
-        sys.stdout.write(_result_csv(result))
+        print("name,coefficient,se,t")
+        for name, coef in rec["coefficients"].items():
+            print(",".join([name] + [repr(v) for v in (coef, rec["se"][name], rec["t"][name])]))
     else:
-        print(_render_column(result, report))
+        print(_render_column(rec))
     _write_manifest(args, "estimate", [args.data], outputs, None)
     return 0
 
@@ -247,19 +250,19 @@ def cmd_estimate(args) -> int:
 REPLICATE_SPECS = ("pooled", "fe", "re", "od", "fd")
 
 
-def _coefficient_rows(results: dict[str, EstimationResult]):
-    """The replicate grid: (name, piece, one value per spec) for every
-    parameter of any spec, pieces "" (coefficient), "se" and "t"; the
-    value is None where a spec has no such parameter."""
-    names = list(dict.fromkeys(n for r in results.values() for n in r.param_names))
-    for name in names:
-        for piece, attr in (("", "coefficients"), ("se", "standard_errors"),
-                            ("t", "t_statistics")):
-            yield name, piece, [
-                getattr(r, attr)[r.param_names.index(name)] if name in r.param_names
-                else None
-                for r in (results[s] for s in REPLICATE_SPECS)
-            ]
+def _replicate_rows(records: dict[str, dict]):
+    """The replicate grid, row by row: (CSV label, table label, table cell
+    format, one value per spec). Each parameter of any spec gives a
+    coefficient, SE and t row, None where a spec has no such parameter;
+    R-squared, J, its p-value and n follow."""
+    cols = [records[s] for s in REPLICATE_SPECS]
+    for name in dict.fromkeys(n for r in cols for n in r["coefficients"]):
+        for key, suffix, label, deco in (("coefficients", "", name, "%s"),
+                                         ("se", ":se", "", "(%s)"), ("t", ":t", "", "[%s]")):
+            yield name + suffix, label, deco, [r[key].get(name) for r in cols]
+    for key, label, deco in (("r2", "R-squared", "%s"), ("j", "J-stat", "%s"),
+                             ("j_p", "", "(%s)"), ("n", "n", "%s")):
+        yield key, label, deco, [r[key] for r in cols]
 
 
 def cmd_replicate(args) -> int:
@@ -273,62 +276,32 @@ def cmd_replicate(args) -> int:
             "published and must be provided by the user)"
         )
     exog = tuple(ExogTerm(v, 0) for v in args.exog_vars)
-    results: dict[str, EstimationResult] = {}
-    reports: dict[str, DiagnosticsReport] = {}
     weighting = Weighting.parse(args.weighting, max_iter=args.max_iter, tol=args.tol)
+    records = {}
     for spec in REPLICATE_SPECS:
         model = _model_for(spec, args.dep, 1, exog, None)
         inst = _default_instruments(spec, model)
         result = fit_gmm(model, data, inst, weighting=weighting, on_singular="pinv")
-        results[spec] = result
-        reports[spec] = report_for(result)
+        records[spec] = _record(result, report_for(result))
 
-    outputs: list[str] = []
     if args.out == "json":
-        payload = {s: _result_json(results[s], reports[s]) for s in REPLICATE_SPECS}
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(json.dumps(records, indent=2, sort_keys=True))
     elif args.out == "csv":
-        lines = ["row," + ",".join(REPLICATE_SPECS)]
-        for name, piece, values in _coefficient_rows(results):
-            label = f"{name}:{piece}" if piece else name
-            cells = ["" if v is None else repr(float(v)) for v in values]
-            lines.append(label + "," + ",".join(cells))
-        lines.append("r2," + ",".join(repr(results[s].r_squared_unweighted)
-                                      for s in REPLICATE_SPECS))
-        lines.append("j," + ",".join(
-            repr(reports[s].j.statistic) if reports[s].j else ""
-            for s in REPLICATE_SPECS))
-        lines.append("j_p," + ",".join(
-            repr(reports[s].j.p_value) if reports[s].j else ""
-            for s in REPLICATE_SPECS))
-        lines.append("n," + ",".join(str(results[s].sample_size)
-                                     for s in REPLICATE_SPECS))
-        print("\n".join(lines))
+        print("row," + ",".join(REPLICATE_SPECS))
+        for label, _, _, values in _replicate_rows(records):
+            print(label + "," + ",".join("" if v is None else repr(v) for v in values))
     else:
         colw = 14
         header = f"{'':<12}" + "".join(f"{s:>{colw}}" for s in REPLICATE_SPECS)
-        lines = [header, "-" * len(header)]
-        def row(label, cells):
-            lines.append(f"{label:<12}" + "".join(f"{c:>{colw}}" for c in cells))
-        deco = {"": "%s", "se": "(%s)", "t": "[%s]"}
-        for name, piece, values in _coefficient_rows(results):
-            row("" if piece else name,
-                ["-" if v is None else deco[piece] % _fmt(v) for v in values])
-        row("R-squared", [_fmt(results[s].r_squared_unweighted) for s in REPLICATE_SPECS])
-        row("J-stat", [
-            _fmt(reports[s].j.statistic) if reports[s].j else "-"
-            for s in REPLICATE_SPECS
-        ])
-        row("", [
-            f"({_fmt(reports[s].j.p_value)})" if reports[s].j else ""
-            for s in REPLICATE_SPECS
-        ])
-        row("n", [str(results[s].sample_size) for s in REPLICATE_SPECS])
-        print("\n".join(lines))
-        re_vc = results["re"].variance_components
-        if re_vc is not None and re_vc.sigma_u2 == 0.0:
+        print(header + "\n" + "-" * len(header))
+        for _, label, deco, values in _replicate_rows(records):
+            cells = ["-" if v is None else deco % (_fmt(v) if isinstance(v, float) else v)
+                     for v in values]
+            print(f"{label:<12}" + "".join(f"{c:>{colw}}" for c in cells))
+        re_vc = records["re"].get("variance_components")
+        if re_vc is not None and re_vc["sigma_u2"] == 0.0:
             print("note: rho_u = 0; RE coefficients identical to pooled")
-    _write_manifest(args, "replicate", [args.data], outputs, None)
+    _write_manifest(args, "replicate", [args.data], [], None)
     return 0
 
 

@@ -55,7 +55,7 @@ class ModelSpec:
     ``ar_lags`` lags of the dependent variable enter as regressors;
     every exogenous term enters at lags 0..term.lags. Differenced and
     deviated equations carry no intercept; fixed effects go with the
-    within or dummy transform, random effects with quasi-demeaning.
+    within transform, random effects with quasi-demeaning.
     """
 
     dependent: str
@@ -75,11 +75,8 @@ class ModelSpec:
                 raise ValueError("differenced/deviated equations have no intercept")
             if self.effects != "none":
                 raise ValueError("FD/OD transforms already remove entity effects")
-        if self.effects == "fixed" and self.transform not in (
-            TransformKind.WITHIN,
-            TransformKind.DUMMIES,
-        ):
-            raise ValueError("fixed effects require the within or dummies transform")
+        if self.effects == "fixed" and self.transform is not TransformKind.WITHIN:
+            raise ValueError("fixed effects require the within transform")
         if self.effects == "random" and self.transform is not TransformKind.QUASI_DEMEAN:
             raise ValueError("random effects require the quasi_demean transform")
 
@@ -185,7 +182,7 @@ class FitTable:
                 ])
 
 
-@dataclass
+@dataclass(frozen=True)
 class EstimationResult:
     """Coefficients, inference, residuals, and fit diagnostics."""
 
@@ -198,7 +195,7 @@ class EstimationResult:
     covariance: np.ndarray
     residuals: np.ndarray
     fitted_transformed: np.ndarray
-    fitted_levels: FitTable | None
+    fitted_levels: FitTable
     r_squared_weighted: float
     r_squared_unweighted: float
     steps_taken: int
@@ -230,20 +227,6 @@ class EstimationResult:
 
     def se(self, name: str) -> float:
         return float(self.standard_errors[self.param_names.index(name)])
-
-    def to_json_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "coefficients": dict(zip(self.param_names, map(float, self.coefficients))),
-            "se": dict(zip(self.param_names, map(float, self.standard_errors))),
-            "t": dict(zip(self.param_names, map(float, self.t_statistics))),
-            "r2": self.r_squared_unweighted,
-            "r2_weighted": self.r_squared_weighted,
-            "n": self.sample_size,
-            "cross_sections": self.cross_sections,
-            "periods": self.periods_used,
-            "steps": self.steps_taken,
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -293,8 +276,8 @@ def build_design(
     subtract theta_a times the entity mean over the aligned rows: theta_a
     is 1 for within and Swamy-Arora's weight for random effects, from
     ``components`` or, when none are given, estimated here; only a
-    random-effects design keeps ``components``. Pooled and dummies designs
-    stay in levels. ``sample.matrix`` holds level values in every case.
+    random-effects design keeps ``components``. Pooled designs stay in
+    levels. ``sample.matrix`` holds level values in every case.
     """
     cols = model.regressor_columns()
     columns = [(model.dependent, 0)] + [(v, l) for v, l, _ in cols]
@@ -413,7 +396,7 @@ def _squared_correlation(y: np.ndarray, fitted: np.ndarray) -> float:
     return float(np.corrcoef(y, fitted)[0, 1] ** 2)
 
 
-def _result_shell(
+def _result(
     method: str,
     design: Design,
     names: Sequence[str],
@@ -421,8 +404,13 @@ def _result_shell(
     cov: np.ndarray,
     resid: np.ndarray,
     fitted: np.ndarray,
+    r2: tuple[float, float],
+    table: FitTable,
+    steps: int = 1,
+    trace: Sequence[float] = (),
     **extra,
 ) -> EstimationResult:
+    """The finished result of a fit; ``r2`` is the (weighted, unweighted) pair."""
     se = np.sqrt(np.maximum(np.diag(cov), 0.0))
     with np.errstate(divide="ignore", invalid="ignore"):
         t = np.where(se > 0, beta / se, np.nan)
@@ -436,10 +424,10 @@ def _result_shell(
         covariance=cov,
         residuals=resid,
         fitted_transformed=fitted,
-        fitted_levels=None,
-        r_squared_weighted=np.nan,
-        r_squared_unweighted=np.nan,
-        steps_taken=1,
+        fitted_levels=table,
+        r_squared_weighted=r2[0],
+        r_squared_unweighted=r2[1],
+        steps_taken=steps,
         sample_size=design.n,
         cross_sections=int(np.unique(design.entity_ids).size),
         periods_used=int(np.unique(design.periods).size),
@@ -448,6 +436,7 @@ def _result_shell(
         dataset=design.data,
         transform=design.model.transform,
         design_matrix=extra.pop("design_matrix", design.X),
+        iteration_trace=tuple(trace),
         **extra,
     )
 
@@ -481,6 +470,19 @@ def _entity_effects(design: Design, beta: np.ndarray) -> np.ndarray:
     return alphas
 
 
+def _level_fit(design: Design, beta: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """Level fitted values of a pooled, within or quasi-demeaned design.
+
+    A within design's fit is alpha_a + x'beta, with the entity effects
+    alpha_a (returned second) derived from the slopes; the others apply
+    beta, intercept included, to the level regressors.
+    """
+    if design.model.transform is TransformKind.WITHIN:
+        alphas = _entity_effects(design, beta)
+        return alphas[design.entity_ids] + design.X_level @ beta, alphas
+    return _add_intercept(design, design.X_level, [], level=True)[0] @ beta, None
+
+
 def _grand_mean_intercept(
     design: Design, beta: np.ndarray, names: list[str], alphas: np.ndarray, *covs
 ):
@@ -512,19 +514,18 @@ def _grand_mean_intercept(
 def fit_pooled(model: ModelSpec, data: PanelDataset) -> EstimationResult:
     """Pooled OLS with White robust standard errors."""
     if model.effects != "none" or model.transform is not TransformKind.NONE:
-        model = replace(model, effects="none", transform=TransformKind.NONE)
+        raise ValueError(
+            f"pooled OLS fits untransformed models, not {model.transform.value!r}"
+        )
     design = build_design(model, data)
     X, names = _add_intercept(design, design.X, list(design.x_names))
     beta, fitted, resid, cov, classical = _ols_fit(design.y, X, names)
     r2 = _r_squared(design.y, fitted, center=model.intercept)
-    result = _result_shell(
-        "pooled", design, names, beta, cov, resid, fitted,
+    return _result(
+        "pooled", design, names, beta, cov, resid, fitted, (r2, r2),
+        _level_fit_table(design, fitted),
         classical_covariance=classical, design_matrix=X,
     )
-    result.r_squared_weighted = r2
-    result.r_squared_unweighted = r2
-    result.fitted_levels = _level_fit_table(design, fitted)
-    return result
 
 
 def fit_fixed_effects(
@@ -538,14 +539,8 @@ def fit_fixed_effects(
     """
     if method not in ("lsdv", "within"):
         raise ValueError(f"unknown FE method {method!r}")
-    base = replace(
-        model,
-        effects="fixed",
-        transform=TransformKind.DUMMIES if method == "lsdv" else TransformKind.WITHIN,
-    )
-    # LSDV shares the within design; the result keeps the dummies model
-    design = replace(
-        build_design(replace(base, transform=TransformKind.WITHIN), data), model=base
+    design = build_design(
+        replace(model, effects="fixed", transform=TransformKind.WITHIN), data
     )
     n_ent = np.unique(design.entity_ids).size
     if n_ent < 2:
@@ -568,10 +563,11 @@ def fit_fixed_effects(
         alphas = np.full(design.data.n_entities, np.nan)
         alphas[dummy_ents] = beta_full_lsdv[k:]
         resid = design.y_level - X_full @ beta_full_lsdv
+        fitted_level = alphas[design.entity_ids] + design.X_level @ beta
     else:
         beta = _ols(yw, Xw, names)
         resid = yw - Xw @ beta
-        alphas = _entity_effects(design, beta)
+        fitted_level, alphas = _level_fit(design, beta)
 
     # Slope inference on the within (partialled) representation; by the
     # Frisch-Waugh identity this is the LSDV slope block as well, since
@@ -585,19 +581,14 @@ def fit_fixed_effects(
             design, beta, names, alphas, cov, classical
         )
 
-    fitted_level = alphas[design.entity_ids] + design.X_level @ beta
     r2 = _r_squared(design.y_level, fitted_level, center=True)
-    result = _result_shell(
-        f"fe/{method}", design, names, beta_full, cov,
-        resid, Xw @ beta,
+    return _result(
+        f"fe/{method}", design, names, beta_full, cov, resid, Xw @ beta, (r2, r2),
+        _level_fit_table(design, fitted_level),
         classical_covariance=classical,
         entity_effects=alphas,
         design_matrix=Xw,
     )
-    result.r_squared_weighted = r2
-    result.r_squared_unweighted = r2
-    result.fitted_levels = _level_fit_table(design, fitted_level)
-    return result
 
 
 def fit_random_effects(
@@ -617,18 +608,17 @@ def fit_random_effects(
     )
     Xq, names = _add_intercept(design, design.X, list(design.x_names))
     beta, fitted_q, resid, cov, classical = _ols_fit(design.y, Xq, names)
-    fitted_level = _add_intercept(design, design.X_level, names, level=True)[0] @ beta
-    result = _result_shell(
-        "re", design, names, beta, cov, resid, fitted_q,
+    fitted_level, _ = _level_fit(design, beta)
+    r2 = (_r_squared(design.y, fitted_q, center=True),
+          _r_squared(design.y_level, fitted_level, center=True))
+    return _result(
+        "re", design, names, beta, cov, resid, fitted_q, r2,
+        _level_fit_table(design, fitted_level),
         classical_covariance=classical,
         theta=design.theta,
         variance_components=design.components,
         design_matrix=Xq,
     )
-    result.r_squared_weighted = _r_squared(design.y, fitted_q, center=True)
-    result.r_squared_unweighted = _r_squared(design.y_level, fitted_level, center=True)
-    result.fitted_levels = _level_fit_table(design, fitted_level)
-    return result
 
 
 # ---------------------------------------------------------------------------
@@ -800,22 +790,21 @@ def fit_gmm(
         cov = _windmeijer_correct(X, Z, starts, W, W1, U_prev, U, G, P_inv, cov)
 
     # level-space fitted values and (for within) the derived intercept
-    alphas = None
-    if model.transform is TransformKind.WITHIN:
-        alphas = _entity_effects(design, beta)
-        fitted_level_rows = alphas[design.entity_ids] + design.X_level @ beta
-        if model.intercept:
-            beta, names, cov = _grand_mean_intercept(design, beta, names, alphas, cov)
-    elif model.transform is TransformKind.QUASI_DEMEAN:
-        fitted_level_rows = _add_intercept(design, design.X_level, names, level=True)[0] @ beta
-    elif model.transform is TransformKind.NONE:
-        fitted_level_rows = fitted
-    else:
-        fitted_level_rows = None
-
+    fitted_level = alphas = None
+    if not model.transform.is_calendar:
+        fitted_level, alphas = _level_fit(design, beta)
+    if alphas is not None and model.intercept:
+        beta, names, cov = _grand_mean_intercept(design, beta, names, alphas, cov)
     r2 = _squared_correlation(y, fitted)
-    result = _result_shell(
-        f"gmm/{model.transform.value}", design, names, beta, cov, resid, fitted,
+    # quasi-demeaned runs also report the level-space (unweighted) fit;
+    # the two coincide exactly when theta = 0
+    if model.transform is TransformKind.QUASI_DEMEAN:
+        r2_pair = (r2, _squared_correlation(design.y_level, fitted_level))
+    else:
+        r2_pair = (r2, r2)
+    return _result(
+        f"gmm/{model.transform.value}", design, names, beta, cov, resid, fitted, r2_pair,
+        _level_fit_table(design, fitted_level, gmm_fitted=fitted), steps, trace,
         weighting_matrix=W,
         moment_covariance=S_final,
         instruments=zmat,
@@ -827,19 +816,6 @@ def fit_gmm(
         weighting_rank=w_rank,
         entity_effects=alphas,
     )
-    result.steps_taken = steps
-    result.r_squared_weighted = r2
-    # quasi-demeaned runs also report the level-space (unweighted) fit;
-    # the two coincide exactly when theta = 0
-    if model.transform is TransformKind.QUASI_DEMEAN:
-        result.r_squared_unweighted = _squared_correlation(
-            design.y_level, fitted_level_rows
-        )
-    else:
-        result.r_squared_unweighted = r2
-    result.fitted_levels = _level_fit_table(design, fitted_level_rows, gmm_fitted=fitted)
-    result.iteration_trace = tuple(trace)
-    return result
 
 
 def _windmeijer_correct(
@@ -925,6 +901,4 @@ def _level_fit_table(
 
 def fitted_and_levels(result: EstimationResult) -> FitTable:
     """Actual and fitted values, transformed and mapped back to levels."""
-    if result.fitted_levels is None:
-        raise EstimationError("result carries no fitted values")
     return result.fitted_levels

@@ -131,7 +131,6 @@ def ar1_model(
         intercept = transform in (TransformKind.NONE, TransformKind.QUASI_DEMEAN)
     effects = {
         TransformKind.WITHIN: "fixed",
-        TransformKind.DUMMIES: "fixed",
         TransformKind.QUASI_DEMEAN: "random",
     }.get(transform, "none")
     return ModelSpec(

@@ -28,7 +28,6 @@ class TransformKind(Enum):
 
     NONE = "none"
     WITHIN = "within"
-    DUMMIES = "dummies"
     FIRST_DIFFERENCE = "first_difference"
     ORTHOGONAL_DEVIATION = "orthogonal_deviation"
     QUASI_DEMEAN = "quasi_demean"
@@ -40,8 +39,6 @@ class TransformKind(Enum):
             "none": cls.NONE,
             "within": cls.WITHIN,
             "fe": cls.WITHIN,
-            "dummies": cls.DUMMIES,
-            "lsdv": cls.DUMMIES,
             "fd": cls.FIRST_DIFFERENCE,
             "first_difference": cls.FIRST_DIFFERENCE,
             "od": cls.ORTHOGONAL_DEVIATION,

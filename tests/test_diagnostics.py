@@ -120,10 +120,10 @@ def test_j_needs_gmm_result():
 
 def test_j_impossible_df_guard():
     res = fd_fit()
-    crippled = dataclasses.replace(res) if dataclasses.is_dataclass(res) else res
     # feign an instrument rank below the parameter count
-    crippled.instruments = dataclasses.replace(res.instruments, rank=1)
-    crippled.weighting_rank = 1
+    crippled = dataclasses.replace(
+        res, instruments=dataclasses.replace(res.instruments, rank=1), weighting_rank=1
+    )
     with pytest.raises(DiagnosticError, match="impossible"):
         j_test(crippled)
 
@@ -226,11 +226,13 @@ def test_hausman_zero_distance_when_pd():
     data = generate(DgpSpec(n_entities=80, n_periods=8, rho=0.3,
                             sigma_effect=1.0, seed=9))
     fe = fit_fixed_effects(ar1_model(TransformKind.WITHIN), data)
-    fake_re = dataclasses.replace(fe)
-    fake_re.param_names = fe.param_names
-    fake_re.coefficients = fe.coefficients.copy()
-    fake_re.classical_covariance = fe.classical_covariance * 0.5
-    fake_re.variance_components = None
+    fake_re = dataclasses.replace(
+        fe,
+        param_names=fe.param_names,
+        coefficients=fe.coefficients.copy(),
+        classical_covariance=fe.classical_covariance * 0.5,
+        variance_components=None,
+    )
     h = hausman(fe, fake_re)
     assert h.valid
     assert h.statistic == pytest.approx(0.0, abs=1e-12)
@@ -255,9 +257,9 @@ def test_hausman_power_under_correlated_effects():
 def test_hausman_no_common_slopes():
     data = generate(DgpSpec(n_entities=50, n_periods=6, seed=5))
     fe = fit_fixed_effects(ar1_model(TransformKind.WITHIN), data)
-    other = dataclasses.replace(fe)
-    other.param_names = ("something_else",)
-    other.coefficients = np.array([1.0])
+    other = dataclasses.replace(
+        fe, param_names=("something_else",), coefficients=np.array([1.0])
+    )
     with pytest.raises(DiagnosticError, match="common"):
         hausman(fe, other)
 

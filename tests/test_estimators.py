@@ -49,6 +49,12 @@ def test_pooled_exact_fit():
     assert np.allclose(res.residuals, 0.0, atol=1e-12)
 
 
+def test_pooled_rejects_transformed_model():
+    data = generate(DgpSpec(n_entities=20, n_periods=5, seed=2))
+    with pytest.raises(ValueError, match="within"):
+        fit_pooled(ar1_model(TransformKind.WITHIN), data)
+
+
 def test_pooled_monte_carlo_recovery():
     rng = np.random.default_rng(8)
     x = rng.standard_normal(1000)
