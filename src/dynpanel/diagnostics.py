@@ -66,7 +66,10 @@ def j_test(result: EstimationResult) -> JTestResult:
     J = (Z'e)' W (Z'e) with W the final-step weighting matrix (for
     one-step fits, the clustered moment covariance of the residuals is
     inverted instead so the statistic keeps its chi-square calibration).
-    Degrees of freedom are the instrument rank minus the parameter count.
+    Degrees of freedom are the instrument rank minus the number of
+    parameters GMM estimates, the columns of the fit's design matrix; a
+    within fit's grand-mean intercept is derived after the fit and does
+    not count.
     """
     if result.instruments is None or result.moment_covariance is None:
         raise DiagnosticError("J test needs a result produced by fit_gmm")
@@ -78,11 +81,11 @@ def j_test(result: EstimationResult) -> JTestResult:
     else:
         W, rank = _invert_weight(result.moment_covariance, "pinv", "J test")
     rank = min(rank, result.instruments.rank)
-    df = rank - result.coefficients.size
+    k = result.design_matrix.shape[1]
+    df = rank - k
     if df < 0:
         raise DiagnosticError(
-            f"impossible state: instrument rank {rank} below parameter count "
-            f"{result.coefficients.size}"
+            f"impossible state: instrument rank {rank} below parameter count {k}"
         )
     stat = float(gbar @ W @ gbar)
     if df == 0:

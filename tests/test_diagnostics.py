@@ -128,6 +128,34 @@ def test_j_impossible_df_guard():
         j_test(crippled)
 
 
+def within_gmm_model(dep, exog):
+    return ModelSpec(dep, ar_lags=1, exogenous=exog, intercept=True,
+                     effects="fixed", transform=TransformKind.WITHIN)
+
+
+def test_j_df_excludes_within_grand_mean(brand_panel):
+    # the within fit's const is the mean of the entity effects, derived
+    # after the fit: 6 instrument columns over-identify 3 slopes by 3
+    model = within_gmm_model("pp", (ExogTerm("bv"), ExogTerm("bt")))
+    inst = InstrumentSpec(static=(StaticInstrument("bv", 0, 2), StaticInstrument("bt", 0, 2)),
+                          include_intercept=True)
+    res = fit_gmm(model, brand_panel, inst, weighting=TWO_STEP, on_singular="pinv")
+    assert res.param_names[-1] == "const"
+    jt = j_test(res)
+    assert jt.df == res.instruments.rank - 3 == 3
+    assert jt.p_value == chi_square_sf(jt.statistic, 3)
+
+
+def test_j_just_identified_within_fit_with_intercept():
+    # 3 slopes, 3 instrument columns once the intercept column is pruned
+    data = generate(DgpSpec(n_entities=30, n_periods=7, rho=0.5, seed=4))
+    model = within_gmm_model("y", (ExogTerm("x1", 1),))
+    inst = InstrumentSpec(static=(StaticInstrument("x1", 0, 2),), include_intercept=True)
+    res = fit_gmm(model, data, inst, weighting=TWO_STEP)
+    jt = report_for(res).j
+    assert (jt.df, jt.p_value) == (0, 1.0)
+
+
 # ---------------------------------------------------------------------------
 # Arellano-Bond serial correlation
 
