@@ -523,7 +523,7 @@ def fit_pooled(model: ModelSpec, data: PanelDataset) -> EstimationResult:
     r2 = _r_squared(design.y, fitted, center=model.intercept)
     return _result(
         "pooled", design, names, beta, cov, resid, fitted, (r2, r2),
-        _level_fit_table(design, fitted),
+        _level_fit_table(design, fitted, fitted),
         classical_covariance=classical, design_matrix=X,
     )
 
@@ -582,9 +582,10 @@ def fit_fixed_effects(
         )
 
     r2 = _r_squared(design.y_level, fitted_level, center=True)
+    fitted = Xw @ beta
     return _result(
-        f"fe/{method}", design, names, beta_full, cov, resid, Xw @ beta, (r2, r2),
-        _level_fit_table(design, fitted_level),
+        f"fe/{method}", design, names, beta_full, cov, resid, fitted, (r2, r2),
+        _level_fit_table(design, fitted_level, fitted),
         classical_covariance=classical,
         entity_effects=alphas,
         design_matrix=Xw,
@@ -613,7 +614,7 @@ def fit_random_effects(
           _r_squared(design.y_level, fitted_level, center=True))
     return _result(
         "re", design, names, beta, cov, resid, fitted_q, r2,
-        _level_fit_table(design, fitted_level),
+        _level_fit_table(design, fitted_level, fitted_q),
         classical_covariance=classical,
         theta=design.theta,
         variance_components=design.components,
@@ -804,7 +805,7 @@ def fit_gmm(
         r2_pair = (r2, r2)
     return _result(
         f"gmm/{model.transform.value}", design, names, beta, cov, resid, fitted, r2_pair,
-        _level_fit_table(design, fitted_level, gmm_fitted=fitted), steps, trace,
+        _level_fit_table(design, fitted_level, fitted), steps, trace,
         weighting_matrix=W,
         moment_covariance=S_final,
         instruments=zmat,
@@ -853,23 +854,22 @@ def _windmeijer_correct(
 
 
 def _level_fit_table(
-    design: Design,
-    fitted_level_rows: np.ndarray | None,
-    gmm_fitted: np.ndarray | None = None,
+    design: Design, fitted_level: np.ndarray | None, fitted: np.ndarray
 ) -> FitTable:
     """Assemble the (entity, period, actual, fitted) table.
 
-    Level estimators pass their level fit per row directly; transformed
-    fits are pushed back to level units through the inverse transform
-    anchored on the actual series.
+    The transformed columns hold the design's y and the fit ``fitted`` in
+    the model's transformed units. Pooled, within and quasi-demeaned fits
+    pass their level fit per row; FD/OD fits are pushed back to level
+    units through the inverse transform anchored on the actual series.
     """
     model, data = design.model, design.data
+    level_mask = np.ones(design.n, dtype=bool)
     if model.transform.is_calendar:
-        assert gmm_fitted is not None
         grid_fit = np.full((data.n_entities, data.n_periods), np.nan)
         grid_mask = np.zeros((data.n_entities, data.n_periods), dtype=bool)
         per_idx = design.periods - data.periods[0]
-        grid_fit[design.entity_ids, per_idx] = gmm_fitted
+        grid_fit[design.entity_ids, per_idx] = fitted
         grid_mask[design.entity_ids, per_idx] = True
         dep = data.require(model.dependent)
         lvl, lvl_mask = reconstruct_levels(
@@ -877,22 +877,12 @@ def _level_fit_table(
         )
         fitted_level = lvl[design.entity_ids, per_idx]
         level_mask = lvl_mask[design.entity_ids, per_idx]
-        actual_transformed = design.y
-        fitted_transformed = gmm_fitted
-    else:
-        # plain fits report level values in the transformed columns
-        fitted_level = fitted_level_rows
-        level_mask = np.ones(design.n, dtype=bool)
-        actual_transformed = design.y if gmm_fitted is not None else design.y_level
-        fitted_transformed = (
-            gmm_fitted if gmm_fitted is not None else fitted_level_rows
-        )
     return FitTable(
         entities=design.data.entities,
         entity_ids=design.entity_ids,
         periods=design.periods,
-        actual_transformed=np.asarray(actual_transformed, dtype=float),
-        fitted_transformed=np.asarray(fitted_transformed, dtype=float),
+        actual_transformed=np.asarray(design.y, dtype=float),
+        fitted_transformed=np.asarray(fitted, dtype=float),
         actual_level=np.asarray(design.y_level, dtype=float),
         fitted_level=np.asarray(fitted_level, dtype=float),
         level_mask=level_mask,

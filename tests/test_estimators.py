@@ -391,6 +391,21 @@ def test_fitted_levels_zero_residuals():
     assert np.allclose(table.fitted_level, table.actual_level, atol=1e-10)
 
 
+@pytest.mark.parametrize("method", ["within", "lsdv"])
+def test_plain_fe_transformed_columns_are_within_demeaned(method):
+    data = generate(DgpSpec(n_entities=25, n_periods=6, rho=0.4, missingness=0.1, seed=8))
+    res = fit_fixed_effects(ar1_model(TransformKind.WITHIN), data, method=method)
+    table = fitted_and_levels(res)
+    demeaned = table.actual_level.copy()
+    for e in np.unique(table.entity_ids):
+        rows = table.entity_ids == e
+        demeaned[rows] -= table.actual_level[rows].mean()
+    assert np.allclose(table.actual_transformed, demeaned, rtol=0, atol=1e-10)
+    assert np.array_equal(table.fitted_transformed, res.fitted_transformed)
+    assert np.allclose(table.actual_transformed - table.fitted_transformed,
+                       res.residuals, rtol=0, atol=1e-10)
+
+
 def test_fitted_levels_od_table(brand_panel):
     model = ModelSpec("pp", ar_lags=1,
                       exogenous=(ExogTerm("bv"), ExogTerm("bt")), intercept=False,
