@@ -529,13 +529,19 @@ def fit_pooled(model: ModelSpec, data: PanelDataset) -> EstimationResult:
 
 
 def fit_fixed_effects(
-    model: ModelSpec, data: PanelDataset, method: str = "lsdv"
+    model: ModelSpec, data: PanelDataset, method: str = "within"
 ) -> EstimationResult:
-    """Fixed effects by LSDV or the within transform (identical slopes).
+    """Fixed effects by the within transform or by LSDV.
 
-    The reported intercept is the grand mean of the per-entity
-    intercepts; slope inference comes from the within representation in
-    both methods, so the two paths agree coefficient for coefficient.
+    ``method="within"`` regresses the entity-demeaned y on the demeaned
+    slopes and derives alpha_a = ybar_a - xbar_a'beta; ``method="lsdv"``
+    regresses levels on the slopes and one dummy per entity. By the
+    Frisch-Waugh identity both give the same slopes, residuals and
+    entity effects, and slope inference comes from the within
+    representation in both, so they agree to rounding. Either result
+    carries the within model; ``method`` is ``fe/within`` or
+    ``fe/lsdv``. With an intercept, ``const`` is the grand mean of the
+    entity effects, with a delta-method standard error.
     """
     if method not in ("lsdv", "within"):
         raise ValueError(f"unknown FE method {method!r}")

@@ -190,7 +190,6 @@ class EstimatorConfig:
     instruments: InstrumentSpec | None = None
     weighting: Weighting = TWO_STEP
     on_singular: str = "error"
-    fe_method: str = "within"
 
     def fit(self, data: PanelDataset) -> EstimationResult:
         if self.instruments is not None:
@@ -199,7 +198,7 @@ class EstimatorConfig:
                 weighting=self.weighting, on_singular=self.on_singular,
             )
         if self.model.effects == "fixed":
-            return fit_fixed_effects(self.model, data, method=self.fe_method)
+            return fit_fixed_effects(self.model, data)
         if self.model.effects == "random":
             return fit_random_effects(self.model, data)
         return fit_pooled(self.model, data)

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 import scipy.optimize
+from hypothesis import assume, given, settings, strategies as st
 
 from dynpanel import (
     AlignmentError,
+    DynpanelError,
     EstimationError,
     InstrumentMatrix,
     InstrumentSpec,
@@ -105,21 +107,40 @@ def test_fe_removes_levels():
     assert res.coefficient("x1") == pytest.approx(3.0, abs=1e-10)
 
 
-def test_lsdv_equals_within():
-    dgp = DgpSpec(n_entities=40, n_periods=7, rho=0.4, sigma_effect=2.0, seed=5)
-    data = generate(dgp)
-    model = ar1_model(TransformKind.WITHIN)
-    within = fit_fixed_effects(model, data, method="within")
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(
+    n_entities=st.integers(3, 30),
+    n_periods=st.integers(4, 10),
+    rho=st.floats(-0.9, 0.9),
+    sigma_effect=st.floats(0.0, 5.0),
+    missingness=st.floats(0.0, 0.4),
+    intercept=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+def test_lsdv_equals_within(n_entities, n_periods, rho, sigma_effect, missingness,
+                            intercept, seed):
+    data = generate(DgpSpec(n_entities=n_entities, n_periods=n_periods, rho=rho,
+                            sigma_effect=sigma_effect, missingness=missingness, seed=seed))
+    model = ar1_model(TransformKind.WITHIN, intercept=intercept)
+    try:
+        within = fit_fixed_effects(model, data, method="within")
+    except DynpanelError:
+        assume(False)
+    # leave out exact fits, whose SEs are rounding noise
+    assume(within.sample_size - within.cross_sections - within.design_matrix.shape[1] >= 3)
     lsdv = fit_fixed_effects(model, data, method="lsdv")
-    k = len(within.param_names)
-    assert np.allclose(within.coefficients, lsdv.coefficients[:k], atol=1e-8)
-    assert np.allclose(within.standard_errors, lsdv.standard_errors[:k], atol=1e-8)
-    # recovered entity intercepts agree too
-    assert np.allclose(
-        within.entity_effects[np.isfinite(within.entity_effects)],
-        lsdv.entity_effects[np.isfinite(lsdv.entity_effects)],
-        atol=1e-8,
-    )
+    scale = float(np.abs(within.fitted_levels.actual_level).max())
+
+    def close(got, want, scale):
+        assert np.max(np.abs(got - want), initial=0.0) <= 1e-10 * scale
+
+    assert lsdv.param_names == within.param_names
+    close(lsdv.coefficients, within.coefficients, np.abs(within.coefficients).max())
+    close(lsdv.standard_errors, within.standard_errors, within.standard_errors.max())
+    close(lsdv.residuals, within.residuals, scale)
+    present = np.isfinite(within.entity_effects)
+    assert np.array_equal(np.isfinite(lsdv.entity_effects), present)
+    close(lsdv.entity_effects[present], within.entity_effects[present], scale)
 
 
 def test_fe_monte_carlo_recovery():
