@@ -390,7 +390,6 @@ class DiagnosticsReport:
     j: JTestResult | None = None
     ar_tests: tuple[ArTestResult, ...] = ()
     variance_components: VarianceComponents | None = None
-    hausman_result: HausmanResult | None = None
 
     def to_json_dict(self) -> dict:
         out: dict = {}
@@ -411,13 +410,6 @@ class DiagnosticsReport:
                 "rho_u": vc.rho_u,
                 "rho_e": vc.rho_e,
             }
-        if self.hausman_result is not None:
-            h = self.hausman_result
-            out["hausman"] = (
-                {"statistic": h.statistic, "df": h.df, "p": h.p_value}
-                if h.valid
-                else {"invalid": h.reason}
-            )
         return out
 
 

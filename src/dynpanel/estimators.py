@@ -457,30 +457,22 @@ def _add_intercept(
     return np.column_stack([X, const]), names + ["const"]
 
 
-def _entity_effects(design: Design, beta: np.ndarray) -> np.ndarray:
-    """alpha_a = ybar_a - xbar_a'beta over each entity's level rows.
+def _level_fit(design: Design, beta: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """Level fitted values of a pooled, within or quasi-demeaned design.
 
-    One value per entity index; NaN for entities outside the sample.
+    A within design's fit is alpha_a + x'beta; its entity effects
+    alpha_a = ybar_a - xbar_a'beta over each entity's level rows come
+    second, one per entity index, NaN outside the sample. The others
+    apply beta, intercept included, to the level regressors.
     """
+    if design.model.transform is not TransformKind.WITHIN:
+        return _add_intercept(design, design.X_level, [], level=True)[0] @ beta, None
     starts = entity_starts(design.entity_ids)
     alphas = np.full(design.data.n_entities, np.nan)
     alphas[design.entity_ids[starts]] = (
         entity_means(design.y_level, starts) - entity_means(design.X_level, starts) @ beta
     )
-    return alphas
-
-
-def _level_fit(design: Design, beta: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-    """Level fitted values of a pooled, within or quasi-demeaned design.
-
-    A within design's fit is alpha_a + x'beta, with the entity effects
-    alpha_a (returned second) derived from the slopes; the others apply
-    beta, intercept included, to the level regressors.
-    """
-    if design.model.transform is TransformKind.WITHIN:
-        alphas = _entity_effects(design, beta)
-        return alphas[design.entity_ids] + design.X_level @ beta, alphas
-    return _add_intercept(design, design.X_level, [], level=True)[0] @ beta, None
+    return alphas[design.entity_ids] + design.X_level @ beta, alphas
 
 
 def _grand_mean_intercept(

@@ -103,11 +103,6 @@ class PanelDataset:
         except ValueError:
             raise DataError(f"unknown entity {name!r}") from None
 
-    def period_index(self, period: int) -> int:
-        if period < self.periods[0] or period > self.periods[-1]:
-            raise DataError(f"period {period} outside {self.periods[0]}..{self.periods[-1]}")
-        return period - self.periods[0]
-
     def require(self, variable: str) -> PanelSeries:
         try:
             return self.series[variable]
@@ -431,9 +426,6 @@ class AlignedSample:
         except ValueError:
             raise DataError(f"no aligned column for ({variable}, lag {lag})") from None
         return self.matrix[:, c]
-
-    def n_cross_sections(self) -> int:
-        return int(np.unique(self.entity_ids).size)
 
 
 def lagged_grid(data: PanelDataset, variable: str, lag: int) -> PanelSeries:
