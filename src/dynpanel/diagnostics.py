@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, replace
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 import scipy.special
@@ -116,19 +116,17 @@ def _ar_tests(result: EstimationResult):
     if result.transform is TransformKind.FIRST_DIFFERENCE:
         e, X = result.residuals, result.design_matrix
         entity_ids, periods = result.entity_ids, result.periods
-        Z = result.instruments.matrix if result.instruments else None
-        W = result.weighting_matrix
+        Z, W = result.instruments.matrix, result.weighting_matrix
     elif result.transform is TransformKind.ORTHOGONAL_DEVIATION:
         model_fd = replace(result.model, transform=TransformKind.FIRST_DIFFERENCE)
         design = build_design(model_fd, result.dataset)
         e, X = design.y - design.X @ result.coefficients, design.X
         entity_ids, periods = design.entity_ids, design.periods
-        Z = W = None
-        if result.instrument_spec is not None:
-            Z = assemble(
-                result.instrument_spec, result.dataset, design.sample,
-                transform=TransformKind.FIRST_DIFFERENCE,
-            ).matrix
+        Z = assemble(
+            result.instrument_spec, result.dataset, design.sample,
+            transform=TransformKind.FIRST_DIFFERENCE,
+        ).matrix
+        W = None
     else:
         raise DiagnosticError(
             "serial-correlation test is defined for FD or OD results, "
@@ -140,13 +138,11 @@ def _ar_tests(result: EstimationResult):
     p0 = periods.min()
     key = entity_ids * (int(periods.max() - p0) + 1) + (periods - p0)
     by_key = np.argsort(key)
-    projected = None
-    if Z is not None:
-        U = _scores(Z, e, starts)
-        if W is None:
-            W, _ = _invert_weight(None, "pinv", "AR test", U)
-        G = Z.T @ X
-        projected = _spd_inverse(G.T @ W @ G, "AR test projection") @ (G.T @ W) @ U.T
+    U = _scores(Z, e, starts)
+    if W is None:
+        W, _ = _invert_weight(None, "pinv", "AR test", U)
+    G = Z.T @ X
+    projected = _spd_inverse(G.T @ W @ G, "AR test projection") @ (G.T @ W) @ U.T
 
     def test(order: int) -> ArTestResult:
         if order < 1:
@@ -163,10 +159,7 @@ def _ar_tests(result: EstimationResult):
         w = np.add.reduceat(lagged * e, starts)
         term1 = float(w @ w)
         q = X.T @ lagged
-        var = term1
-        if projected is not None:
-            var += -2.0 * float(q @ (projected @ w))
-        var += float(q @ result.covariance @ q)
+        var = term1 - 2.0 * float(q @ (projected @ w)) + float(q @ result.covariance @ q)
         if var <= 0:  # numerical corner: fall back to the leading term
             var = term1
         if var == 0:
@@ -316,7 +309,6 @@ def lag_selection(
     template: ModelSpec,
     max_ar: int = 3,
     max_exog: Mapping[str, int] | None = None,
-    criteria: Sequence[str] = CRITERIA,
 ) -> LagSelectionResult:
     """Choose lag orders by information criteria on a common sample.
 
@@ -331,9 +323,6 @@ def lag_selection(
     AR 1-3 x x lag 0-1 with asymptotic probability only about 0.664
     (exact when the AR and x-lag scores are uncorrelated).
     """
-    for c in criteria:
-        if c not in CRITERIA:
-            raise ValueError(f"unknown criterion {c!r}; choose from {CRITERIA}")
     max_exog = dict(max_exog or {t.name: t.lags for t in template.exogenous})
     exog_names = [t.name for t in template.exogenous]
 
@@ -379,7 +368,7 @@ def lag_selection(
             )
     if not candidates:
         raise EstimationError("no estimable lag candidates")
-    chosen = {c: min(candidates, key=lambda cand: getattr(cand, c)) for c in criteria}
+    chosen = {c: min(candidates, key=lambda cand: getattr(cand, c)) for c in CRITERIA}
     return LagSelectionResult(tuple(candidates), chosen)
 
 
@@ -413,15 +402,17 @@ class DiagnosticsReport:
         return out
 
 
-def report_for(result: EstimationResult, ar_orders: Sequence[int] = (1, 2)) -> DiagnosticsReport:
-    """Compose the standard diagnostics for a fitted result."""
+def report_for(result: EstimationResult) -> DiagnosticsReport:
+    """Compose the standard diagnostics for a fitted result: the J test of
+    a GMM fit and, for FD/OD fits, the AR(1) and AR(2) tests that the
+    panel's periods allow."""
     j = None
     ar_tests: list[ArTestResult] = []
     if result.instruments is not None:
         j = j_test(result)
     if result.transform.is_calendar:
         ar_test = _ar_tests(result)
-        for m in ar_orders:
+        for m in (1, 2):
             try:
                 ar_tests.append(ar_test(m))
             except DiagnosticError:

@@ -33,8 +33,6 @@ from .transforms import (
     reconstruct_levels,
 )
 
-_entity_starts = entity_starts  # still importable here under its former private name
-
 
 @dataclass(frozen=True)
 class ExogTerm:
@@ -553,7 +551,7 @@ def fit_fixed_effects(
         )
     k = Xw.shape[1]
     if method == "lsdv":
-        dummies, dummy_ents = expand_dummies(design.entity_ids, design.data.n_entities)
+        dummies, dummy_ents = expand_dummies(design.entity_ids)
         X_full = np.column_stack([design.X_level, dummies])
         full_names = names + [f"effect[{design.data.entities[e]}]" for e in dummy_ents]
         beta_full_lsdv = _ols(design.y_level, X_full, full_names)
@@ -695,7 +693,7 @@ def _gmm_beta(G: np.ndarray, W: np.ndarray, v: np.ndarray, names) -> np.ndarray:
 def fit_gmm(
     model: ModelSpec,
     data: PanelDataset,
-    instruments: InstrumentSpec | InstrumentMatrix,
+    instruments: InstrumentSpec,
     weighting: Weighting = TWO_STEP,
     components: VarianceComponents | None = None,
     on_singular: str = "error",
@@ -722,24 +720,11 @@ def fit_gmm(
     k = X.shape[1]
     _check_rank(X, names)
 
-    if isinstance(instruments, InstrumentMatrix):
-        zmat = instruments
-        if zmat.matrix.shape[0] != design.n:
-            raise EstimationError(
-                f"instrument matrix has {zmat.matrix.shape[0]} rows, sample has {design.n}"
-            )
-        inst_spec = None
-    else:
-        inst_spec = instruments
-        zmat = assemble(
-            instruments, data, design.sample,
-            transform=model.transform, theta=design.theta, n_regressors=k,
-        )
+    zmat = assemble(
+        instruments, data, design.sample,
+        transform=model.transform, theta=design.theta, n_regressors=k,
+    )
     Z = zmat.matrix
-    if Z.shape[1] < k:
-        raise RankError(
-            f"{Z.shape[1]} instrument column(s) cannot identify {k} parameters", names
-        )
     G = Z.T @ X
     if np.linalg.matrix_rank(G) < k:
         raise RankError("Z'X is rank deficient; instruments do not identify "
@@ -807,7 +792,7 @@ def fit_gmm(
         weighting_matrix=W,
         moment_covariance=S_final,
         instruments=zmat,
-        instrument_spec=inst_spec,
+        instrument_spec=instruments,
         weighting=weighting,
         theta=design.theta,
         variance_components=design.components,
@@ -885,8 +870,3 @@ def _level_fit_table(
         fitted_level=np.asarray(fitted_level, dtype=float),
         level_mask=level_mask,
     )
-
-
-def fitted_and_levels(result: EstimationResult) -> FitTable:
-    """Actual and fitted values, transformed and mapped back to levels."""
-    return result.fitted_levels

@@ -11,14 +11,14 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from . import transforms
 from .errors import AlignmentError, DataError
 
-DEFAULT_MISSING_TOKENS = frozenset({"", "-", "NA", "na"})
+MISSING_TOKENS = frozenset({"", "-", "NA", "na"})
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -50,8 +50,6 @@ class PanelDataset:
         Strictly increasing, contiguous integer time labels.
     series : mapping of str to PanelSeries
         One entity-by-period matrix per variable.
-    units : mapping of str to str
-        Optional per-variable unit tags.
     checksums : mapping of str to ndarray
         Per-variable totals row captured during wide ingestion, if any.
     """
@@ -59,7 +57,6 @@ class PanelDataset:
     entities: tuple[str, ...]
     periods: tuple[int, ...]
     series: dict[str, PanelSeries]
-    units: dict[str, str] = field(default_factory=dict)
     checksums: dict[str, np.ndarray] = field(default_factory=dict)
 
     def __post_init__(self):
@@ -129,7 +126,7 @@ class PanelDataset:
             name: PanelSeries(s.values[idx].copy(), s.mask[idx].copy())
             for name, s in self.series.items()
         }
-        return PanelDataset(tuple(entities), self.periods, series, dict(self.units))
+        return PanelDataset(tuple(entities), self.periods, series)
 
     def to_long_csv(self, path) -> None:
         """Write the long-format CSV (entity,period,var1,...); absent cells empty.
@@ -156,7 +153,6 @@ def from_arrays(
     entities: Sequence[str],
     periods: Sequence[int],
     variables: Mapping[str, np.ndarray],
-    units: Mapping[str, str] | None = None,
 ) -> PanelDataset:
     """Build a dataset from dense arrays, treating NaN as absent."""
     series = {}
@@ -164,14 +160,12 @@ def from_arrays(
         values = np.asarray(arr, dtype=float)
         mask = ~np.isnan(values)
         series[name] = PanelSeries(values.copy(), mask)
-    return PanelDataset(
-        tuple(entities), tuple(int(p) for p in periods), series, dict(units or {})
-    )
+    return PanelDataset(tuple(entities), tuple(int(p) for p in periods), series)
 
 
-def _parse_cell(token: str, missing_tokens: frozenset[str]) -> tuple[float, bool]:
+def _parse_cell(token: str) -> tuple[float, bool]:
     text = token.strip()
-    if text in missing_tokens:
+    if text in MISSING_TOKENS:
         return np.nan, False
     # tolerate thousands separators as printed in source tables
     value = float(text.replace(",", ""))
@@ -180,19 +174,14 @@ def _parse_cell(token: str, missing_tokens: frozenset[str]) -> tuple[float, bool
     return value, True
 
 
-def ingest_long_csv(
-    path,
-    missing_tokens: Iterable[str] = DEFAULT_MISSING_TOKENS,
-    units: Mapping[str, str] | None = None,
-) -> PanelDataset:
+def ingest_long_csv(path) -> PanelDataset:
     """Read a long-format CSV with header ``entity,period,<var1>,...``.
 
     Entity order is first appearance; the period axis spans the observed
-    min..max range. Duplicate (entity, period) rows and unparseable or
-    non-finite cells
-    are rejected with their location.
+    min..max range. A cell in ``MISSING_TOKENS`` is absent. Duplicate
+    (entity, period) rows and unparseable or non-finite cells are rejected
+    with their location.
     """
-    missing = frozenset(missing_tokens)
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -243,7 +232,7 @@ def ingest_long_csv(
         j = period - pmin
         for v, token in zip(var_names, cells):
             try:
-                val, present = _parse_cell(token, missing)
+                val, present = _parse_cell(token)
             except ValueError:
                 raise DataError(
                     f"{path}:{lineno}: cell ({entity}, {period}, {v}) "
@@ -254,23 +243,18 @@ def ingest_long_csv(
                 masks[v][i, j] = True
 
     series = {v: PanelSeries(values[v], masks[v]) for v in var_names}
-    return PanelDataset(tuple(entities), periods, series, dict(units or {}))
+    return PanelDataset(tuple(entities), periods, series)
 
 
-def ingest_wide_csv(
-    path,
-    variable_name: str,
-    total_label: str = "TOTAL",
-    missing_tokens: Iterable[str] = DEFAULT_MISSING_TOKENS,
-    unit: str | None = None,
-) -> PanelDataset:
+def ingest_wide_csv(path, variable_name: str) -> PanelDataset:
     """Read a wide-format CSV: header ``name,<year1>,<year2>,...``.
 
-    One row per entity. Rows whose name starts with ``total_label``
-    (case-insensitive) are excluded from the entities and kept as a
-    checksum vector on the result.
+    One row per entity. A row whose name starts with ``TOTAL``
+    (case-insensitive) is excluded from the entities and kept as the
+    checksum vector ``checksums[variable_name]`` on the result; each of
+    its cells must be a finite number. Other cells may be one of
+    ``MISSING_TOKENS``.
     """
-    missing = frozenset(missing_tokens)
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -298,7 +282,7 @@ def ingest_wide_csv(
                     f"{path}:{lineno}: ragged row ({len(row)} fields, expected {len(header)})"
                 )
             name = row[0].strip()
-            if name.upper().startswith(total_label.upper()):
+            if name.upper().startswith("TOTAL"):
                 total_row = (lineno, name, row[1:])
             elif any(name == r[1] for r in rows):
                 raise DataError(f"{path}:{lineno}: duplicate entity {name!r}")
@@ -312,7 +296,7 @@ def ingest_wide_csv(
         out = np.full(len(year_labels), np.nan)
         for j, token in enumerate(cells):
             try:
-                out[j], present = _parse_cell(token, missing)
+                out[j], present = _parse_cell(token)
             except ValueError:
                 present = None
             if present is None or (required and not present):
@@ -326,14 +310,12 @@ def ingest_wide_csv(
     mask = ~np.isnan(values)
     checksum = parse_row(*total_row, required=True) if total_row else None
     entities = [name for _, name, _ in rows]
-    units = {variable_name: unit} if unit else {}
     checksums = {variable_name: _freeze(checksum)} if checksum is not None else {}
     return PanelDataset(
         tuple(entities),
         tuple(year_labels),
         {variable_name: PanelSeries(values, mask)},
-        units,
-        checksums,
+        checksums=checksums,
     )
 
 

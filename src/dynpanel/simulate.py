@@ -20,8 +20,10 @@ import numpy as np
 from .diagnostics import j_test
 from .errors import DynpanelError
 from .estimators import (
+    ONE_STEP,
     TWO_STEP,
     EstimationResult,
+    ExogTerm,
     ModelSpec,
     Weighting,
     fit_fixed_effects,
@@ -125,8 +127,6 @@ def ar1_model(
     intercept: bool | None = None,
 ) -> ModelSpec:
     """Model spec matching the generator's naming: y on y(-1) and the x's."""
-    from .estimators import ExogTerm
-
     if intercept is None:
         intercept = transform in (TransformKind.NONE, TransformKind.QUASI_DEMEAN)
     effects = {
@@ -145,12 +145,11 @@ def ar1_model(
 
 def fd_od_comparison_configs(
     n_x: int = 1,
-    weighting: Weighting | None = None,
-    depth: int = 3,
+    weighting: Weighting = ONE_STEP,
 ) -> list["EstimatorConfig"]:
     """The canonical FD-vs-OD comparison pair.
 
-    Each transform is instrumented with its ``depth`` freshest valid
+    Each transform is instrumented with its three freshest valid
     lagged levels of the dependent variable: differencing contaminates
     the lag-1 level (it contains the differenced-away error), so FD
     starts at lag 2; forward deviations touch only current and future
@@ -158,16 +157,12 @@ def fd_od_comparison_configs(
     sets span the same space and the estimators coincide; the bounded
     fresh-lag sets expose the deviation transform's advantage.
     """
-    from .estimators import ONE_STEP
-
-    if weighting is None:
-        weighting = ONE_STEP
     statics = tuple(StaticInstrument(f"x{j + 1}", 0, 0) for j in range(n_x))
     od_inst = InstrumentSpec(
-        dynamic=(DynamicInstrument("y", 1, depth),), static=statics
+        dynamic=(DynamicInstrument("y", 1, 3),), static=statics
     )
     fd_inst = InstrumentSpec(
-        dynamic=(DynamicInstrument("y", 2, depth + 1),), static=statics
+        dynamic=(DynamicInstrument("y", 2, 4),), static=statics
     )
     return [
         EstimatorConfig(
@@ -336,13 +331,12 @@ def run_experiment(
     dgp: DgpSpec,
     configs: list[EstimatorConfig],
     reps: int,
-    j_level: float = 0.05,
 ) -> McSummary:
     """Fit every configuration on ``reps`` freshly generated panels.
 
     Replications that fail to estimate are excluded from the averages
-    and counted per estimator. The J rejection rate is reported for
-    instrumented configurations.
+    and counted per estimator. The J rejection rate at the 5% level is
+    reported for instrumented configurations.
     """
     if reps < 1:
         raise ValueError("reps must be >= 1")
@@ -362,7 +356,7 @@ def run_experiment(
                 if cfg.instruments is not None:
                     jt = j_test(result)
                     if jt.df > 0:
-                        j_rejects[cfg.name].append(jt.p_value < j_level)
+                        j_rejects[cfg.name].append(jt.p_value < 0.05)
             except DynpanelError:
                 failures[cfg.name] += 1
                 continue

@@ -217,21 +217,16 @@ def demean_by_entity(
     return arr - np.repeat(shift, sizes, axis=0)
 
 
-def expand_dummies(
-    entity_ids: np.ndarray, n_entities: int, drop_first: bool = False
-) -> tuple[np.ndarray, list[int]]:
+def expand_dummies(entity_ids: np.ndarray) -> tuple[np.ndarray, list[int]]:
     """Entity indicator columns for sample rows.
 
-    Full-set mode (default) returns one column per entity appearing in the
-    sample, meant for use without a global intercept. ``drop_first`` drops
-    the first appearing entity's column for use next to an intercept.
-    Returns the indicator block and the entity index each column encodes.
+    One column per entity appearing in the sample, meant for use without
+    a global intercept. Returns the indicator block and the entity index
+    each column encodes.
     """
     present = [int(e) for e in np.unique(entity_ids)]
     if len(present) < 2:
         raise EstimationError("entity dummies need at least 2 entities in sample")
-    if drop_first:
-        present = present[1:]
     block = (np.asarray(entity_ids)[:, None] == np.array(present)).astype(float)
     return block, present
 

@@ -77,7 +77,7 @@ def test_acceptance_01_rating_codec():
 
 def test_acceptance_02_premium_table_column_sums():
     t0 = time.time()
-    data = dp.ingest_wide_csv(TABLE1, "pp", total_label="TOTAL")
+    data = dp.ingest_wide_csv(TABLE1, "pp")
     s = data.series["pp"]
     sums = np.where(s.mask, s.values, 0.0).sum(axis=0)
     printed = data.checksums["pp"]

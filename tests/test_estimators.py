@@ -7,7 +7,6 @@ from dynpanel import (
     AlignmentError,
     DynpanelError,
     EstimationError,
-    InstrumentMatrix,
     InstrumentSpec,
     DynamicInstrument,
     StaticInstrument,
@@ -20,7 +19,6 @@ from dynpanel import (
     fit_gmm,
     fit_pooled,
     fit_random_effects,
-    fitted_and_levels,
     n_step,
 )
 from dynpanel.estimators import ExogTerm, ModelSpec, VarianceComponents, build_design
@@ -322,15 +320,20 @@ def test_gmm_entity_order_invariance():
 def test_gmm_instrument_scaling_invariance():
     dgp = DgpSpec(n_entities=60, n_periods=7, rho=0.5, seed=14)
     data = generate(dgp)
+    # z = 37 x1 enters only as an instrument, in place of x1
+    data = from_arrays(data.entities, data.periods, {
+        **{name: s.values for name, s in data.series.items()},
+        "z": 37.0 * data.series["x1"].values,
+    })
     model = ar1_model(TransformKind.FIRST_DIFFERENCE)
-    inst = InstrumentSpec(dynamic=(DynamicInstrument("y", 2),),
-                          static=(StaticInstrument("x1"),))
-    r1 = fit_gmm(model, data, inst, weighting=TWO_STEP)
-    Z = r1.instruments.matrix.copy()
-    Z[:, 0] *= 37.0
-    scaled = InstrumentMatrix(matrix=Z, labels=r1.instruments.labels,
-                              rank=r1.instruments.rank)
-    r2 = fit_gmm(model, data, scaled, weighting=TWO_STEP)
+
+    def fit(static):
+        inst = InstrumentSpec(dynamic=(DynamicInstrument("y", 2),),
+                              static=(StaticInstrument(static),))
+        return fit_gmm(model, data, inst, weighting=TWO_STEP)
+
+    r1, r2 = fit("x1"), fit("z")
+    assert not np.array_equal(r1.instruments.matrix, r2.instruments.matrix)
     assert np.allclose(r1.coefficients, r2.coefficients, atol=1e-8)
 
 
@@ -408,7 +411,7 @@ def test_fitted_levels_zero_residuals():
     data = from_arrays(["a"], range(1, 7), {"y": 2 * x, "x1": x})
     model = ModelSpec("y", ar_lags=0, exogenous=(ExogTerm("x1"),), intercept=False)
     res = fit_pooled(model, data)
-    table = fitted_and_levels(res)
+    table = res.fitted_levels
     assert np.allclose(table.fitted_level, table.actual_level, atol=1e-10)
 
 
@@ -416,7 +419,7 @@ def test_fitted_levels_zero_residuals():
 def test_plain_fe_transformed_columns_are_within_demeaned(method):
     data = generate(DgpSpec(n_entities=25, n_periods=6, rho=0.4, missingness=0.1, seed=8))
     res = fit_fixed_effects(ar1_model(TransformKind.WITHIN), data, method=method)
-    table = fitted_and_levels(res)
+    table = res.fitted_levels
     demeaned = table.actual_level.copy()
     for e in np.unique(table.entity_ids):
         rows = table.entity_ids == e
@@ -435,7 +438,7 @@ def test_fitted_levels_od_table(brand_panel):
         DynamicInstrument("pp", 2), DynamicInstrument("bv", 2),
         DynamicInstrument("bt", 2)))
     res = fit_gmm(model, brand_panel, inst, weighting=ONE_STEP, on_singular="pinv")
-    table = fitted_and_levels(res)
+    table = res.fitted_levels
     assert table.entity_ids.size == 258
     assert res.sample_size == 258
     # transformed-scale R^2 is the squared correlation by definition
@@ -449,7 +452,7 @@ def test_fd_fitted_levels_anchor_on_lagged_actuals(brand_panel):
     inst = InstrumentSpec(dynamic=(DynamicInstrument("pp", 2),),
                           static=(StaticInstrument("bv"), StaticInstrument("bt")))
     res = fit_gmm(model, brand_panel, inst, weighting=ONE_STEP, on_singular="pinv")
-    table = fitted_and_levels(res)
+    table = res.fitted_levels
     pp = brand_panel.series["pp"]
     for i in range(min(50, table.entity_ids.size)):
         e, t = table.entity_ids[i], table.periods[i]
@@ -520,11 +523,12 @@ def test_fd_one_step_weight_equals_explicit_h():
 
 
 def test_moment_covariance_equals_entity_outer_products():
-    from dynpanel.estimators import _entity_starts, _scores
+    from dynpanel.estimators import _scores
+    from dynpanel.transforms import entity_starts
 
     _, _, design, Z = fd_design_and_instruments(gapped_panel())
     e = np.random.default_rng(1).standard_normal(design.n)
-    U = _scores(Z, e, _entity_starts(design.entity_ids))
+    U = _scores(Z, e, entity_starts(design.entity_ids))
     expected = sum(
         np.outer(Z[r].T @ e[r], Z[r].T @ e[r]) for r in entity_rows(design.entity_ids)
     )
@@ -565,15 +569,16 @@ def test_windmeijer_matches_entity_loop_reference():
 
 
 def test_entity_starts_rejects_interleaved_entities():
-    from dynpanel.estimators import _entity_starts
+    from dynpanel.transforms import entity_starts
 
-    assert _entity_starts(np.array([0, 0, 2, 2, 2, 5])).tolist() == [0, 2, 5]
+    assert entity_starts(np.array([0, 0, 2, 2, 2, 5])).tolist() == [0, 2, 5]
     with pytest.raises(ValueError, match="not grouped by entity"):
-        _entity_starts(np.array([0, 0, 1, 0]))
+        entity_starts(np.array([0, 0, 1, 0]))
 
 
 def test_pinv_weight_rank_matches_eigh_threshold_when_columns_exceed_entities():
-    from dynpanel.estimators import _entity_starts, _invert_weight, _scores
+    from dynpanel.estimators import _invert_weight, _scores
+    from dynpanel.transforms import entity_starts
 
     data = gapped_panel(seed=3, n=7, T=12)
     model = ar1_model(TransformKind.FIRST_DIFFERENCE)
@@ -585,7 +590,7 @@ def test_pinv_weight_rank_matches_eigh_threshold_when_columns_exceed_entities():
     n_entities = np.unique(one.entity_ids).size
     assert Z.shape[1] > n_entities
 
-    U = _scores(Z, one.residuals, _entity_starts(one.entity_ids))
+    U = _scores(Z, one.residuals, entity_starts(one.entity_ids))
     S = U.T @ U
     w, V = np.linalg.eigh(S)
     keep = w > 1e-12 * w[-1]

@@ -92,7 +92,7 @@ def test_round_trip_bit_for_bit(tmp_path, brand_panel):
 # wide-format ingestion
 
 def test_wide_table1_fixture(table1_path):
-    data = ingest_wide_csv(table1_path, "pp", total_label="TOTAL")
+    data = ingest_wide_csv(table1_path, "pp")
     assert data.n_periods == 11
     assert data.periods[0] == 2005 and data.periods[-1] == 2015
     assert "TOTAL SECTOR" not in data.entities

@@ -183,28 +183,21 @@ def test_quasi_demean_bad_theta():
 
 def test_dummies_full_set():
     ids = np.array([0, 0, 1, 2, 2, 2])
-    block, ents = expand_dummies(ids, 3)
+    block, ents = expand_dummies(ids)
     assert block.shape == (6, 3)
     assert list(block.sum(axis=0)) == [2, 1, 3]
     assert ents == [0, 1, 2]
 
 
-def test_dummies_drop_first():
-    ids = np.array([0, 1, 2])
-    block, ents = expand_dummies(ids, 3, drop_first=True)
-    assert block.shape == (3, 2)
-    assert ents == [1, 2]
-
-
 def test_dummies_row_indicator():
     ids = np.array([0, 1, 2])
-    block, _ = expand_dummies(ids, 3)
+    block, _ = expand_dummies(ids)
     assert list(block[1]) == [0, 1, 0]
 
 
 def test_dummies_need_two_entities():
     with pytest.raises(EstimationError):
-        expand_dummies(np.zeros(4, dtype=int), 1)
+        expand_dummies(np.zeros(4, dtype=int))
 
 
 # ---------------------------------------------------------------------------
