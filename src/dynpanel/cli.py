@@ -182,8 +182,6 @@ def _record(result: EstimationResult, report: DiagnosticsReport) -> dict:
         "cross_sections": result.cross_sections,
         "periods": result.periods_used,
         "steps": result.steps_taken,
-        "j": None,
-        "j_p": None,
         **report.to_json_dict(),
     }
 
@@ -209,10 +207,10 @@ def _render_column(rec: dict) -> str:
             f"{'J-statistic':<{width}}{_fmt(rec['j'])} ({_fmt(rec['j_p'])})"
             f"  df={rec['j_df']}"
         )
-    for t in rec.get("ar", ()):
+    for t in rec["ar"]:
         label = f"AR({t['order']})"
         lines.append(f"{label:<{width}}{_fmt(t['z'])} ({_fmt(t['p'])})")
-    vc = rec.get("variance_components")
+    vc = rec["variance_components"]
     if vc is not None:
         lines.append(f"{'rho_u/rho_e':<{width}}{_fmt(vc['rho_u'])} / {_fmt(vc['rho_e'])}")
         if vc["sigma_u2"] == 0.0:
@@ -298,7 +296,7 @@ def cmd_replicate(args) -> int:
             cells = ["-" if v is None else deco % (_fmt(v) if isinstance(v, float) else v)
                      for v in values]
             print(f"{label:<12}" + "".join(f"{c:>{colw}}" for c in cells))
-        re_vc = records["re"].get("variance_components")
+        re_vc = records["re"]["variance_components"]
         if re_vc is not None and re_vc["sigma_u2"] == 0.0:
             print("note: rho_u = 0; RE coefficients identical to pooled")
     _write_manifest(args, "replicate", [args.data], [], None)

@@ -79,7 +79,10 @@ def j_test(result: EstimationResult) -> JTestResult:
         W = result.weighting_matrix
         rank = result.weighting_rank or Z.shape[1]
     else:
-        W, rank = _invert_weight(result.moment_covariance, "pinv", "J test")
+        W, rank = _invert_weight(
+            result.moment_covariance, "pinv", "J test",
+            full_rank=result.instruments.rank == result.instruments.n_columns,
+        )
     rank = min(rank, result.instruments.rank)
     k = result.design_matrix.shape[1]
     df = rank - k
@@ -122,11 +125,11 @@ def _ar_tests(result: EstimationResult):
         design = build_design(model_fd, result.dataset)
         e, X = design.y - design.X @ result.coefficients, design.X
         entity_ids, periods = design.entity_ids, design.periods
-        Z = assemble(
+        zmat = assemble(
             result.instrument_spec, result.dataset, design.sample,
             transform=TransformKind.FIRST_DIFFERENCE,
-        ).matrix
-        W = None
+        )
+        Z, W = zmat.matrix, None
     else:
         raise DiagnosticError(
             "serial-correlation test is defined for FD or OD results, "
@@ -140,7 +143,9 @@ def _ar_tests(result: EstimationResult):
     by_key = np.argsort(key)
     U = _scores(Z, e, starts)
     if W is None:
-        W, _ = _invert_weight(None, "pinv", "AR test", U)
+        W, _ = _invert_weight(
+            None, "pinv", "AR test", U, full_rank=zmat.rank == zmat.n_columns
+        )
     G = Z.T @ X
     projected = _spd_inverse(G.T @ W @ G, "AR test projection") @ (G.T @ W) @ U.T
 
@@ -381,25 +386,25 @@ class DiagnosticsReport:
     variance_components: VarianceComponents | None = None
 
     def to_json_dict(self) -> dict:
-        out: dict = {}
-        if self.j is not None:
-            out["j"] = self.j.statistic
-            out["j_p"] = self.j.p_value
-            out["j_df"] = self.j.df
-        if self.ar_tests:
-            out["ar"] = [
+        """The same keys for every report: ``j``, ``j_p`` and ``j_df`` are
+        null without a J test, ``ar`` is empty without AR tests, and
+        ``variance_components`` is null without components."""
+        j, vc = self.j, self.variance_components
+        return {
+            "j": None if j is None else j.statistic,
+            "j_p": None if j is None else j.p_value,
+            "j_df": None if j is None else j.df,
+            "ar": [
                 {"order": t.order, "z": t.statistic, "p": t.p_value}
                 for t in self.ar_tests
-            ]
-        if self.variance_components is not None:
-            vc = self.variance_components
-            out["variance_components"] = {
+            ],
+            "variance_components": None if vc is None else {
                 "sigma_u2": vc.sigma_u2,
                 "sigma_e2": vc.sigma_e2,
                 "rho_u": vc.rho_u,
                 "rho_e": vc.rho_e,
-            }
-        return out
+            },
+        }
 
 
 def report_for(result: EstimationResult) -> DiagnosticsReport:

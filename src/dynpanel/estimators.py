@@ -644,16 +644,27 @@ def _scores(Z: np.ndarray, resid: np.ndarray, starts: np.ndarray) -> np.ndarray:
 
 
 def _invert_weight(
-    A: np.ndarray | None, on_singular: str, context: str, U: np.ndarray | None = None
+    A: np.ndarray | None,
+    on_singular: str,
+    context: str,
+    U: np.ndarray | None = None,
+    full_rank: bool = True,
 ) -> tuple[np.ndarray, int]:
     """Inverse of a weighting matrix, or its pseudo-inverse, and its rank.
 
-    The pseudo-inverse keeps eigenvalues above 1e-12 of the largest.
-    Given the entity scores U of A = U'U (A may then be None), they are
-    the s^2 of the thin SVD U' = V diag(s) P', and A^+ = V diag(1/s^2) V';
-    with fewer rows than columns in U, A is singular and never formed.
+    A Cholesky inverse is tried only when A can be nonsingular: when the
+    instruments behind it have full column rank (``full_rank``) and, given
+    scores U, there are no fewer entities than columns. Otherwise A is
+    singular in exact arithmetic, and a Cholesky that rounding lets
+    through would return an arbitrary inverse, so A is treated as
+    singular: ``on_singular='error'`` raises SingularWeightingError and
+    ``'pinv'`` returns the pseudo-inverse. That keeps eigenvalues above
+    1e-12 of the largest. Given the entity scores U of A = U'U (A may then
+    be None), they are the s^2 of the thin SVD U' = V diag(s) P', and
+    A^+ = V diag(1/s^2) V'; with fewer rows than columns in U, A is
+    never formed.
     """
-    if U is None or U.shape[0] >= U.shape[1]:
+    if full_rank and (U is None or U.shape[0] >= U.shape[1]):
         A = U.T @ U if A is None else A
         try:
             c, low = scipy.linalg.cho_factor(A)
@@ -709,10 +720,15 @@ def fit_gmm(
     applies the finite-sample correction to two-step/n-step standard
     errors.
 
-    ``on_singular='pinv'`` substitutes a pseudo-inverse when a weighting
-    matrix is singular, tracking the effective rank. For the moment
-    covariance S = U'U (U the N x L entity score matrix) it comes from
-    the thin SVD of U, with no Cholesky tried when N < L.
+    ``instruments`` is assembled on the design's sample and transform;
+    columns that the transform zeroes are pruned. A weighting matrix is
+    singular when the instrument matrix has less than full column rank
+    (``InstrumentMatrix.rank``) or, for the moment covariance S = U'U (U
+    the N x L entity score matrix), when N < L. A singular weight raises
+    SingularWeightingError; ``on_singular='pinv'`` substitutes its
+    pseudo-inverse instead and tracks the effective rank in
+    ``weighting_rank``. For S the pseudo-inverse comes from the thin SVD
+    of U.
     """
     design = build_design(model, data, components)
     y = design.y
@@ -731,9 +747,10 @@ def fit_gmm(
                         f"{list(names)}", names)
     v = Z.T @ y
     starts = entity_starts(design.entity_ids)
+    full_rank = zmat.rank == zmat.n_columns
 
     A1 = _one_step_weight_blocks(design, Z)
-    W, w_rank = _invert_weight(A1, on_singular, "one-step")
+    W, w_rank = _invert_weight(A1, on_singular, "one-step", full_rank=full_rank)
     W1 = W
     beta = _gmm_beta(G, W, v, names)
     steps = 1
@@ -744,7 +761,9 @@ def fit_gmm(
         converged = weighting.kind == "two_step"
         for _ in range(max_iter):
             U_prev = _scores(Z, y - X @ beta, starts)
-            W, w_rank = _invert_weight(None, on_singular, "moment covariance", U_prev)
+            W, w_rank = _invert_weight(
+                None, on_singular, "moment covariance", U_prev, full_rank
+            )
             beta_new = _gmm_beta(G, W, v, names)
             steps += 1
             delta = float(np.max(np.abs(beta_new - beta)))

@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -239,17 +239,7 @@ class McSummary:
 
     def to_json_dict(self) -> dict:
         return {
-            "dgp": {
-                "n_entities": self.dgp.n_entities,
-                "n_periods": self.dgp.n_periods,
-                "rho": self.dgp.rho,
-                "exogenous_betas": list(self.dgp.exogenous_betas),
-                "sigma_effect": self.dgp.sigma_effect,
-                "sigma_noise": self.dgp.sigma_noise,
-                "burn_in": self.dgp.burn_in,
-                "missingness": self.dgp.missingness,
-                "seed": self.dgp.seed,
-            },
+            "dgp": asdict(self.dgp),
             "reps": self.reps,
             "estimators": [
                 {

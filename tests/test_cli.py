@@ -221,6 +221,22 @@ def test_estimate_plain_fe(brand_panel_csv, tmp_path, capsys):
     assert "pp(-1)" in payload["coefficients"]
 
 
+def test_estimate_json_records_share_one_key_set(brand_panel_csv, tmp_path, capsys):
+    key_sets = set()
+    for spec in ("pooled", "fe", "re", "od", "fd"):
+        for plain in ((), ("--plain",)):
+            code, out, _ = run_cli(
+                capsys, "estimate", "--data", brand_panel_csv, "--spec", spec,
+                "--dep", "pp", "--exog", "bv", "--exog", "bt", "--on-singular", "pinv",
+                "--weighting", "one-step", *plain, "--out", "json",
+                "--output-dir", str(tmp_path),
+            )
+            assert code == 0
+            key_sets.add(tuple(json.loads(out)))
+    assert len(key_sets) == 1
+    assert {"j", "j_p", "j_df", "ar", "variance_components"} <= set(key_sets.pop())
+
+
 # ---------------------------------------------------------------------------
 # replicate
 

@@ -21,6 +21,7 @@ from dynpanel import (
     fit_random_effects,
     n_step,
 )
+from dynpanel.diagnostics import report_for
 from dynpanel.estimators import ExogTerm, ModelSpec, VarianceComponents, build_design
 from dynpanel.simulate import DgpSpec, ar1_model, generate
 from dynpanel.transforms import TransformKind
@@ -303,18 +304,58 @@ def test_gmm_od_recovers_rho_across_seeds():
         assert np.mean(est) == pytest.approx(0.5, abs=0.05)
 
 
-def test_gmm_entity_order_invariance():
-    dgp = DgpSpec(n_entities=50, n_periods=8, rho=0.5, seed=13)
-    data = generate(dgp)
-    rng = np.random.default_rng(0)
-    perm = rng.permutation(data.n_entities)
-    shuffled = data.subset([data.entities[i] for i in perm])
-    model = ar1_model(TransformKind.FIRST_DIFFERENCE)
-    inst = InstrumentSpec(dynamic=(DynamicInstrument("y", 2),),
-                          static=(StaticInstrument("x1"),))
-    r1 = fit_gmm(model, data, inst, weighting=TWO_STEP)
-    r2 = fit_gmm(model, shuffled, inst, weighting=TWO_STEP)
-    assert np.allclose(r1.coefficients, r2.coefficients, atol=1e-8)
+def _fd_od_fits(data, dep, exog, instruments):
+    """OD and FD fits with their reports at one, two and n steps, the last
+    two with and without the Windmeijer correction."""
+    fits = {}
+    for kind in (TransformKind.ORTHOGONAL_DEVIATION, TransformKind.FIRST_DIFFERENCE):
+        model = ModelSpec(dep, ar_lags=1, exogenous=exog, intercept=False, transform=kind)
+        for weighting in (ONE_STEP, TWO_STEP, n_step(max_iter=500)):
+            for windmeijer in (False,) if weighting is ONE_STEP else (False, True):
+                res = fit_gmm(model, data, instruments(kind), weighting=weighting,
+                              on_singular="pinv", windmeijer=windmeijer)
+                fits[kind.value, weighting.kind, windmeijer] = res, report_for(res)
+    return fits
+
+
+@pytest.fixture(scope="module")
+def order_invariance_cases(brand_panel):
+    """Per panel: the data, how to fit it, and its fits in the given order.
+
+    The brand panel's OD and FD instruments (108 and 135 columns) have
+    rank 107 and 131; the generated panel's have full rank.
+    """
+    brand_inst = InstrumentSpec(dynamic=(
+        DynamicInstrument("pp", 2), DynamicInstrument("bv", 2), DynamicInstrument("bt", 2)))
+    cases = {
+        "brand": (brand_panel, ("pp", (ExogTerm("bv"), ExogTerm("bt")), lambda _: brand_inst)),
+        "generated": (generate(DgpSpec(n_entities=50, n_periods=8, rho=0.5, seed=13)),
+                      ("y", (ExogTerm("x1"),), _ar1_instruments)),
+    }
+    return {name: (data, how, _fd_od_fits(data, *how)) for name, (data, how) in cases.items()}
+
+
+@pytest.mark.parametrize("panel", ["brand", "generated"])
+@settings(max_examples=6, derandomize=True, deadline=None)
+@given(draw=st.data(), shift=st.integers(-30, 30))
+def test_gmm_fits_do_not_depend_on_entity_order_or_year_labels(
+    order_invariance_cases, panel, draw, shift
+):
+    data, how, want = order_invariance_cases[panel]
+    perm = draw.draw(st.permutations(range(data.n_entities)))
+    moved = from_arrays([data.entities[i] for i in perm], [p + shift for p in data.periods],
+                        {name: s.values[perm] for name, s in data.series.items()})
+
+    def stats(res, report):
+        return np.array([*res.standard_errors, report.j.statistic,
+                         *(t.statistic for t in report.ar_tests)])
+
+    for key, (res, report) in _fd_od_fits(moved, *how).items():
+        ref, ref_report = want[key]
+        assert res.steps_taken == ref.steps_taken, key
+        assert len(report.ar_tests) == len(ref_report.ar_tests), key
+        assert np.allclose(res.coefficients, ref.coefficients, rtol=1e-10, atol=0), key
+        assert np.allclose(stats(res, report), stats(ref, ref_report), rtol=1e-8, atol=0), key
 
 
 def test_gmm_instrument_scaling_invariance():
@@ -375,6 +416,26 @@ def test_singular_weighting_error_and_pinv_escape():
         fit_gmm(model, data, inst, weighting=TWO_STEP)
     res = fit_gmm(model, data, inst, weighting=TWO_STEP, on_singular="pinv")
     assert res.weighting_rank <= 6
+
+
+def test_rank_deficient_instruments_make_the_one_step_weight_singular():
+    # Z is 48 x 37 of rank 36, so the one-step weight is singular; whether
+    # a Cholesky of it succeeds depends on rounding, and so on entity order
+    data = generate(DgpSpec(8, 10, rho=0.5, missingness=0.1, seed=21))
+    model = ar1_model(TransformKind.FIRST_DIFFERENCE)
+    inst = InstrumentSpec(dynamic=(DynamicInstrument("y", 2),),
+                          static=(StaticInstrument("x1"),))
+    rng = np.random.default_rng(21)
+    fits = []
+    for order in [np.arange(8)] + [rng.permutation(8) for _ in range(8)]:
+        shuffled = data.subset([data.entities[i] for i in order])
+        with pytest.raises(SingularWeightingError):
+            fit_gmm(model, shuffled, inst, weighting=ONE_STEP)
+        fits.append(fit_gmm(model, shuffled, inst, weighting=ONE_STEP, on_singular="pinv"))
+    assert fits[0].instruments.n_columns == 37 and fits[0].instruments.rank == 36
+    for res in fits:
+        assert res.weighting_rank == 36
+        assert np.allclose(res.coefficients, fits[0].coefficients, rtol=1e-10, atol=0)
 
 
 def test_gmm_windmeijer_correction_widens_se():

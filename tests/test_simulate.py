@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -143,6 +145,15 @@ def test_failures_recorded_and_excluded():
     assert est.n_failed == 3
     assert est.n_success == 0
     assert est.coef_stats == {}
+
+
+def test_summary_json_records_the_whole_dgp():
+    dgp = DgpSpec(n_entities=20, n_periods=6, rho=0.4, exogenous_betas=(1.0, -0.5),
+                  y0=2.0, effect_loading=0.7, seed=5)
+    summary = run_experiment(dgp, [fd_od_comparison_configs(n_x=2)[0]], reps=1)
+    recorded = json.loads(summary.to_json())["dgp"]
+    recorded["exogenous_betas"] = tuple(recorded["exogenous_betas"])
+    assert DgpSpec(**recorded) == dgp
 
 
 def test_seed_ledger():
