@@ -162,10 +162,10 @@ def _fit_one(spec: str, model: ModelSpec, data: PanelDataset, args) -> Estimatio
     )
 
 
-def _fmt(x: float, nd: int = 4) -> str:
+def _fmt(x: float) -> str:
     if x is None or (isinstance(x, float) and not np.isfinite(x)):
         return "-"
-    return f"{x:.{nd}f}"
+    return f"{x:.4f}"
 
 
 def _record(result: EstimationResult, report: DiagnosticsReport) -> dict:

@@ -79,10 +79,8 @@ def j_test(result: EstimationResult) -> JTestResult:
         W = result.weighting_matrix
         rank = result.weighting_rank or Z.shape[1]
     else:
-        W, rank = _invert_weight(
-            result.moment_covariance, "pinv", "J test",
-            full_rank=result.instruments.rank == result.instruments.n_columns,
-        )
+        W, rank = _invert_weight(result.moment_covariance, "pinv", "J test",
+                                 full_rank=result.instruments.rank == Z.shape[1])
     rank = min(rank, result.instruments.rank)
     k = result.design_matrix.shape[1]
     df = rank - k
@@ -119,7 +117,7 @@ def _ar_tests(result: EstimationResult):
     if result.transform is TransformKind.FIRST_DIFFERENCE:
         e, X = result.residuals, result.design_matrix
         entity_ids, periods = result.entity_ids, result.periods
-        Z, W = result.instruments.matrix, result.weighting_matrix
+        zmat, W = result.instruments, result.weighting_matrix
     elif result.transform is TransformKind.ORTHOGONAL_DEVIATION:
         model_fd = replace(result.model, transform=TransformKind.FIRST_DIFFERENCE)
         design = build_design(model_fd, result.dataset)
@@ -129,7 +127,7 @@ def _ar_tests(result: EstimationResult):
             result.instrument_spec, result.dataset, design.sample,
             transform=TransformKind.FIRST_DIFFERENCE,
         )
-        Z, W = zmat.matrix, None
+        W = None
     else:
         raise DiagnosticError(
             "serial-correlation test is defined for FD or OD results, "
@@ -141,11 +139,10 @@ def _ar_tests(result: EstimationResult):
     p0 = periods.min()
     key = entity_ids * (int(periods.max() - p0) + 1) + (periods - p0)
     by_key = np.argsort(key)
+    Z = zmat.matrix
     U = _scores(Z, e, starts)
     if W is None:
-        W, _ = _invert_weight(
-            None, "pinv", "AR test", U, full_rank=zmat.rank == zmat.n_columns
-        )
+        W, _ = _invert_weight(None, "pinv", "AR test", U, full_rank=zmat.rank == Z.shape[1])
     G = Z.T @ X
     projected = _spd_inverse(G.T @ W @ G, "AR test projection") @ (G.T @ W) @ U.T
 
@@ -386,9 +383,8 @@ class DiagnosticsReport:
     variance_components: VarianceComponents | None = None
 
     def to_json_dict(self) -> dict:
-        """The same keys for every report: ``j``, ``j_p`` and ``j_df`` are
-        null without a J test, ``ar`` is empty without AR tests, and
-        ``variance_components`` is null without components."""
+        """The same keys for every report; a test or component that the
+        report lacks is null (``ar``: empty)."""
         j, vc = self.j, self.variance_components
         return {
             "j": None if j is None else j.statistic,

@@ -332,7 +332,7 @@ def build_design(
     )
 
 
-def _check_rank(X: np.ndarray, names: Sequence[str], what: str = "regressor") -> None:
+def _check_rank(X: np.ndarray, names: Sequence[str]) -> None:
     """Raise RankError naming the dependent columns, via pivoted QR."""
     if X.shape[1] == 0:
         return
@@ -345,7 +345,7 @@ def _check_rank(X: np.ndarray, names: Sequence[str], what: str = "regressor") ->
     if rank < X.shape[1]:
         bad = [names[j] for j in piv[rank:]]
         raise RankError(
-            f"{what} matrix is rank deficient; collinear column(s): {bad}", bad
+            f"regressor matrix is rank deficient; collinear column(s): {bad}", bad
         )
 
 
@@ -644,25 +644,17 @@ def _scores(Z: np.ndarray, resid: np.ndarray, starts: np.ndarray) -> np.ndarray:
 
 
 def _invert_weight(
-    A: np.ndarray | None,
-    on_singular: str,
-    context: str,
-    U: np.ndarray | None = None,
+    A: np.ndarray | None, on_singular: str, context: str, U: np.ndarray | None = None,
     full_rank: bool = True,
 ) -> tuple[np.ndarray, int]:
     """Inverse of a weighting matrix, or its pseudo-inverse, and its rank.
 
-    A Cholesky inverse is tried only when A can be nonsingular: when the
-    instruments behind it have full column rank (``full_rank``) and, given
-    scores U, there are no fewer entities than columns. Otherwise A is
-    singular in exact arithmetic, and a Cholesky that rounding lets
-    through would return an arbitrary inverse, so A is treated as
-    singular: ``on_singular='error'`` raises SingularWeightingError and
-    ``'pinv'`` returns the pseudo-inverse. That keeps eigenvalues above
-    1e-12 of the largest. Given the entity scores U of A = U'U (A may then
-    be None), they are the s^2 of the thin SVD U' = V diag(s) P', and
-    A^+ = V diag(1/s^2) V'; with fewer rows than columns in U, A is
-    never formed.
+    A is singular when its instruments lack full column rank (``full_rank``
+    false) or, given the entity scores U of A = U'U (A may then be None),
+    when U has fewer rows than columns. Only otherwise is a Cholesky tried,
+    since rounding can let one through on a singular A. The pseudo-inverse
+    keeps eigenvalues above 1e-12 of the largest; given U they are the s^2
+    of the thin SVD U' = V diag(s) P', and A^+ = V diag(1/s^2) V'.
     """
     if full_rank and (U is None or U.shape[0] >= U.shape[1]):
         A = U.T @ U if A is None else A
@@ -720,15 +712,11 @@ def fit_gmm(
     applies the finite-sample correction to two-step/n-step standard
     errors.
 
-    ``instruments`` is assembled on the design's sample and transform;
-    columns that the transform zeroes are pruned. A weighting matrix is
-    singular when the instrument matrix has less than full column rank
-    (``InstrumentMatrix.rank``) or, for the moment covariance S = U'U (U
-    the N x L entity score matrix), when N < L. A singular weight raises
-    SingularWeightingError; ``on_singular='pinv'`` substitutes its
-    pseudo-inverse instead and tracks the effective rank in
-    ``weighting_rank``. For S the pseudo-inverse comes from the thin SVD
-    of U.
+    ``instruments`` is assembled on the design's sample. A weight is
+    singular when the instruments lack full column rank or, for the moment
+    covariance S = U'U (U the N x L entity score matrix), when N < L; it
+    raises SingularWeightingError, or with ``on_singular='pinv'`` is
+    replaced by its pseudo-inverse, tracking the effective rank.
     """
     design = build_design(model, data, components)
     y = design.y
@@ -761,9 +749,8 @@ def fit_gmm(
         converged = weighting.kind == "two_step"
         for _ in range(max_iter):
             U_prev = _scores(Z, y - X @ beta, starts)
-            W, w_rank = _invert_weight(
-                None, on_singular, "moment covariance", U_prev, full_rank
-            )
+            W, w_rank = _invert_weight(None, on_singular, "moment covariance",
+                                       U_prev, full_rank=full_rank)
             beta_new = _gmm_beta(G, W, v, names)
             steps += 1
             delta = float(np.max(np.abs(beta_new - beta)))
