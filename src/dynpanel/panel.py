@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import csv
 import math
+from itertools import compress
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Mapping, NoReturn, Sequence
 
 import numpy as np
 
@@ -134,19 +135,17 @@ class PanelDataset:
         Values are written with ``repr`` so a round-trip through
         :func:`ingest_long_csv` reproduces them bit for bit.
         """
-        names = list(self.series)
+        rows, cols = np.nonzero(np.logical_or.reduce([s.mask for s in self.series.values()]))
+        cells = [
+            [repr(x) if m else "" for x, m in zip(s.values[rows, cols].tolist(),
+                                                  s.mask[rows, cols].tolist())]
+            for s in self.series.values()
+        ]
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["entity", "period", *names])
-            for i, entity in enumerate(self.entities):
-                for j, period in enumerate(self.periods):
-                    if not any(self.series[n].mask[i, j] for n in names):
-                        continue
-                    row = [entity, str(period)]
-                    for n in names:
-                        s = self.series[n]
-                        row.append(repr(float(s.values[i, j])) if s.mask[i, j] else "")
-                    writer.writerow(row)
+            writer.writerow(["entity", "period", *self.series])
+            writer.writerows(zip([self.entities[i] for i in rows.tolist()],
+                                 [str(self.periods[j]) for j in cols.tolist()], *cells))
 
 
 def from_arrays(
@@ -174,13 +173,49 @@ def _parse_cell(token: str) -> tuple[float, bool]:
     return value, True
 
 
+def _raise_first_fault(path, header: list[str], raw: list[list[str]]) -> NoReturn:
+    """Raise the long-CSV error of the first faulty row, once a column check has failed."""
+    var_names = [h.strip() for h in header[2:]]
+    rows = []
+    for lineno, row in enumerate(raw, start=2):
+        if not "".join(row).strip():
+            continue
+        if len(row) != len(header):
+            raise DataError(f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")
+        try:
+            rows.append((lineno, row[0].strip(), int(row[1].strip()), row[2:]))
+        except ValueError:
+            raise DataError(f"{path}:{lineno}: period {row[1]!r} is not an integer") from None
+    seen: dict[tuple[str, int], int] = {}
+    for lineno, entity, period, cells in rows:
+        if (entity, period) in seen:
+            raise DataError(
+                f"{path}:{lineno}: duplicate row for ({entity}, {period}), "
+                f"first seen at line {seen[entity, period]}"
+            )
+        seen[entity, period] = lineno
+        for v, token in zip(var_names, cells):
+            try:
+                _parse_cell(token)
+            except ValueError:
+                raise DataError(
+                    f"{path}:{lineno}: cell ({entity}, {period}, {v}) "
+                    f"value {token!r} is not a finite number"
+                ) from None
+    raise AssertionError(f"{path}: a column check failed but no row is at fault")
+
+
 def ingest_long_csv(path) -> PanelDataset:
     """Read a long-format CSV with header ``entity,period,<var1>,...``.
 
     Entity order is first appearance; the period axis spans the observed
-    min..max range. A cell in ``MISSING_TOKENS`` is absent. Duplicate
-    (entity, period) rows and unparseable or non-finite cells are rejected
-    with their location.
+    min..max range. Variable names must be non-empty and distinct; blank
+    rows are skipped. A cell in ``MISSING_TOKENS`` is absent, any other
+    must be a finite number (commas are thousands separators). The error
+    raised names the first fault of: (1) a wrong field count or non-integer
+    period, in line order; (2) no data rows; (3) a duplicate (entity,
+    period) row or a bad cell, in line order, the key before the cells and
+    cells in header order.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -188,62 +223,52 @@ def ingest_long_csv(path) -> PanelDataset:
             header = next(reader)
         except StopIteration:
             raise DataError(f"{path}: empty file") from None
-        if len(header) < 3 or header[0].strip().lower() != "entity" or header[1].strip().lower() != "period":
-            raise DataError(f"{path}: expected header 'entity,period,<var>,...', got {header}")
-        var_names = [h.strip() for h in header[2:]]
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) != len(header):
-                raise DataError(f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")
-            entity = row[0].strip()
-            try:
-                period = int(row[1].strip())
-            except ValueError:
-                raise DataError(f"{path}:{lineno}: period {row[1]!r} is not an integer") from None
-            rows.append((lineno, entity, period, row[2:]))
+        raw = list(reader)
+    if len(header) < 3 or header[0].strip().lower() != "entity" or header[1].strip().lower() != "period":
+        raise DataError(f"{path}: expected header 'entity,period,<var>,...', got {header}")
+    var_names = [h.strip() for h in header[2:]]
+    for k, name in enumerate(var_names):
+        if not name or name in var_names[:k]:
+            raise DataError(f"{path}: header cell {k + 3} {header[k + 2]!r} is empty or repeated")
+    rows = [row for row in raw if "".join(row).strip()]
+    if set(map(len, rows)) - {len(header)}:
+        _raise_first_fault(path, header, raw)
     if not rows:
         raise DataError(f"{path}: no data rows")
+    columns = list(zip(*rows))
+    try:
+        period = np.array(list(map(int, map(str.strip, columns[1]))))
+    except ValueError:
+        _raise_first_fault(path, header, raw)
 
-    entities: list[str] = []
-    entity_pos: dict[str, int] = {}
-    for _, entity, _, _ in rows:
-        if entity not in entity_pos:
-            entity_pos[entity] = len(entities)
-            entities.append(entity)
-    pmin = min(r[2] for r in rows)
-    pmax = max(r[2] for r in rows)
+    names = list(map(str.strip, columns[0]))
+    entity_pos = {e: i for i, e in enumerate(dict.fromkeys(names))}
+    pmin, pmax = int(period.min()), int(period.max())
     periods = tuple(range(pmin, pmax + 1))
-
-    shape = (len(entities), len(periods))
-    values = {v: np.full(shape, np.nan) for v in var_names}
-    masks = {v: np.zeros(shape, dtype=bool) for v in var_names}
-    seen: dict[tuple[str, int], int] = {}
-    for lineno, entity, period, cells in rows:
-        key = (entity, period)
-        if key in seen:
-            raise DataError(
-                f"{path}:{lineno}: duplicate row for ({entity}, {period}), "
-                f"first seen at line {seen[key]}"
-            )
-        seen[key] = lineno
-        i = entity_pos[entity]
-        j = period - pmin
-        for v, token in zip(var_names, cells):
-            try:
-                val, present = _parse_cell(token)
-            except ValueError:
-                raise DataError(
-                    f"{path}:{lineno}: cell ({entity}, {period}, {v}) "
-                    f"value {token!r} is not a finite number"
-                ) from None
-            if present:
-                values[v][i, j] = val
-                masks[v][i, j] = True
-
-    series = {v: PanelSeries(values[v], masks[v]) for v in var_names}
-    return PanelDataset(tuple(entities), periods, series)
+    shape = (len(entity_pos), len(periods))
+    key = np.array([entity_pos[e] for e in names]) * len(periods) + (period - pmin)
+    fault = np.bincount(key).max() > 1
+    series = {}
+    for v, column in zip(var_names, columns[2:]):
+        text = list(map(str.strip, column))
+        present = ~np.fromiter(map(MISSING_TOKENS.__contains__, text), bool, len(text))
+        tokens = compress(text, present)
+        if "," in "".join(text):  # thousands separators, as _parse_cell drops them
+            tokens = (t.replace(",", "") for t in tokens)
+        try:
+            parsed = np.fromiter(map(float, tokens), float)
+        except ValueError:
+            fault = True
+            continue
+        fault = fault or not np.isfinite(parsed).all()
+        values = np.full(shape, np.nan)
+        mask = np.zeros(shape, dtype=bool)
+        values.reshape(-1)[key[present]] = parsed
+        mask.reshape(-1)[key[present]] = True
+        series[v] = PanelSeries(values, mask)
+    if fault:
+        _raise_first_fault(path, header, raw)
+    return PanelDataset(tuple(entity_pos), periods, series)
 
 
 def ingest_wide_csv(path, variable_name: str) -> PanelDataset:
@@ -273,6 +298,7 @@ def ingest_wide_csv(path, variable_name: str) -> PanelDataset:
             raise DataError(f"{path}: year headers must be consecutive, got {year_labels}")
 
         rows: list[tuple[int, str, list[str]]] = []
+        entity_line: dict[str, int] = {}
         total_row = None
         for lineno, row in enumerate(reader, start=2):
             if not row or all(not c.strip() for c in row):
@@ -283,10 +309,13 @@ def ingest_wide_csv(path, variable_name: str) -> PanelDataset:
                 )
             name = row[0].strip()
             if name.upper().startswith("TOTAL"):
+                if total_row:
+                    raise DataError(f"{path}:{lineno}: second TOTAL row, first at line {total_row[0]}")
                 total_row = (lineno, name, row[1:])
-            elif any(name == r[1] for r in rows):
+            elif name in entity_line:
                 raise DataError(f"{path}:{lineno}: duplicate entity {name!r}")
             else:
+                entity_line[name] = lineno
                 rows.append((lineno, name, row[1:]))
     if not rows:
         raise DataError(f"{path}: no entity rows")

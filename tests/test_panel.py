@@ -1,11 +1,16 @@
 import csv
+import io
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dynpanel import (
     AlignmentError,
     DataError,
+    PanelDataset,
+    PanelSeries,
     align,
     describe,
     from_arrays,
@@ -13,7 +18,7 @@ from dynpanel import (
     ingest_long_csv,
     ingest_wide_csv,
 )
-from dynpanel.panel import lagged_grid
+from dynpanel.panel import MISSING_TOKENS, lagged_grid
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -88,6 +93,209 @@ def test_round_trip_bit_for_bit(tmp_path, brand_panel):
         assert np.array_equal(a.values[a.mask], b.values[b.mask])
 
 
+def test_long_duplicate_variable_name_rejected(tmp_path):
+    # the two x columns used to merge into one series, x = [5, 2]
+    path = write(tmp_path, "entity,period,x, x\na,2010,1,5\na,2011,2,\n")
+    with pytest.raises(DataError, match=r"data.csv: header cell 4 ' x' is empty or repeated"):
+        ingest_long_csv(path)
+
+
+def test_long_empty_variable_name_rejected(tmp_path):
+    path = write(tmp_path, "entity,period,,x\na,2010,1,5\n")
+    with pytest.raises(DataError, match=r"data.csv: header cell 3 '' is empty or repeated"):
+        ingest_long_csv(path)
+
+
+def test_long_quoted_entity_with_comma(tmp_path):
+    path = write(tmp_path, 'entity,period,x\n"Firm, Inc.",2010,"1,250.5"\n')
+    data = ingest_long_csv(path)
+    assert data.entities == ("Firm, Inc.",)
+    assert data.series["x"].values.tolist() == [[1250.5]]
+
+
+def reference_ingest_long_csv(path) -> PanelDataset:
+    """Per-row, per-cell long-CSV reader that ingest_long_csv must match."""
+
+    def parse_cell(token):
+        text = token.strip()
+        if text in MISSING_TOKENS:
+            return np.nan, False
+        value = float(text.replace(",", ""))
+        if not math.isfinite(value):
+            raise ValueError(text)
+        return value, True
+
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise DataError(f"{path}: empty file") from None
+        if len(header) < 3 or header[0].strip().lower() != "entity" or header[1].strip().lower() != "period":
+            raise DataError(f"{path}: expected header 'entity,period,<var>,...', got {header}")
+        var_names = [h.strip() for h in header[2:]]
+        rows = []
+        for lineno, row in enumerate(reader, start=2):
+            if not row or all(not c.strip() for c in row):
+                continue
+            if len(row) != len(header):
+                raise DataError(f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")
+            entity = row[0].strip()
+            try:
+                period = int(row[1].strip())
+            except ValueError:
+                raise DataError(f"{path}:{lineno}: period {row[1]!r} is not an integer") from None
+            rows.append((lineno, entity, period, row[2:]))
+    if not rows:
+        raise DataError(f"{path}: no data rows")
+
+    entities: list[str] = []
+    entity_pos: dict[str, int] = {}
+    for _, entity, _, _ in rows:
+        if entity not in entity_pos:
+            entity_pos[entity] = len(entities)
+            entities.append(entity)
+    pmin = min(r[2] for r in rows)
+    pmax = max(r[2] for r in rows)
+    periods = tuple(range(pmin, pmax + 1))
+    shape = (len(entities), len(periods))
+    values = {v: np.full(shape, np.nan) for v in var_names}
+    masks = {v: np.zeros(shape, dtype=bool) for v in var_names}
+    seen: dict[tuple[str, int], int] = {}
+    for lineno, entity, period, cells in rows:
+        key = (entity, period)
+        if key in seen:
+            raise DataError(
+                f"{path}:{lineno}: duplicate row for ({entity}, {period}), "
+                f"first seen at line {seen[key]}"
+            )
+        seen[key] = lineno
+        i = entity_pos[entity]
+        j = period - pmin
+        for v, token in zip(var_names, cells):
+            try:
+                val, present = parse_cell(token)
+            except ValueError:
+                raise DataError(
+                    f"{path}:{lineno}: cell ({entity}, {period}, {v}) "
+                    f"value {token!r} is not a finite number"
+                ) from None
+            if present:
+                values[v][i, j] = val
+                masks[v][i, j] = True
+    series = {v: PanelSeries(values[v], masks[v]) for v in var_names}
+    return PanelDataset(tuple(entities), periods, series)
+
+
+def _pad(token):
+    return st.sampled_from(["", " ", "\t", "\x1c"]).map(lambda p: p + token + p[::-1])
+
+
+GOOD_CELLS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.sampled_from(["-0.0", "5e-324", "1,234.5", "12,0", "1_000", "7"]).flatmap(_pad),
+)
+MISSING_CELLS = st.sampled_from(sorted(MISSING_TOKENS)).flatmap(_pad)
+BAD_CELLS = st.sampled_from(["abc", "nan", "inf", "-Infinity", ",", "1.2.3", "--1"])
+CLEAN_CELLS = st.one_of(*[GOOD_CELLS] * 4, MISSING_CELLS)
+CELLS = st.one_of(*[CLEAN_CELLS] * 30, BAD_CELLS)
+ENTITIES = st.sampled_from(["a", " a ", "b", "Firm, Inc.", 'Say "hi", Ltd', "z"])
+CLEAN_PERIODS = st.integers(2000, 2009).map(str).flatmap(_pad)
+PERIODS = st.one_of(*[CLEAN_PERIODS] * 40, st.sampled_from(["20x", "", "2001.0", "-3"]))
+
+
+@st.composite
+def long_csv_texts(draw):
+    """Small long CSVs; half hold no fault, the rest mix every fault the reader names."""
+    clean = draw(st.booleans())
+    n_vars = draw(st.integers(1, 3))
+    header = ["entity", " Period ", *["x", " y ", "z"][:n_vars]]
+    lines, keys = [header], set()
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from(["row"] * 30 + ["blank"] * 2 + ["spaces"] * 2 + ["ragged"]))
+        if kind == "blank":
+            lines.append([])
+        elif kind == "spaces":
+            lines.append(draw(st.lists(st.sampled_from(["", " ", "\t"]), min_size=1, max_size=4)))
+        elif clean:
+            row = [draw(ENTITIES), draw(CLEAN_PERIODS)]
+            if (row[0].strip(), int(row[1].strip())) not in keys:
+                keys.add((row[0].strip(), int(row[1].strip())))
+                lines.append(row + draw(st.lists(CLEAN_CELLS, min_size=n_vars, max_size=n_vars)))
+        else:
+            cells = draw(st.lists(CELLS, min_size=n_vars, max_size=n_vars))
+            row = [draw(ENTITIES), draw(PERIODS), *cells]
+            if kind == "ragged":
+                row = row[:-1] if draw(st.booleans()) else row + ["1"]
+            lines.append(row)
+    out = io.StringIO()
+    csv.writer(out, lineterminator=draw(st.sampled_from(["\n", "\r\n"]))).writerows(lines)
+    return out.getvalue()
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(long_csv_texts())
+def test_long_reader_matches_per_row_reference(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("long") / "data.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    outcomes = []
+    for reader in (ingest_long_csv, reference_ingest_long_csv):
+        try:
+            outcomes.append(reader(path))
+        except DataError as exc:
+            outcomes.append(str(exc))
+    got, want = outcomes
+    if isinstance(want, str):
+        assert got == want
+        return
+    assert got.entities == want.entities
+    assert got.periods == want.periods
+    assert got.variables == want.variables
+    for name in want.variables:
+        assert got.series[name].values.tobytes() == want.series[name].values.tobytes()
+        assert np.array_equal(got.series[name].mask, want.series[name].mask)
+
+
+def reference_to_long_csv(data: PanelDataset, path) -> None:
+    """Per-cell long-CSV writer that PanelDataset.to_long_csv must match byte for byte."""
+    names = list(data.series)
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["entity", "period", *names])
+        for i, entity in enumerate(data.entities):
+            for j, period in enumerate(data.periods):
+                if not any(data.series[n].mask[i, j] for n in names):
+                    continue
+                row = [entity, str(period)]
+                for n in names:
+                    s = data.series[n]
+                    row.append(repr(float(s.values[i, j])) if s.mask[i, j] else "")
+                writer.writerow(row)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_to_long_csv_matches_per_cell_writer(tmp_path, seed):
+    rng = np.random.default_rng(seed)
+    n, T = int(rng.integers(1, 12)), int(rng.integers(1, 9))
+    names = ["a", "Firm, Inc.", 'Say "hi"', "x,y\"z"] + [f"e{i}" for i in range(n)]
+    variables = {}
+    for v in ("y", "x1", "x2"):
+        values = rng.standard_normal((n, T)) * 10.0 ** rng.integers(-5, 6, (n, T))
+        specials = rng.choice([-0.0, 0.0, 5e-324, -5e-324, 1e308], size=(n, T))
+        values = np.where(rng.random((n, T)) < 0.2, specials, values)
+        values[rng.random((n, T)) < 0.3] = np.nan
+        variables[v] = values
+    variables["y"][:, [0, -1]] = -0.0  # every entity and both end periods stay present
+    data = from_arrays(names[:n], range(1990, 1990 + T), variables)
+    data.to_long_csv(tmp_path / "got.csv")
+    reference_to_long_csv(data, tmp_path / "want.csv")
+    got = (tmp_path / "got.csv").read_bytes()
+    assert got == (tmp_path / "want.csv").read_bytes()
+    back = ingest_long_csv(tmp_path / "got.csv")
+    for v in variables:
+        assert back.series[v].values.tobytes() == data.series[v].values.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # wide-format ingestion
 
@@ -149,6 +357,18 @@ def test_wide_total_row_parsed_like_cells(tmp_path):
     path = write(tmp_path, 'name,2005,2006\nfirm,1,2\nTOTAL," 1,001.5",3\n')
     data = ingest_wide_csv(path, "pp")
     assert data.checksums["pp"].tolist() == [1001.5, 3.0]
+
+
+def test_wide_second_total_row_rejected(tmp_path):
+    path = write(tmp_path, "name,2005,2006\nTOTAL,1,2\nfirm,1,2\nTotal sector,1,2\n")
+    with pytest.raises(DataError, match=r"data.csv:4: second TOTAL row, first at line 2"):
+        ingest_wide_csv(path, "pp")
+
+
+def test_wide_duplicate_entity(tmp_path):
+    path = write(tmp_path, "name,2005\nfirm,1\nother,2\nfirm,3\n")
+    with pytest.raises(DataError, match=r"data.csv:4: duplicate entity 'firm'"):
+        ingest_wide_csv(path, "pp")
 
 
 def test_wide_ragged_row(tmp_path):
