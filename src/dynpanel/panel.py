@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import csv
 import math
-from itertools import compress
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import Mapping, NoReturn, Sequence
 
 import numpy as np
@@ -236,17 +236,17 @@ def ingest_long_csv(path) -> PanelDataset:
     if not rows:
         raise DataError(f"{path}: no data rows")
     columns = list(zip(*rows))
-    try:
-        period = np.array(list(map(int, map(str.strip, columns[1]))))
+    try:  # parse each distinct token once
+        period_of = {t: int(t.strip()) for t in dict.fromkeys(columns[1])}
     except ValueError:
         _raise_first_fault(path, header, raw)
-
-    names = list(map(str.strip, columns[0]))
-    entity_pos = {e: i for i, e in enumerate(dict.fromkeys(names))}
+    period = np.array(list(map(period_of.__getitem__, columns[1])))
+    codes: dict[str, int] = {}  # entity code by stripped name, in first-appearance order
+    entity_of = {t: codes.setdefault(t.strip(), len(codes)) for t in dict.fromkeys(columns[0])}
     pmin, pmax = int(period.min()), int(period.max())
     periods = tuple(range(pmin, pmax + 1))
-    shape = (len(entity_pos), len(periods))
-    key = np.array([entity_pos[e] for e in names]) * len(periods) + (period - pmin)
+    shape = (len(codes), len(periods))
+    key = np.array(list(map(entity_of.__getitem__, columns[0]))) * len(periods) + (period - pmin)
     fault = np.bincount(key).max() > 1
     series = {}
     for v, column in zip(var_names, columns[2:]):
@@ -268,7 +268,7 @@ def ingest_long_csv(path) -> PanelDataset:
         series[v] = PanelSeries(values, mask)
     if fault:
         _raise_first_fault(path, header, raw)
-    return PanelDataset(tuple(entity_pos), periods, series)
+    return PanelDataset(tuple(codes), periods, series)
 
 
 def ingest_wide_csv(path, variable_name: str) -> PanelDataset:
