@@ -94,7 +94,6 @@ def test_round_trip_bit_for_bit(tmp_path, brand_panel):
 
 
 def test_long_duplicate_variable_name_rejected(tmp_path):
-    # the two x columns used to merge into one series, x = [5, 2]
     path = write(tmp_path, "entity,period,x, x\na,2010,1,5\na,2011,2,\n")
     with pytest.raises(DataError, match=r"data.csv: header cell 4 ' x' is empty or repeated"):
         ingest_long_csv(path)
@@ -236,7 +235,7 @@ def long_csv_texts(draw):
 @settings(max_examples=400, derandomize=True, deadline=None)
 @given(long_csv_texts())
 def test_long_reader_matches_per_row_reference(tmp_path_factory, text):
-    path = tmp_path_factory.mktemp("long") / "data.csv"
+    path = tmp_path_factory.getbasetemp() / "data.csv"
     path.write_text(text, encoding="utf-8", newline="")
     outcomes = []
     for reader in (ingest_long_csv, reference_ingest_long_csv):
@@ -292,6 +291,7 @@ def test_to_long_csv_matches_per_cell_writer(tmp_path, seed):
     got = (tmp_path / "got.csv").read_bytes()
     assert got == (tmp_path / "want.csv").read_bytes()
     back = ingest_long_csv(tmp_path / "got.csv")
+    assert back.entities == data.entities
     for v in variables:
         assert back.series[v].values.tobytes() == data.series[v].values.tobytes()
 
