@@ -147,7 +147,7 @@ def _fit_one(spec: str, model: ModelSpec, data: PanelDataset, args) -> Estimatio
         if spec == "pooled":
             return fit_pooled(model, data)
         if spec == "fe":
-            return fit_fixed_effects(model, data, method=args.fe_method)
+            return fit_fixed_effects(model, data)
         return fit_random_effects(model, data)
     if args.instruments:
         with _spec_errors():
@@ -245,15 +245,12 @@ def cmd_estimate(args) -> int:
     return 0
 
 
-REPLICATE_SPECS = ("pooled", "fe", "re", "od", "fd")
-
-
 def _replicate_rows(records: dict[str, dict]):
     """The replicate grid, row by row: (CSV label, table label, table cell
     format, one value per spec). Each parameter of any spec gives a
     coefficient, SE and t row, None where a spec has no such parameter;
     R-squared, J, its p-value and n follow."""
-    cols = [records[s] for s in REPLICATE_SPECS]
+    cols = [records[s] for s in SPEC_CHOICES]
     for name in dict.fromkeys(n for r in cols for n in r["coefficients"]):
         for key, suffix, label, deco in (("coefficients", "", name, "%s"),
                                          ("se", ":se", "", "(%s)"), ("t", ":t", "", "[%s]")):
@@ -276,7 +273,7 @@ def cmd_replicate(args) -> int:
     exog = tuple(ExogTerm(v, 0) for v in args.exog_vars)
     weighting = Weighting.parse(args.weighting, max_iter=args.max_iter, tol=args.tol)
     records = {}
-    for spec in REPLICATE_SPECS:
+    for spec in SPEC_CHOICES:
         model = _model_for(spec, args.dep, 1, exog, None)
         inst = _default_instruments(spec, model)
         result = fit_gmm(model, data, inst, weighting=weighting, on_singular="pinv")
@@ -285,12 +282,12 @@ def cmd_replicate(args) -> int:
     if args.out == "json":
         print(json.dumps(records, indent=2, sort_keys=True))
     elif args.out == "csv":
-        print("row," + ",".join(REPLICATE_SPECS))
+        print("row," + ",".join(SPEC_CHOICES))
         for label, _, _, values in _replicate_rows(records):
             print(label + "," + ",".join("" if v is None else repr(v) for v in values))
     else:
         colw = 14
-        header = f"{'':<12}" + "".join(f"{s:>{colw}}" for s in REPLICATE_SPECS)
+        header = f"{'':<12}" + "".join(f"{s:>{colw}}" for s in SPEC_CHOICES)
         print(header + "\n" + "-" * len(header))
         for _, label, deco, values in _replicate_rows(records):
             cells = ["-" if v is None else deco % (_fmt(v) if isinstance(v, float) else v)
@@ -342,8 +339,7 @@ def cmd_simulate(args) -> int:
     print(f"wrote {csv_path} and {json_path}")
     print(f"seed ledger: root seed {dgp.seed}, replications 0..{args.reps - 1}")
     for est in summary.estimators:
-        focus = f"{'y(-1)'}"
-        stats = est.coef_stats.get(focus)
+        stats = est.coef_stats.get("y(-1)")
         if stats:
             print(
                 f"{est.name}: mean rho_hat {stats.mean:.4f} "
@@ -416,11 +412,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_est.add_argument("--instruments", help="dyn(VAR,S[,B])[:collapse], "
                        "static(VAR,F..T), intercept; comma-separated")
     p_est.add_argument("--plain", action="store_true",
-                       help="plain OLS/LSDV/GLS instead of instrumented GMM "
+                       help="plain OLS/within/GLS instead of instrumented GMM "
                             "for pooled/fe/re")
     p_est.add_argument("--intercept", action=argparse.BooleanOptionalAction,
                        default=None)
-    p_est.add_argument("--fe-method", default="within", choices=["within", "lsdv"])
     p_est.add_argument("--on-singular", default="error", choices=["error", "pinv"])
     p_est.add_argument("--windmeijer", action="store_true")
     p_est.add_argument("--out", default="table", choices=["table", "csv", "json"])

@@ -1,10 +1,11 @@
 """Specification tests and model selection.
 
 Hansen J overidentification test, Arellano-Bond serial correlation
-test on differenced residuals, Swamy-Arora variance components,
-the Hausman fixed-vs-random comparison (with an explicit invalidity
-flag for the degenerate zero-variance case), and information-criterion
-lag selection.
+test on differenced residuals, the Hausman fixed-vs-random comparison
+(with an explicit invalidity flag for the degenerate zero-variance
+case), and information-criterion lag selection. ``swamy_arora`` is
+defined in :mod:`estimators`, next to the design it is estimated from,
+and re-exported here.
 """
 
 from __future__ import annotations
@@ -27,10 +28,11 @@ from .estimators import (
     _scores,
     _spd_inverse,
     build_design,
+    swamy_arora,
 )
 from .instruments import assemble
 from .panel import PanelDataset, align
-from .transforms import TransformKind, entity_means, entity_starts
+from .transforms import TransformKind, entity_starts
 
 
 def chi_square_sf(x: float, df: int) -> float:
@@ -182,50 +184,6 @@ def ab_serial_correlation(result: EstimationResult, order: int = 2) -> ArTestRes
     standard normal under the null of no order-m correlation.
     """
     return _ar_tests(result)(order)
-
-
-def swamy_arora(model: ModelSpec, data: PanelDataset) -> VarianceComponents:
-    """Swamy-Arora variance components from within and between steps.
-
-    sigma_e^2 is the within mean squared residual with N+k degrees of
-    freedom removed; sigma_u^2 comes from the between regression with
-    the harmonic-mean correction for unbalanced entity lengths and is
-    floored at zero.
-    """
-    design = build_design(
-        replace(model, effects="fixed", transform=TransformKind.WITHIN), data
-    )
-    Xw, yw = design.X, design.y
-    starts = entity_starts(design.entity_ids)
-    n, k, n_ent = design.n, Xw.shape[1], starts.size
-    df_within = n - n_ent - k
-    if df_within <= 0:
-        raise EstimationError(
-            f"non-positive within degrees of freedom ({df_within}); "
-            "panel too short for variance components"
-        )
-    beta_w = _ols(yw, Xw, design.x_names)
-    resid_w = yw - Xw @ beta_w
-    sigma_e2 = float(resid_w @ resid_w) / df_within
-
-    ybar = entity_means(design.y_level, starts)
-    xbar = entity_means(design.X_level, starts)
-    counts = np.diff(starts, append=n)
-    Xb = np.column_stack([xbar, np.ones(n_ent)])
-    df_between = n_ent - (k + 1)
-    if df_between <= 0:
-        raise EstimationError(
-            f"too few entities ({n_ent}) for the between regression with {k} slopes"
-        )
-    beta_b, *_ = np.linalg.lstsq(Xb, ybar, rcond=None)
-    resid_b = ybar - Xb @ beta_b
-    mse_between = float(resid_b @ resid_b) / df_between
-    t_harmonic = n_ent / float(np.sum(1.0 / counts))
-    sigma_u2 = mse_between - sigma_e2 / t_harmonic
-    floored = sigma_u2 <= 0
-    return VarianceComponents(
-        sigma_u2=max(sigma_u2, 0.0), sigma_e2=sigma_e2, floored=bool(floored)
-    )
 
 
 @dataclass(frozen=True)

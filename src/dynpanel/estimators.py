@@ -1,6 +1,6 @@
 """Linear panel estimation engines.
 
-Pooled OLS, fixed effects (LSDV or within), random effects GLS with
+Pooled OLS, fixed effects by the within transform, random effects GLS with
 Swamy-Arora quasi-demeaning, and instrumented GMM with one-step,
 two-step, and iterated weighting. Reported standard errors are
 White-style heteroskedasticity robust throughout; GMM covariance is
@@ -9,27 +9,21 @@ clustered by entity.
 
 from __future__ import annotations
 
+import csv
 from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 import scipy.linalg
 
-from .errors import (
-    AlignmentError,
-    EstimationError,
-    RankError,
-    SingularWeightingError,
-)
+from .errors import EstimationError, RankError, SingularWeightingError
 from .instruments import InstrumentMatrix, InstrumentSpec, assemble, intercept_column
-from .panel import AlignedSample, PanelDataset, align, lagged_grid
+from .panel import AlignedSample, PanelDataset, align_columns
 from .transforms import (
     TransformKind,
-    apply_grid,
     demean_by_entity,
     entity_means,
     entity_starts,
-    expand_dummies,
     reconstruct_levels,
 )
 
@@ -88,12 +82,6 @@ class ModelSpec:
                 name = term.name if l == 0 else f"{term.name}(-{l})"
                 cols.append((term.name, l, name))
         return cols
-
-    def required_lags(self) -> dict[str, int]:
-        req = {self.dependent: self.ar_lags}
-        for term in self.exogenous:
-            req[term.name] = max(req.get(term.name, 0), term.lags)
-        return req
 
 
 @dataclass(frozen=True)
@@ -159,25 +147,18 @@ class FitTable:
     level_mask: np.ndarray  # rows where the level reconstruction is defined
 
     def to_csv(self, path) -> None:
-        import csv
-
+        """Write one row per sample row; level cells are empty outside ``level_mask``."""
+        level = self.level_mask.tolist()
+        actual, fitted = ([repr(x) if m else "" for x, m in zip(col.tolist(), level)]
+                          for col in (self.actual_level, self.fitted_level))
+        rows = zip([self.entities[e] for e in self.entity_ids.tolist()], self.periods.tolist(),
+                   map(repr, self.actual_transformed.tolist()),
+                   map(repr, self.fitted_transformed.tolist()), actual, fitted)
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(
-                ["entity", "period", "actual_transformed", "fitted_transformed",
-                 "actual_level", "fitted_level"]
-            )
-            for i in range(self.entity_ids.size):
-                lvl_a = repr(float(self.actual_level[i])) if self.level_mask[i] else ""
-                lvl_f = repr(float(self.fitted_level[i])) if self.level_mask[i] else ""
-                writer.writerow([
-                    self.entities[self.entity_ids[i]],
-                    int(self.periods[i]),
-                    repr(float(self.actual_transformed[i])),
-                    repr(float(self.fitted_transformed[i])),
-                    lvl_a,
-                    lvl_f,
-                ])
+            writer.writerow(["entity", "period", "actual_transformed", "fitted_transformed",
+                             "actual_level", "fitted_level"])
+            writer.writerows(rows)
 
 
 @dataclass(frozen=True)
@@ -269,51 +250,25 @@ def build_design(
 ) -> Design:
     """Align the model's columns and apply its transform.
 
-    FD/OD are applied to each lagged level grid, read once, and rows are
-    kept where every transformed cell exists. Within and quasi-demeaning
-    subtract theta_a times the entity mean over the aligned rows: theta_a
-    is 1 for within and Swamy-Arora's weight for random effects, from
-    ``components`` or, when none are given, estimated here; only a
-    random-effects design keeps ``components``. Pooled designs stay in
-    levels. ``sample.matrix`` holds level values in every case.
+    ``align_columns`` keeps the rows where the dependent and every
+    regressor column exist, after FD/OD for those transforms. Within and
+    quasi-demeaning subtract theta_a times the entity mean over the
+    aligned rows: theta_a is 1 for within and Swamy-Arora's weight for
+    random effects, from ``components`` or, when none are given,
+    estimated here; only a random-effects design keeps ``components``.
+    Pooled designs stay in levels. ``sample.matrix`` holds level values
+    in every case, the dependent first and then the regressors.
     """
     cols = model.regressor_columns()
-    columns = [(model.dependent, 0)] + [(v, l) for v, l, _ in cols]
     kind = model.transform
-    if not kind.is_calendar:
-        sample = align(data, list(dict.fromkeys(v for v, _ in columns)), model.required_lags())
-    else:
-        # the columns are every (variable, lag 0..k) that align would read
-        grids = [lagged_grid(data, v, l) for v, l in columns]
-        if not np.logical_and.reduce([g.mask for g in grids]).any():
-            raise AlignmentError("no estimable observations after alignment")
-        moved = [apply_grid(kind, g.values, g.mask) for g in grids]
-        ent_idx, per_idx = np.nonzero(np.logical_and.reduce([m for _, m in moved]))
-        if ent_idx.size == 0:
-            raise EstimationError(f"no estimable observations after {kind.value} transform")
-        sample = AlignedSample(
-            entities=data.entities,
-            entity_ids=ent_idx.astype(np.int64),
-            periods=np.asarray(data.periods)[per_idx].astype(np.int64),
-            columns=tuple(columns),
-            matrix=np.column_stack([g.values[ent_idx, per_idx] for g in grids]),
-        )
-        yX = np.column_stack([v[ent_idx, per_idx] for v, _ in moved])
-
-    y_level = sample.column(model.dependent, 0).copy()
-    X_level = (
-        np.column_stack([sample.column(v, l) for v, l, _ in cols])
-        if cols
-        else np.empty((y_level.size, 0))
-    )
+    sample, yX = align_columns(data, [(model.dependent, 0)] + [(v, l) for v, l, _ in cols], kind)
+    y_level, X_level = sample.matrix[:, 0].copy(), sample.matrix[:, 1:].copy()
     y, X, theta = y_level, X_level, None
     if kind.is_calendar:
         y, X = yX[:, 0], yX[:, 1:]
     elif kind in (TransformKind.WITHIN, TransformKind.QUASI_DEMEAN):
         if kind is TransformKind.QUASI_DEMEAN:
             if components is None:
-                from .diagnostics import swamy_arora
-
                 components = swamy_arora(model, data)
             if components.sigma_e2 <= 0:
                 raise EstimationError(
@@ -329,6 +284,50 @@ def build_design(
         y=y, X=X, x_names=[n for _, _, n in cols],
         y_level=y_level, X_level=X_level, sample=sample, theta=theta,
         components=components if kind is TransformKind.QUASI_DEMEAN else None,
+    )
+
+
+def swamy_arora(model: ModelSpec, data: PanelDataset) -> VarianceComponents:
+    """Swamy-Arora variance components from within and between steps.
+
+    sigma_e^2 is the within mean squared residual with N+k degrees of
+    freedom removed; sigma_u^2 comes from the between regression with
+    the harmonic-mean correction for unbalanced entity lengths and is
+    floored at zero.
+    """
+    design = build_design(
+        replace(model, effects="fixed", transform=TransformKind.WITHIN), data
+    )
+    Xw, yw = design.X, design.y
+    starts = entity_starts(design.entity_ids)
+    n, k, n_ent = design.n, Xw.shape[1], starts.size
+    df_within = n - n_ent - k
+    if df_within <= 0:
+        raise EstimationError(
+            f"non-positive within degrees of freedom ({df_within}); "
+            "panel too short for variance components"
+        )
+    beta_w = _ols(yw, Xw, design.x_names)
+    resid_w = yw - Xw @ beta_w
+    sigma_e2 = float(resid_w @ resid_w) / df_within
+
+    ybar = entity_means(design.y_level, starts)
+    xbar = entity_means(design.X_level, starts)
+    counts = np.diff(starts, append=n)
+    Xb = np.column_stack([xbar, np.ones(n_ent)])
+    df_between = n_ent - (k + 1)
+    if df_between <= 0:
+        raise EstimationError(
+            f"too few entities ({n_ent}) for the between regression with {k} slopes"
+        )
+    beta_b, *_ = np.linalg.lstsq(Xb, ybar, rcond=None)
+    resid_b = ybar - Xb @ beta_b
+    mse_between = float(resid_b @ resid_b) / df_between
+    t_harmonic = n_ent / float(np.sum(1.0 / counts))
+    sigma_u2 = mse_between - sigma_e2 / t_harmonic
+    floored = sigma_u2 <= 0
+    return VarianceComponents(
+        sigma_u2=max(sigma_u2, 0.0), sigma_e2=sigma_e2, floored=bool(floored)
     )
 
 
@@ -518,23 +517,15 @@ def fit_pooled(model: ModelSpec, data: PanelDataset) -> EstimationResult:
     )
 
 
-def fit_fixed_effects(
-    model: ModelSpec, data: PanelDataset, method: str = "within"
-) -> EstimationResult:
-    """Fixed effects by the within transform or by LSDV.
+def fit_fixed_effects(model: ModelSpec, data: PanelDataset) -> EstimationResult:
+    """Fixed effects by the within transform.
 
-    ``method="within"`` regresses the entity-demeaned y on the demeaned
-    slopes and derives alpha_a = ybar_a - xbar_a'beta; ``method="lsdv"``
-    regresses levels on the slopes and one dummy per entity. By the
-    Frisch-Waugh identity both give the same slopes, residuals and
-    entity effects, and slope inference comes from the within
-    representation in both, so they agree to rounding. Either result
-    carries the within model; ``method`` is ``fe/within`` or
-    ``fe/lsdv``. With an intercept, ``const`` is the grand mean of the
-    entity effects, with a delta-method standard error.
+    Regresses the entity-demeaned y on the demeaned slopes and derives
+    the entity effects alpha_a = ybar_a - xbar_a'beta. The result carries
+    the within model and ``method`` ``fe/within``. With an intercept,
+    ``const`` is the grand mean of the entity effects, with a
+    delta-method standard error.
     """
-    if method not in ("lsdv", "within"):
-        raise ValueError(f"unknown FE method {method!r}")
     design = build_design(
         replace(model, effects="fixed", transform=TransformKind.WITHIN), data
     )
@@ -550,24 +541,9 @@ def fit_fixed_effects(
             f"slope(s) {dead} constant within every entity; not identifiable under fixed effects"
         )
     k = Xw.shape[1]
-    if method == "lsdv":
-        dummies, dummy_ents = expand_dummies(design.entity_ids)
-        X_full = np.column_stack([design.X_level, dummies])
-        full_names = names + [f"effect[{design.data.entities[e]}]" for e in dummy_ents]
-        beta_full_lsdv = _ols(design.y_level, X_full, full_names)
-        beta = beta_full_lsdv[:k]
-        alphas = np.full(design.data.n_entities, np.nan)
-        alphas[dummy_ents] = beta_full_lsdv[k:]
-        resid = design.y_level - X_full @ beta_full_lsdv
-        fitted_level = alphas[design.entity_ids] + design.X_level @ beta
-    else:
-        beta = _ols(yw, Xw, names)
-        resid = yw - Xw @ beta
-        fitted_level, alphas = _level_fit(design, beta)
-
-    # Slope inference on the within (partialled) representation; by the
-    # Frisch-Waugh identity this is the LSDV slope block as well, since
-    # both paths share residuals and the demeaned regressors.
+    beta = _ols(yw, Xw, names)
+    resid = yw - Xw @ beta
+    fitted_level, alphas = _level_fit(design, beta)
     cov = _white_covariance(Xw, resid)
     sigma2_within = float(resid @ resid) / max(design.n - n_ent - k, 1)
     classical = sigma2_within * _spd_inverse(Xw.T @ Xw, "within covariance")
@@ -580,7 +556,7 @@ def fit_fixed_effects(
     r2 = _r_squared(design.y_level, fitted_level, center=True)
     fitted = Xw @ beta
     return _result(
-        f"fe/{method}", design, names, beta_full, cov, resid, fitted, (r2, r2),
+        "fe/within", design, names, beta_full, cov, resid, fitted, (r2, r2),
         _level_fit_table(design, fitted_level, fitted),
         classical_covariance=classical,
         entity_effects=alphas,

@@ -156,6 +156,26 @@ class InstrumentMatrix:
         return self.matrix.shape[1]
 
 
+def _lag_column(
+    data: PanelDataset,
+    sample: AlignedSample,
+    variable: str,
+    lag: int,
+    transform: TransformKind = TransformKind.NONE,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Lag ``lag`` of ``variable`` at the sample rows, and where it is present.
+
+    FD/OD ``transform`` is applied on the grid before the rows are read;
+    any other leaves the level values.
+    """
+    grid = lagged_grid(data, variable, lag)
+    values, mask = grid.values, grid.mask
+    if transform.is_calendar:
+        values, mask = apply_grid(transform, values, mask)
+    per_idx = sample.periods - data.periods[0]
+    return values[sample.entity_ids, per_idx], mask[sample.entity_ids, per_idx]
+
+
 def build_dynamic_block(
     data: PanelDataset, sample: AlignedSample, dyn: DynamicInstrument
 ) -> tuple[np.ndarray, list[str]]:
@@ -164,52 +184,35 @@ def build_dynamic_block(
     For each equation period t appearing in the sample, one column per
     lag j = start..depth(t), valued x_{a,t-j} on rows of period t (zero
     when the level cell is absent) and zero elsewhere. Collapsed mode
-    returns one column per lag depth with all periods stacked.
+    returns one column per lag depth with all periods stacked. Each lag's
+    level column is read once and laid out from there.
     """
-    series = data.require(dyn.variable)
+    data.require(dyn.variable)
     p0 = data.periods[0]
-    eq_periods = np.unique(sample.periods)
-    n = sample.n_rows
+    eq_periods = np.unique(sample.periods).tolist()
 
-    def level(rows: np.ndarray, periods: np.ndarray, j: int) -> np.ndarray:
-        col = np.zeros(rows.size)
-        src = periods - j - p0
-        ok = src >= 0
-        ents = sample.entity_ids[rows[ok]]
-        vals = series.values[ents, src[ok]]
-        present = series.mask[ents, src[ok]]
-        col[ok] = np.where(present, vals, 0.0)
-        return col
+    def lags_at(t: int) -> range:
+        depth = t - p0 if dyn.max_lag is None else min(t - p0, dyn.max_lag)
+        return range(dyn.start_lag, depth + 1)
 
-    cols: list[np.ndarray] = []
-    labels: list[str] = []
-    if dyn.collapsed:
-        deepest = max(int(t) - p0 for t in eq_periods)
-        if dyn.max_lag is not None:
-            deepest = min(deepest, dyn.max_lag)
-        all_rows = np.arange(n)
-        for j in range(dyn.start_lag, deepest + 1):
-            full = np.zeros(n)
-            full[all_rows] = level(all_rows, sample.periods, j)
-            cols.append(full)
-            labels.append(f"dyn({dyn.variable},{j})")
-    else:
-        for t in eq_periods:
-            deepest = int(t) - p0
-            if dyn.max_lag is not None:
-                deepest = min(deepest, dyn.max_lag)
-            rows = np.flatnonzero(sample.periods == t)
-            for j in range(dyn.start_lag, deepest + 1):
-                full = np.zeros(n)
-                full[rows] = level(rows, sample.periods[rows], j)
-                cols.append(full)
-                labels.append(f"dyn({dyn.variable},{j})@{int(t)}")
-    if not cols:
+    lags = lags_at(eq_periods[-1])
+    if not lags:
         raise EstimationError(
             f"empty instrument block for dyn({dyn.variable},{dyn.start_lag}): "
             "no usable lags at any equation period"
         )
-    return np.column_stack(cols), labels
+    level = np.column_stack([
+        np.where(present, col, 0.0)
+        for col, present in (_lag_column(data, sample, dyn.variable, j) for j in lags)
+    ])
+    if dyn.collapsed:
+        return level, [f"dyn({dyn.variable},{j})" for j in lags]
+    blocks, labels = [], []
+    for t in eq_periods:
+        used = lags_at(t)
+        blocks.append(np.where((sample.periods == t)[:, None], level[:, : len(used)], 0.0))
+        labels += [f"dyn({dyn.variable},{j})@{t}" for j in used]
+    return np.hstack(blocks), labels
 
 
 def build_static_block(
@@ -233,14 +236,7 @@ def build_static_block(
             raise DataError(
                 f"static instrument lag {j} of {static.variable!r} exceeds panel depth"
             )
-        grid = lagged_grid(data, static.variable, j)
-        if transform.is_calendar:
-            values, mask = apply_grid(transform, grid.values, grid.mask)
-        else:
-            values, mask = grid.values, grid.mask
-        per_idx = sample.periods - data.periods[0]
-        col = values[sample.entity_ids, per_idx]
-        present = mask[sample.entity_ids, per_idx]
+        col, present = _lag_column(data, sample, static.variable, j, transform)
         if transform in (TransformKind.WITHIN, TransformKind.QUASI_DEMEAN):
             scale = 1.0 if transform is TransformKind.WITHIN else theta
             if scale is None:

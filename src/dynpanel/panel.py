@@ -17,7 +17,7 @@ from typing import Mapping, NoReturn, Sequence
 import numpy as np
 
 from . import transforms
-from .errors import AlignmentError, DataError
+from .errors import AlignmentError, DataError, EstimationError
 
 MISSING_TOKENS = frozenset({"", "-", "NA", "na"})
 
@@ -74,6 +74,8 @@ class PanelDataset:
                 raise DataError(
                     f"series {name!r} has shape {s.values.shape}, expected {shape}"
                 )
+            if not np.isfinite(s.values[s.mask]).all():
+                raise DataError(f"series {name!r} has a present cell that is not finite")
             _freeze(s.values)
             _freeze(s.mask)
         present_any = np.zeros(shape[0], dtype=bool)
@@ -153,7 +155,7 @@ def from_arrays(
     periods: Sequence[int],
     variables: Mapping[str, np.ndarray],
 ) -> PanelDataset:
-    """Build a dataset from dense arrays, treating NaN as absent."""
+    """Build a dataset from dense arrays, treating NaN as absent; an inf is a DataError."""
     series = {}
     for name, arr in variables.items():
         values = np.asarray(arr, dtype=float)
@@ -171,6 +173,18 @@ def _parse_cell(token: str) -> tuple[float, bool]:
     if not math.isfinite(value):
         raise ValueError(f"non-finite value {text!r}")
     return value, True
+
+
+def _read_csv(path) -> tuple[list[str], list[list[str]]]:
+    """Header and rows of a CSV file; an empty or non-UTF-8 file is a DataError."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})") from None
+    if not rows:
+        raise DataError(f"{path}: empty file")
+    return rows[0], rows[1:]
 
 
 def _raise_first_fault(path, header: list[str], raw: list[list[str]]) -> NoReturn:
@@ -217,13 +231,7 @@ def ingest_long_csv(path) -> PanelDataset:
     period) row or a bad cell, in line order, the key before the cells and
     cells in header order.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file") from None
-        raw = list(reader)
+    header, raw = _read_csv(path)
     if len(header) < 3 or header[0].strip().lower() != "entity" or header[1].strip().lower() != "period":
         raise DataError(f"{path}: expected header 'entity,period,<var>,...', got {header}")
     var_names = [h.strip() for h in header[2:]]
@@ -280,43 +288,38 @@ def ingest_wide_csv(path, variable_name: str) -> PanelDataset:
     its cells must be a finite number. Other cells may be one of
     ``MISSING_TOKENS``.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+    header, raw = _read_csv(path)
+    if len(header) < 2:
+        raise DataError(f"{path}: header needs a name column and at least one year")
+    year_labels = []
+    for h in header[1:]:
         try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file") from None
-        if len(header) < 2:
-            raise DataError(f"{path}: header needs a name column and at least one year")
-        year_labels = []
-        for h in header[1:]:
-            try:
-                year_labels.append(int(h.strip()))
-            except ValueError:
-                raise DataError(f"{path}: non-numeric year header {h!r}") from None
-        if any(b - a != 1 for a, b in zip(year_labels, year_labels[1:])):
-            raise DataError(f"{path}: year headers must be consecutive, got {year_labels}")
+            year_labels.append(int(h.strip()))
+        except ValueError:
+            raise DataError(f"{path}: non-numeric year header {h!r}") from None
+    if any(b - a != 1 for a, b in zip(year_labels, year_labels[1:])):
+        raise DataError(f"{path}: year headers must be consecutive, got {year_labels}")
 
-        rows: list[tuple[int, str, list[str]]] = []
-        entity_line: dict[str, int] = {}
-        total_row = None
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) != len(header):
-                raise DataError(
-                    f"{path}:{lineno}: ragged row ({len(row)} fields, expected {len(header)})"
-                )
-            name = row[0].strip()
-            if name.upper().startswith("TOTAL"):
-                if total_row:
-                    raise DataError(f"{path}:{lineno}: second TOTAL row, first at line {total_row[0]}")
-                total_row = (lineno, name, row[1:])
-            elif name in entity_line:
-                raise DataError(f"{path}:{lineno}: duplicate entity {name!r}")
-            else:
-                entity_line[name] = lineno
-                rows.append((lineno, name, row[1:]))
+    rows: list[tuple[int, str, list[str]]] = []
+    entity_line: dict[str, int] = {}
+    total_row = None
+    for lineno, row in enumerate(raw, start=2):
+        if not row or all(not c.strip() for c in row):
+            continue
+        if len(row) != len(header):
+            raise DataError(
+                f"{path}:{lineno}: ragged row ({len(row)} fields, expected {len(header)})"
+            )
+        name = row[0].strip()
+        if name.upper().startswith("TOTAL"):
+            if total_row:
+                raise DataError(f"{path}:{lineno}: second TOTAL row, first at line {total_row[0]}")
+            total_row = (lineno, name, row[1:])
+        elif name in entity_line:
+            raise DataError(f"{path}:{lineno}: duplicate entity {name!r}")
+        else:
+            entity_line[name] = lineno
+            rows.append((lineno, name, row[1:]))
     if not rows:
         raise DataError(f"{path}: no entity rows")
 
@@ -447,6 +450,40 @@ def lagged_grid(data: PanelDataset, variable: str, lag: int) -> PanelSeries:
     return PanelSeries(*transforms.lag(s.values, s.mask, lag))
 
 
+def align_columns(
+    data: PanelDataset,
+    columns: Sequence[tuple[str, int]],
+    kind: transforms.TransformKind = transforms.TransformKind.NONE,
+) -> tuple[AlignedSample, np.ndarray]:
+    """Rows where every (variable, lag) column is present, and their values.
+
+    With FD or OD ``kind`` the transform is applied to each lagged level
+    grid and rows are kept where every transformed cell exists. Returns
+    the sample (level values) and the (rows, columns) matrix of values in
+    ``kind``'s units, which is ``sample.matrix`` itself for other kinds.
+    """
+    grids = [lagged_grid(data, v, lag) for v, lag in columns]
+    keep = np.logical_and.reduce([g.mask for g in grids])
+    if not keep.any():
+        raise AlignmentError("no estimable observations after alignment")
+    if kind.is_calendar:
+        moved = [transforms.apply_grid(kind, g.values, g.mask) for g in grids]
+        keep = np.logical_and.reduce([m for _, m in moved])
+    ent_idx, per_idx = np.nonzero(keep)
+    if ent_idx.size == 0:
+        raise EstimationError(f"no estimable observations after {kind.value} transform")
+    sample = AlignedSample(
+        entities=data.entities,
+        entity_ids=ent_idx.astype(np.int64),
+        periods=np.asarray(data.periods)[per_idx].astype(np.int64),
+        columns=tuple(columns),
+        matrix=np.column_stack([g.values[ent_idx, per_idx] for g in grids]),
+    )
+    if not kind.is_calendar:
+        return sample, sample.matrix
+    return sample, np.column_stack([v[ent_idx, per_idx] for v, _ in moved])
+
+
 def align(
     data: PanelDataset,
     variables: Sequence[str],
@@ -461,28 +498,10 @@ def align(
     """
     required_lags = dict(required_lags or {})
     columns: list[tuple[str, int]] = []
-    grids: list[PanelSeries] = []
     for v in variables:
         data.require(v)
         k = int(required_lags.get(v, 0))
         if k < 0:
             raise DataError(f"negative lag count for {v!r}")
-        for lag in range(k + 1):
-            columns.append((v, lag))
-            grids.append(lagged_grid(data, v, lag))
-
-    keep = np.ones((data.n_entities, data.n_periods), dtype=bool)
-    for g in grids:
-        keep &= g.mask
-    ent_idx, per_idx = np.nonzero(keep)
-    if ent_idx.size == 0:
-        raise AlignmentError("no estimable observations after alignment")
-    matrix = np.column_stack([g.values[ent_idx, per_idx] for g in grids])
-    periods = np.asarray(data.periods)[per_idx]
-    return AlignedSample(
-        entities=data.entities,
-        entity_ids=ent_idx.astype(np.int64),
-        periods=periods.astype(np.int64),
-        columns=tuple(columns),
-        matrix=matrix,
-    )
+        columns += [(v, lag) for lag in range(k + 1)]
+    return align_columns(data, columns)[0]

@@ -20,8 +20,6 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import EstimationError
-
 
 class TransformKind(Enum):
     """Which fixed-effect-removal (or none) transform a model uses."""
@@ -215,20 +213,6 @@ def demean_by_entity(
         thetas = thetas[entity_ids[starts]]
     shift = means * thetas.reshape((-1,) + (1,) * (arr.ndim - 1))
     return arr - np.repeat(shift, sizes, axis=0)
-
-
-def expand_dummies(entity_ids: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    """Entity indicator columns for sample rows.
-
-    One column per entity appearing in the sample, meant for use without
-    a global intercept. Returns the indicator block and the entity index
-    each column encodes.
-    """
-    present = [int(e) for e in np.unique(entity_ids)]
-    if len(present) < 2:
-        raise EstimationError("entity dummies need at least 2 entities in sample")
-    block = (np.asarray(entity_ids)[:, None] == np.array(present)).astype(float)
-    return block, present
 
 
 def reconstruct_levels(

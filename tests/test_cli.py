@@ -77,6 +77,38 @@ def test_describe_missing_file_exit_2(capsys):
     assert "/no/such/file.csv" in err
 
 
+@pytest.mark.parametrize("wide", [False, True])
+def test_describe_latin1_csv_exit_2(tmp_path, capsys, wide):
+    path = tmp_path / "latin1.csv"
+    text = ("name,2005,2006\nMünchener Rück,1,2\nfirm2,2,4\n" if wide else
+            "entity,period,pp\nMünchener Rück,2005,1\nMünchener Rück,2006,2\n")
+    path.write_bytes(text.encode("latin-1"))
+    extra = ("--wide", "pp") if wide else ()
+    code, _, err = run_cli(capsys, "describe", "--data", str(path), *extra,
+                           "--output-dir", str(tmp_path))
+    assert code == 2
+    assert err.startswith(f"error: {path}: not UTF-8 text")
+    assert "Traceback" not in err
+
+
+def test_describe_table_layout(brand_panel_csv, tmp_path, capsys):
+    code, out, _ = run_cli(capsys, "describe", "--data", brand_panel_csv,
+                           "--vars", "pp,bt", "--output-dir", str(tmp_path))
+    assert code == 0
+    header, *rows = out.splitlines()
+    assert header == ("variable            mean      median         max         min"
+                      "          sd    skewness    kurtosis           n")
+    assert [r[:12] for r in rows] == ["pp          ", "bt          "]
+    code, out, _ = run_cli(capsys, "describe", "--data", brand_panel_csv,
+                           "--vars", "pp", "--out", "json", "--output-dir", str(tmp_path))
+    stats = json.loads(out)["pp"]
+    cells = [rows[0][12 + 12 * i: 24 + 12 * i] for i in range(8)]
+    assert len(rows[0]) == 12 + 8 * 12
+    assert cells[-1] == f"{stats['n']:>12}"
+    assert cells[:-1] == [f"{stats[c]:>12.4f}" for c in
+                          ("mean", "median", "max", "min", "sd", "skewness", "kurtosis")]
+
+
 # ---------------------------------------------------------------------------
 # estimate
 
@@ -235,6 +267,28 @@ def test_estimate_json_records_share_one_key_set(brand_panel_csv, tmp_path, caps
             key_sets.add(tuple(json.loads(out)))
     assert len(key_sets) == 1
     assert {"j", "j_p", "j_df", "ar", "variance_components"} <= set(key_sets.pop())
+
+
+@pytest.mark.parametrize("term", ["bv(-2)", "bv(0..2)"])
+def test_estimate_exog_lag_terms(brand_panel_csv, tmp_path, capsys, term):
+    code, out, _ = run_cli(
+        capsys, "estimate", "--data", brand_panel_csv, "--spec", "pooled", "--plain",
+        "--dep", "pp", "--exog", term, "--out", "csv", "--output-dir", str(tmp_path),
+    )
+    assert code == 0
+    # the names of ExogTerm("bv", 2): bv at lags 0..2
+    names = [line.split(",")[0] for line in out.splitlines()[1:]]
+    assert names == ["pp(-1)", "bv", "bv(-1)", "bv(-2)", "const"]
+
+
+@pytest.mark.parametrize("term", ["bv(1..2)", "bv(-x)"])
+def test_estimate_bad_exog_term_exit_2(brand_panel_csv, tmp_path, capsys, term):
+    code, _, err = run_cli(
+        capsys, "estimate", "--data", brand_panel_csv, "--spec", "pooled", "--plain",
+        "--dep", "pp", "--exog", term, "--output-dir", str(tmp_path),
+    )
+    assert code == 2
+    assert err.startswith("error: ") and repr(term) in err
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,6 @@
+import csv
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.optimize
@@ -106,6 +109,20 @@ def test_fe_removes_levels():
     assert res.coefficient("x1") == pytest.approx(3.0, abs=1e-10)
 
 
+def reference_lsdv(model, data):
+    """Least squares of the levels on the slopes and one dummy per entity
+    in the sample: slopes, residuals, and effects by entity index (NaN
+    for entities outside the sample)."""
+    design = build_design(model, data)
+    ents = np.unique(design.entity_ids)
+    X = np.column_stack([design.X_level, design.entity_ids[:, None] == ents])
+    coef, *_ = np.linalg.lstsq(X, design.y_level, rcond=None)
+    k = design.X_level.shape[1]
+    effects = np.full(data.n_entities, np.nan)
+    effects[ents] = coef[k:]
+    return coef[:k], design.y_level - X @ coef, effects
+
+
 @settings(max_examples=150, derandomize=True, deadline=None)
 @given(
     n_entities=st.integers(3, 30),
@@ -122,24 +139,25 @@ def test_lsdv_equals_within(n_entities, n_periods, rho, sigma_effect, missingnes
                             sigma_effect=sigma_effect, missingness=missingness, seed=seed))
     model = ar1_model(TransformKind.WITHIN, intercept=intercept)
     try:
-        within = fit_fixed_effects(model, data, method="within")
+        within = fit_fixed_effects(model, data)
     except DynpanelError:
         assume(False)
     # leave out exact fits, whose SEs are rounding noise
-    assume(within.sample_size - within.cross_sections - within.design_matrix.shape[1] >= 3)
-    lsdv = fit_fixed_effects(model, data, method="lsdv")
+    k = within.design_matrix.shape[1]
+    assume(within.sample_size - within.cross_sections - k >= 3)
+    slopes, resid, effects = reference_lsdv(model, data)
     scale = float(np.abs(within.fitted_levels.actual_level).max())
 
     def close(got, want, scale):
         assert np.max(np.abs(got - want), initial=0.0) <= 1e-10 * scale
 
-    assert lsdv.param_names == within.param_names
-    close(lsdv.coefficients, within.coefficients, np.abs(within.coefficients).max())
-    close(lsdv.standard_errors, within.standard_errors, within.standard_errors.max())
-    close(lsdv.residuals, within.residuals, scale)
+    close(slopes, within.coefficients[:k], np.abs(within.coefficients).max())
+    if intercept:
+        close(np.nanmean(effects), within.coefficient("const"), scale)
+    close(resid, within.residuals, scale)
     present = np.isfinite(within.entity_effects)
-    assert np.array_equal(np.isfinite(lsdv.entity_effects), present)
-    close(lsdv.entity_effects[present], within.entity_effects[present], scale)
+    assert np.array_equal(np.isfinite(effects), present)
+    close(effects[present], within.entity_effects[present], scale)
 
 
 def test_fe_monte_carlo_recovery():
@@ -476,10 +494,9 @@ def test_fitted_levels_zero_residuals():
     assert np.allclose(table.fitted_level, table.actual_level, atol=1e-10)
 
 
-@pytest.mark.parametrize("method", ["within", "lsdv"])
-def test_plain_fe_transformed_columns_are_within_demeaned(method):
+def test_plain_fe_transformed_columns_are_within_demeaned():
     data = generate(DgpSpec(n_entities=25, n_periods=6, rho=0.4, missingness=0.1, seed=8))
-    res = fit_fixed_effects(ar1_model(TransformKind.WITHIN), data, method=method)
+    res = fit_fixed_effects(ar1_model(TransformKind.WITHIN), data)
     table = res.fitted_levels
     demeaned = table.actual_level.copy()
     for e in np.unique(table.entity_ids):
@@ -489,6 +506,40 @@ def test_plain_fe_transformed_columns_are_within_demeaned(method):
     assert np.array_equal(table.fitted_transformed, res.fitted_transformed)
     assert np.allclose(table.actual_transformed - table.fitted_transformed,
                        res.residuals, rtol=0, atol=1e-10)
+
+
+def reference_fit_csv(table, path):
+    """Row-by-row writer of the ``--fitted-out`` layout."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["entity", "period", "actual_transformed", "fitted_transformed",
+                         "actual_level", "fitted_level"])
+        for i in range(table.entity_ids.size):
+            level = table.level_mask[i]
+            writer.writerow([
+                table.entities[table.entity_ids[i]],
+                int(table.periods[i]),
+                repr(float(table.actual_transformed[i])),
+                repr(float(table.fitted_transformed[i])),
+                repr(float(table.actual_level[i])) if level else "",
+                repr(float(table.fitted_level[i])) if level else "",
+            ])
+
+
+@pytest.mark.parametrize("kind", [TransformKind.FIRST_DIFFERENCE,
+                                  TransformKind.ORTHOGONAL_DEVIATION, TransformKind.WITHIN])
+def test_fit_table_csv_matches_row_writer(brand_panel, tmp_path, kind):
+    model = ModelSpec("pp", exogenous=(ExogTerm("bv"),), intercept=False, transform=kind)
+    if kind is TransformKind.WITHIN:
+        table = fit_fixed_effects(model, brand_panel).fitted_levels
+    else:
+        inst = InstrumentSpec(dynamic=(DynamicInstrument("pp", 2, 3),))
+        table = fit_gmm(model, brand_panel, inst, ONE_STEP, on_singular="pinv").fitted_levels
+        # blank some level cells, as where a level fit has no anchor
+        table = replace(table, level_mask=table.level_mask & (np.arange(table.level_mask.size) % 5 > 0))
+    table.to_csv(tmp_path / "table.csv")
+    reference_fit_csv(table, tmp_path / "reference.csv")
+    assert (tmp_path / "table.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
 
 def test_fitted_levels_od_table(brand_panel):

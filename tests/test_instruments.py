@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from dynpanel import (
     DataError,
+    DynpanelError,
     DynamicInstrument,
     EstimationError,
     InstrumentSpec,
@@ -144,6 +146,96 @@ def test_collapsed_spans_same_moments_when_depth_is_one():
     full, _ = build_dynamic_block(data, sample, DynamicInstrument("y", 2))
     coll, _ = build_dynamic_block(data, sample, DynamicInstrument("y", 2, collapsed=True))
     assert np.allclose(full, coll)
+
+
+def reference_dynamic_block(data, sample, dyn):
+    """The period x lag loop builder that ``build_dynamic_block`` replaced."""
+    series = data.require(dyn.variable)
+    p0 = data.periods[0]
+    eq_periods = np.unique(sample.periods)
+    n = sample.n_rows
+
+    def level(rows, periods, j):
+        col = np.zeros(rows.size)
+        src = periods - j - p0
+        ok = src >= 0
+        ents = sample.entity_ids[rows[ok]]
+        col[ok] = np.where(series.mask[ents, src[ok]], series.values[ents, src[ok]], 0.0)
+        return col
+
+    cols, labels = [], []
+    if dyn.collapsed:
+        deepest = max(int(t) - p0 for t in eq_periods)
+        if dyn.max_lag is not None:
+            deepest = min(deepest, dyn.max_lag)
+        all_rows = np.arange(n)
+        for j in range(dyn.start_lag, deepest + 1):
+            full = np.zeros(n)
+            full[all_rows] = level(all_rows, sample.periods, j)
+            cols.append(full)
+            labels.append(f"dyn({dyn.variable},{j})")
+    else:
+        for t in eq_periods:
+            deepest = int(t) - p0
+            if dyn.max_lag is not None:
+                deepest = min(deepest, dyn.max_lag)
+            rows = np.flatnonzero(sample.periods == t)
+            for j in range(dyn.start_lag, deepest + 1):
+                full = np.zeros(n)
+                full[rows] = level(rows, sample.periods[rows], j)
+                cols.append(full)
+                labels.append(f"dyn({dyn.variable},{j})@{int(t)}")
+    if not cols:
+        raise EstimationError(
+            f"empty instrument block for dyn({dyn.variable},{dyn.start_lag}): "
+            "no usable lags at any equation period"
+        )
+    return np.column_stack(cols), labels
+
+
+def outcome(build, *args):
+    try:
+        return build(*args)
+    except DynpanelError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(
+    n=st.integers(1, 6),
+    T=st.integers(2, 9),
+    missing=st.floats(0.0, 0.5),
+    seed=st.integers(0, 2**16),
+    transform=st.sampled_from([TransformKind.NONE, TransformKind.FIRST_DIFFERENCE,
+                               TransformKind.ORTHOGONAL_DEVIATION]),
+    variable=st.sampled_from(["y", "x"]),
+    start=st.integers(1, 3),
+    bound=st.sampled_from([None, 2, 4]),
+    collapsed=st.booleans(),
+)
+def test_dynamic_block_matches_reference(n, T, missing, seed, transform, variable,
+                                         start, bound, collapsed):
+    assume(bound is None or bound >= start)
+    rng = np.random.default_rng(seed)
+    grids = {v: rng.standard_normal((n, T)) for v in ("y", "x")}
+    for g in grids.values():
+        g[rng.random((n, T)) < missing] = np.nan
+    try:
+        data = from_arrays([f"e{i}" for i in range(n)], range(1, T + 1), grids)
+        model = ModelSpec("y", ar_lags=1, intercept=False, transform=transform)
+        sample = build_design(model, data).sample
+    except DynpanelError:
+        assume(False)
+    dyn = DynamicInstrument(variable, start, bound, collapsed)
+    got = outcome(build_dynamic_block, data, sample, dyn)
+    want = outcome(reference_dynamic_block, data, sample, dyn)
+    if isinstance(want[0], type):
+        assert got == want
+        return
+    (block, labels), (ref_block, ref_labels) = got, want
+    assert labels == ref_labels
+    assert block.shape == ref_block.shape and block.dtype == ref_block.dtype
+    assert block.tobytes() == ref_block.tobytes()
 
 
 # ---------------------------------------------------------------------------

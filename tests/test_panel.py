@@ -449,6 +449,14 @@ def test_describe_json_keys():
     assert list(d) == ["mean", "median", "max", "min", "sd", "skewness", "kurtosis", "n"]
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf])
+def test_from_arrays_rejects_non_finite_present_cell(bad):
+    x = np.arange(6.0).reshape(2, 3)
+    x[1, 2] = bad
+    with pytest.raises(DataError, match="series 'x' has a present cell that is not finite"):
+        from_arrays(["a", "b"], [1, 2, 3], {"y": np.ones((2, 3)), "x": x})
+
+
 # ---------------------------------------------------------------------------
 # alignment
 

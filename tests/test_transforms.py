@@ -1,11 +1,9 @@
 import numpy as np
 import pytest
 
-from dynpanel import EstimationError
 from dynpanel.transforms import (
     TransformKind,
     apply_grid,
-    expand_dummies,
     first_difference,
     lag,
     orthogonal_deviation,
@@ -176,28 +174,6 @@ def test_quasi_demean_bad_theta():
     v, m = vec([1, 2])
     with pytest.raises(ValueError):
         quasi_demean(v, m, 1.5)
-
-
-# ---------------------------------------------------------------------------
-# dummies
-
-def test_dummies_full_set():
-    ids = np.array([0, 0, 1, 2, 2, 2])
-    block, ents = expand_dummies(ids)
-    assert block.shape == (6, 3)
-    assert list(block.sum(axis=0)) == [2, 1, 3]
-    assert ents == [0, 1, 2]
-
-
-def test_dummies_row_indicator():
-    ids = np.array([0, 1, 2])
-    block, _ = expand_dummies(ids)
-    assert list(block[1]) == [0, 1, 0]
-
-
-def test_dummies_need_two_entities():
-    with pytest.raises(EstimationError):
-        expand_dummies(np.zeros(4, dtype=int))
 
 
 # ---------------------------------------------------------------------------
