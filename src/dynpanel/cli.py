@@ -64,6 +64,12 @@ def _spec_errors():
         raise DataError(str(exc)) from None
 
 
+def _weighting(args) -> Weighting:
+    """The ``--weighting``, ``--max-iter`` and ``--tol`` options; bad values are usage errors."""
+    with _spec_errors():
+        return Weighting.parse(args.weighting, max_iter=args.max_iter, tol=args.tol)
+
+
 def _parse_exog(terms: list[str]) -> tuple[ExogTerm, ...]:
     """Terms like ``bv``, ``bv(-2)`` (lags up to 2), or ``bv(0..2)``."""
     out = []
@@ -142,7 +148,7 @@ def _default_instruments(spec: str, model: ModelSpec) -> InstrumentSpec:
 
 
 def _fit_one(spec: str, model: ModelSpec, data: PanelDataset, args) -> EstimationResult:
-    weighting = Weighting.parse(args.weighting, max_iter=args.max_iter, tol=args.tol)
+    weighting = _weighting(args)
     if args.plain and spec in ("pooled", "fe", "re"):
         if spec == "pooled":
             return fit_pooled(model, data)
@@ -271,7 +277,7 @@ def cmd_replicate(args) -> int:
             "published and must be provided by the user)"
         )
     exog = tuple(ExogTerm(v, 0) for v in args.exog_vars)
-    weighting = Weighting.parse(args.weighting, max_iter=args.max_iter, tol=args.tol)
+    weighting = _weighting(args)
     records = {}
     for spec in SPEC_CHOICES:
         model = _model_for(spec, args.dep, 1, exog, None)
@@ -315,7 +321,7 @@ def cmd_simulate(args) -> int:
             seed=args.seed,
         )
     n_x = len(betas)
-    weighting = Weighting.parse(args.weighting, max_iter=args.max_iter, tol=args.tol)
+    weighting = _weighting(args)
     fresh = {
         c.name: c for c in fd_od_comparison_configs(n_x=n_x, weighting=weighting)
     }

@@ -10,11 +10,13 @@ clustered by entity.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.lapack import get_lapack_funcs
 
 from .errors import EstimationError, RankError, SingularWeightingError
 from .instruments import InstrumentMatrix, InstrumentSpec, assemble, intercept_column
@@ -95,6 +97,10 @@ class Weighting:
     def __post_init__(self):
         if self.kind not in ("one_step", "two_step", "n_step"):
             raise ValueError(f"unknown weighting {self.kind!r}")
+        if self.max_iter < 1:
+            raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
+        if not 0.0 <= self.tol < math.inf:
+            raise ValueError(f"tol must be finite and >= 0, got {self.tol!r}")
 
     @classmethod
     def parse(cls, text: str, max_iter: int = 100, tol: float = 1e-8) -> "Weighting":
@@ -348,12 +354,26 @@ def _check_rank(X: np.ndarray, names: Sequence[str]) -> None:
         )
 
 
+# LAPACK's Cholesky factorization and solve, called directly. cho_factor and
+# cho_solve call the same routines with the same arguments, so the results
+# are theirs bit for bit, without their wrappers' cost (about 60 us a call)
+# or their finiteness check: a NaN passes through, and callers check.
+_POTRF, _POTRS = get_lapack_funcs(("potrf", "potrs"), (np.zeros(1),))
+
+
+def _cho_solve(A: np.ndarray, B: np.ndarray) -> np.ndarray | None:
+    """Solve A X = B by the upper Cholesky factor of A; None if A is not positive definite."""
+    c, info = _POTRF(A, lower=False, clean=False)
+    if info != 0:
+        return None
+    return _POTRS(c, B, lower=False)[0]
+
+
 def _spd_inverse(A: np.ndarray, context: str) -> np.ndarray:
-    try:
-        c, low = scipy.linalg.cho_factor(A)
-        return scipy.linalg.cho_solve((c, low), np.eye(A.shape[0]))
-    except np.linalg.LinAlgError as exc:
-        raise EstimationError(f"{context}: matrix not positive definite") from exc
+    inv = _cho_solve(A, np.eye(A.shape[0]))
+    if inv is None:
+        raise EstimationError(f"{context}: matrix not positive definite")
+    return inv
 
 
 def _ols(y: np.ndarray, X: np.ndarray, names: Sequence[str]) -> np.ndarray:
@@ -629,44 +649,91 @@ def _invert_weight(
     false) or, given the entity scores U of A = U'U (A may then be None),
     when U has fewer rows than columns. Only otherwise is a Cholesky tried,
     since rounding can let one through on a singular A. The pseudo-inverse
-    keeps eigenvalues above 1e-12 of the largest; given U they are the s^2
-    of the thin SVD U' = V diag(s) P', and A^+ = V diag(1/s^2) V'.
+    keeps eigenvalues above 1e-12 of the largest. Given U it is F F' with
+    F the factor of ``_weight_factor``; given only A it comes from eigh.
+
+    The Cholesky branch runs the LAPACK calls of cho_factor/cho_solve, so
+    its inverse is theirs bit for bit. That branch must not move: the
+    random-effects n-step intercept on the brand panel shifts by up to
+    7.4e-10 relative when one pp cell moves by one ulp, above the 1e-10
+    the golden records are checked to.
     """
     if full_rank and (U is None or U.shape[0] >= U.shape[1]):
         A = U.T @ U if A is None else A
-        try:
-            c, low = scipy.linalg.cho_factor(A)
-            return scipy.linalg.cho_solve((c, low), np.eye(A.shape[0])), A.shape[0]
-        except np.linalg.LinAlgError:
-            pass
+        inv = _cho_solve(A, np.eye(A.shape[0]))
+        if inv is not None:
+            return inv, A.shape[0]
+    _require_pinv(on_singular, context)
+    if U is not None:
+        F, rank = _weight_factor(U, context)
+        return F @ F.T, rank
+    w, V = np.linalg.eigh(A)
+    keep = _kept(w, context)
+    return (V[:, keep] / w[keep]) @ V[:, keep].T, int(keep.sum())
+
+
+def _require_pinv(on_singular: str, context: str) -> None:
+    """Raise SingularWeightingError unless a singular weight may be pseudo-inverted."""
     if on_singular == "error":
         raise SingularWeightingError(
             f"{context} weighting matrix is singular; collapse the dynamic "
             "instrument blocks or bound their lag depth (or pass on_singular='pinv')"
         )
-    if U is None:
-        w, V = np.linalg.eigh(A)
-    else:
-        V, s, _ = np.linalg.svd(U.T, full_matrices=False)
-        w = s * s
+
+
+def _kept(w: np.ndarray, context: str) -> np.ndarray:
+    """Mask of the eigenvalues a pseudo-inverse keeps: above 1e-12 of the largest."""
     keep = w > 1e-12 * max(w.max(), 0.0)
-    rank = int(keep.sum())
-    if rank == 0:
+    if not keep.any():
         raise SingularWeightingError(f"{context} weighting matrix is zero")
-    return (V[:, keep] / w[keep]) @ V[:, keep].T, rank
+    return keep
+
+
+def _weight_factor(U: np.ndarray, context: str) -> tuple[np.ndarray, int]:
+    """Factor F of the pseudo-inverse (U'U)^+ = F F', and its rank.
+
+    With the thin SVD U' = V diag(s) P', the eigenvalues of U'U are s^2;
+    on those that ``_kept`` keeps, F = V / s.
+    """
+    V, s, _ = np.linalg.svd(U.T, full_matrices=False)
+    keep = _kept(s * s, context)
+    return V[:, keep] / s[keep], int(keep.sum())
+
+
+def _cross_moments(Z: np.ndarray, e1: np.ndarray, X: np.ndarray,
+                   starts: np.ndarray) -> np.ndarray:
+    """Entity cross-moments C (N x L x (1+k)): C[a, l] = sum_t Z_tl [e1_t, X_t].
+
+    Residuals at any beta are e1 + X (beta1 - beta) when e1 = y - X beta1,
+    so their scores are C @ [1, beta1 - beta].
+    """
+    return np.stack([_scores(Z, col, starts) for col in np.column_stack([e1, X]).T], axis=-1)
+
+
+def _solve_normal(P: np.ndarray, r: np.ndarray, names) -> np.ndarray:
+    """beta from the GMM normal equations P beta = r, P = G'WG and r = G'Wv."""
+    beta = _cho_solve(P, r)
+    if beta is None:
+        raise RankError(
+            f"X'Z W Z'X is singular; instruments may not identify {list(names)}", names
+        )
+    return beta
 
 
 def _gmm_beta(G: np.ndarray, W: np.ndarray, v: np.ndarray, names) -> np.ndarray:
     GW = G.T @ W
-    P = GW @ G
-    try:
-        c, low = scipy.linalg.cho_factor(P)
-        return scipy.linalg.cho_solve((c, low), GW @ v)
-    except np.linalg.LinAlgError as exc:
-        raise RankError(
-            f"X'Z W Z'X is singular; instruments may not identify {list(names)}",
-            names,
-        ) from exc
+    return _solve_normal(GW @ G, GW @ v, names)
+
+
+def _factor_beta(F: np.ndarray, Gv: np.ndarray, names) -> np.ndarray:
+    """beta under the weight W = F F', from M = F'[G v]."""
+    M = F.T @ Gv
+    MG = M[:, :-1]
+    return _solve_normal(MG.T @ MG, MG.T @ M[:, -1], names)
+
+
+def _non_finite(step: int) -> EstimationError:
+    return EstimationError(f"GMM step {step} gave a non-finite coefficient")
 
 
 def fit_gmm(
@@ -693,6 +760,15 @@ def fit_gmm(
     covariance S = U'U (U the N x L entity score matrix), when N < L; it
     raises SingularWeightingError, or with ``on_singular='pinv'`` is
     replaced by its pseudo-inverse, tracking the effective rank.
+
+    When S is singular by those tests, the iteration never forms an L x L
+    weight: each step's scores are C @ [1, beta1 - beta], with C the
+    entity cross-moments of the one-step residuals and of X, and beta
+    solves the normal equations of M = F'[Z'X Z'y], F the factor of
+    ``_weight_factor`` (W = F F', built once after the loop). Otherwise
+    each step inverts S by Cholesky exactly as the direct formulas read,
+    so those fits stay bit for bit what the formulas give. A step whose
+    coefficients are not finite raises EstimationError.
     """
     design = build_design(model, data, components)
     y = design.y
@@ -714,22 +790,38 @@ def fit_gmm(
     full_rank = zmat.rank == zmat.n_columns
 
     A1 = _one_step_weight_blocks(design, Z)
-    W, w_rank = _invert_weight(A1, on_singular, "one-step", full_rank=full_rank)
-    W1 = W
-    beta = _gmm_beta(G, W, v, names)
+    W1, w_rank = _invert_weight(A1, on_singular, "one-step", full_rank=full_rank)
+    W = W1
+    beta = beta1 = _gmm_beta(G, W1, v, names)
+    if not np.isfinite(beta).all():
+        raise _non_finite(1)
     steps = 1
     trace: list[float] = []
 
     if weighting.kind in ("two_step", "n_step"):
+        # U'U is singular at every step when the instruments lack full rank
+        # or there are fewer entities than columns: each step's scores then
+        # come from the one-step cross-moments, and its weight stays a factor
+        singular = not full_rank or starts.size < Z.shape[1]
+        if singular:
+            _require_pinv(on_singular, "moment covariance")
+            C = _cross_moments(Z, y - X @ beta1, X, starts)
+            Gv = np.column_stack([G, v])
         max_iter = 1 if weighting.kind == "two_step" else weighting.max_iter
         converged = weighting.kind == "two_step"
         for _ in range(max_iter):
-            U_prev = _scores(Z, y - X @ beta, starts)
-            W, w_rank = _invert_weight(None, on_singular, "moment covariance",
-                                       U_prev, full_rank=full_rank)
-            beta_new = _gmm_beta(G, W, v, names)
+            if singular:
+                U_prev = C @ np.append(1.0, beta1 - beta)
+                F, w_rank = _weight_factor(U_prev, "moment covariance")
+                beta_new = _factor_beta(F, Gv, names)
+            else:
+                U_prev = _scores(Z, y - X @ beta, starts)
+                W, w_rank = _invert_weight(None, on_singular, "moment covariance", U_prev)
+                beta_new = _gmm_beta(G, W, v, names)
             steps += 1
             delta = float(np.max(np.abs(beta_new - beta)))
+            if not math.isfinite(delta):
+                raise _non_finite(steps)
             trace.append(delta)
             beta = beta_new
             if weighting.kind == "n_step" and delta < weighting.tol:
@@ -743,6 +835,8 @@ def fit_gmm(
                 f"{'' if len(trace) <= 8 else '(first 3, last 5) '}"
                 f"{[f'{d:.3e}' for d in shown]}"
             )
+        if singular:
+            W = F @ F.T
 
     resid = y - X @ beta
     fitted = X @ beta

@@ -170,6 +170,23 @@ def test_estimate_negative_ar_exit_2(brand_panel_csv, tmp_path, capsys):
     assert err.startswith("error: ar_lags must be >= 0")
 
 
+@pytest.mark.parametrize("option, value, message", [
+    ("--max-iter", "-3", "max_iter must be >= 1"),
+    ("--max-iter", "0", "max_iter must be >= 1"),
+    ("--tol", "nan", "tol must be finite and >= 0"),
+    ("--tol", "inf", "tol must be finite and >= 0"),
+    ("--tol", "-1e-8", "tol must be finite and >= 0"),
+])
+def test_estimate_bad_iteration_setting_exit_2(brand_panel_csv, tmp_path, capsys,
+                                               option, value, message):
+    code, _, err = run_cli(
+        capsys, "estimate", "--data", brand_panel_csv, "--spec", "fd", "--dep", "pp",
+        "--weighting", "n-step", f"{option}={value}", "--output-dir", str(tmp_path),
+    )
+    assert code == 2
+    assert err.startswith(f"error: {message}")
+
+
 def test_estimate_bad_instrument_lag_exit_2(brand_panel_csv, tmp_path, capsys):
     code, _, err = run_cli(
         capsys, "estimate", "--data", brand_panel_csv, "--spec", "fd",

@@ -422,6 +422,14 @@ def test_n_step_non_convergence_error():
         fit_gmm(model, data, inst, weighting=n_step(max_iter=1, tol=0.0))
 
 
+@pytest.mark.parametrize("max_iter, tol", [(0, 1e-8), (-3, 1e-8), (10, float("nan")),
+                                           (10, float("inf")), (10, -1e-8)])
+def test_weighting_rejects_bad_iteration_settings(max_iter, tol):
+    with pytest.raises(ValueError, match="max_iter|tol"):
+        n_step(max_iter=max_iter, tol=tol)
+    assert n_step(max_iter=1, tol=0.0).tol == 0.0
+
+
 def test_singular_weighting_error_and_pinv_escape():
     # more instrument columns than entities makes the two-step moment
     # covariance rank deficient
