@@ -356,8 +356,9 @@ def _check_rank(X: np.ndarray, names: Sequence[str]) -> None:
 
 # LAPACK's Cholesky factorization and solve, called directly. cho_factor and
 # cho_solve call the same routines with the same arguments, so the results
-# are theirs bit for bit, without their wrappers' cost (about 60 us a call)
-# or their finiteness check: a NaN passes through, and callers check.
+# are theirs bit for bit, without their wrappers' cost (about 30 us per
+# factor-and-solve of a 4 x 4 system, against 3 us of LAPACK work) or their
+# finiteness check: a NaN passes through, and callers check.
 _POTRF, _POTRS = get_lapack_funcs(("potrf", "potrs"), (np.zeros(1),))
 
 
