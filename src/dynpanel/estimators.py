@@ -652,6 +652,8 @@ def _invert_weight(
     since rounding can let one through on a singular A. The pseudo-inverse
     keeps eigenvalues above 1e-12 of the largest. Given U it is F F' with
     F the factor of ``_weight_factor``; given only A it comes from eigh.
+    A non-finite A or eigenvalue means the moment products overflowed, and
+    raises EstimationError.
 
     The Cholesky branch runs the LAPACK calls of cho_factor/cho_solve, so
     its inverse is theirs bit for bit. That branch must not move: the
@@ -661,6 +663,8 @@ def _invert_weight(
     """
     if full_rank and (U is None or U.shape[0] >= U.shape[1]):
         A = U.T @ U if A is None else A
+        if not np.isfinite(A).all():
+            raise _overflow(context)
         inv = _cho_solve(A, np.eye(A.shape[0]))
         if inv is not None:
             return inv, A.shape[0]
@@ -682,8 +686,17 @@ def _require_pinv(on_singular: str, context: str) -> None:
         )
 
 
+def _overflow(context: str) -> EstimationError:
+    return EstimationError(
+        f"{context} weighting matrix is not finite: the moment products "
+        "overflowed; rescale the data"
+    )
+
+
 def _kept(w: np.ndarray, context: str) -> np.ndarray:
     """Mask of the eigenvalues a pseudo-inverse keeps: above 1e-12 of the largest."""
+    if not np.isfinite(w).all():
+        raise _overflow(context)
     keep = w > 1e-12 * max(w.max(), 0.0)
     if not keep.any():
         raise SingularWeightingError(f"{context} weighting matrix is zero")

@@ -1,11 +1,16 @@
 """Synthetic dynamic-panel generation and Monte Carlo harness.
 
 The generator draws y_{a,t} = rho y_{a,t-1} + x_{a,t}'beta + omega_a +
-eps_{a,t} with omega_a ~ N(0, sigma_effect^2), per-entity PCG64 streams
-spawned from (seed, replication, entity) so every dataset is
-reproducible cell for cell. The harness fits a list of estimator
-configurations on each replication and aggregates bias, RMSE, SE
-calibration, and rejection rates.
+eps_{a,t} with omega_a ~ N(0, sigma_effect^2). Entity a of replication r
+draws from its own stream: numpy's PCG64 seeded by
+``SeedSequence(seed, spawn_key=(r, a))``, so every dataset is
+reproducible cell for cell. Those states are computed for all entities
+at once (``_entity_streams``) rather than by numpy's constructors, which
+cost most of a generated entity's time; the 152 digests in
+``tests/data/golden/generate_digests.json`` and a test of the states
+against numpy's own pin the contract. The harness fits a list of
+estimator configurations on each replication and aggregates bias, RMSE,
+SE calibration, and rejection rates.
 """
 
 from __future__ import annotations
@@ -61,40 +66,132 @@ class DgpSpec:
             raise ValueError("missingness must be in [0, 1)")
         if self.n_entities < 1 or self.n_periods < 1:
             raise ValueError("need at least one entity and one period")
+        _require_non_negative_int("seed", self.seed)
+
+
+def _require_non_negative_int(name: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
+        raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
+
+
+# SeedSequence's hash constants (numpy/random/bit_generator.pyx) and the
+# multiplier of PCG64's 128-bit LCG (numpy/random/src/pcg64/pcg64.h)
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_POOL_SIZE = 4
+_MASK32 = 0xFFFFFFFF
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+
+
+def _words(n: int) -> list[int]:
+    """The little-endian uint32 words of a non-negative int (one word for 0)."""
+    words = [n & _MASK32]
+    while n := n >> 32:
+        words.append(n & _MASK32)
+    return words
+
+
+def _entity_streams(seed: int, replication: int, entities: np.ndarray) -> list[dict]:
+    """The PCG64 state of ``SeedSequence(seed, spawn_key=(replication, a))`` for each a.
+
+    Runs numpy's SeedSequence algorithm with wrapping uint32 arithmetic
+    over the entity indices (each below 2**32): the entropy is the seed's
+    words padded with zeros to the pool size, the replication's words and
+    the entity's word; it is mixed into a pool of 4 words, from which
+    ``generate_state(4, uint64)`` draws PCG64's seed and increment. Only the
+    last entropy word differs between entities. PCG64's seeding, two steps
+    of its 128-bit LCG, then runs on Python ints. Each result equals
+    ``np.random.PCG64(np.random.SeedSequence(...)).state``.
+    """
+    entities = np.asarray(entities, dtype=np.uint32)
+    run = _words(int(seed))
+    run += [0] * (_POOL_SIZE - len(run))
+    entropy = [np.full(entities.shape, w, dtype=np.uint32) for w in run + _words(int(replication))]
+    entropy.append(entities)
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * np.uint32(hash_const)
+        return value ^ (value >> np.uint32(16))
+
+    def mix(x, y):
+        result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+        return result ^ (result >> np.uint32(16))
+
+    pool = [hashmix(w) for w in entropy[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(word))
+
+    hash_const = _INIT_B
+    state_words = []
+    for i in range(2 * _POOL_SIZE):
+        value = pool[i % _POOL_SIZE] ^ np.uint32(hash_const)
+        hash_const = hash_const * _MULT_B & _MASK32
+        value = value * np.uint32(hash_const)
+        state_words.append(value ^ (value >> np.uint32(16)))
+    # uint64 k joins uint32 words 2k (low half) and 2k + 1
+    seed_hi, seed_lo, inc_hi, inc_lo = (
+        (state_words[2 * k + 1].astype(np.uint64) << np.uint64(32) | state_words[2 * k]).tolist()
+        for k in range(4)
+    )
+    states = []
+    for s_hi, s_lo, i_hi, i_lo in zip(seed_hi, seed_lo, inc_hi, inc_lo):
+        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
+        state = ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & _MASK128
+        states.append({"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                       "has_uint32": 0, "uinteger": 0})
+    return states
 
 
 def generate(dgp: DgpSpec, replication: int = 0) -> PanelDataset:
     """Simulate one panel; fully deterministic given (spec, replication).
 
-    Entity a uses the PCG64 stream spawned with key (replication, a) and
-    draws omega, the x paths, the noise and then the missingness mask, so
-    panels are reproducible across runs and platforms. The time recursion
+    Entity a draws from numpy's PCG64 seeded by
+    ``SeedSequence(dgp.seed, spawn_key=(replication, a))``: omega, the x
+    paths and the noise in one ``standard_normal`` call, then the
+    missingness mask, so panels are reproducible across runs and
+    platforms. numpy's constructors are not called per entity:
+    ``_entity_streams`` computes every entity's state at once and one
+    reused generator is set to each in turn. The 152 golden digests and a
+    test of those states against numpy's pin this. The time recursion
     then runs once across all entities. With ``y0`` set the recursion
     starts from that value at the first period and no burn-in is applied;
     otherwise the start is drawn near the stationary mean and ``burn_in``
     periods are discarded.
     """
+    _require_non_negative_int("replication", replication)
     n_x = len(dgp.exogenous_betas)
     N, T = dgp.n_entities, dgp.n_periods
     burn = 0 if dgp.y0 is not None else dgp.burn_in
     total = burn + T
     betas = np.asarray(dgp.exogenous_betas)
-    omega = np.empty(N)
-    x_path = np.empty((N, n_x, total))
-    eps = np.empty((N, total))
-    keep = np.ones((N, T), dtype=bool)
-    for a in range(N):
-        rng = np.random.default_rng(
-            np.random.SeedSequence(dgp.seed, spawn_key=(replication, a))
-        )
-        omega[a] = rng.standard_normal()
-        x_path[a] = rng.standard_normal((n_x, total))
-        eps[a] = rng.standard_normal(total)
+    draws = np.empty((N, 1 + (n_x + 1) * total))
+    uniform = np.empty((N, T))
+    bit_generator = np.random.PCG64(0)  # set to each entity's state below
+    rng = np.random.Generator(bit_generator)
+    for state, row, u in zip(_entity_streams(dgp.seed, replication, np.arange(N)), draws, uniform):
+        bit_generator.state = state
+        rng.standard_normal(out=row)
         if dgp.missingness > 0.0:
-            drop = rng.random(T) < dgp.missingness
-            if drop.all():
-                drop[0] = False  # keep every entity observable
-            keep[a] = ~drop
+            rng.random(out=u)
+    omega = draws[:, 0]
+    x_path = draws[:, 1:1 + n_x * total].reshape(N, n_x, total)
+    eps = draws[:, 1 + n_x * total:]
+    keep = np.ones((N, T), dtype=bool)
+    if dgp.missingness > 0.0:
+        drop = uniform < dgp.missingness
+        drop[drop.all(axis=1), 0] = False  # keep every entity observable
+        keep = ~drop
     omega *= dgp.sigma_effect
     x_path += dgp.effect_loading * omega[:, None, None]
     eps *= dgp.sigma_noise

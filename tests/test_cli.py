@@ -402,6 +402,16 @@ def test_simulate_nonstationary_rho_exit_2(tmp_path, capsys):
     assert err.startswith("error: |rho| must be < 1")
 
 
+def test_simulate_negative_seed_exit_2(tmp_path, capsys):
+    code, _, err = run_cli(
+        capsys, "simulate", "--seed", "-1", "--reps", "1",
+        "--output-dir", str(tmp_path),
+    )
+    assert code == 2
+    assert err.startswith("error: seed must be a non-negative integer, got -1")
+    assert not list(tmp_path.iterdir())
+
+
 # ---------------------------------------------------------------------------
 # golden outputs on the suite's brand panel: the 4-decimal tables byte for
 # byte, the full-precision CSV and JSON records after parsing. To

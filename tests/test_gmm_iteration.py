@@ -35,6 +35,7 @@ from dynpanel.estimators import (
     build_design,
 )
 from dynpanel.instruments import assemble
+from dynpanel.panel import PanelDataset, PanelSeries
 from dynpanel.simulate import DgpSpec, ar1_model, generate
 from dynpanel.transforms import TransformKind, entity_starts
 
@@ -230,6 +231,27 @@ def test_a_non_finite_step_raises_at_once(monkeypatch, wide, bad_call):
         fit_gmm(ar1_model(FD), data, spec, weighting=n_step(max_iter=100, tol=0.0),
                 on_singular="pinv")
     assert len(calls) == bad_call
+
+
+@pytest.mark.parametrize(
+    "n, dynamic",
+    [(8, DynamicInstrument("y", 2)), (60, DynamicInstrument("y", 2, 3))],
+    ids=["eigenvalues", "cholesky"],
+)
+def test_overflowing_moment_products_are_named_as_an_overflow(n, dynamic):
+    # at 1e100 the moment covariance U'U overflows: on the pseudo-inverse
+    # path (L > N) its eigenvalues s^2 do, on the Cholesky path (L < N) A
+    data = generate(DgpSpec(n, 10, missingness=0.1, seed=4))
+    series = dict(data.series)
+    for name in ("y", "x1"):
+        series[name] = PanelSeries(series[name].values * 1e100, series[name].mask)
+    data = PanelDataset(data.entities, data.periods, series)
+    spec = InstrumentSpec(dynamic=(dynamic,), static=(StaticInstrument("x1"),))
+    with pytest.raises(EstimationError, match="overflowed; rescale the data") as info:
+        with np.errstate(over="ignore"):
+            fit_gmm(ar1_model(FD), data, spec, weighting=n_step(), on_singular="pinv")
+    assert type(info.value) is EstimationError
+    assert str(info.value).startswith("moment covariance weighting matrix is not finite")
 
 
 def _two_step_map(res):

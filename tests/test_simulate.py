@@ -2,16 +2,68 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dynpanel import DgpSpec, TransformKind, generate, run_experiment
 from dynpanel.estimators import ONE_STEP
 from dynpanel.instruments import DynamicInstrument, InstrumentSpec, StaticInstrument
 from dynpanel.simulate import (
     EstimatorConfig,
+    _entity_streams,
     ar1_model,
     fd_od_comparison_configs,
     true_coefficients,
 )
+
+
+def _reference_generate(dgp, replication=0):
+    """``generate`` with numpy's own SeedSequence and PCG64 built per entity.
+
+    The draws of entity a come from ``default_rng(SeedSequence(seed,
+    spawn_key=(replication, a)))`` in the order omega, x paths, noise,
+    mask. ``generate`` must match it bit for bit.
+    """
+    n_x = len(dgp.exogenous_betas)
+    N, T = dgp.n_entities, dgp.n_periods
+    burn = 0 if dgp.y0 is not None else dgp.burn_in
+    total = burn + T
+    betas = np.asarray(dgp.exogenous_betas)
+    omega = np.empty(N)
+    x_path = np.empty((N, n_x, total))
+    eps = np.empty((N, total))
+    keep = np.ones((N, T), dtype=bool)
+    for a in range(N):
+        rng = np.random.default_rng(
+            np.random.SeedSequence(dgp.seed, spawn_key=(replication, a))
+        )
+        omega[a] = rng.standard_normal()
+        x_path[a] = rng.standard_normal((n_x, total))
+        eps[a] = rng.standard_normal(total)
+        if dgp.missingness > 0.0:
+            drop = rng.random(T) < dgp.missingness
+            if drop.all():
+                drop[0] = False
+            keep[a] = ~drop
+    omega *= dgp.sigma_effect
+    x_path += dgp.effect_loading * omega[:, None, None]
+    eps *= dgp.sigma_noise
+    if n_x == 1:
+        bx = betas[0] * x_path[:, 0]
+    else:
+        bx = np.array([[betas @ x[:, t] for t in range(total)] for x in x_path])
+    path = np.empty((N, total))
+    if dgp.y0 is not None:
+        path[:, 0] = yt = np.full(N, float(dgp.y0))
+        first = 1
+    else:
+        x_mean = dgp.effect_loading * omega
+        yt = (omega + float(betas.sum()) * x_mean) / (1.0 - dgp.rho)
+        first = 0
+    for t in range(first, total):
+        yt = dgp.rho * yt + bx[:, t] + omega + eps[:, t]
+        path[:, t] = yt
+    grids = {"y": path[:, burn:], **{f"x{j + 1}": x_path[:, j, burn:] for j in range(n_x)}}
+    return {name: (np.where(keep, g, np.nan), keep.copy()) for name, g in grids.items()}
 
 
 def test_spec_validation():
@@ -21,6 +73,65 @@ def test_spec_validation():
         DgpSpec(n_entities=10, n_periods=5, missingness=1.0)
     with pytest.raises(ValueError):
         DgpSpec(n_entities=0, n_periods=5)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, 2.0, True, "3", None])
+def test_spec_rejects_a_seed_that_is_not_a_non_negative_integer(seed):
+    with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+        DgpSpec(n_entities=10, n_periods=5, seed=seed)
+
+
+def test_spec_accepts_numpy_and_huge_seeds():
+    assert DgpSpec(n_entities=2, n_periods=2, seed=np.uint64(2**64 - 1)).seed == 2**64 - 1
+    generate(DgpSpec(n_entities=2, n_periods=2, seed=2**300))
+
+
+@pytest.mark.parametrize("replication", [-1, -(2**70), 0.0])
+def test_generate_rejects_a_negative_replication(replication):
+    with pytest.raises(ValueError, match="replication must be a non-negative integer"):
+        generate(DgpSpec(n_entities=3, n_periods=4), replication=replication)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(
+    seed=st.integers(0, 2**128 - 1),
+    replication=st.integers(0, 2**64 - 1),
+    entities=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=6),
+)
+def test_entity_streams_equal_numpys_seeded_pcg64(seed, replication, entities):
+    got = _entity_streams(seed, replication, np.array(entities, dtype=np.int64))
+    want = [
+        np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(replication, a))).state
+        for a in entities
+    ]
+    assert got == want
+
+
+@settings(max_examples=120, derandomize=True, deadline=None)
+@given(
+    n_entities=st.integers(1, 40),
+    n_periods=st.integers(1, 12),
+    n_x=st.integers(1, 3),
+    missingness=st.sampled_from([0.0, 0.1, 0.5, 0.9]),
+    y0=st.sampled_from([None, 2.0]),
+    burn_in=st.integers(0, 60),
+    effect_loading=st.sampled_from([0.0, 0.7]),
+    seed=st.one_of(st.integers(0, 2**16), st.integers(0, 2**160)),
+    replication=st.one_of(st.integers(0, 8), st.integers(0, 2**80)),
+)
+def test_generate_is_bit_identical_to_the_per_entity_seed_sequence_loop(
+    n_entities, n_periods, n_x, missingness, y0, burn_in, effect_loading, seed, replication,
+):
+    dgp = DgpSpec(n_entities, n_periods, rho=0.7, exogenous_betas=(1.0, -0.5, 0.25)[:n_x],
+                  sigma_effect=1.3, sigma_noise=0.8, burn_in=burn_in,
+                  missingness=missingness, seed=seed, effect_loading=effect_loading, y0=y0)
+    data = generate(dgp, replication)
+    want = _reference_generate(dgp, replication)
+    assert set(data.series) == set(want)
+    for name, (values, mask) in want.items():
+        assert np.array_equal(data.series[name].mask, mask)
+        assert np.array_equal(data.series[name].values, values, equal_nan=True)
+        assert (np.signbit(data.series[name].values) == np.signbit(values)).all()
 
 
 def test_noise_free_recursion():
