@@ -360,6 +360,11 @@ def _check_rank(X: np.ndarray, names: Sequence[str]) -> None:
 # factor-and-solve of a 4 x 4 system, against 3 us of LAPACK work) or their
 # finiteness check: a NaN passes through, and callers check.
 _POTRF, _POTRS = get_lapack_funcs(("potrf", "potrs"), (np.zeros(1),))
+# Householder QR, Q' applied, triangular solve and values-only SVD, called
+# directly for the same reason, by each pseudo-inverse GMM step
+_GEQRF, _ORMQR, _TRTRS, _GESDD = get_lapack_funcs(
+    ("geqrf", "ormqr", "trtrs", "gesdd"), (np.zeros(1),)
+)
 
 
 def _cho_solve(A: np.ndarray, B: np.ndarray) -> np.ndarray | None:
@@ -650,10 +655,12 @@ def _invert_weight(
     false) or, given the entity scores U of A = U'U (A may then be None),
     when U has fewer rows than columns. Only otherwise is a Cholesky tried,
     since rounding can let one through on a singular A. The pseudo-inverse
-    keeps eigenvalues above 1e-12 of the largest. Given U it is F F' with
-    F the factor of ``_weight_factor``; given only A it comes from eigh.
-    A non-finite A or eigenvalue means the moment products overflowed, and
-    raises EstimationError.
+    keeps eigenvalues above 1e-12 of the largest (``_kept``): from eigh of
+    A, or, given U, from the SVD of U' as F F' (``_weight_factor``). A
+    non-finite A or eigenvalue means the moment products overflowed, and
+    raises EstimationError. The one-step weight, the J and AR tests and
+    the iteration of ``fit_gmm`` when U'U is nonsingular come here; its
+    iteration when U'U is singular goes through ``_step_moments``.
 
     The Cholesky branch runs the LAPACK calls of cho_factor/cho_solve, so
     its inverse is theirs bit for bit. That branch must not move: the
@@ -664,7 +671,7 @@ def _invert_weight(
     if full_rank and (U is None or U.shape[0] >= U.shape[1]):
         A = U.T @ U if A is None else A
         if not np.isfinite(A).all():
-            raise _overflow(context)
+            raise _overflow(f"{context} weighting matrix")
         inv = _cho_solve(A, np.eye(A.shape[0]))
         if inv is not None:
             return inv, A.shape[0]
@@ -686,17 +693,16 @@ def _require_pinv(on_singular: str, context: str) -> None:
         )
 
 
-def _overflow(context: str) -> EstimationError:
+def _overflow(what: str) -> EstimationError:
     return EstimationError(
-        f"{context} weighting matrix is not finite: the moment products "
-        "overflowed; rescale the data"
+        f"{what} is not finite: the moment products overflowed; rescale the data"
     )
 
 
 def _kept(w: np.ndarray, context: str) -> np.ndarray:
     """Mask of the eigenvalues a pseudo-inverse keeps: above 1e-12 of the largest."""
     if not np.isfinite(w).all():
-        raise _overflow(context)
+        raise _overflow(f"{context} weighting matrix")
     keep = w > 1e-12 * max(w.max(), 0.0)
     if not keep.any():
         raise SingularWeightingError(f"{context} weighting matrix is zero")
@@ -712,6 +718,27 @@ def _weight_factor(U: np.ndarray, context: str) -> tuple[np.ndarray, int]:
     V, s, _ = np.linalg.svd(U.T, full_matrices=False)
     keep = _kept(s * s, context)
     return V[:, keep] / s[keep], int(keep.sum())
+
+
+def _step_moments(U: np.ndarray, Gv: np.ndarray, context: str) -> tuple[np.ndarray, int]:
+    """M with M'M = Gv'(U'U)^+ Gv, and the rank of (U'U)^+.
+
+    When U (N x L) has N <= L, U' = QR by Householder QR, and the
+    eigenvalues of U'U are the squares of R's singular values. If
+    ``_kept`` keeps all N, (U'U)^+ = Q R^-T R^-1 Q' and M = R^-1 Q'Gv, by
+    a triangular solve; that is the least-squares route, and its error is
+    eps cond(U) as the SVD's is. When a value is cut, or N > L,
+    M = F'Gv with F the factor of ``_weight_factor``.
+    """
+    n = U.shape[0]
+    if n <= U.shape[1]:
+        qr, tau = _GEQRF(U.T)[:2]
+        _, s, _, info = _GESDD(np.triu(qr[:n]), compute_uv=0)
+        if info == 0 and _kept(s * s, context).all():
+            QtGv = _ORMQR("L", "T", qr, tau, Gv, Gv.shape[1])[0]
+            return _TRTRS(qr, QtGv)[0][:n], n
+    F, rank = _weight_factor(U, context)
+    return F.T @ Gv, rank
 
 
 def _cross_moments(Z: np.ndarray, e1: np.ndarray, X: np.ndarray,
@@ -737,13 +764,6 @@ def _solve_normal(P: np.ndarray, r: np.ndarray, names) -> np.ndarray:
 def _gmm_beta(G: np.ndarray, W: np.ndarray, v: np.ndarray, names) -> np.ndarray:
     GW = G.T @ W
     return _solve_normal(GW @ G, GW @ v, names)
-
-
-def _factor_beta(F: np.ndarray, Gv: np.ndarray, names) -> np.ndarray:
-    """beta under the weight W = F F', from M = F'[G v]."""
-    M = F.T @ Gv
-    MG = M[:, :-1]
-    return _solve_normal(MG.T @ MG, MG.T @ M[:, -1], names)
 
 
 def _non_finite(step: int) -> EstimationError:
@@ -778,11 +798,15 @@ def fit_gmm(
     When S is singular by those tests, the iteration never forms an L x L
     weight: each step's scores are C @ [1, beta1 - beta], with C the
     entity cross-moments of the one-step residuals and of X, and beta
-    solves the normal equations of M = F'[Z'X Z'y], F the factor of
-    ``_weight_factor`` (W = F F', built once after the loop). Otherwise
-    each step inverts S by Cholesky exactly as the direct formulas read,
-    so those fits stay bit for bit what the formulas give. A step whose
-    coefficients are not finite raises EstimationError.
+    solves the normal equations of the M of ``_step_moments``, for which
+    M'M = [Z'X Z'y]'S^+[Z'X Z'y]: by Householder QR of U' when every
+    singular value is kept, from the SVD of U' otherwise. The weight
+    W = S^+ = F F' and its rank come once, after the loop, from the SVD
+    of the last step's scores (``_weight_factor``). Otherwise each step
+    inverts S by Cholesky exactly as the direct formulas read, so those
+    fits stay bit for bit what the formulas give. Z'X or Z'y that is not
+    finite, like a step whose coefficients are not finite, raises
+    EstimationError.
     """
     design = build_design(model, data, components)
     y = design.y
@@ -796,10 +820,12 @@ def fit_gmm(
     )
     Z = zmat.matrix
     G = Z.T @ X
+    v = Z.T @ y
+    if not (np.isfinite(G).all() and np.isfinite(v).all()):
+        raise _overflow("Z'X or Z'y")
     if np.linalg.matrix_rank(G) < k:
         raise RankError("Z'X is rank deficient; instruments do not identify "
                         f"{list(names)}", names)
-    v = Z.T @ y
     starts = entity_starts(design.entity_ids)
     full_rank = zmat.rank == zmat.n_columns
 
@@ -826,8 +852,9 @@ def fit_gmm(
         for _ in range(max_iter):
             if singular:
                 U_prev = C @ np.append(1.0, beta1 - beta)
-                F, w_rank = _weight_factor(U_prev, "moment covariance")
-                beta_new = _factor_beta(F, Gv, names)
+                M = _step_moments(U_prev, Gv, "moment covariance")[0]
+                MG = M[:, :-1]
+                beta_new = _solve_normal(MG.T @ MG, MG.T @ M[:, -1], names)
             else:
                 U_prev = _scores(Z, y - X @ beta, starts)
                 W, w_rank = _invert_weight(None, on_singular, "moment covariance", U_prev)
@@ -850,6 +877,7 @@ def fit_gmm(
                 f"{[f'{d:.3e}' for d in shown]}"
             )
         if singular:
+            F, w_rank = _weight_factor(U_prev, "moment covariance")
             W = F @ F.T
 
     resid = y - X @ beta

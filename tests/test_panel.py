@@ -27,6 +27,27 @@ def write(tmp_path, text, name="data.csv"):
     return str(path)
 
 
+@pytest.mark.parametrize("wide", [False, True], ids=["long", "wide"])
+def test_non_utf8_byte_past_the_first_chunk_names_its_file_offset(tmp_path, wide):
+    # the text reader decodes 8 KiB at a time; the offset is the file's
+    if wide:
+        head = "name,2005,2006\n" + "".join(f"firm{i},1,2\n" for i in range(1500))
+        tail = b"firm\xff,1,2\n"
+    else:
+        head = "entity,period,pp\n" + "".join(f"firm{i},2005,1\n" for i in range(1200))
+        tail = b"firm\xff,2005,1\n"
+    data = head.encode() + tail
+    offset = data.index(b"\xff")
+    assert offset > 8192
+    path = tmp_path / "data.csv"
+    path.write_bytes(data)
+    with pytest.raises(DataError, match=rf"data.csv: not UTF-8 text \(byte {offset}: "):
+        if wide:
+            ingest_wide_csv(str(path), "pp")
+        else:
+            ingest_long_csv(str(path))
+
+
 # ---------------------------------------------------------------------------
 # long-format ingestion
 
