@@ -16,6 +16,7 @@ from typing import Sequence
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.blas import get_blas_funcs
 from scipy.linalg.lapack import get_lapack_funcs
 
 from .errors import EstimationError, RankError, SingularWeightingError
@@ -360,11 +361,14 @@ def _check_rank(X: np.ndarray, names: Sequence[str]) -> None:
 # factor-and-solve of a 4 x 4 system, against 3 us of LAPACK work) or their
 # finiteness check: a NaN passes through, and callers check.
 _POTRF, _POTRS = get_lapack_funcs(("potrf", "potrs"), (np.zeros(1),))
-# Householder QR, Q' applied, triangular solve and values-only SVD, called
-# directly for the same reason, by each pseudo-inverse GMM step
-_GEQRF, _ORMQR, _TRTRS, _GESDD = get_lapack_funcs(
-    ("geqrf", "ormqr", "trtrs", "gesdd"), (np.zeros(1),)
-)
+# Householder QR, Q' applied and values-only SVD, called directly for the
+# same reason by each pseudo-inverse GMM step, and the level-2 triangular
+# solve. LAPACK's trtrs goes through the level-3 trsm instead: with BLAS
+# threads not pinned, that made `replicate` 1.7x slower than one full SVD
+# per step on 2 cores (scipy's and numpy's OpenBLAS thread pools contend),
+# while one trsv per column ran faster than the SVD both ways.
+_GEQRF, _ORMQR, _GESDD = get_lapack_funcs(("geqrf", "ormqr", "gesdd"), (np.zeros(1),))
+(_TRSV,) = get_blas_funcs(("trsv",), (np.zeros(1),))
 
 
 def _cho_solve(A: np.ndarray, B: np.ndarray) -> np.ndarray | None:
@@ -726,17 +730,18 @@ def _step_moments(U: np.ndarray, Gv: np.ndarray, context: str) -> tuple[np.ndarr
     When U (N x L) has N <= L, U' = QR by Householder QR, and the
     eigenvalues of U'U are the squares of R's singular values. If
     ``_kept`` keeps all N, (U'U)^+ = Q R^-T R^-1 Q' and M = R^-1 Q'Gv, by
-    a triangular solve; that is the least-squares route, and its error is
+    triangular solves; that is the least-squares route, and its error is
     eps cond(U) as the SVD's is. When a value is cut, or N > L,
     M = F'Gv with F the factor of ``_weight_factor``.
     """
     n = U.shape[0]
     if n <= U.shape[1]:
         qr, tau = _GEQRF(U.T)[:2]
-        _, s, _, info = _GESDD(np.triu(qr[:n]), compute_uv=0)
+        R = np.triu(qr[:n])
+        _, s, _, info = _GESDD(R, compute_uv=0)
         if info == 0 and _kept(s * s, context).all():
-            QtGv = _ORMQR("L", "T", qr, tau, Gv, Gv.shape[1])[0]
-            return _TRTRS(qr, QtGv)[0][:n], n
+            QtGv = _ORMQR("L", "T", qr, tau, Gv, Gv.shape[1])[0][:n]
+            return np.column_stack([_TRSV(R, b) for b in QtGv.T]), n
     F, rank = _weight_factor(U, context)
     return F.T @ Gv, rank
 
@@ -841,7 +846,8 @@ def fit_gmm(
     if weighting.kind in ("two_step", "n_step"):
         # U'U is singular at every step when the instruments lack full rank
         # or there are fewer entities than columns: each step's scores then
-        # come from the one-step cross-moments, and its weight stays a factor
+        # come from the one-step cross-moments, and the L x L weight is built
+        # only from the last step's scores
         singular = not full_rank or starts.size < Z.shape[1]
         if singular:
             _require_pinv(on_singular, "moment covariance")

@@ -180,18 +180,15 @@ def _read_csv(path) -> tuple[list[str], list[list[str]]]:
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             rows = list(csv.reader(fh))
-    except UnicodeDecodeError:
-        # the reader decodes in chunks, so its offset is within a chunk; the
-        # whole file's bytes give the offset in the file
+    except UnicodeDecodeError as exc:
+        # the reader decodes in chunks, so exc.start counts from a chunk's
+        # start; decoding the file's bytes whole gives the offset in the file
         with open(path, "rb") as fh:
-            raw = fh.read()
-        try:
-            raw.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise DataError(
-                f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})"
-            ) from None
-        raise
+            try:
+                fh.read().decode("utf-8")
+            except UnicodeDecodeError as whole:
+                exc = whole
+        raise DataError(f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})") from None
     if not rows:
         raise DataError(f"{path}: empty file")
     return rows[0], rows[1:]
