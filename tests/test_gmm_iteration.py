@@ -1,13 +1,16 @@
 """The two-step and n-step GMM iteration of ``fit_gmm``.
 
 When the moment covariance U'U is singular from the start, ``fit_gmm``
-takes each step's scores from the one-step entity cross-moments and keeps
-the pseudo-inverse weight as a factor F with W = F F'. ``reference_gmm``
+takes each step's scores from the one-step entity cross-moments and solves
+each step through ``_step_moments`` (Householder QR of U', or the SVD
+factor F of W = F F' when a singular value is cut). ``reference_gmm``
 below is the direct per-step form of the same estimator: scores by
 ``reduceat`` at every step, the L x L (pseudo-)inverse weight, and
 ``cho_factor``/``cho_solve``. The fits must agree with it to 1e-10, and
 bit for bit when U'U is nonsingular.
 """
+
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -31,6 +34,8 @@ from dynpanel.estimators import (
     _cross_moments,
     _one_step_weight_blocks,
     _scores,
+    _step_moments,
+    _weight_factor,
     _windmeijer_correct,
     build_design,
 )
@@ -252,6 +257,119 @@ def test_overflowing_moment_products_are_named_as_an_overflow(n, dynamic):
             fit_gmm(ar1_model(FD), data, spec, weighting=n_step(), on_singular="pinv")
     assert type(info.value) is EstimationError
     assert str(info.value).startswith("moment covariance weighting matrix is not finite")
+
+
+def _scaled(data, scale):
+    series = dict(data.series)
+    for name in ("y", "x1"):
+        series[name] = PanelSeries(series[name].values * scale, series[name].mask)
+    return PanelDataset(data.entities, data.periods, series)
+
+
+@pytest.mark.parametrize("scale", [1e160, 1e200])
+@pytest.mark.parametrize(
+    "n, dynamic",
+    [(8, DynamicInstrument("y", 2)), (60, DynamicInstrument("y", 2, 3))],
+    ids=["L>N", "L<N"],
+)
+def test_overflowing_instrument_cross_products_are_named_as_an_overflow(n, dynamic, scale):
+    # from about 1e160 Z'X itself overflows, before any weight is built
+    data = _scaled(generate(DgpSpec(n, 10, missingness=0.1, seed=4)), scale)
+    spec = InstrumentSpec(dynamic=(dynamic,), static=(StaticInstrument("x1"),))
+    with pytest.raises(EstimationError, match="overflowed; rescale the data") as info:
+        with np.errstate(over="ignore", invalid="ignore"):
+            fit_gmm(ar1_model(FD), data, spec, weighting=n_step(), on_singular="pinv")
+    assert type(info.value) is EstimationError
+    assert str(info.value).startswith("Z'X or Z'y is not finite")
+
+
+def _counting_weight_factor():
+    calls = []
+    return calls, mock.patch.object(
+        estimators, "_weight_factor", lambda *a: calls.append(1) or _weight_factor(*a)
+    )
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), shape=st.sampled_from(["N<=L", "repeated", "N>L"]),
+       n=st.integers(1, 12), extra=st.integers(0, 30), k=st.integers(1, 4))
+def test_step_moments_match_the_svd_factor(seed, shape, n, extra, k):
+    rng = np.random.default_rng(seed)
+    if shape == "N>L":
+        n, L = n + extra + 1, n
+    else:
+        L = n + extra
+    # rows of unequal size, as entity scores are
+    U = rng.standard_normal((n, L)) * 10.0 ** rng.uniform(-2, 2, (n, 1))
+    if shape == "repeated":
+        U = np.vstack([U, U[:1]])
+        n += 1
+        if n > L:
+            return
+    Gv = rng.standard_normal((L, k + 1))
+    calls, patch = _counting_weight_factor()
+    with patch:
+        M, rank = _step_moments(U, Gv, "test")
+    F, want_rank = _weight_factor(U, "test")
+    assert rank == want_rank
+    want = (F.T @ Gv).T @ (F.T @ Gv)
+    if shape == "N<=L":
+        # the QR branch: every singular value kept, no SVD factor built
+        assert rank == n and not calls
+        assert M.shape == (n, k + 1)
+        assert np.abs(M.T @ M - want).max() <= 1e-9 * np.abs(want).max()
+    else:
+        # a value cut (two equal rows) or N > L: the SVD factor itself
+        assert rank == (n - 1 if shape == "repeated" else L)
+        assert calls == [1]
+        assert np.array_equal(M, F.T @ Gv)
+
+
+@pytest.mark.parametrize("kind", [FD, OD], ids=["fd", "od"])
+def test_pseudo_inverse_steps_build_the_svd_factor_once(brand_panel, kind):
+    model, spec = _brand_fd(brand_panel)
+    model = ModelSpec(model.dependent, 1, model.exogenous, intercept=False, transform=kind)
+    calls, patch = _counting_weight_factor()
+    with patch:
+        res = fit_gmm(model, brand_panel, spec, weighting=n_step(max_iter=500),
+                      on_singular="pinv")
+    assert res.instruments.n_columns > res.cross_sections == res.weighting_rank == 31
+    assert res.steps_taken > 100
+    assert calls == [1]
+
+
+def _with_a_duplicated_entity(data):
+    """The panel with entity 0 repeated as one more entity: U gets two equal rows."""
+    series = {
+        name: PanelSeries(np.vstack([s.values, s.values[:1]]), np.vstack([s.mask, s.mask[:1]]))
+        for name, s in data.series.items()
+    }
+    return PanelDataset(data.entities + ("copy",), data.periods, series)
+
+
+@pytest.mark.parametrize("how", ["n-step", "two-step+windmeijer"])
+@pytest.mark.parametrize("kind", [FD, OD], ids=["fd", "od"])
+@pytest.mark.parametrize("seed", [14, 30])  # n-step converges for FD and OD at these
+def test_fallback_steps_match_the_per_step_reference(seed, kind, how):
+    data = _with_a_duplicated_entity(generate(DgpSpec(8, 9, rho=0.5, missingness=0.1,
+                                                      seed=seed)))
+    model = ar1_model(kind)
+    spec = InstrumentSpec(dynamic=(DynamicInstrument("y", 2 if kind is FD else 1),),
+                          static=(StaticInstrument("x1"),))
+    weighting, windmeijer = WEIGHTINGS[how]
+    ref = reference_gmm(model, data, spec, weighting, windmeijer)
+    calls, patch = _counting_weight_factor()
+    with patch:
+        res = fit_gmm(model, data, spec, weighting=weighting, on_singular="pinv",
+                      windmeijer=windmeijer)
+    # every step falls back to the SVD factor, and the weight is built once more
+    assert calls == [1] * res.steps_taken
+    assert res.weighting_rank == ref["rank"] < res.cross_sections == 9
+    assert res.steps_taken == ref["steps"]
+    assert _max_rel(res.coefficients, ref["coef"]) < 1e-10
+    assert _max_rel(res.standard_errors, ref["se"]) < 1e-10
+    assert _max_rel(res.weighting_matrix, ref["W"], np.abs(ref["W"]).max()) < 1e-10
+    assert _max_rel(res.iteration_trace, ref["trace"], np.abs(ref["coef"]).max()) < 1e-10
 
 
 def _two_step_map(res):
