@@ -363,10 +363,10 @@ def _check_rank(X: np.ndarray, names: Sequence[str]) -> None:
 _POTRF, _POTRS = get_lapack_funcs(("potrf", "potrs"), (np.zeros(1),))
 # Householder QR, Q' applied and values-only SVD, called directly for the
 # same reason by each pseudo-inverse GMM step, and the level-2 triangular
-# solve. LAPACK's trtrs goes through the level-3 trsm instead: with BLAS
-# threads not pinned, that made `replicate` 1.7x slower than one full SVD
-# per step on 2 cores (scipy's and numpy's OpenBLAS thread pools contend),
-# while one trsv per column ran faster than the SVD both ways.
+# solve. LAPACK's trtrs (a level-3 trsm) made `replicate` 1.6-1.7x slower
+# than one SVD per step when BLAS threads were not pinned (2 cores; scipy
+# and numpy each load their own OpenBLAS and thread pool), while one trsv
+# per column ran faster than the SVD both pinned and not.
 _GEQRF, _ORMQR, _GESDD = get_lapack_funcs(("geqrf", "ormqr", "gesdd"), (np.zeros(1),))
 (_TRSV,) = get_blas_funcs(("trsv",), (np.zeros(1),))
 
