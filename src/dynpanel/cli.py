@@ -67,7 +67,7 @@ def _spec_errors():
 def _weighting(args) -> Weighting:
     """The ``--weighting``, ``--max-iter`` and ``--tol`` options; bad values are usage errors."""
     with _spec_errors():
-        return Weighting.parse(args.weighting, max_iter=args.max_iter, tol=args.tol)
+        return Weighting(args.weighting.replace("-", "_"), max_iter=args.max_iter, tol=args.tol)
 
 
 def _parse_exog(terms: list[str]) -> tuple[ExogTerm, ...]:
@@ -320,6 +320,8 @@ def cmd_simulate(args) -> int:
             missingness=args.missingness,
             seed=args.seed,
         )
+    if args.reps < 1:
+        raise DataError("reps must be >= 1")
     n_x = len(betas)
     weighting = _weighting(args)
     fresh = {

@@ -50,7 +50,8 @@ class ModelSpec:
     ``ar_lags`` lags of the dependent variable enter as regressors;
     every exogenous term enters at lags 0..term.lags. Differenced and
     deviated equations carry no intercept; fixed effects go with the
-    within transform, random effects with quasi-demeaning.
+    within transform, random effects with quasi-demeaning. A model needs a
+    regressor or an intercept, and no exogenous term may be the dependent.
     """
 
     dependent: str
@@ -63,6 +64,10 @@ class ModelSpec:
     def __post_init__(self):
         if self.ar_lags < 0:
             raise ValueError("ar_lags must be >= 0")
+        if not (self.ar_lags or self.exogenous or self.intercept):
+            raise ValueError("the model has no regressor and no intercept")
+        if any(term.name == self.dependent for term in self.exogenous):
+            raise ValueError(f"exogenous term {self.dependent!r} is the dependent variable")
         if self.effects not in ("none", "fixed", "random"):
             raise ValueError(f"unknown effects {self.effects!r}")
         if self.transform.is_calendar:
@@ -102,11 +107,6 @@ class Weighting:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
         if not 0.0 <= self.tol < math.inf:
             raise ValueError(f"tol must be finite and >= 0, got {self.tol!r}")
-
-    @classmethod
-    def parse(cls, text: str, max_iter: int = 100, tol: float = 1e-8) -> "Weighting":
-        key = text.strip().lower().replace("-", "_")
-        return cls(kind=key, max_iter=max_iter, tol=tol)
 
 
 ONE_STEP = Weighting("one_step")
@@ -246,9 +246,6 @@ class Design:
     def n(self) -> int:
         return self.y.size
 
-    def entity_counts(self) -> np.ndarray:
-        return np.bincount(self.entity_ids, minlength=self.data.n_entities)
-
 
 def build_design(
     model: ModelSpec,
@@ -267,6 +264,9 @@ def build_design(
     in every case, the dependent first and then the regressors.
     """
     cols = model.regressor_columns()
+    if model.effects == "fixed" and not cols:
+        raise EstimationError("fixed effects need a slope regressor; the within "
+                              "transform absorbs the intercept")
     kind = model.transform
     sample, yX = align_columns(data, [(model.dependent, 0)] + [(v, l) for v, l, _ in cols], kind)
     y_level, X_level = sample.matrix[:, 0].copy(), sample.matrix[:, 1:].copy()
@@ -302,9 +302,8 @@ def swamy_arora(model: ModelSpec, data: PanelDataset) -> VarianceComponents:
     the harmonic-mean correction for unbalanced entity lengths and is
     floored at zero.
     """
-    design = build_design(
-        replace(model, effects="fixed", transform=TransformKind.WITHIN), data
-    )
+    # a within design without fixed effects' slope check: RE may have only an intercept
+    design = build_design(replace(model, effects="none", transform=TransformKind.WITHIN), data)
     Xw, yw = design.X, design.y
     starts = entity_starts(design.entity_ids)
     n, k, n_ent = design.n, Xw.shape[1], starts.size
@@ -792,7 +791,7 @@ def fit_gmm(
     iterates until the coefficient sup-norm change falls below tol.
     Covariance is the entity-clustered sandwich; ``windmeijer=True``
     applies the finite-sample correction to two-step/n-step standard
-    errors.
+    errors, and a corrected variance below zero raises EstimationError.
 
     ``instruments`` is assembled on the design's sample. A weight is
     singular when the instruments lack full column rank or, for the moment
@@ -896,6 +895,9 @@ def fit_gmm(
     cov = Q @ S_final @ Q.T
     if windmeijer and weighting.kind in ("two_step", "n_step"):
         cov = _windmeijer_correct(X, Z, starts, W, W1, U_prev, U, G, P_inv, cov)
+        negative = [n for n, var in zip(names, np.diag(cov)) if var < 0]
+        if negative:
+            raise EstimationError(f"Windmeijer-corrected variance is negative for {negative}")
 
     # level-space fitted values and (for within) the derived intercept
     fitted_level = alphas = None

@@ -264,10 +264,9 @@ def intercept_column(
     """
     n = sample.n_rows
     if transform is TransformKind.QUASI_DEMEAN:
-        thetas = np.broadcast_to(
-            np.asarray(theta if theta is not None else 0.0, dtype=float),
-            (len(sample.entities),),
-        )
+        if theta is None:
+            raise ValueError("quasi_demean needs theta")
+        thetas = np.broadcast_to(np.asarray(theta, dtype=float), (len(sample.entities),))
         return 1.0 - thetas[sample.entity_ids]
     if transform is TransformKind.WITHIN or transform.is_calendar:
         return np.zeros(n)

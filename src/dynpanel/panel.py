@@ -97,12 +97,6 @@ class PanelDataset:
     def variables(self) -> tuple[str, ...]:
         return tuple(self.series)
 
-    def entity_index(self, name: str) -> int:
-        try:
-            return self.entities.index(name)
-        except ValueError:
-            raise DataError(f"unknown entity {name!r}") from None
-
     def require(self, variable: str) -> PanelSeries:
         try:
             return self.series[variable]
@@ -111,25 +105,12 @@ class PanelDataset:
                 f"unknown variable {variable!r}; have {list(self.series)}"
             ) from None
 
-    def counts(self, variable: str) -> int:
-        """Number of present cells for one variable."""
-        return int(self.require(variable).mask.sum())
-
     def entity_period_counts(self) -> np.ndarray:
         """Per-entity count of periods present in at least one series."""
         any_mask = np.zeros((self.n_entities, self.n_periods), dtype=bool)
         for s in self.series.values():
             any_mask |= s.mask
         return any_mask.sum(axis=1)
-
-    def subset(self, entities: Sequence[str]) -> "PanelDataset":
-        """New dataset restricted to the given entities (given order)."""
-        idx = [self.entity_index(e) for e in entities]
-        series = {
-            name: PanelSeries(s.values[idx].copy(), s.mask[idx].copy())
-            for name, s in self.series.items()
-        }
-        return PanelDataset(tuple(entities), self.periods, series)
 
     def to_long_csv(self, path) -> None:
         """Write the long-format CSV (entity,period,var1,...); absent cells empty.

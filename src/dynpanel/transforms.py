@@ -1,17 +1,17 @@
-"""Panel transformations on the entity-by-period grid.
+"""Panel transformations on the entity-by-period grid and on sample rows.
 
-Every transform works on a whole (entities, periods) value grid and its
-presence mask at once, and never mixes values across rows: first
-differences are one masked slice difference, forward orthogonal
+The calendar transforms work on a whole (entities, periods) value grid
+and its presence mask at once, and never mix values across rows: first
+differences are one masked slice difference, and forward orthogonal
 deviations read the sums and counts of later present cells off a reverse
-``cumsum`` along each row, and (quasi-)demeaning subtracts row means over
-present cells. Missingness propagates. The one-entity functions
-(``first_difference``, ``orthogonal_deviation``, ...) are the same
-transforms on a one-row grid.
+``cumsum`` along each row. Missingness propagates. To transform one
+entity's vector, pass it as a one-row grid: ``apply_grid(kind, v[None],
+m[None])``.
 
-Entity-block helpers work on sample rows instead of the grid. Sample rows
-are grouped by entity, so one offset per entity (``entity_starts``) and
-``np.add.reduceat`` give per-entity means and demeaned columns.
+Within and quasi-demeaning live in ``demean_by_entity``, which works on
+sample rows instead of the grid. Sample rows are grouped by entity, so
+one offset per entity (``entity_starts``) and ``np.add.reduceat`` give
+per-entity means and demeaned columns.
 """
 
 from __future__ import annotations
@@ -68,12 +68,6 @@ def lag(values: np.ndarray, mask: np.ndarray, k: int) -> tuple[np.ndarray, np.nd
     return out_v, out_m
 
 
-def _row(fn, values: np.ndarray, mask: np.ndarray, *args) -> tuple[np.ndarray, np.ndarray]:
-    """A grid transform applied to one entity's vector."""
-    out_v, out_m = fn(values[None], mask[None], *args)
-    return out_v[0], out_m[0]
-
-
 def _first_difference_grid(values: np.ndarray, mask: np.ndarray):
     out_v = np.full_like(values, np.nan, dtype=float)
     out_m = np.zeros_like(mask)
@@ -109,63 +103,21 @@ def _orthogonal_deviation_grid(values: np.ndarray, mask: np.ndarray):
     return out_v, out_m
 
 
-def _quasi_demean_grid(values: np.ndarray, mask: np.ndarray, theta):
-    thetas = np.broadcast_to(np.asarray(theta, dtype=float), (values.shape[0],))
-    if not np.all((thetas >= 0.0) & (thetas <= 1.0)):
-        raise ValueError(f"theta must be in [0, 1], got {theta}")
-    means = np.where(mask, values, 0.0).sum(axis=1) / np.maximum(mask.sum(axis=1), 1)
-    return np.where(mask, values - (thetas * means)[:, None], np.nan), mask.copy()
+def apply_grid(kind: TransformKind, values: np.ndarray,
+               mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """FD or OD of every row of an (entities, periods) grid.
 
-
-def first_difference(values: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """x_t - x_{t-1} where both sides are present; missing otherwise."""
-    return _row(_first_difference_grid, values, mask)
-
-
-def orthogonal_deviation(values: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Forward orthogonal deviation.
-
-    At each present period t with T_t later present values (gaps are
-    skipped), returns sqrt(T_t / (T_t + 1)) * (x_t - mean of those later
-    values). The entity's last present period has no output. The scale
-    factor keeps homoskedastic white noise white.
-    """
-    return _row(_orthogonal_deviation_grid, values, mask)
-
-
-def within_demean(values: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Subtract the entity's own mean over its present periods."""
-    return _row(_quasi_demean_grid, values, mask, 1.0)
-
-
-def quasi_demean(
-    values: np.ndarray, mask: np.ndarray, theta: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """x_t - theta * (entity mean); theta=0 is identity, theta=1 is within."""
-    return _row(_quasi_demean_grid, values, mask, theta)
-
-
-def apply_grid(
-    kind: TransformKind,
-    values: np.ndarray,
-    mask: np.ndarray,
-    theta: float | np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Apply a transform to every row of an (entities, periods) grid.
-
-    ``theta`` is required for QUASI_DEMEAN and may be per-entity.
+    FD is x_t - x_{t-1} where both cells are present. OD at a present
+    period t with T_t later present values (gaps skipped) is
+    sqrt(T_t / (T_t + 1)) * (x_t - their mean), which keeps homoskedastic
+    white noise white; a row's last present period has none. Any other
+    kind raises ValueError: demeaning is ``demean_by_entity``.
     """
     if kind is TransformKind.FIRST_DIFFERENCE:
         return _first_difference_grid(values, mask)
     if kind is TransformKind.ORTHOGONAL_DEVIATION:
         return _orthogonal_deviation_grid(values, mask)
-    if kind is TransformKind.WITHIN:
-        return _quasi_demean_grid(values, mask, 1.0)
-    if kind is TransformKind.QUASI_DEMEAN:
-        if theta is None:
-            raise ValueError("quasi_demean needs theta")
-        return _quasi_demean_grid(values, mask, theta)
-    return values.copy(), mask.copy()
+    raise ValueError(f"apply_grid runs FD and OD only, not {kind.value!r}")
 
 
 def entity_starts(entity_ids: np.ndarray) -> np.ndarray:
@@ -195,11 +147,15 @@ def demean_by_entity(
 ) -> np.ndarray:
     """Subtract theta_a times the per-entity mean over sample rows.
 
-    ``theta`` is a scalar or one weight per entity index. Given a mask
+    ``theta`` is a scalar or one weight per entity index, each in [0, 1]:
+    0 leaves the rows as they are, 1 is the within transform. Given a mask
     ``present`` shaped like ``arr``, each mean runs over the entity's
     present cells only (an entity with none gets no shift), and absent
     cells carry no meaningful value on return.
     """
+    thetas = np.asarray(theta, dtype=float)
+    if not np.all((thetas >= 0.0) & (thetas <= 1.0)):
+        raise ValueError(f"theta must be in [0, 1], got {theta}")
     arr = np.asarray(arr, dtype=float)
     starts = entity_starts(entity_ids)
     sizes = np.diff(starts, append=arr.shape[0])
@@ -208,7 +164,6 @@ def demean_by_entity(
     else:
         sums = np.add.reduceat(np.where(present, arr, 0.0), starts, axis=0)
         means = sums / np.maximum(np.add.reduceat(present.astype(int), starts, axis=0), 1)
-    thetas = np.asarray(theta, dtype=float)
     if thetas.ndim:
         thetas = thetas[entity_ids[starts]]
     shift = means * thetas.reshape((-1,) + (1,) * (arr.ndim - 1))

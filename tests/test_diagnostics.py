@@ -19,6 +19,7 @@ from dynpanel import (
     fit_gmm,
     fit_pooled,
     fit_random_effects,
+    from_arrays,
     hausman,
     j_test,
     lag_selection,
@@ -314,7 +315,8 @@ def test_lag_selection_entity_order_invariant():
     data = generate(DgpSpec(n_entities=50, n_periods=9, rho=0.6,
                             sigma_effect=0.0, seed=21))
     perm = np.random.default_rng(0).permutation(data.n_entities)
-    shuffled = data.subset([data.entities[i] for i in perm])
+    shuffled = from_arrays([data.entities[i] for i in perm], data.periods,
+                           {v: s.values[perm] for v, s in data.series.items()})
     s1 = lag_selection(data, static_model(), max_ar=2, max_exog={"x1": 1})
     s2 = lag_selection(shuffled, static_model(), max_ar=2, max_exog={"x1": 1})
     for crit in ("aic", "schwarz", "hannan_quinn"):

@@ -421,3 +421,16 @@ def test_windmeijer_correction_matches_a_finite_difference_derivative(seed, kind
     assert np.abs(corrected.covariance - expected).max() <= tol * scale
     # the correction itself is far larger than that
     assert np.abs(corrected.covariance - V2).max() > 100 * tol * scale
+
+
+@pytest.mark.parametrize("missingness, seed", [(0.1, 61), (0.2, 99)])
+def test_a_negative_windmeijer_variance_raises(missingness, seed):
+    # on these panels the corrected variance of y(-1) is below zero
+    data = generate(DgpSpec(8, 9, missingness=missingness, seed=seed))
+    spec = InstrumentSpec(dynamic=(DynamicInstrument("y", 1),),
+                          static=(StaticInstrument("x1"),))
+    with pytest.raises(EstimationError, match=r"variance is negative for \['y\(-1\)'\]"):
+        fit_gmm(ar1_model(OD), data, spec, weighting=TWO_STEP, windmeijer=True,
+                on_singular="pinv")
+    assert fit_gmm(ar1_model(OD), data, spec, weighting=TWO_STEP,
+                   on_singular="pinv").standard_errors.all()

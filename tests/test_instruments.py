@@ -16,7 +16,7 @@ from dynpanel import (
     parse_instruments,
 )
 from dynpanel.estimators import ModelSpec, ExogTerm, build_design
-from dynpanel.instruments import build_dynamic_block, build_static_block
+from dynpanel.instruments import build_dynamic_block, build_static_block, intercept_column
 from dynpanel.simulate import DgpSpec, generate
 from dynpanel.transforms import TransformKind
 
@@ -391,3 +391,12 @@ def test_static_block_demeans_present_rows_by_entity(transform):
     # the deeper lags are absent on some sample rows of entities that
     # still have present rows, so the present-rows-only mean is exercised
     assert mixed > 10
+
+
+def test_quasi_demeaned_instruments_need_theta():
+    data = balanced(extra=("x",))
+    sample = fd_sample(data)
+    with pytest.raises(ValueError, match="need.* theta"):
+        intercept_column(sample, TransformKind.QUASI_DEMEAN)
+    with pytest.raises(ValueError, match="need.* theta"):
+        build_static_block(data, sample, StaticInstrument("x"), TransformKind.QUASI_DEMEAN)

@@ -60,7 +60,7 @@ def test_long_balanced(tmp_path):
     data = ingest_long_csv(path)
     assert data.entities == ("a", "b", "c")
     assert data.periods == (2010, 2011)
-    assert data.counts("x") == 6
+    assert data.series["x"].mask.sum() == 6
     assert data.series["x"].mask.all()
 
 
@@ -99,7 +99,7 @@ def test_long_period_range_spans_min_max(tmp_path):
     path = write(tmp_path, "entity,period,x\na,2010,1\na,2013,2\n")
     data = ingest_long_csv(path)
     assert data.periods == (2010, 2011, 2012, 2013)
-    assert data.counts("x") == 2
+    assert data.series["x"].mask.sum() == 2
 
 
 def test_round_trip_bit_for_bit(tmp_path, brand_panel):
@@ -341,7 +341,7 @@ def test_wide_column_totals_printed_values(table1_path):
 
 def test_wide_negative_values_are_data(table1_path):
     data = ingest_wide_csv(table1_path, "pp")
-    i = data.entity_index("Bati")
+    i = data.entities.index("Bati")
     assert data.series["pp"].values[i, 0] == pytest.approx(-0.47)
     assert data.series["pp"].mask[i, 0]
 

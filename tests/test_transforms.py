@@ -1,23 +1,33 @@
 import numpy as np
 import pytest
 
-from dynpanel.transforms import (
-    TransformKind,
-    apply_grid,
-    first_difference,
-    lag,
-    orthogonal_deviation,
-    quasi_demean,
-    reconstruct_levels,
-    within_demean,
-)
+from dynpanel.transforms import TransformKind, apply_grid, demean_by_entity, lag, reconstruct_levels
 
-from conftest import grid
+from conftest import demean_grid, grid
 
 
 def vec(values):
     s = grid([values])
     return s.values[0], s.mask[0]
+
+
+def first_difference(v, m):
+    """``apply_grid`` FD of one entity's vector, as a one-row grid."""
+    out_v, out_m = apply_grid(TransformKind.FIRST_DIFFERENCE, v[None], m[None])
+    return out_v[0], out_m[0]
+
+
+def orthogonal_deviation(v, m):
+    """``apply_grid`` OD of one entity's vector, as a one-row grid."""
+    out_v, out_m = apply_grid(TransformKind.ORTHOGONAL_DEVIATION, v[None], m[None])
+    return out_v[0], out_m[0]
+
+
+def transform(kind, values, mask):
+    """A grid through ``apply_grid``, or ``demean_by_entity`` for WITHIN."""
+    if kind is TransformKind.WITHIN:
+        return demean_grid(values, mask), mask
+    return apply_grid(kind, values, mask)
 
 
 # ---------------------------------------------------------------------------
@@ -134,46 +144,54 @@ def test_od_single_observation_empty():
 
 def test_within_demean():
     v, m = vec([1, 2, 3])
-    out_v, _ = within_demean(v, m)
+    out_v = demean_grid(v[None], m[None])[0]
     assert list(out_v) == [-1, 0, 1]
 
 
 def test_within_single_observation():
     v, m = vec([9])
-    out_v, out_m = within_demean(v, m)
-    assert out_v[0] == 0 and out_m[0]
+    out_v = demean_grid(v[None], m[None])[0]
+    assert out_v[0] == 0
 
 
 def test_within_per_entity_means():
     g = grid([[9, 10, 11], [19, 20, 21]])
-    out_v, _ = apply_grid(TransformKind.WITHIN, g.values, g.mask)
+    out_v = demean_grid(g.values, g.mask)
     assert np.allclose(out_v[0], [-1, 0, 1])
     assert np.allclose(out_v[1], [-1, 0, 1])
 
 
 def test_quasi_demean_theta_zero_is_identity():
     v, m = vec([2, 4])
-    out_v, _ = quasi_demean(v, m, 0.0)
+    out_v = demean_grid(v[None], m[None], 0.0)[0]
     assert np.allclose(out_v[m], [2, 4])
 
 
 def test_quasi_demean_theta_one_is_within():
     v, m = vec([2, 4, 9])
-    q, _ = quasi_demean(v, m, 1.0)
-    w, _ = within_demean(v, m)
+    q = demean_grid(v[None], m[None], 1.0)[0]
+    w = demean_grid(v[None], m[None])[0]
     assert np.allclose(q[m], w[m])
 
 
 def test_quasi_demean_half():
     v, m = vec([2, 4])
-    out_v, _ = quasi_demean(v, m, 0.5)
+    out_v = demean_grid(v[None], m[None], 0.5)[0]
     assert np.allclose(out_v[m], [0.5, 2.5])  # mean 3, subtract 1.5
 
 
 def test_quasi_demean_bad_theta():
     v, m = vec([1, 2])
     with pytest.raises(ValueError):
-        quasi_demean(v, m, 1.5)
+        demean_grid(v[None], m[None], 1.5)
+
+
+@pytest.mark.parametrize("kind", [TransformKind.NONE, TransformKind.WITHIN,
+                                  TransformKind.QUASI_DEMEAN])
+def test_apply_grid_runs_fd_and_od_only(kind):
+    g = grid([[1, 2, 3]])
+    with pytest.raises(ValueError, match="FD and OD only"):
+        apply_grid(kind, g.values, g.mask)
 
 
 # ---------------------------------------------------------------------------
@@ -241,11 +259,11 @@ def test_linearity_and_annihilation_properties():
         a, b = rng.standard_normal(2)
         const = np.where(m, 3.7, np.nan)
         for kind in KINDS:
-            tx, tm = apply_grid(kind, x, m)
-            ty, _ = apply_grid(kind, y, m)
-            tz, _ = apply_grid(kind, a * x + b * y, m)
+            tx, tm = transform(kind, x, m)
+            ty, _ = transform(kind, y, m)
+            tz, _ = transform(kind, a * x + b * y, m)
             assert np.allclose(tz[tm], (a * tx + b * ty)[tm], atol=1e-10)
-            cv, cm = apply_grid(kind, const, m)
+            cv, cm = transform(kind, const, m)
             assert np.allclose(cv[cm], 0.0, atol=1e-10)
 
 
@@ -253,9 +271,9 @@ def test_no_cross_entity_mixing():
     rng = np.random.default_rng(5)
     x, m = random_panel(rng, n_entities=3)
     for kind in KINDS:
-        whole_v, whole_m = apply_grid(kind, x, m)
+        whole_v, whole_m = transform(kind, x, m)
         for i in range(3):
-            solo_v, solo_m = apply_grid(kind, x[i:i+1], m[i:i+1])
+            solo_v, solo_m = transform(kind, x[i:i+1], m[i:i+1])
             assert np.array_equal(whole_m[i], solo_m[0])
             assert np.allclose(
                 whole_v[i][whole_m[i]], solo_v[0][solo_m[0]], equal_nan=True
@@ -376,24 +394,23 @@ def test_grid_od_reconstruction_matches_entity_loop_bitwise(case):
 
 @GRID_SETTINGS
 @given(gapped_grids(), st.data())
-def test_grid_demeaning_matches_entity_loop(case, data):
+def test_demean_by_entity_matches_entity_loop(case, data):
     values, mask = case
     n = values.shape[0]
     thetas = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)))
     scale = 1e-12 * max(1.0, float(np.abs(values[mask]).max(initial=0.0)))
-    for kind, theta, ref_theta in (
-        (TransformKind.WITHIN, None, np.ones(n)),
-        (TransformKind.QUASI_DEMEAN, thetas, thetas),
-        (TransformKind.QUASI_DEMEAN, float(thetas[0]), np.full(n, thetas[0])),
+    for theta, ref_theta in (
+        (1.0, np.ones(n)),
+        (thetas, thetas),
+        (float(thetas[0]), np.full(n, thetas[0])),
     ):
-        got_v, got_m = apply_grid(kind, values, mask, theta)
-        want_v, want_m = reference_demean(values, mask, ref_theta)
-        assert np.array_equal(got_m, want_m)
+        got_v = demean_grid(values, mask, theta)
+        want_v, _ = reference_demean(values, mask, ref_theta)
         assert np.isnan(got_v[~mask]).all()
         assert np.allclose(got_v[mask], want_v[mask], rtol=0.0, atol=scale)
 
 
-def test_grid_quasi_demean_rejects_theta_outside_unit_interval():
-    g = grid([[1, 2], [3, 4]])
+def test_demean_by_entity_rejects_theta_outside_unit_interval():
     with pytest.raises(ValueError, match="theta"):
-        apply_grid(TransformKind.QUASI_DEMEAN, g.values, g.mask, np.array([0.5, 1.5]))
+        demean_by_entity(np.array([1.0, 2.0, 3.0, 4.0]), np.array([0, 0, 1, 1]),
+                         np.array([0.5, 1.5]))
