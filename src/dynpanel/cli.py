@@ -1,9 +1,12 @@
 """Command-line front end.
 
 Subcommands: ``estimate`` (one specification on one dataset),
-``replicate`` (the five-column pooled/FE/RE/OD/FD comparison),
+``replicate`` (the five-column pooled/FE/RE/OD/FD comparison on a long
+CSV, since it needs the dependent and at least one exogenous series),
 ``simulate`` (Monte Carlo harness), ``describe`` (summary statistics),
-and ``ratings`` (letter-grade codec). Every run that writes files also
+and ``ratings`` (letter-grade codec). A spec name maps to its model's
+transform through ``SPEC_TRANSFORMS``; a plain (``--plain``) fit goes
+through ``EstimatorConfig.fit``. Every run that writes files also
 writes a manifest with the configuration, seed, input digests, and
 package version; manifests carry no timestamps so reruns are
 byte-identical.
@@ -33,10 +36,7 @@ from .estimators import (
     ExogTerm,
     ModelSpec,
     Weighting,
-    fit_fixed_effects,
     fit_gmm,
-    fit_pooled,
-    fit_random_effects,
 )
 from .instruments import InstrumentSpec, StaticInstrument, DynamicInstrument, parse_instruments
 from .panel import PanelDataset, describe, ingest_long_csv, ingest_wide_csv
@@ -50,7 +50,15 @@ from .simulate import (
 )
 from .transforms import TransformKind
 
-SPEC_CHOICES = ("pooled", "fe", "re", "od", "fd")
+# each ``--spec`` name and the transform of its model
+SPEC_TRANSFORMS = {
+    "pooled": TransformKind.NONE,
+    "fe": TransformKind.WITHIN,
+    "re": TransformKind.QUASI_DEMEAN,
+    "od": TransformKind.ORTHOGONAL_DEVIATION,
+    "fd": TransformKind.FIRST_DIFFERENCE,
+}
+SPEC_CHOICES = tuple(SPEC_TRANSFORMS)
 
 _EXOG_RE = re.compile(r"^(?P<name>\w+)(?:\((?:-(?P<single>\d+)|(?P<from>\d+)\.\.(?P<to>\d+))\))?$")
 
@@ -126,12 +134,12 @@ def _load_dataset(args) -> PanelDataset:
 
 def _model_for(spec: str, dep: str, ar: int, exog: tuple[ExogTerm, ...],
                intercept: bool | None) -> ModelSpec:
-    if intercept is None or spec in ("od", "fd"):
-        intercept = spec in ("pooled", "fe", "re")
+    kind = SPEC_TRANSFORMS[spec]
+    if intercept is None or kind.is_calendar:
+        intercept = not kind.is_calendar
     return ModelSpec(
         dependent=dep, ar_lags=ar, exogenous=exog, intercept=intercept,
-        effects={"fe": "fixed", "re": "random"}.get(spec, "none"),
-        transform=TransformKind.parse(spec),
+        effects={"fe": "fixed", "re": "random"}.get(spec, "none"), transform=kind,
     )
 
 
@@ -150,11 +158,7 @@ def _default_instruments(spec: str, model: ModelSpec) -> InstrumentSpec:
 def _fit_one(spec: str, model: ModelSpec, data: PanelDataset, args) -> EstimationResult:
     weighting = _weighting(args)
     if args.plain and spec in ("pooled", "fe", "re"):
-        if spec == "pooled":
-            return fit_pooled(model, data)
-        if spec == "fe":
-            return fit_fixed_effects(model, data)
-        return fit_random_effects(model, data)
+        return EstimatorConfig(spec, model).fit(data)
     if args.instruments:
         with _spec_errors():
             inst = parse_instruments(args.instruments)
@@ -280,7 +284,8 @@ def cmd_replicate(args) -> int:
     weighting = _weighting(args)
     records = {}
     for spec in SPEC_CHOICES:
-        model = _model_for(spec, args.dep, 1, exog, None)
+        with _spec_errors():
+            model = _model_for(spec, args.dep, 1, exog, None)
         inst = _default_instruments(spec, model)
         result = fit_gmm(model, data, inst, weighting=weighting, on_singular="pinv")
         records[spec] = _record(result, report_for(result))
@@ -335,7 +340,7 @@ def cmd_simulate(args) -> int:
         # od/fd use the fresh-lag bounded dynamic blocks of the canonical
         # comparison sets
         configs.append(fresh[spec] if spec in ("od", "fd") else
-                       EstimatorConfig(spec, ar1_model(TransformKind.parse(spec), n_x=n_x)))
+                       EstimatorConfig(spec, ar1_model(SPEC_TRANSFORMS[spec], n_x=n_x)))
     summary = run_experiment(dgp, configs, reps=args.reps)
 
     out_dir = Path(args.output_dir)
@@ -434,10 +439,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_rep = sub.add_parser("replicate",
                            help="five-column pooled/FE/RE/OD/FD comparison")
-    p_rep.add_argument("--data", required=True)
-    p_rep.add_argument("--wide", metavar="VAR")
+    p_rep.add_argument("--data", required=True, help="long-format CSV path")
     p_rep.add_argument("--dep", default="pp")
-    p_rep.add_argument("--exog-vars", nargs="*", default=["bv", "bt"])
+    p_rep.add_argument("--exog-vars", nargs="+", default=["bv", "bt"])
     p_rep.add_argument("--out", default="table", choices=["table", "csv", "json"])
     add_common(p_rep, max_iter=500)
     p_rep.set_defaults(func=cmd_replicate)

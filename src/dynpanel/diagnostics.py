@@ -78,8 +78,7 @@ def j_test(result: EstimationResult) -> JTestResult:
     Z = result.instruments.matrix
     gbar = Z.T @ result.residuals
     if result.steps_taken >= 2 and result.weighting_matrix is not None:
-        W = result.weighting_matrix
-        rank = result.weighting_rank or Z.shape[1]
+        W, rank = result.weighting_matrix, result.weighting_rank
     else:
         W, rank = _invert_weight(result.moment_covariance, "pinv", "J test",
                                  full_rank=result.instruments.rank == Z.shape[1])
@@ -136,11 +135,11 @@ def _ar_tests(result: EstimationResult):
             f"not {result.transform.value!r}"
         )
     starts = entity_starts(entity_ids)
-    # one key per (entity, period); a row's order-m lag is the row whose
-    # key is m smaller within the same entity
+    # one key per (entity, period), strictly increasing down the rows,
+    # which come entity by entity in period order; a row's order-m lag is
+    # the row whose key is m smaller within the same entity
     p0 = periods.min()
     key = entity_ids * (int(periods.max() - p0) + 1) + (periods - p0)
-    by_key = np.argsort(key)
     Z = zmat.matrix
     U = _scores(Z, e, starts)
     if W is None:
@@ -151,8 +150,7 @@ def _ar_tests(result: EstimationResult):
     def test(order: int) -> ArTestResult:
         if order < 1:
             raise ValueError("order must be >= 1")
-        pos = np.searchsorted(key[by_key], key - order).clip(max=key.size - 1)
-        j = by_key[pos]
+        j = np.searchsorted(key, key - order).clip(max=key.size - 1)
         hit = (key[j] == key - order) & (entity_ids[j] == entity_ids)
         n_pairs = int(hit.sum())
         if n_pairs == 0:
@@ -207,10 +205,7 @@ def hausman(fe: EstimationResult, re: EstimationResult) -> HausmanResult:
     degenerated to pooled OLS (zero cross-section variance component) or
     when the covariance difference is not positive definite.
     """
-    common = [
-        n for n in fe.param_names
-        if n in re.param_names and n != "const" and not n.startswith("effect[")
-    ]
+    common = [n for n in fe.param_names if n in re.param_names and n != "const"]
     if not common:
         raise DiagnosticError("no common slope coefficients between FE and RE results")
     if (

@@ -247,19 +247,14 @@ class Design:
         return self.y.size
 
 
-def build_design(
-    model: ModelSpec,
-    data: PanelDataset,
-    components: VarianceComponents | None = None,
-) -> Design:
+def build_design(model: ModelSpec, data: PanelDataset) -> Design:
     """Align the model's columns and apply its transform.
 
     ``align_columns`` keeps the rows where the dependent and every
     regressor column exist, after FD/OD for those transforms. Within and
     quasi-demeaning subtract theta_a times the entity mean over the
-    aligned rows: theta_a is 1 for within and Swamy-Arora's weight for
-    random effects, from ``components`` or, when none are given,
-    estimated here; only a random-effects design keeps ``components``.
+    aligned rows: theta_a is 1 for within and, for random effects, the
+    weight of the ``swamy_arora`` components, which the design keeps.
     Pooled designs stay in levels. ``sample.matrix`` holds level values
     in every case, the dependent first and then the regressors.
     """
@@ -270,13 +265,12 @@ def build_design(
     kind = model.transform
     sample, yX = align_columns(data, [(model.dependent, 0)] + [(v, l) for v, l, _ in cols], kind)
     y_level, X_level = sample.matrix[:, 0].copy(), sample.matrix[:, 1:].copy()
-    y, X, theta = y_level, X_level, None
+    y, X, theta, components = y_level, X_level, None, None
     if kind.is_calendar:
         y, X = yX[:, 0], yX[:, 1:]
     elif kind in (TransformKind.WITHIN, TransformKind.QUASI_DEMEAN):
         if kind is TransformKind.QUASI_DEMEAN:
-            if components is None:
-                components = swamy_arora(model, data)
+            components = swamy_arora(model, data)
             if components.sigma_e2 <= 0:
                 raise EstimationError(
                     f"idiosyncratic variance must be positive, got {components.sigma_e2}"
@@ -289,8 +283,7 @@ def build_design(
     return Design(
         model=model, data=data, entity_ids=sample.entity_ids, periods=sample.periods,
         y=y, X=X, x_names=[n for _, _, n in cols],
-        y_level=y_level, X_level=X_level, sample=sample, theta=theta,
-        components=components if kind is TransformKind.QUASI_DEMEAN else None,
+        y_level=y_level, X_level=X_level, sample=sample, theta=theta, components=components,
     )
 
 
@@ -593,11 +586,7 @@ def fit_fixed_effects(model: ModelSpec, data: PanelDataset) -> EstimationResult:
     )
 
 
-def fit_random_effects(
-    model: ModelSpec,
-    data: PanelDataset,
-    components: VarianceComponents | None = None,
-) -> EstimationResult:
+def fit_random_effects(model: ModelSpec, data: PanelDataset) -> EstimationResult:
     """Random effects GLS via Swamy-Arora quasi-demeaning.
 
     theta_a = 1 - sqrt(sigma_e^2 / (sigma_e^2 + T_a sigma_u^2)) with the
@@ -605,8 +594,7 @@ def fit_random_effects(
     pooled OLS exactly.
     """
     design = build_design(
-        replace(model, effects="random", transform=TransformKind.QUASI_DEMEAN),
-        data, components,
+        replace(model, effects="random", transform=TransformKind.QUASI_DEMEAN), data
     )
     Xq, names = _add_intercept(design, design.X, list(design.x_names))
     beta, fitted_q, resid, cov, classical = _ols_fit(design.y, Xq, names)
@@ -779,7 +767,6 @@ def fit_gmm(
     data: PanelDataset,
     instruments: InstrumentSpec,
     weighting: Weighting = TWO_STEP,
-    components: VarianceComponents | None = None,
     on_singular: str = "error",
     windmeijer: bool = False,
 ) -> EstimationResult:
@@ -812,7 +799,7 @@ def fit_gmm(
     finite, like a step whose coefficients are not finite, raises
     EstimationError.
     """
-    design = build_design(model, data, components)
+    design = build_design(model, data)
     y = design.y
     X, names = _add_intercept(design, design.X, list(design.x_names))
     k = X.shape[1]

@@ -3,13 +3,14 @@
 A :class:`PanelDataset` stores one entity-by-period value matrix per
 variable together with a boolean presence mask. Periods are contiguous
 integer labels; missing years inside an entity's run stay in the grid as
-masked-out cells so that lags remain calendar lags.
+masked-out cells so that lags remain calendar lags. The long and wide
+CSV readers parse a whole column of cells at a time by one grammar,
+``_parse_cells``; a per-cell pass runs only to name the first bad cell.
 """
 
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass, field
 from itertools import compress
 from typing import Mapping, NoReturn, Sequence
@@ -145,15 +146,24 @@ def from_arrays(
     return PanelDataset(tuple(entities), tuple(int(p) for p in periods), series)
 
 
-def _parse_cell(token: str) -> tuple[float, bool]:
-    text = token.strip()
-    if text in MISSING_TOKENS:
-        return np.nan, False
-    # tolerate thousands separators as printed in source tables
-    value = float(text.replace(",", ""))
-    if not math.isfinite(value):
-        raise ValueError(f"non-finite value {text!r}")
-    return value, True
+def _parse_cells(tokens: Sequence[str]) -> tuple[np.ndarray, np.ndarray] | None:
+    """Values and presence of CSV cells; None if a present cell is not a finite number.
+
+    The cell grammar of both readers: a stripped cell in ``MISSING_TOKENS``
+    is absent (NaN); any other must be a finite float once its commas
+    (thousands separators, as source tables print them) are dropped.
+    """
+    text = list(map(str.strip, tokens))
+    present = ~np.fromiter(map(MISSING_TOKENS.__contains__, text), bool, len(text))
+    cells = compress(text, present)
+    if "," in "".join(text):
+        cells = (t.replace(",", "") for t in cells)
+    values = np.full(len(text), np.nan)
+    try:
+        values[present] = np.fromiter(map(float, cells), float)
+    except ValueError:
+        return None
+    return (values, present) if np.isfinite(values[present]).all() else None
 
 
 def _read_csv(path) -> tuple[list[str], list[list[str]]]:
@@ -197,13 +207,11 @@ def _raise_first_fault(path, header: list[str], raw: list[list[str]]) -> NoRetur
             )
         seen[entity, period] = lineno
         for v, token in zip(var_names, cells):
-            try:
-                _parse_cell(token)
-            except ValueError:
+            if _parse_cells([token]) is None:
                 raise DataError(
                     f"{path}:{lineno}: cell ({entity}, {period}, {v}) "
                     f"value {token!r} is not a finite number"
-                ) from None
+                )
     raise AssertionError(f"{path}: a column check failed but no row is at fault")
 
 
@@ -246,21 +254,14 @@ def ingest_long_csv(path) -> PanelDataset:
     fault = np.bincount(key).max() > 1
     series = {}
     for v, column in zip(var_names, columns[2:]):
-        text = list(map(str.strip, column))
-        present = ~np.fromiter(map(MISSING_TOKENS.__contains__, text), bool, len(text))
-        tokens = compress(text, present)
-        if "," in "".join(text):  # thousands separators, as _parse_cell drops them
-            tokens = (t.replace(",", "") for t in tokens)
-        try:
-            parsed = np.fromiter(map(float, tokens), float)
-        except ValueError:
+        parsed = _parse_cells(column)
+        if parsed is None:
             fault = True
             continue
-        fault = fault or not np.isfinite(parsed).all()
         values = np.full(shape, np.nan)
         mask = np.zeros(shape, dtype=bool)
-        values.reshape(-1)[key[present]] = parsed
-        mask.reshape(-1)[key[present]] = True
+        # a duplicate key is a fault raised below, so each cell is set once
+        values.reshape(-1)[key], mask.reshape(-1)[key] = parsed
         series[v] = PanelSeries(values, mask)
     if fault:
         _raise_first_fault(path, header, raw)
@@ -274,7 +275,8 @@ def ingest_wide_csv(path, variable_name: str) -> PanelDataset:
     (case-insensitive) is excluded from the entities and kept as the
     checksum vector ``checksums[variable_name]`` on the result; each of
     its cells must be a finite number. Other cells may be one of
-    ``MISSING_TOKENS``.
+    ``MISSING_TOKENS``. A bad cell is named in line order over the entity
+    rows, then over the TOTAL row.
     """
     header, raw = _read_csv(path)
     if len(header) < 2:
@@ -310,32 +312,25 @@ def ingest_wide_csv(path, variable_name: str) -> PanelDataset:
             rows.append((lineno, name, row[1:]))
     if not rows:
         raise DataError(f"{path}: no entity rows")
-
-    def parse_row(lineno: int, name: str, cells: list[str], required: bool) -> np.ndarray:
-        # NaN marks a missing cell; a checksum row may have none
-        out = np.full(len(year_labels), np.nan)
-        for j, token in enumerate(cells):
-            try:
-                out[j], present = _parse_cell(token)
-            except ValueError:
-                present = None
-            if present is None or (required and not present):
-                raise DataError(
-                    f"{path}:{lineno}: cell ({name}, {year_labels[j]}) "
-                    f"value {token!r} is not a finite number"
-                )
-        return out
-
-    values = np.array([parse_row(*r, required=False) for r in rows])
-    mask = ~np.isnan(values)
-    checksum = parse_row(*total_row, required=True) if total_row else None
-    entities = [name for _, name, _ in rows]
-    checksums = {variable_name: _freeze(checksum)} if checksum is not None else {}
+    parsed = _parse_cells([c for _, _, cells in rows for c in cells])
+    total = _parse_cells(total_row[2]) if total_row else None
+    if parsed is None or (total_row and (total is None or not total[1].all())):
+        # name the first bad cell: entity rows in line order, then the
+        # TOTAL row, where a missing cell is bad too
+        checked = [(row, False) for row in rows] + ([(total_row, True)] if total_row else [])
+        for (lineno, name, cells), required in checked:
+            for year, token in zip(year_labels, cells):
+                cell = _parse_cells([token])
+                if cell is None or (required and not cell[1][0]):
+                    raise DataError(f"{path}:{lineno}: cell ({name}, {year}) "
+                                    f"value {token!r} is not a finite number")
+    shape = (len(rows), len(year_labels))
+    values, present = (a.reshape(shape) for a in parsed)
     return PanelDataset(
-        tuple(entities),
+        tuple(name for _, name, _ in rows),
         tuple(year_labels),
-        {variable_name: PanelSeries(values, mask)},
-        checksums=checksums,
+        {variable_name: PanelSeries(values, present)},
+        checksums={variable_name: _freeze(total[0])} if total_row else {},
     )
 
 

@@ -397,21 +397,14 @@ class McSummary:
 
 
 def true_coefficients(dgp: DgpSpec, model: ModelSpec) -> dict[str, float]:
-    """Map the model's parameter names onto the generator's truth."""
-    truth: dict[str, float] = {}
-    if model.ar_lags >= 1:
-        truth[f"{model.dependent}(-1)"] = dgp.rho
-    for i in range(2, model.ar_lags + 1):
-        truth[f"{model.dependent}(-{i})"] = 0.0
-    for term in model.exogenous:
-        j = int(term.name[1:]) - 1 if term.name.startswith("x") else None
-        for l in range(term.lags + 1):
-            name = term.name if l == 0 else f"{term.name}(-{l})"
-            if l == 0 and j is not None and j < len(dgp.exogenous_betas):
-                truth[name] = float(dgp.exogenous_betas[j])
-            else:
-                truth[name] = 0.0
-    return truth
+    """Map the model's parameter names onto the generator's truth.
+
+    The dependent's first lag carries rho and the current value of the
+    generator's ``x<j>`` its beta_j; every other regressor has 0.
+    """
+    nonzero = {(model.dependent, 1): dgp.rho}
+    nonzero.update(((f"x{j + 1}", 0), float(b)) for j, b in enumerate(dgp.exogenous_betas))
+    return {name: nonzero.get((var, lag), 0.0) for var, lag, name in model.regressor_columns()}
 
 
 def run_experiment(

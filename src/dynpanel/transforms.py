@@ -30,25 +30,6 @@ class TransformKind(Enum):
     ORTHOGONAL_DEVIATION = "orthogonal_deviation"
     QUASI_DEMEAN = "quasi_demean"
 
-    @classmethod
-    def parse(cls, text: str) -> "TransformKind":
-        aliases = {
-            "pooled": cls.NONE,
-            "none": cls.NONE,
-            "within": cls.WITHIN,
-            "fe": cls.WITHIN,
-            "fd": cls.FIRST_DIFFERENCE,
-            "first_difference": cls.FIRST_DIFFERENCE,
-            "od": cls.ORTHOGONAL_DEVIATION,
-            "orthogonal_deviation": cls.ORTHOGONAL_DEVIATION,
-            "re": cls.QUASI_DEMEAN,
-            "quasi_demean": cls.QUASI_DEMEAN,
-        }
-        try:
-            return aliases[text.strip().lower()]
-        except KeyError:
-            raise ValueError(f"unknown transform {text!r}") from None
-
     @property
     def is_calendar(self) -> bool:
         """FD and OD: each output cell reads other periods of its entity."""

@@ -377,6 +377,45 @@ def test_replicate_requires_brand_series(tmp_path, capsys):
     assert "bv" in err and "bt" in err
 
 
+def test_replicate_has_no_wide_option(table1_path, tmp_path, capsys):
+    # a wide CSV holds one series and replicate needs at least two
+    with pytest.raises(SystemExit) as info:
+        main(["replicate", "--data", table1_path, "--wide", "pp", "--exog-vars", "bv",
+              "--output-dir", str(tmp_path)])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --wide pp" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_replicate_empty_exog_vars_is_usage_error(brand_panel_csv, tmp_path, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["replicate", "--data", brand_panel_csv, "--exog-vars",
+              "--output-dir", str(tmp_path)])
+    assert info.value.code == 2
+    assert "--exog-vars: expected at least one argument" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_replicate_dependent_as_exog_var_is_usage_error(brand_panel_csv, tmp_path, capsys):
+    code, _, err = run_cli(capsys, "replicate", "--data", brand_panel_csv, "--exog-vars", "bv",
+                           "pp", "--output-dir", str(tmp_path))
+    assert code == 2
+    assert err == "error: exogenous term 'pp' is the dependent variable\n"
+
+
+def test_replicate_manifest_config(brand_panel_csv, tmp_path, capsys):
+    code, _, _ = run_cli(capsys, "replicate", "--data", brand_panel_csv, "--exog-vars", "bt",
+                         "bv", "--weighting", "one-step", "--out", "csv",
+                         "--output-dir", str(tmp_path))
+    assert code == 0
+    config = json.loads((tmp_path / "replicate_manifest.json").read_text())["config"]
+    assert config == {
+        "command": "replicate", "data": brand_panel_csv, "dep": "pp",
+        "exog_vars": ["bt", "bv"], "max_iter": 500, "out": "csv",
+        "output_dir": str(tmp_path), "tol": 1e-8, "weighting": "one-step",
+    }
+
+
 # ---------------------------------------------------------------------------
 # simulate
 

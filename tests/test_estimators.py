@@ -24,6 +24,7 @@ from dynpanel import (
     fit_random_effects,
     n_step,
 )
+from dynpanel import estimators
 from dynpanel.diagnostics import report_for
 from dynpanel.estimators import ExogTerm, ModelSpec, VarianceComponents, build_design
 from dynpanel.simulate import DgpSpec, ar1_model, generate
@@ -215,7 +216,7 @@ def test_re_zero_sigma_u_equals_pooled():
     assert np.allclose(re.standard_errors, pooled.standard_errors, atol=1e-12)
 
 
-def test_re_theta_one_limit_approaches_fe():
+def test_re_theta_one_limit_approaches_fe(monkeypatch):
     data = generate(DgpSpec(n_entities=60, n_periods=8, rho=0.4,
                             sigma_effect=2.0, seed=3))
     model = ar1_model(TransformKind.QUASI_DEMEAN)
@@ -229,7 +230,8 @@ def test_re_theta_one_limit_approaches_fe():
     theta = 0.9999
     sigma_u2 = sigma_e2 / T * (1.0 / (1.0 - theta) ** 2 - 1.0)
     comp = VarianceComponents(sigma_u2=sigma_u2, sigma_e2=sigma_e2, floored=False)
-    re = fit_random_effects(model, data, components=comp)
+    monkeypatch.setattr(estimators, "swamy_arora", lambda model, data: comp)
+    re = fit_random_effects(model, data)
     fe = fit_fixed_effects(ar1_model(TransformKind.WITHIN), data)
     for name in ("y(-1)", "x1"):
         assert re.coefficient(name) == pytest.approx(fe.coefficient(name), abs=1e-4)
@@ -249,12 +251,12 @@ def test_re_coverage_static_dgp():
     assert cover / reps >= 0.90
 
 
-def test_re_negative_sigma_e_rejected():
+def test_re_negative_sigma_e_rejected(monkeypatch):
     data = generate(DgpSpec(n_entities=20, n_periods=5, seed=1))
     comp = VarianceComponents(sigma_u2=1.0, sigma_e2=0.0, floored=False)
+    monkeypatch.setattr(estimators, "swamy_arora", lambda model, data: comp)
     with pytest.raises(EstimationError):
-        fit_random_effects(ar1_model(TransformKind.QUASI_DEMEAN), data,
-                           components=comp)
+        fit_random_effects(ar1_model(TransformKind.QUASI_DEMEAN), data)
 
 
 # ---------------------------------------------------------------------------
@@ -776,12 +778,13 @@ def test_fd_od_fit_aligned_but_empty_after_transform_raises(kind):
         fit_gmm(ar1_model(kind), data, _ar1_instruments(kind))
 
 
-def test_variance_components_reported_only_for_random_effects():
+def test_variance_components_reported_only_for_random_effects(monkeypatch):
     data = generate(DgpSpec(n_entities=40, n_periods=6, rho=0.5, seed=3))
     comp = VarianceComponents(5.0, 1.0, False)
+    monkeypatch.setattr(estimators, "swamy_arora", lambda model, data: comp)
     fd = fit_gmm(ar1_model(TransformKind.FIRST_DIFFERENCE), data,
-                 _ar1_instruments(TransformKind.FIRST_DIFFERENCE), components=comp)
+                 _ar1_instruments(TransformKind.FIRST_DIFFERENCE))
     assert fd.variance_components is None
     re_inst = InstrumentSpec(static=(StaticInstrument("x1", 0, 1),), include_intercept=True)
-    re = fit_gmm(ar1_model(TransformKind.QUASI_DEMEAN), data, re_inst, components=comp)
+    re = fit_gmm(ar1_model(TransformKind.QUASI_DEMEAN), data, re_inst)
     assert re.variance_components == comp

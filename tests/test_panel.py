@@ -398,6 +398,126 @@ def test_wide_ragged_row(tmp_path):
         ingest_wide_csv(path, "pp")
 
 
+def reference_ingest_wide_csv(path, variable_name) -> PanelDataset:
+    """Per-row, per-cell wide-CSV reader that ingest_wide_csv must match."""
+
+    def parse_cell(token):
+        text = token.strip()
+        if text in MISSING_TOKENS:
+            return np.nan, False
+        value = float(text.replace(",", ""))
+        if not math.isfinite(value):
+            raise ValueError(text)
+        return value, True
+
+    with open(path, newline="", encoding="utf-8") as fh:
+        header, *raw = csv.reader(fh)
+    year_labels = [int(h.strip()) for h in header[1:]]
+    rows, entity_line, total_row = [], {}, None
+    for lineno, row in enumerate(raw, start=2):
+        if not row or all(not c.strip() for c in row):
+            continue
+        if len(row) != len(header):
+            raise DataError(
+                f"{path}:{lineno}: ragged row ({len(row)} fields, expected {len(header)})"
+            )
+        name = row[0].strip()
+        if name.upper().startswith("TOTAL"):
+            if total_row:
+                raise DataError(f"{path}:{lineno}: second TOTAL row, first at line {total_row[0]}")
+            total_row = (lineno, name, row[1:])
+        elif name in entity_line:
+            raise DataError(f"{path}:{lineno}: duplicate entity {name!r}")
+        else:
+            entity_line[name] = lineno
+            rows.append((lineno, name, row[1:]))
+    if not rows:
+        raise DataError(f"{path}: no entity rows")
+
+    def parse_row(lineno, name, cells, required):
+        out = np.full(len(year_labels), np.nan)
+        for j, token in enumerate(cells):
+            try:
+                out[j], present = parse_cell(token)
+            except ValueError:
+                present = None
+            if present is None or (required and not present):
+                raise DataError(
+                    f"{path}:{lineno}: cell ({name}, {year_labels[j]}) "
+                    f"value {token!r} is not a finite number"
+                )
+        return out
+
+    values = np.array([parse_row(*r, required=False) for r in rows])
+    checksums = {variable_name: parse_row(*total_row, required=True)} if total_row else {}
+    return PanelDataset(
+        tuple(name for _, name, _ in rows), tuple(year_labels),
+        {variable_name: PanelSeries(values, ~np.isnan(values))}, checksums=checksums,
+    )
+
+
+TOTAL_NAMES = st.sampled_from(["TOTAL", " Total sector", "total", "TOTALS"])
+QUOTED_THOUSANDS = st.sampled_from(["1,234", " 12,345.5 ", "-1,000,000", "1,2,3"])
+
+
+@st.composite
+def wide_csv_texts(draw):
+    """Small wide CSVs; half hold no fault, the rest mix every fault the reader names."""
+    clean = draw(st.booleans())
+    n_years = draw(st.integers(1, 4))
+    header = ["name", *[f" {2000 + j}" for j in range(n_years)]]
+    cells = st.one_of(CLEAN_CELLS, QUOTED_THOUSANDS) if clean else st.one_of(CELLS, QUOTED_THOUSANDS)
+    lines, names, totals = [header], set(), 0
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(["row"] * 12 + ["total"] * 2 + ["blank", "ragged"]))
+        if kind == "blank":
+            lines.append(draw(st.lists(st.sampled_from(["", " "]), max_size=3)))
+            continue
+        name = draw(TOTAL_NAMES if kind == "total" else ENTITIES)
+        if clean and kind == "ragged":
+            continue
+        if clean and kind == "total":
+            if totals:
+                continue
+            totals += 1
+            cells_of_row = st.one_of(GOOD_CELLS, QUOTED_THOUSANDS)
+        elif clean and name.strip() in names:
+            continue
+        else:
+            cells_of_row = cells
+        names.add(name.strip())
+        row = [name, *draw(st.lists(cells_of_row, min_size=n_years, max_size=n_years))]
+        if kind == "ragged":
+            row = row[:-1] if draw(st.booleans()) else row + ["1"]
+        lines.append(row)
+    out = io.StringIO()
+    csv.writer(out, lineterminator=draw(st.sampled_from(["\n", "\r\n"]))).writerows(lines)
+    return out.getvalue()
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(wide_csv_texts())
+def test_wide_reader_matches_per_cell_reference(tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "wide.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    outcomes = []
+    for reader in (ingest_wide_csv, reference_ingest_wide_csv):
+        try:
+            outcomes.append(reader(path, "pp"))
+        except DataError as exc:
+            outcomes.append(str(exc))
+    got, want = outcomes
+    if isinstance(want, str):
+        assert got == want
+        return
+    assert (got.entities, got.periods, got.variables) == (want.entities, want.periods, ("pp",))
+    assert got.series["pp"].values.tobytes() == want.series["pp"].values.tobytes()
+    assert got.series["pp"].mask.tobytes() == want.series["pp"].mask.tobytes()
+    assert list(got.checksums) == list(want.checksums)
+    for name, checksum in want.checksums.items():
+        assert got.checksums[name].tobytes() == checksum.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # descriptive statistics
 

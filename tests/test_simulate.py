@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dynpanel import DgpSpec, TransformKind, generate, run_experiment
-from dynpanel.estimators import ONE_STEP
+from dynpanel.estimators import ONE_STEP, ExogTerm, ModelSpec
 from dynpanel.instruments import DynamicInstrument, InstrumentSpec, StaticInstrument
 from dynpanel.simulate import (
     EstimatorConfig,
@@ -256,6 +256,26 @@ def test_failures_recorded_and_excluded():
     assert est.n_failed == 3
     assert est.n_success == 0
     assert est.coef_stats == {}
+
+
+def test_regressor_the_generator_lacks_fails_every_replication():
+    # the generated panel holds y and x1 only; a term named x is no x<j>
+    dgp = DgpSpec(n_entities=20, n_periods=6, seed=4)
+    model = ModelSpec("y", 1, (ExogTerm("x"),), intercept=True)
+    summary = run_experiment(dgp, [EstimatorConfig("pooled-x", model)], reps=3)
+    est = summary.estimator("pooled-x")
+    assert (est.n_success, est.n_failed, est.coef_stats) == (0, 3, {})
+    assert true_coefficients(dgp, model) == {"y(-1)": 0.5, "x": 0.0}
+
+
+def test_true_coefficients_zero_off_the_generator():
+    # deeper lags and names the generator does not draw (x3, x0) have 0
+    dgp = DgpSpec(n_entities=10, n_periods=5, rho=0.7, exogenous_betas=(1.5, -2.0))
+    model = ModelSpec("y", 2, (ExogTerm("x2", 1), ExogTerm("x3"), ExogTerm("x0")),
+                      intercept=False)
+    assert true_coefficients(dgp, model) == {
+        "y(-1)": 0.7, "y(-2)": 0.0, "x2": -2.0, "x2(-1)": 0.0, "x3": 0.0, "x0": 0.0,
+    }
 
 
 def test_summary_json_records_the_whole_dgp():
