@@ -312,8 +312,11 @@ def cmd_replicate(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    with _spec_errors():
+    try:
         betas = tuple(float(b) for b in args.betas.split(",")) if args.betas else (1.0,)
+    except ValueError:
+        raise DataError(f"--betas must be comma-separated numbers, got {args.betas!r}") from None
+    with _spec_errors():
         dgp = DgpSpec(
             n_entities=args.entities,
             n_periods=args.periods,

@@ -353,13 +353,21 @@ def _check_rank(X: np.ndarray, names: Sequence[str]) -> None:
 # factor-and-solve of a 4 x 4 system, against 3 us of LAPACK work) or their
 # finiteness check: a NaN passes through, and callers check.
 _POTRF, _POTRS = get_lapack_funcs(("potrf", "potrs"), (np.zeros(1),))
-# Householder QR, Q' applied and values-only SVD, called directly for the
-# same reason by each pseudo-inverse GMM step, and the level-2 triangular
-# solve. LAPACK's trtrs (a level-3 trsm) made `replicate` 1.6-1.7x slower
-# than one SVD per step when BLAS threads were not pinned (2 cores; scipy
-# and numpy each load their own OpenBLAS and thread pool), while one trsv
-# per column ran faster than the SVD both pinned and not.
-_GEQRF, _ORMQR, _GESDD = get_lapack_funcs(("geqrf", "ormqr", "gesdd"), (np.zeros(1),))
+# Householder QR, Q' applied, triangular inverse and values-only SVD,
+# called directly for the same reason by each pseudo-inverse GMM step, and
+# the level-2 triangular solve. A step whose triangular factor R has
+# ||R||_F ||R^-1||_F < 1e5 keeps every singular value: that product bounds
+# cond2(R) from above (Golub & Van Loan, Matrix Computations, 2.3 and 3.5),
+# and it sits a decade below the 1e6 at which ``_kept`` starts to cut, so
+# rounding cannot flip the decision. The trtri inverse costs about a tenth
+# of gesdd on 31 x 31, and gesdd runs only when that certificate fails.
+# LAPACK's trtrs (a level-3 trsm) made `replicate` 1.6-1.7x slower than one
+# SVD per step when BLAS threads were not pinned (2 cores; scipy and numpy
+# each load their own OpenBLAS and thread pool), while one trsv per column
+# ran faster than the SVD both pinned and not.
+_GEQRF, _ORMQR, _TRTRI, _GESDD = get_lapack_funcs(
+    ("geqrf", "ormqr", "trtri", "gesdd"), (np.zeros(1),)
+)
 (_TRSV,) = get_blas_funcs(("trsv",), (np.zeros(1),))
 
 
@@ -716,21 +724,42 @@ def _step_moments(U: np.ndarray, Gv: np.ndarray, context: str) -> tuple[np.ndarr
 
     When U (N x L) has N <= L, U' = QR by Householder QR, and the
     eigenvalues of U'U are the squares of R's singular values. If
-    ``_kept`` keeps all N, (U'U)^+ = Q R^-T R^-1 Q' and M = R^-1 Q'Gv, by
-    triangular solves; that is the least-squares route, and its error is
-    eps cond(U) as the SVD's is. When a value is cut, or N > L,
-    M = F'Gv with F the factor of ``_weight_factor``.
+    ``_kept`` keeps all N (``_keeps_all``), (U'U)^+ = Q R^-T R^-1 Q' and
+    M = R^-1 Q'Gv, by triangular solves; that is the least-squares route,
+    and its error is eps cond(U) as the SVD's is. When a value is cut, or
+    N > L, M = F'Gv with F the factor of ``_weight_factor``.
     """
     n = U.shape[0]
     if n <= U.shape[1]:
         qr, tau = _GEQRF(U.T)[:2]
         R = np.triu(qr[:n])
-        _, s, _, info = _GESDD(R, compute_uv=0)
-        if info == 0 and _kept(s * s, context).all():
+        if _keeps_all(R, context):
             QtGv = _ORMQR("L", "T", qr, tau, Gv, Gv.shape[1])[0][:n]
             return np.column_stack([_TRSV(R, b) for b in QtGv.T]), n
     F, rank = _weight_factor(U, context)
     return F.T @ Gv, rank
+
+
+def _keeps_all(R: np.ndarray, context: str) -> bool:
+    """Whether ``_kept`` keeps every singular value s of the triangular R.
+
+    It does when cond2(R) = s_max / s_min < 1e6 and s^2 neither overflows
+    nor underflows. The certificate: trtri inverts R, both Frobenius norms
+    are below 1e150 (so 1e-150 < s_min <= s_max < 1e150), and
+    ||R||_F ||R^-1||_F < 1e5. That product is at least cond2(R), since
+    ||A||_2 <= ||A||_F, and the decade to 1e6 absorbs the rounding of the
+    inverse and of the SVD, so the answer is the SVD's bit for bit. A norm
+    that is not finite fails the first comparisons before any product is
+    formed. Only when the certificate fails does gesdd compute the
+    singular values for ``_kept``, which raises on non-finite ones.
+    """
+    R_inv, info = _TRTRI(R)
+    if info == 0:
+        norm, norm_inv = np.linalg.norm(R), np.linalg.norm(R_inv)
+        if norm < 1e150 and norm_inv < 1e150 and norm * norm_inv < 1e5:
+            return True
+    _, s, _, info = _GESDD(R, compute_uv=0)
+    return info == 0 and bool(_kept(s * s, context).all())
 
 
 def _cross_moments(Z: np.ndarray, e1: np.ndarray, X: np.ndarray,
@@ -790,8 +819,12 @@ def fit_gmm(
     weight: each step's scores are C @ [1, beta1 - beta], with C the
     entity cross-moments of the one-step residuals and of X, and beta
     solves the normal equations of the M of ``_step_moments``, for which
-    M'M = [Z'X Z'y]'S^+[Z'X Z'y]: by Householder QR of U' when every
-    singular value is kept, from the SVD of U' otherwise. The weight
+    M'M = [Z'X Z'y]'S^+[Z'X Z'y]: by Householder QR U' = QR when every
+    singular value is kept, from the SVD of U' otherwise. That every value
+    is kept is certified without an SVD when ||R||_F ||R^-1||_F < 1e5, a
+    bound on cond2(R) a decade below the 1e6 at which ``_kept`` cuts; an
+    SVD of R decides only the steps the certificate fails (``_keeps_all``).
+    On the brand panel's OD and FD n-step fits it fails on none. The weight
     W = S^+ = F F' and its rank come once, after the loop, from the SVD
     of the last step's scores (``_weight_factor``). Otherwise each step
     inverts S by Cholesky exactly as the direct formulas read, so those

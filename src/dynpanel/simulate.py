@@ -18,6 +18,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -67,6 +68,16 @@ class DgpSpec:
         if self.n_entities < 1 or self.n_periods < 1:
             raise ValueError("need at least one entity and one period")
         _require_non_negative_int("seed", self.seed)
+        for name in ("sigma_effect", "sigma_noise"):
+            value = getattr(self, name)
+            if not 0.0 <= value < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
+        for name in ("effect_loading", "y0"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
+        if not all(math.isfinite(b) for b in self.exogenous_betas):
+            raise ValueError(f"exogenous_betas must be finite, got {self.exogenous_betas!r}")
 
 
 def _require_non_negative_int(name: str, value) -> None:

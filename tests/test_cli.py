@@ -489,6 +489,22 @@ def test_simulate_zero_reps_exit_2(tmp_path, capsys):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("--sigma-noise", "-1"), "sigma_noise must be finite and >= 0, got -1.0"),
+    (("--sigma-effect", "nan"), "sigma_effect must be finite and >= 0, got nan"),
+    (("--sigma-effect", "inf"), "sigma_effect must be finite and >= 0, got inf"),
+    (("--betas", "nan"), "exogenous_betas must be finite, got (nan,)"),
+    (("--betas", "1,inf"), "exogenous_betas must be finite, got (1.0, inf)"),
+    (("--betas", "1,,2"), "--betas must be comma-separated numbers, got '1,,2'"),
+])
+def test_simulate_bad_dgp_parameter_exit_2(tmp_path, capsys, argv, message):
+    code, _, err = run_cli(capsys, "simulate", *argv, "--reps", "1",
+                           "--output-dir", str(tmp_path))
+    assert code == 2
+    assert err == f"error: {message}\n"
+    assert not list(tmp_path.iterdir())
+
+
 # ---------------------------------------------------------------------------
 # golden outputs on the suite's brand panel: the 4-decimal tables byte for
 # byte, the full-precision CSV and JSON records after parsing. To

@@ -3,13 +3,15 @@
 When the moment covariance U'U is singular from the start, ``fit_gmm``
 takes each step's scores from the one-step entity cross-moments and solves
 each step through ``_step_moments`` (Householder QR of U', or the SVD
-factor F of W = F F' when a singular value is cut). ``reference_gmm``
+factor F of W = F F' when a singular value is cut; a triangular-inverse
+bound on cond(R) decides, with an SVD of R only when it fails). ``reference_gmm``
 below is the direct per-step form of the same estimator: scores by
 ``reduceat`` at every step, the L x L (pseudo-)inverse weight, and
 ``cho_factor``/``cho_solve``. The fits must agree with it to 1e-10, and
 bit for bit when U'U is nonsingular.
 """
 
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -259,6 +261,22 @@ def test_overflowing_moment_products_are_named_as_an_overflow(n, dynamic):
     assert str(info.value).startswith("moment covariance weighting matrix is not finite")
 
 
+def test_overflowing_moment_products_raise_without_a_warning():
+    # the pseudo-inverse repro above: R overflows, so its norm is inf and its
+    # inverse's 0; the certificate must fall through to the SVD without
+    # forming inf * 0, and the SVD names the overflow
+    data = _scaled(generate(DgpSpec(8, 10, missingness=0.1, seed=4)), 1e100)
+    spec = InstrumentSpec(dynamic=(DynamicInstrument("y", 2),), static=(StaticInstrument("x1"),))
+    with pytest.raises(EstimationError) as info:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with np.errstate(over="ignore"):
+                fit_gmm(ar1_model(FD), data, spec, weighting=n_step(), on_singular="pinv")
+    assert type(info.value) is EstimationError
+    assert str(info.value) == ("moment covariance weighting matrix is not finite: "
+                               "the moment products overflowed; rescale the data")
+
+
 def _scaled(data, scale):
     series = dict(data.series)
     for name in ("y", "x1"):
@@ -325,17 +343,116 @@ def test_step_moments_match_the_svd_factor(seed, shape, n, extra, k):
         assert np.array_equal(M, F.T @ Gv)
 
 
+def _counting_gesdd():
+    calls = []
+    gesdd = estimators._GESDD
+    return calls, mock.patch.object(
+        estimators, "_GESDD", lambda *a, **kw: calls.append(1) or gesdd(*a, **kw)
+    )
+
+
+def _step_moments_by_svd(U, Gv, context):
+    """``_step_moments`` deciding every step by the SVD of R (gesdd), with no certificate."""
+    n = U.shape[0]
+    if n <= U.shape[1]:
+        qr, tau = estimators._GEQRF(U.T)[:2]
+        R = np.triu(qr[:n])
+        _, s, _, info = estimators._GESDD(R, compute_uv=0)
+        if info == 0 and estimators._kept(s * s, context).all():
+            QtGv = estimators._ORMQR("L", "T", qr, tau, Gv, Gv.shape[1])[0][:n]
+            return np.column_stack([estimators._TRSV(R, b) for b in QtGv.T]), n
+    F, rank = _weight_factor(U, context)
+    return F.T @ Gv, rank
+
+
+def _with_singular_values(rng, s, L):
+    """U = A diag(s) B' (N x L, N = len(s)), A orthogonal and B with orthonormal columns."""
+    A = np.linalg.qr(rng.standard_normal((s.size, s.size)))[0]
+    B = np.linalg.qr(rng.standard_normal((L, s.size)))[0]
+    return (A * s) @ B.T
+
+
+def _certificate_outcome(U, Gv):
+    """``_step_moments`` and the reference on U: (M, rank, gesdd calls, factor calls)."""
+    want_M, want_rank = _step_moments_by_svd(U, Gv, "test")
+    gesdd_calls, gesdd_patch = _counting_gesdd()
+    factor_calls, factor_patch = _counting_weight_factor()
+    with gesdd_patch, factor_patch:
+        M, rank = _step_moments(U, Gv, "test")
+    assert rank == want_rank
+    assert M.tobytes() == want_M.tobytes()
+    return rank, len(gesdd_calls), len(factor_calls)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 12), extra=st.integers(0, 30),
+       log_cond=st.one_of(st.floats(0, 9), st.floats(4.7, 5.3), st.floats(5.7, 6.3)),
+       log_scale=st.floats(-3, 3), repeat=st.sampled_from([None, "row", "zero"]))
+def test_step_moments_certificate_matches_the_svd_decision(seed, n, extra, log_cond,
+                                                           log_scale, repeat):
+    # cond2(U) = 10^log_cond, dense around the certificate's 1e5 and the
+    # 1e6 at which a value is cut; a repeated or zero row makes U rank
+    # deficient (a cut, or trtri's info > 0 on an exactly zero pivot)
+    rng = np.random.default_rng(seed)
+    t = np.concatenate([[0.0, 1.0], rng.uniform(0, 1, n - 2)])
+    U = _with_singular_values(rng, 10.0 ** (log_scale - log_cond * t), n + extra)
+    if repeat == "row":
+        U = np.vstack([U, U[:1]])
+    elif repeat == "zero":
+        U[rng.integers(n)] = 0.0
+    if U.shape[0] > U.shape[1]:
+        return
+    Gv = rng.standard_normal((U.shape[1], 3))
+    rank, gesdd_calls, factor_calls = _certificate_outcome(U, Gv)
+    # a certified step needs no SVD and keeps every value; a cut builds the factor
+    assert gesdd_calls in (0, 1)
+    assert factor_calls == (rank < U.shape[0])
+    if gesdd_calls == 0:
+        assert rank == U.shape[0]
+
+
+@pytest.mark.parametrize("cond, gesdd_calls, cut", [
+    (10.0, 0, False),  # certified: ||R||_F ||R^-1||_F <= N cond < 1e5
+    (3e5, 1, False),   # the bound is at least cond >= 1e5; the SVD keeps all
+    (1e7, 1, True),    # the SVD cuts the smallest value
+], ids=["certified", "fallback-keeps-all", "cut"])
+def test_step_moments_reach_each_outcome(cond, gesdd_calls, cut):
+    rng = np.random.default_rng(16)
+    U = _with_singular_values(rng, np.geomspace(1.0, 1.0 / cond, 6), 40)
+    rank, got_gesdd, got_factor = _certificate_outcome(U, rng.standard_normal((40, 3)))
+    assert (got_gesdd, got_factor, rank) == (gesdd_calls, int(cut), 6 - cut)
+
+
+@pytest.mark.parametrize("scale, error", [
+    (1e160, "test weighting matrix is not finite"),  # s^2 overflows
+    (1e-170, "test weighting matrix is zero"),       # s^2 underflows to 0
+])
+def test_step_moments_at_extreme_scales_raise_as_the_svd_does(scale, error):
+    # cond2 = 10 passes the product bound, but s^2 leaves the normal range:
+    # the certificate's norm bounds send these steps to the SVD's errors
+    rng = np.random.default_rng(16)
+    U = _with_singular_values(rng, np.geomspace(scale, scale / 10, 6), 40)
+    Gv = rng.standard_normal((40, 3))
+    for step_moments in (_step_moments_by_svd, _step_moments):
+        with pytest.raises(EstimationError, match=error):
+            with np.errstate(over="ignore", under="ignore"):
+                step_moments(U, Gv, "test")
+
+
 @pytest.mark.parametrize("kind", [FD, OD], ids=["fd", "od"])
 def test_pseudo_inverse_steps_build_the_svd_factor_once(brand_panel, kind):
     model, spec = _brand_fd(brand_panel)
     model = ModelSpec(model.dependent, 1, model.exogenous, intercept=False, transform=kind)
     calls, patch = _counting_weight_factor()
-    with patch:
+    gesdd_calls, gesdd_patch = _counting_gesdd()
+    with patch, gesdd_patch:
         res = fit_gmm(model, brand_panel, spec, weighting=n_step(max_iter=500),
                       on_singular="pinv")
     assert res.instruments.n_columns > res.cross_sections == res.weighting_rank == 31
     assert res.steps_taken > 100
     assert calls == [1]
+    # every step's full rank is certified by the triangular inverse: no SVD of R
+    assert gesdd_calls == []
 
 
 def _with_a_duplicated_entity(data):

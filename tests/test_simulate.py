@@ -75,6 +75,26 @@ def test_spec_validation():
         DgpSpec(n_entities=0, n_periods=5)
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("sigma_effect", -0.5, "sigma_effect must be finite and >= 0"),
+    ("sigma_effect", float("nan"), "sigma_effect must be finite and >= 0"),
+    ("sigma_noise", -1.0, "sigma_noise must be finite and >= 0"),
+    ("sigma_noise", float("inf"), "sigma_noise must be finite and >= 0"),
+    ("exogenous_betas", (1.0, float("nan")), "exogenous_betas must be finite"),
+    ("effect_loading", float("-inf"), "effect_loading must be finite"),
+    ("y0", float("nan"), "y0 must be finite"),
+])
+def test_spec_rejects_nonsense_simulation_parameters_by_name(field, value, message):
+    with pytest.raises(ValueError, match=message):
+        DgpSpec(n_entities=10, n_periods=5, **{field: value})
+
+
+def test_spec_accepts_zero_sigmas():
+    data = generate(DgpSpec(n_entities=4, n_periods=5, sigma_effect=0.0, sigma_noise=0.0,
+                            exogenous_betas=(0.0,), burn_in=0, y0=0.0))
+    assert np.array_equal(data.require("y").values, np.zeros((4, 5)))
+
+
 @pytest.mark.parametrize("seed", [-1, 1.5, 2.0, True, "3", None])
 def test_spec_rejects_a_seed_that_is_not_a_non_negative_integer(seed):
     with pytest.raises(ValueError, match="seed must be a non-negative integer"):
