@@ -137,10 +137,8 @@ def _model_for(spec: str, dep: str, ar: int, exog: tuple[ExogTerm, ...],
     kind = SPEC_TRANSFORMS[spec]
     if intercept is None or kind.is_calendar:
         intercept = not kind.is_calendar
-    return ModelSpec(
-        dependent=dep, ar_lags=ar, exogenous=exog, intercept=intercept,
-        effects={"fe": "fixed", "re": "random"}.get(spec, "none"), transform=kind,
-    )
+    return ModelSpec(dependent=dep, ar_lags=ar, exogenous=exog, intercept=intercept,
+                     transform=kind)
 
 
 def _default_instruments(spec: str, model: ModelSpec) -> InstrumentSpec:

@@ -4,8 +4,9 @@ Hansen J overidentification test, Arellano-Bond serial correlation
 test on differenced residuals, the Hausman fixed-vs-random comparison
 (with an explicit invalidity flag for the degenerate zero-variance
 case), and information-criterion lag selection. ``swamy_arora`` is
-defined in :mod:`estimators`, next to the design it is estimated from,
-and re-exported here.
+defined in :mod:`estimators`, where ``build_design`` calls it for a
+quasi-demeaned model, and re-exported here; it runs its within and
+between regressions on the model's own aligned rows.
 """
 
 from __future__ import annotations

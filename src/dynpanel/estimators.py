@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -43,22 +43,31 @@ class ExogTerm:
             raise ValueError("exogenous lag count must be >= 0")
 
 
+_EFFECTS = {TransformKind.WITHIN: "fixed", TransformKind.QUASI_DEMEAN: "random"}
+
+
 @dataclass(frozen=True)
 class ModelSpec:
-    """What to regress on what, with which effects and transform.
+    """What to regress on what, under which transform.
 
     ``ar_lags`` lags of the dependent variable enter as regressors;
     every exogenous term enters at lags 0..term.lags. Differenced and
-    deviated equations carry no intercept; fixed effects go with the
-    within transform, random effects with quasi-demeaning. A model needs a
-    regressor or an intercept, and no exogenous term may be the dependent.
+    deviated equations carry no intercept. A model needs a regressor or
+    an intercept, and no exogenous term may be the dependent.
+
+    The transform decides the entity effects: ``effects`` is ``"fixed"``
+    under within, ``"random"`` under quasi-demeaning and ``"none"``
+    otherwise. It is filled in from ``transform``; a value passed
+    explicitly must agree, or ValueError is raised. So
+    ``dataclasses.replace(model, transform=...)`` into another effects
+    class needs ``effects=None``.
     """
 
     dependent: str
     ar_lags: int = 1
     exogenous: tuple[ExogTerm, ...] = ()
     intercept: bool = True
-    effects: str = "none"  # none | fixed | random
+    effects: str | None = None  # derived from transform
     transform: TransformKind = TransformKind.NONE
 
     def __post_init__(self):
@@ -68,17 +77,14 @@ class ModelSpec:
             raise ValueError("the model has no regressor and no intercept")
         if any(term.name == self.dependent for term in self.exogenous):
             raise ValueError(f"exogenous term {self.dependent!r} is the dependent variable")
-        if self.effects not in ("none", "fixed", "random"):
-            raise ValueError(f"unknown effects {self.effects!r}")
-        if self.transform.is_calendar:
-            if self.intercept:
-                raise ValueError("differenced/deviated equations have no intercept")
-            if self.effects != "none":
-                raise ValueError("FD/OD transforms already remove entity effects")
-        if self.effects == "fixed" and self.transform is not TransformKind.WITHIN:
-            raise ValueError("fixed effects require the within transform")
-        if self.effects == "random" and self.transform is not TransformKind.QUASI_DEMEAN:
-            raise ValueError("random effects require the quasi_demean transform")
+        if self.transform.is_calendar and self.intercept:
+            raise ValueError("differenced/deviated equations have no intercept")
+        effects = _EFFECTS.get(self.transform, "none")
+        if self.effects is None:
+            object.__setattr__(self, "effects", effects)
+        elif self.effects != effects:
+            raise ValueError(f"the {self.transform.value} transform implies {effects!r} "
+                             f"effects, not {self.effects!r}")
 
     def regressor_columns(self) -> list[tuple[str, int, str]]:
         """(variable, lag, display name) for every slope regressor."""
@@ -223,10 +229,12 @@ class EstimationResult:
 class Design:
     """Regression arrays for one model on one dataset, transform applied.
 
-    ``y`` and ``X`` (slope columns only) are in the model's transformed
-    units; ``y_level`` and ``X_level`` hold the level values at the same
-    rows. ``theta`` is the per-entity quasi-demeaning weight of a random
-    effects design, and ``components`` the variance components behind it.
+    ``y`` and ``X`` are in the model's transformed units; ``y_level`` and
+    ``X_level`` hold the level values at the same rows. ``X`` holds every
+    regression column, named by ``x_names``: the slopes and, when the
+    equation has an intercept, ``const`` last. ``theta`` is the per-entity
+    quasi-demeaning weight of a random effects design, and ``components``
+    the variance components behind it.
     """
 
     model: ModelSpec
@@ -257,13 +265,18 @@ def build_design(model: ModelSpec, data: PanelDataset) -> Design:
     weight of the ``swamy_arora`` components, which the design keeps.
     Pooled designs stay in levels. ``sample.matrix`` holds level values
     in every case, the dependent first and then the regressors.
+
+    A pooled or quasi-demeaned model with an intercept gets its column
+    here, once: ``intercept_column`` in ``X`` (ones, or 1 - theta_a when
+    quasi-demeaned), ones in ``X_level``. The within transform absorbs
+    the intercept, and FD/OD models have none.
     """
     cols = model.regressor_columns()
-    if model.effects == "fixed" and not cols:
+    kind = model.transform
+    if kind is TransformKind.WITHIN and not cols:
         raise EstimationError("fixed effects need a slope regressor; the within "
                               "transform absorbs the intercept")
-    kind = model.transform
-    sample, yX = align_columns(data, [(model.dependent, 0)] + [(v, l) for v, l, _ in cols], kind)
+    sample, yX = _align(model, data, kind)
     y_level, X_level = sample.matrix[:, 0].copy(), sample.matrix[:, 1:].copy()
     y, X, theta, components = y_level, X_level, None, None
     if kind.is_calendar:
@@ -280,38 +293,52 @@ def build_design(model: ModelSpec, data: PanelDataset) -> Design:
         shift = 1.0 if theta is None else theta
         y = demean_by_entity(y, sample.entity_ids, shift)
         X = demean_by_entity(X, sample.entity_ids, shift)
+    names = [n for _, _, n in cols]
+    if model.intercept and kind is not TransformKind.WITHIN:
+        X = np.column_stack([X, intercept_column(sample, kind, theta)])
+        X_level = np.column_stack([X_level, np.ones(sample.n_rows)])
+        names.append("const")
     return Design(
         model=model, data=data, entity_ids=sample.entity_ids, periods=sample.periods,
-        y=y, X=X, x_names=[n for _, _, n in cols],
+        y=y, X=X, x_names=names,
         y_level=y_level, X_level=X_level, sample=sample, theta=theta, components=components,
     )
+
+
+def _align(model: ModelSpec, data: PanelDataset, kind: TransformKind):
+    """``align_columns`` of the dependent and the model's regressor columns."""
+    columns = [(model.dependent, 0)] + [(v, l) for v, l, _ in model.regressor_columns()]
+    return align_columns(data, columns, kind)
 
 
 def swamy_arora(model: ModelSpec, data: PanelDataset) -> VarianceComponents:
     """Swamy-Arora variance components from within and between steps.
 
-    sigma_e^2 is the within mean squared residual with N+k degrees of
-    freedom removed; sigma_u^2 comes from the between regression with
-    the harmonic-mean correction for unbalanced entity lengths and is
-    floored at zero.
+    Both regressions run on the model's own aligned rows (Swamy and
+    Arora 1972), whatever its transform. sigma_e^2 is the within mean
+    squared residual of the entity-demeaned slopes, with N+k degrees of
+    freedom removed; sigma_u^2 comes from the between regression of the
+    entity means on the slopes and a constant, with the harmonic-mean
+    correction for unbalanced entity lengths, and is floored at zero.
     """
-    # a within design without fixed effects' slope check: RE may have only an intercept
-    design = build_design(replace(model, effects="none", transform=TransformKind.WITHIN), data)
-    Xw, yw = design.X, design.y
-    starts = entity_starts(design.entity_ids)
-    n, k, n_ent = design.n, Xw.shape[1], starts.size
+    sample, _ = _align(model, data, TransformKind.NONE)
+    y_level, X_level = sample.matrix[:, 0].copy(), sample.matrix[:, 1:].copy()
+    starts = entity_starts(sample.entity_ids)
+    yw = demean_by_entity(y_level, sample.entity_ids)
+    Xw = demean_by_entity(X_level, sample.entity_ids)
+    n, k, n_ent = sample.n_rows, Xw.shape[1], starts.size
     df_within = n - n_ent - k
     if df_within <= 0:
         raise EstimationError(
             f"non-positive within degrees of freedom ({df_within}); "
             "panel too short for variance components"
         )
-    beta_w = _ols(yw, Xw, design.x_names)
+    beta_w = _ols(yw, Xw, [name for _, _, name in model.regressor_columns()])
     resid_w = yw - Xw @ beta_w
     sigma_e2 = float(resid_w @ resid_w) / df_within
 
-    ybar = entity_means(design.y_level, starts)
-    xbar = entity_means(design.X_level, starts)
+    ybar = entity_means(y_level, starts)
+    xbar = entity_means(X_level, starts)
     counts = np.diff(starts, append=n)
     Xb = np.column_stack([xbar, np.ones(n_ent)])
     df_between = n_ent - (k + 1)
@@ -462,26 +489,12 @@ def _result(
         periods=design.periods,
         dataset=design.data,
         transform=design.model.transform,
-        design_matrix=extra.pop("design_matrix", design.X),
+        design_matrix=design.X,
+        theta=design.theta,
+        variance_components=design.components,
         iteration_trace=tuple(trace),
         **extra,
     )
-
-
-def _add_intercept(
-    design: Design, X: np.ndarray, names: list[str], level: bool = False
-) -> tuple[np.ndarray, list[str]]:
-    """Append the model's intercept column to X, if its equation has one.
-
-    The column is ``intercept_column`` under the design's transform (ones,
-    or 1 - theta_a when quasi-demeaned), or ones with ``level=True``. The
-    within transform absorbs the intercept, and FD/OD models have none.
-    """
-    if not design.model.intercept or design.model.transform is TransformKind.WITHIN:
-        return X, names
-    kind = TransformKind.NONE if level else design.model.transform
-    const = intercept_column(design.sample, kind, design.theta)
-    return np.column_stack([X, const]), names + ["const"]
 
 
 def _level_fit(design: Design, beta: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
@@ -493,7 +506,7 @@ def _level_fit(design: Design, beta: np.ndarray) -> tuple[np.ndarray, np.ndarray
     apply beta, intercept included, to the level regressors.
     """
     if design.model.transform is not TransformKind.WITHIN:
-        return _add_intercept(design, design.X_level, [], level=True)[0] @ beta, None
+        return design.X_level @ beta, None
     starts = entity_starts(design.entity_ids)
     alphas = np.full(design.data.n_entities, np.nan)
     alphas[design.entity_ids[starts]] = (
@@ -530,35 +543,35 @@ def _grand_mean_intercept(
 # plain estimators
 
 
+def _require_transform(model: ModelSpec, kind: TransformKind, method: str) -> None:
+    """Raise ValueError unless ``model`` is under the transform ``kind``."""
+    if model.transform is not kind:
+        raise ValueError(f"{method} fits {kind.value!r} models, not {model.transform.value!r}")
+
+
 def fit_pooled(model: ModelSpec, data: PanelDataset) -> EstimationResult:
     """Pooled OLS with White robust standard errors."""
-    if model.effects != "none" or model.transform is not TransformKind.NONE:
-        raise ValueError(
-            f"pooled OLS fits untransformed models, not {model.transform.value!r}"
-        )
+    _require_transform(model, TransformKind.NONE, "pooled OLS")
     design = build_design(model, data)
-    X, names = _add_intercept(design, design.X, list(design.x_names))
-    beta, fitted, resid, cov, classical = _ols_fit(design.y, X, names)
+    beta, fitted, resid, cov, classical = _ols_fit(design.y, design.X, design.x_names)
     r2 = _r_squared(design.y, fitted, center=model.intercept)
     return _result(
-        "pooled", design, names, beta, cov, resid, fitted, (r2, r2),
+        "pooled", design, design.x_names, beta, cov, resid, fitted, (r2, r2),
         _level_fit_table(design, fitted, fitted),
-        classical_covariance=classical, design_matrix=X,
+        classical_covariance=classical,
     )
 
 
 def fit_fixed_effects(model: ModelSpec, data: PanelDataset) -> EstimationResult:
-    """Fixed effects by the within transform.
+    """Fixed effects by the within transform, on a within model.
 
     Regresses the entity-demeaned y on the demeaned slopes and derives
-    the entity effects alpha_a = ybar_a - xbar_a'beta. The result carries
-    the within model and ``method`` ``fe/within``. With an intercept,
-    ``const`` is the grand mean of the entity effects, with a
-    delta-method standard error.
+    the entity effects alpha_a = ybar_a - xbar_a'beta; ``method`` is
+    ``fe/within``. With an intercept, ``const`` is the grand mean of the
+    entity effects, with a delta-method standard error.
     """
-    design = build_design(
-        replace(model, effects="fixed", transform=TransformKind.WITHIN), data
-    )
+    _require_transform(model, TransformKind.WITHIN, "fixed effects")
+    design = build_design(model, data)
     n_ent = np.unique(design.entity_ids).size
     if n_ent < 2:
         raise EstimationError("fixed effects need at least 2 entities in sample")
@@ -590,32 +603,26 @@ def fit_fixed_effects(model: ModelSpec, data: PanelDataset) -> EstimationResult:
         _level_fit_table(design, fitted_level, fitted),
         classical_covariance=classical,
         entity_effects=alphas,
-        design_matrix=Xw,
     )
 
 
 def fit_random_effects(model: ModelSpec, data: PanelDataset) -> EstimationResult:
-    """Random effects GLS via Swamy-Arora quasi-demeaning.
+    """Random effects GLS via Swamy-Arora quasi-demeaning, on a quasi_demean model.
 
     theta_a = 1 - sqrt(sigma_e^2 / (sigma_e^2 + T_a sigma_u^2)) with the
     entity's own T_a on unbalanced data. sigma_u = 0 collapses to
     pooled OLS exactly.
     """
-    design = build_design(
-        replace(model, effects="random", transform=TransformKind.QUASI_DEMEAN), data
-    )
-    Xq, names = _add_intercept(design, design.X, list(design.x_names))
-    beta, fitted_q, resid, cov, classical = _ols_fit(design.y, Xq, names)
+    _require_transform(model, TransformKind.QUASI_DEMEAN, "random effects")
+    design = build_design(model, data)
+    beta, fitted_q, resid, cov, classical = _ols_fit(design.y, design.X, design.x_names)
     fitted_level, _ = _level_fit(design, beta)
     r2 = (_r_squared(design.y, fitted_q, center=True),
           _r_squared(design.y_level, fitted_level, center=True))
     return _result(
-        "re", design, names, beta, cov, resid, fitted_q, r2,
+        "re", design, design.x_names, beta, cov, resid, fitted_q, r2,
         _level_fit_table(design, fitted_level, fitted_q),
         classical_covariance=classical,
-        theta=design.theta,
-        variance_components=design.components,
-        design_matrix=Xq,
     )
 
 
@@ -833,8 +840,7 @@ def fit_gmm(
     EstimationError.
     """
     design = build_design(model, data)
-    y = design.y
-    X, names = _add_intercept(design, design.X, list(design.x_names))
+    y, X, names = design.y, design.X, design.x_names
     k = X.shape[1]
     _check_rank(X, names)
 
@@ -940,9 +946,6 @@ def fit_gmm(
         instruments=zmat,
         instrument_spec=instruments,
         weighting=weighting,
-        theta=design.theta,
-        variance_components=design.components,
-        design_matrix=X,
         weighting_rank=w_rank,
         entity_effects=alphas,
     )

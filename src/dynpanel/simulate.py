@@ -237,16 +237,11 @@ def ar1_model(
     """Model spec matching the generator's naming: y on y(-1) and the x's."""
     if intercept is None:
         intercept = transform in (TransformKind.NONE, TransformKind.QUASI_DEMEAN)
-    effects = {
-        TransformKind.WITHIN: "fixed",
-        TransformKind.QUASI_DEMEAN: "random",
-    }.get(transform, "none")
     return ModelSpec(
         dependent="y",
         ar_lags=1,
         exogenous=tuple(ExogTerm(f"x{j + 1}") for j in range(n_x)),
         intercept=intercept,
-        effects=effects,
         transform=transform,
     )
 
@@ -300,9 +295,9 @@ class EstimatorConfig:
                 self.model, data, self.instruments,
                 weighting=self.weighting, on_singular=self.on_singular,
             )
-        if self.model.effects == "fixed":
+        if self.model.transform is TransformKind.WITHIN:
             return fit_fixed_effects(self.model, data)
-        if self.model.effects == "random":
+        if self.model.transform is TransformKind.QUASI_DEMEAN:
             return fit_random_effects(self.model, data)
         return fit_pooled(self.model, data)
 

@@ -54,10 +54,81 @@ def test_pooled_exact_fit():
     assert np.allclose(res.residuals, 0.0, atol=1e-12)
 
 
-def test_pooled_rejects_transformed_model():
+PLAIN_FITS = {TransformKind.NONE: fit_pooled, TransformKind.WITHIN: fit_fixed_effects,
+              TransformKind.QUASI_DEMEAN: fit_random_effects}
+
+
+@pytest.mark.parametrize("own, kind", [
+    (own, kind) for own in PLAIN_FITS for kind in TransformKind if kind is not own
+], ids=lambda k: k.value)
+def test_plain_fits_reject_other_transforms(own, kind):
     data = generate(DgpSpec(n_entities=20, n_periods=5, seed=2))
-    with pytest.raises(ValueError, match="within"):
-        fit_pooled(ar1_model(TransformKind.WITHIN), data)
+    with pytest.raises(ValueError, match=f"fits '{own.value}' models, not '{kind.value}'"):
+        PLAIN_FITS[own](ar1_model(kind), data)
+
+
+EFFECTS = {TransformKind.NONE: "none", TransformKind.WITHIN: "fixed",
+           TransformKind.QUASI_DEMEAN: "random", TransformKind.FIRST_DIFFERENCE: "none",
+           TransformKind.ORTHOGONAL_DEVIATION: "none"}
+
+
+@pytest.mark.parametrize("kind", list(TransformKind), ids=lambda k: k.value)
+def test_effects_follow_the_transform(kind):
+    effects = EFFECTS[kind]
+    derived = ModelSpec("y", intercept=not kind.is_calendar, transform=kind)
+    assert derived.effects == effects
+    # an explicit value that agrees, as callers may still pass, changes nothing
+    assert ModelSpec("y", intercept=not kind.is_calendar, effects=effects,
+                     transform=kind) == derived
+    # (within, "none") and (quasi_demean, "none") among them
+    for other in {"none", "fixed", "random", "both"} - {effects}:
+        with pytest.raises(ValueError, match=f"implies '{effects}' effects, not '{other}'"):
+            replace(derived, effects=other)
+    for target in TransformKind:
+        if not target.is_calendar:
+            moved = replace(derived, intercept=True, effects=None, transform=target)
+            assert moved.effects == EFFECTS[target]
+
+
+def test_random_effects_builds_one_design(monkeypatch):
+    data = generate(DgpSpec(n_entities=30, n_periods=6, seed=4))
+    calls = []
+    build = estimators.build_design
+
+    def counted(model, data):
+        calls.append(model)
+        return build(model, data)
+
+    monkeypatch.setattr(estimators, "build_design", counted)
+    model = ar1_model(TransformKind.QUASI_DEMEAN)
+    fit_random_effects(model, data)
+    assert calls == [model]
+
+
+def test_random_effects_with_only_an_intercept():
+    data = generate(DgpSpec(n_entities=30, n_periods=6, sigma_effect=2.0, seed=4))
+    res = fit_random_effects(ModelSpec("y", ar_lags=0, transform=TransformKind.QUASI_DEMEAN),
+                             data)
+    assert res.param_names == ("const",)
+    assert res.variance_components.sigma_u2 > 0
+
+
+@pytest.mark.parametrize("kind", list(TransformKind), ids=lambda k: k.value)
+def test_design_carries_the_intercept_column(kind):
+    data = generate(DgpSpec(n_entities=30, n_periods=6, missingness=0.1, seed=4))
+    design = build_design(ar1_model(kind, intercept=not kind.is_calendar), data)
+    slopes = ["y(-1)", "x1"]
+    if kind not in (TransformKind.NONE, TransformKind.QUASI_DEMEAN):
+        assert design.x_names == slopes
+        assert design.X.shape[1] == design.X_level.shape[1] == 2
+        return
+    assert design.x_names == slopes + ["const"]
+    const = np.ones(design.n)
+    if kind is TransformKind.QUASI_DEMEAN:
+        const = 1.0 - design.theta[design.entity_ids]
+    assert design.X[:, -1].tobytes() == const.tobytes()
+    assert design.X_level[:, -1].tobytes() == np.ones(design.n).tobytes()
+    assert np.array_equal(design.X_level[:, :-1], design.sample.matrix[:, 1:])
 
 
 @pytest.mark.parametrize("kwargs, message", [
@@ -72,7 +143,7 @@ def test_model_spec_rejects_degenerate_models(kwargs, message):
 def test_fixed_effects_without_slope_raise():
     data = generate(DgpSpec(n_entities=20, n_periods=5, seed=2))
     with pytest.raises(EstimationError, match="need a slope regressor"):
-        fit_fixed_effects(ModelSpec("y", ar_lags=0), data)
+        fit_fixed_effects(ModelSpec("y", ar_lags=0, transform=TransformKind.WITHIN), data)
 
 
 def test_pooled_monte_carlo_recovery():
