@@ -53,12 +53,9 @@ class ModelSpec:
     ``ar_lags`` lags of the dependent variable enter as regressors;
     every exogenous term enters at lags 0..term.lags. Differenced and
     deviated equations carry no intercept. A model needs a regressor or
-    an intercept, and no exogenous term may be the dependent.
-
-    The transform decides the entity effects: ``effects`` is ``"fixed"``
-    under within, ``"random"`` under quasi-demeaning and ``"none"``
-    otherwise. It is filled in from ``transform``; a value passed
-    explicitly must agree, or ValueError is raised. So
+    an intercept, and no exogenous term may be the dependent. ``effects``
+    follows the transform: "fixed" under within, "random" under
+    quasi-demeaning, "none" otherwise. A value passed must agree, so
     ``dataclasses.replace(model, transform=...)`` into another effects
     class needs ``effects=None``.
     """
@@ -231,10 +228,10 @@ class Design:
 
     ``y`` and ``X`` are in the model's transformed units; ``y_level`` and
     ``X_level`` hold the level values at the same rows. ``X`` holds every
-    regression column, named by ``x_names``: the slopes and, when the
-    equation has an intercept, ``const`` last. ``theta`` is the per-entity
-    quasi-demeaning weight of a random effects design, and ``components``
-    the variance components behind it.
+    regression column named in ``x_names``, ``const`` last when the
+    equation has one. ``theta`` is the per-entity quasi-demeaning weight
+    of a random effects design, and ``components`` the variance
+    components behind it.
     """
 
     model: ModelSpec
@@ -264,19 +261,17 @@ def build_design(model: ModelSpec, data: PanelDataset) -> Design:
     aligned rows: theta_a is 1 for within and, for random effects, the
     weight of the ``swamy_arora`` components, which the design keeps.
     Pooled designs stay in levels. ``sample.matrix`` holds level values
-    in every case, the dependent first and then the regressors.
-
-    A pooled or quasi-demeaned model with an intercept gets its column
-    here, once: ``intercept_column`` in ``X`` (ones, or 1 - theta_a when
-    quasi-demeaned), ones in ``X_level``. The within transform absorbs
-    the intercept, and FD/OD models have none.
+    in every case, the dependent first and then the regressors. The
+    intercept, unless within absorbs it, is appended here only:
+    ``intercept_column`` to ``X`` (ones, or 1 - theta_a quasi-demeaned)
+    and ones to ``X_level``.
     """
     cols = model.regressor_columns()
     kind = model.transform
     if kind is TransformKind.WITHIN and not cols:
         raise EstimationError("fixed effects need a slope regressor; the within "
                               "transform absorbs the intercept")
-    sample, yX = _align(model, data, kind)
+    sample, yX = align_columns(data, [(model.dependent, 0)] + [(v, l) for v, l, _ in cols], kind)
     y_level, X_level = sample.matrix[:, 0].copy(), sample.matrix[:, 1:].copy()
     y, X, theta, components = y_level, X_level, None, None
     if kind.is_calendar:
@@ -305,23 +300,17 @@ def build_design(model: ModelSpec, data: PanelDataset) -> Design:
     )
 
 
-def _align(model: ModelSpec, data: PanelDataset, kind: TransformKind):
-    """``align_columns`` of the dependent and the model's regressor columns."""
-    columns = [(model.dependent, 0)] + [(v, l) for v, l, _ in model.regressor_columns()]
-    return align_columns(data, columns, kind)
-
-
 def swamy_arora(model: ModelSpec, data: PanelDataset) -> VarianceComponents:
     """Swamy-Arora variance components from within and between steps.
 
-    Both regressions run on the model's own aligned rows (Swamy and
-    Arora 1972), whatever its transform. sigma_e^2 is the within mean
-    squared residual of the entity-demeaned slopes, with N+k degrees of
-    freedom removed; sigma_u^2 comes from the between regression of the
-    entity means on the slopes and a constant, with the harmonic-mean
-    correction for unbalanced entity lengths, and is floored at zero.
+    Both run on the model's own aligned rows, whatever its transform.
+    sigma_e^2 is the within mean squared residual with N+k degrees of
+    freedom removed; sigma_u^2 comes from the between regression with
+    the harmonic-mean correction for unbalanced entity lengths and is
+    floored at zero.
     """
-    sample, _ = _align(model, data, TransformKind.NONE)
+    cols = model.regressor_columns()
+    sample, _ = align_columns(data, [(model.dependent, 0)] + [(v, l) for v, l, _ in cols])
     y_level, X_level = sample.matrix[:, 0].copy(), sample.matrix[:, 1:].copy()
     starts = entity_starts(sample.entity_ids)
     yw = demean_by_entity(y_level, sample.entity_ids)
@@ -333,7 +322,7 @@ def swamy_arora(model: ModelSpec, data: PanelDataset) -> VarianceComponents:
             f"non-positive within degrees of freedom ({df_within}); "
             "panel too short for variance components"
         )
-    beta_w = _ols(yw, Xw, [name for _, _, name in model.regressor_columns()])
+    beta_w = _ols(yw, Xw, [name for _, _, name in cols])
     resid_w = yw - Xw @ beta_w
     sigma_e2 = float(resid_w @ resid_w) / df_within
 
@@ -819,8 +808,9 @@ def fit_gmm(
     ``instruments`` is assembled on the design's sample. A weight is
     singular when the instruments lack full column rank or, for the moment
     covariance S = U'U (U the N x L entity score matrix), when N < L; it
-    raises SingularWeightingError, or with ``on_singular='pinv'`` is
-    replaced by its pseudo-inverse, tracking the effective rank.
+    raises SingularWeightingError with ``on_singular='error'``, or with
+    ``on_singular='pinv'`` is replaced by its pseudo-inverse, tracking the
+    effective rank. Any other ``on_singular`` raises ValueError.
 
     When S is singular by those tests, the iteration never forms an L x L
     weight: each step's scores are C @ [1, beta1 - beta], with C the
@@ -839,6 +829,8 @@ def fit_gmm(
     finite, like a step whose coefficients are not finite, raises
     EstimationError.
     """
+    if on_singular not in ("error", "pinv"):
+        raise ValueError(f"on_singular must be 'error' or 'pinv', got {on_singular!r}")
     design = build_design(model, data)
     y, X, names = design.y, design.X, design.x_names
     k = X.shape[1]

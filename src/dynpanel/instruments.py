@@ -310,7 +310,8 @@ def assemble(
     if pruned:
         logger.warning("pruned %d identically-zero instrument column(s): %s",
                        len(pruned), ", ".join(pruned))
-        matrix = matrix[:, alive]
+        # C order, as unpruned: the fit is then bit for bit the one without them
+        matrix = np.ascontiguousarray(matrix[:, alive])
         labels = [lab for lab, keep in zip(labels, alive) if keep]
     if matrix.shape[1] == 0:
         raise EstimationError("all instrument columns were pruned")

@@ -43,7 +43,7 @@ from dynpanel.estimators import (
 )
 from dynpanel.instruments import assemble
 from dynpanel.panel import PanelDataset, PanelSeries
-from dynpanel.simulate import DgpSpec, ar1_model, generate
+from dynpanel.simulate import DgpSpec, EstimatorConfig, ar1_model, generate
 from dynpanel.transforms import TransformKind, entity_starts
 
 FD, OD = TransformKind.FIRST_DIFFERENCE, TransformKind.ORTHOGONAL_DEVIATION
@@ -454,6 +454,19 @@ def test_pseudo_inverse_steps_build_the_svd_factor_once(brand_panel, kind):
     assert calls == [1]
     # every step's full rank is certified by the triangular inverse: no SVD of R
     assert gesdd_calls == []
+
+
+@pytest.mark.parametrize("on_singular", ["raise", "Pinv", "ignore"])
+def test_an_unknown_on_singular_is_rejected_before_any_work(brand_panel, monkeypatch,
+                                                            on_singular):
+    model, spec = _brand_fd(brand_panel)
+    model = ModelSpec(model.dependent, 1, model.exogenous, intercept=False, transform=OD)
+    monkeypatch.setattr(estimators, "build_design", mock.Mock(side_effect=AssertionError))
+    config = EstimatorConfig("od", model, spec, TWO_STEP, on_singular)
+    for fit in (lambda: fit_gmm(model, brand_panel, spec, TWO_STEP, on_singular),
+                lambda: config.fit(brand_panel)):
+        with pytest.raises(ValueError, match="on_singular must be 'error' or 'pinv'"):
+            fit()
 
 
 def _with_a_duplicated_entity(data):

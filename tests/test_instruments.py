@@ -12,7 +12,9 @@ from dynpanel import (
     UnderIdentifiedError,
     align,
     assemble,
+    fit_gmm,
     from_arrays,
+    n_step,
     parse_instruments,
 )
 from dynpanel.estimators import ModelSpec, ExogTerm, build_design
@@ -299,6 +301,23 @@ def test_assemble_prunes_annihilated_intercept():
     zmat = assemble(spec, data, sample, transform=TransformKind.WITHIN)
     assert "const" in zmat.pruned
     assert "const" not in zmat.labels
+
+
+def test_a_pruned_intercept_leaves_the_within_fit_bit_for_bit(brand_panel):
+    model = ModelSpec("pp", 1, (ExogTerm("bv"), ExogTerm("bt")),
+                      transform=TransformKind.WITHIN)
+    static = tuple(StaticInstrument(v, 0, 2) for v in ("bv", "bt"))
+    pruned, plain = (
+        fit_gmm(model, brand_panel, InstrumentSpec(static=static, include_intercept=i),
+                weighting=n_step(max_iter=500), on_singular="pinv")
+        for i in (True, False)
+    )
+    assert (pruned.instruments.pruned, plain.instruments.pruned) == (("const",), ())
+    assert pruned.instruments.matrix.flags.c_contiguous
+    assert pruned.steps_taken == plain.steps_taken
+    for name in ("coefficients", "standard_errors", "covariance", "residuals",
+                 "weighting_matrix"):
+        assert getattr(pruned, name).tobytes() == getattr(plain, name).tobytes(), name
 
 
 def test_assemble_under_identified():
