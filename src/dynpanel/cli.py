@@ -144,15 +144,13 @@ def _model_for(spec: str, dep: str, ar: int, exog: tuple[ExogTerm, ...],
 def _default_instruments(spec: str, model: ModelSpec) -> InstrumentSpec:
     """The documented defaults: dynamic blocks with starting lag 2 for
     differenced/deviated runs, two static lags of each exogenous
-    regressor for level runs, plus the intercept for pooled and RE runs
-    (the within transform zeroes it)."""
+    regressor plus the intercept for level runs."""
     if spec in ("od", "fd"):
         dyn = [DynamicInstrument(model.dependent, 2)]
         dyn += [DynamicInstrument(t.name, 2) for t in model.exogenous]
         return InstrumentSpec(dynamic=tuple(dyn))
     static = tuple(StaticInstrument(t.name, 0, 2) for t in model.exogenous)
-    return InstrumentSpec(static=static,
-                          include_intercept=model.transform is not TransformKind.WITHIN)
+    return InstrumentSpec(static=static, include_intercept=True)
 
 
 def _fit_one(spec: str, model: ModelSpec, data: PanelDataset, args) -> EstimationResult:
@@ -164,6 +162,8 @@ def _fit_one(spec: str, model: ModelSpec, data: PanelDataset, args) -> Estimatio
             inst = parse_instruments(args.instruments)
     else:
         inst = _default_instruments(spec, model)
+    # instrumented level specifications keep the intercept inside the
+    # instrument set; the within transform prunes it automatically
     return fit_gmm(
         model, data, inst, weighting=weighting,
         on_singular=args.on_singular, windmeijer=args.windmeijer,

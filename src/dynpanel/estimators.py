@@ -271,8 +271,7 @@ def build_design(model: ModelSpec, data: PanelDataset) -> Design:
     if kind is TransformKind.WITHIN and not cols:
         raise EstimationError("fixed effects need a slope regressor; the within "
                               "transform absorbs the intercept")
-    sample, yX = align_columns(data, [(model.dependent, 0)] + [(v, l) for v, l, _ in cols], kind)
-    y_level, X_level = sample.matrix[:, 0].copy(), sample.matrix[:, 1:].copy()
+    sample, yX, y_level, X_level = _align_levels(model, data, kind)
     y, X, theta, components = y_level, X_level, None, None
     if kind.is_calendar:
         y, X = yX[:, 0], yX[:, 1:]
@@ -300,6 +299,13 @@ def build_design(model: ModelSpec, data: PanelDataset) -> Design:
     )
 
 
+def _align_levels(model: ModelSpec, data: PanelDataset, kind=TransformKind.NONE):
+    """The model's ``align_columns`` sample, its matrix, and level y and X copies."""
+    columns = [(model.dependent, 0)] + [(v, l) for v, l, _ in model.regressor_columns()]
+    sample, yX = align_columns(data, columns, kind)
+    return sample, yX, sample.matrix[:, 0].copy(), sample.matrix[:, 1:].copy()
+
+
 def swamy_arora(model: ModelSpec, data: PanelDataset) -> VarianceComponents:
     """Swamy-Arora variance components from within and between steps.
 
@@ -309,9 +315,7 @@ def swamy_arora(model: ModelSpec, data: PanelDataset) -> VarianceComponents:
     the harmonic-mean correction for unbalanced entity lengths and is
     floored at zero.
     """
-    cols = model.regressor_columns()
-    sample, _ = align_columns(data, [(model.dependent, 0)] + [(v, l) for v, l, _ in cols])
-    y_level, X_level = sample.matrix[:, 0].copy(), sample.matrix[:, 1:].copy()
+    sample, _, y_level, X_level = _align_levels(model, data)
     starts = entity_starts(sample.entity_ids)
     yw = demean_by_entity(y_level, sample.entity_ids)
     Xw = demean_by_entity(X_level, sample.entity_ids)
@@ -322,7 +326,7 @@ def swamy_arora(model: ModelSpec, data: PanelDataset) -> VarianceComponents:
             f"non-positive within degrees of freedom ({df_within}); "
             "panel too short for variance components"
         )
-    beta_w = _ols(yw, Xw, [name for _, _, name in cols])
+    beta_w = _ols(yw, Xw, [name for _, _, name in model.regressor_columns()])
     resid_w = yw - Xw @ beta_w
     sigma_e2 = float(resid_w @ resid_w) / df_within
 
@@ -679,6 +683,11 @@ def _invert_weight(
     return (V[:, keep] / w[keep]) @ V[:, keep].T, int(keep.sum())
 
 
+def _check_on_singular(on_singular: str) -> None:
+    if on_singular not in ("error", "pinv"):
+        raise ValueError(f"on_singular must be 'error' or 'pinv', got {on_singular!r}")
+
+
 def _require_pinv(on_singular: str, context: str) -> None:
     """Raise SingularWeightingError unless a singular weight may be pseudo-inverted."""
     if on_singular == "error":
@@ -829,8 +838,7 @@ def fit_gmm(
     finite, like a step whose coefficients are not finite, raises
     EstimationError.
     """
-    if on_singular not in ("error", "pinv"):
-        raise ValueError(f"on_singular must be 'error' or 'pinv', got {on_singular!r}")
+    _check_on_singular(on_singular)
     design = build_design(model, data)
     y, X, names = design.y, design.X, design.x_names
     k = X.shape[1]

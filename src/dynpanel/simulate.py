@@ -32,6 +32,7 @@ from .estimators import (
     ExogTerm,
     ModelSpec,
     Weighting,
+    _check_on_singular,
     fit_fixed_effects,
     fit_gmm,
     fit_pooled,
@@ -288,6 +289,9 @@ class EstimatorConfig:
     instruments: InstrumentSpec | None = None
     weighting: Weighting = TWO_STEP
     on_singular: str = "error"
+
+    def __post_init__(self):
+        _check_on_singular(self.on_singular)
 
     def fit(self, data: PanelDataset) -> EstimationResult:
         if self.instruments is not None:

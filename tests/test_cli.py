@@ -1,5 +1,4 @@
 import json
-import logging
 import math
 import os
 from pathlib import Path
@@ -353,17 +352,6 @@ def test_replicate_five_columns_csv(brand_panel_csv, tmp_path, capsys):
     assert lines[0] == "row,pooled,fe,re,od,fd"
     n_row = [l for l in lines if l.startswith("n,")][0]
     assert n_row.split(",")[4:6] == ["258", "258"]  # od and fd samples
-
-
-def test_replicate_prunes_no_instrument(brand_panel_csv, tmp_path, capsys, caplog):
-    # the fe column's default instruments leave out the intercept the
-    # within transform would zero
-    with caplog.at_level(logging.WARNING, logger="dynpanel"):
-        code, _, err = run_cli(capsys, "replicate", "--data", brand_panel_csv,
-                               "--output-dir", str(tmp_path))
-    assert code == 0
-    assert "pruned" not in err
-    assert not [r for r in caplog.records if "pruned" in r.getMessage()]
 
 
 def test_replicate_table_renders_258(brand_panel_csv, tmp_path, capsys):

@@ -462,11 +462,13 @@ def test_an_unknown_on_singular_is_rejected_before_any_work(brand_panel, monkeyp
     model, spec = _brand_fd(brand_panel)
     model = ModelSpec(model.dependent, 1, model.exogenous, intercept=False, transform=OD)
     monkeypatch.setattr(estimators, "build_design", mock.Mock(side_effect=AssertionError))
-    config = EstimatorConfig("od", model, spec, TWO_STEP, on_singular)
-    for fit in (lambda: fit_gmm(model, brand_panel, spec, TWO_STEP, on_singular),
-                lambda: config.fit(brand_panel)):
+    within = ModelSpec(model.dependent, 1, model.exogenous, transform=TransformKind.WITHIN)
+    # a plain config never reads on_singular, yet rejects it as an instrumented one does
+    for call in (lambda: fit_gmm(model, brand_panel, spec, TWO_STEP, on_singular),
+                 lambda: EstimatorConfig("od", model, spec, TWO_STEP, on_singular),
+                 lambda: EstimatorConfig("fe", within, on_singular=on_singular)):
         with pytest.raises(ValueError, match="on_singular must be 'error' or 'pinv'"):
-            fit()
+            call()
 
 
 def _with_a_duplicated_entity(data):
