@@ -10,13 +10,13 @@ clustered by entity.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg.blas import get_blas_funcs
 from scipy.linalg.lapack import get_lapack_funcs
 
 from .errors import EstimationError, RankError, SingularWeightingError
@@ -374,21 +374,20 @@ def _check_rank(X: np.ndarray, names: Sequence[str]) -> None:
 # finiteness check: a NaN passes through, and callers check.
 _POTRF, _POTRS = get_lapack_funcs(("potrf", "potrs"), (np.zeros(1),))
 # Householder QR, Q' applied, triangular inverse and values-only SVD,
-# called directly for the same reason by each pseudo-inverse GMM step, and
-# the level-2 triangular solve. A step whose triangular factor R has
-# ||R||_F ||R^-1||_F < 1e5 keeps every singular value: that product bounds
-# cond2(R) from above (Golub & Van Loan, Matrix Computations, 2.3 and 3.5),
-# and it sits a decade below the 1e6 at which ``_kept`` starts to cut, so
-# rounding cannot flip the decision. The trtri inverse costs about a tenth
-# of gesdd on 31 x 31, and gesdd runs only when that certificate fails.
-# LAPACK's trtrs (a level-3 trsm) made `replicate` 1.6-1.7x slower than one
-# SVD per step when BLAS threads were not pinned (2 cores; scipy and numpy
-# each load their own OpenBLAS and thread pool), while one trsv per column
-# ran faster than the SVD both pinned and not.
+# called directly for the same reason by each pseudo-inverse GMM step. A
+# step whose triangular factor R has ||R||_F ||R^-1||_F < 1e5 keeps every
+# singular value: that product bounds cond2(R) from above (Golub & Van
+# Loan, Matrix Computations, 2.3 and 3.5), and it sits a decade below the
+# 1e6 at which ``_kept`` starts to cut, so rounding cannot flip the
+# decision. The trtri inverse costs about a tenth of gesdd on 31 x 31, and
+# gesdd runs only when that certificate fails. The same computed inverse
+# gives the step's M = R^-1 Q'Gv as one product, with no triangular solve:
+# its error is at most about n eps ||R||_F ||R^-1||_F of max|M| (Higham,
+# Accuracy and Stability of Numerical Algorithms, 8 and 14), so under the
+# certificate below 7e-10 for the 31 firms of the brand panel.
 _GEQRF, _ORMQR, _TRTRI, _GESDD = get_lapack_funcs(
     ("geqrf", "ormqr", "trtri", "gesdd"), (np.zeros(1),)
 )
-(_TRSV,) = get_blas_funcs(("trsv",), (np.zeros(1),))
 
 
 def _cho_solve(A: np.ndarray, B: np.ndarray) -> np.ndarray | None:
@@ -729,52 +728,65 @@ def _step_moments(U: np.ndarray, Gv: np.ndarray, context: str) -> tuple[np.ndarr
 
     When U (N x L) has N <= L, U' = QR by Householder QR, and the
     eigenvalues of U'U are the squares of R's singular values. If
-    ``_kept`` keeps all N (``_keeps_all``), (U'U)^+ = Q R^-T R^-1 Q' and
-    M = R^-1 Q'Gv, by triangular solves; that is the least-squares route,
-    and its error is eps cond(U) as the SVD's is. When a value is cut, or
-    N > L, M = F'Gv with F the factor of ``_weight_factor``.
+    ``_kept`` keeps all N, ``_keeps_all`` returns the trtri inverse of R,
+    (U'U)^+ = Q R^-T R^-1 Q' and M = R^-1 Q'Gv is one product with that
+    inverse. Its error is n eps ||R||_F ||R^-1||_F of max|M| at most, as
+    the comment at ``_TRTRI`` sets out. When a value is cut, or N > L,
+    M = F'Gv with F the factor of ``_weight_factor``.
     """
     n = U.shape[0]
     if n <= U.shape[1]:
         qr, tau = _GEQRF(U.T)[:2]
-        R = np.triu(qr[:n])
-        if _keeps_all(R, context):
-            QtGv = _ORMQR("L", "T", qr, tau, Gv, Gv.shape[1])[0][:n]
-            return np.column_stack([_TRSV(R, b) for b in QtGv.T]), n
+        R_inv = _keeps_all(np.where(_upper(n), qr[:n], 0.0), context)
+        if R_inv is not None:
+            return R_inv @ _ORMQR("L", "T", qr, tau, Gv, Gv.shape[1])[0][:n], n
     F, rank = _weight_factor(U, context)
     return F.T @ Gv, rank
 
 
-def _keeps_all(R: np.ndarray, context: str) -> bool:
-    """Whether ``_kept`` keeps every singular value s of the triangular R.
+@functools.lru_cache(maxsize=8)
+def _upper(n: int) -> np.ndarray:
+    """Read-only mask of the upper triangle of an n x n matrix, built once per n."""
+    mask = np.triu(np.ones((n, n), dtype=bool))
+    mask.flags.writeable = False
+    return mask
 
-    It does when cond2(R) = s_max / s_min < 1e6 and s^2 neither overflows
-    nor underflows. The certificate: trtri inverts R, both Frobenius norms
-    are below 1e150 (so 1e-150 < s_min <= s_max < 1e150), and
-    ||R||_F ||R^-1||_F < 1e5. That product is at least cond2(R), since
+
+def _keeps_all(R: np.ndarray, context: str) -> np.ndarray | None:
+    """R^-1 when ``_kept`` keeps every singular value s of the triangular R, else None.
+
+    Every value is kept when cond2(R) = s_max / s_min < 1e6 and s^2 neither
+    overflows nor underflows. The certificate: trtri inverts R, both
+    Frobenius norms are below 1e150 (so 1e-150 < s_min <= s_max < 1e150),
+    and ||R||_F ||R^-1||_F < 1e5. That product is at least cond2(R), since
     ||A||_2 <= ||A||_F, and the decade to 1e6 absorbs the rounding of the
     inverse and of the SVD, so the answer is the SVD's bit for bit. A norm
     that is not finite fails the first comparisons before any product is
     formed. Only when the certificate fails does gesdd compute the
-    singular values for ``_kept``, which raises on non-finite ones.
+    singular values for ``_kept``, which raises on non-finite ones; when it
+    keeps them all, the trtri inverse is returned if trtri succeeded.
     """
     R_inv, info = _TRTRI(R)
     if info == 0:
         norm, norm_inv = np.linalg.norm(R), np.linalg.norm(R_inv)
         if norm < 1e150 and norm_inv < 1e150 and norm * norm_inv < 1e5:
-            return True
+            return R_inv
+    inverted = info == 0
     _, s, _, info = _GESDD(R, compute_uv=0)
-    return info == 0 and bool(_kept(s * s, context).all())
+    if info == 0 and _kept(s * s, context).all() and inverted:
+        return R_inv
+    return None
 
 
 def _cross_moments(Z: np.ndarray, e1: np.ndarray, X: np.ndarray,
                    starts: np.ndarray) -> np.ndarray:
-    """Entity cross-moments C (N x L x (1+k)): C[a, l] = sum_t Z_tl [e1_t, X_t].
+    """Entity cross-moments C, (1+k) x N x L: C[a, i] = sum_t w_ta Z_t over entity i's rows.
 
-    Residuals at any beta are e1 + X (beta1 - beta) when e1 = y - X beta1,
-    so their scores are C @ [1, beta1 - beta].
+    Here w = [e1, X]. Residuals at any beta are e1 + X (beta1 - beta) when
+    e1 = y - X beta1, so their N x L scores are the one product
+    [1, beta1 - beta] @ C.reshape(1+k, N L), reshaped.
     """
-    return np.stack([_scores(Z, col, starts) for col in np.column_stack([e1, X]).T], axis=-1)
+    return np.stack([_scores(Z, col, starts) for col in np.column_stack([e1, X]).T])
 
 
 def _solve_normal(P: np.ndarray, r: np.ndarray, names) -> np.ndarray:
@@ -822,14 +834,17 @@ def fit_gmm(
     effective rank. Any other ``on_singular`` raises ValueError.
 
     When S is singular by those tests, the iteration never forms an L x L
-    weight: each step's scores are C @ [1, beta1 - beta], with C the
-    entity cross-moments of the one-step residuals and of X, and beta
-    solves the normal equations of the M of ``_step_moments``, for which
-    M'M = [Z'X Z'y]'S^+[Z'X Z'y]: by Householder QR U' = QR when every
-    singular value is kept, from the SVD of U' otherwise. That every value
-    is kept is certified without an SVD when ||R||_F ||R^-1||_F < 1e5, a
-    bound on cond2(R) a decade below the 1e6 at which ``_kept`` cuts; an
-    SVD of R decides only the steps the certificate fails (``_keeps_all``).
+    weight: each step's scores are the one product [1, beta1 - beta] @ C,
+    with C the entity cross-moments of the one-step residuals and of X
+    laid out (1+k) x N L, and beta solves the normal equations P[:-1, :-1]
+    beta = P[:-1, -1] of P = M'M, M from ``_step_moments``, for which
+    M'M = [Z'X Z'y]'S^+[Z'X Z'y]: by Householder QR U' = QR and the trtri
+    inverse of R when every singular value is kept, from the SVD of U'
+    otherwise. That every value is kept is certified without an SVD when
+    ||R||_F ||R^-1||_F < 1e5, a bound on cond2(R) a decade below the 1e6 at
+    which ``_kept`` cuts; an SVD of R decides only the steps the
+    certificate fails (``_keeps_all``), and when it keeps every value the
+    trtri inverse still gives M.
     On the brand panel's OD and FD n-step fits it fails on none. The weight
     W = S^+ = F F' and its rank come once, after the loop, from the SVD
     of the last step's scores (``_weight_factor``). Otherwise each step
@@ -876,16 +891,18 @@ def fit_gmm(
         singular = not full_rank or starts.size < Z.shape[1]
         if singular:
             _require_pinv(on_singular, "moment covariance")
-            C = _cross_moments(Z, y - X @ beta1, X, starts)
+            C = _cross_moments(Z, y - X @ beta1, X, starts).reshape(k + 1, -1)
+            a = np.ones(k + 1)  # [1, beta1 - beta], refilled each step
             Gv = np.column_stack([G, v])
         max_iter = 1 if weighting.kind == "two_step" else weighting.max_iter
         converged = weighting.kind == "two_step"
         for _ in range(max_iter):
             if singular:
-                U_prev = C @ np.append(1.0, beta1 - beta)
+                np.subtract(beta1, beta, out=a[1:])
+                U_prev = (a @ C).reshape(starts.size, -1)
                 M = _step_moments(U_prev, Gv, "moment covariance")[0]
-                MG = M[:, :-1]
-                beta_new = _solve_normal(MG.T @ MG, MG.T @ M[:, -1], names)
+                P = M.T @ M
+                beta_new = _solve_normal(P[:-1, :-1], P[:-1, -1], names)
             else:
                 U_prev = _scores(Z, y - X @ beta, starts)
                 W, w_rank = _invert_weight(None, on_singular, "moment covariance", U_prev)

@@ -1,10 +1,15 @@
 """The two-step and n-step GMM iteration of ``fit_gmm``.
 
 When the moment covariance U'U is singular from the start, ``fit_gmm``
-takes each step's scores from the one-step entity cross-moments and solves
-each step through ``_step_moments`` (Householder QR of U', or the SVD
-factor F of W = F F' when a singular value is cut; a triangular-inverse
-bound on cond(R) decides, with an SVD of R only when it fails). ``reference_gmm``
+takes each step's scores from the one-step entity cross-moments, one
+product [1, beta1 - beta] @ C, and solves each step through
+``_step_moments``: Householder QR U' = QR and M = R^-1 Q'Gv with the
+trtri inverse of R, or the SVD factor F of W = F F' when a singular value
+is cut. A triangular-inverse bound on cond(R) decides, with an SVD of R
+only when it fails. ``_step_moments_by_svd`` is that step decided by the
+SVD alone, solving as the code does, so the certificate's decisions are
+checked bit for bit; the product with the inverse is checked against a
+triangular solve within n eps ||R||_F ||R^-1||_F. ``reference_gmm``
 below is the direct per-step form of the same estimator: scores by
 ``reduceat`` at every step, the L x L (pseudo-)inverse weight, and
 ``cho_factor``/``cho_solve``. The fits must agree with it to 1e-10, and
@@ -199,7 +204,8 @@ def test_cross_moments_give_the_scores_of_any_beta(brand_panel):
         direct = _scores(Z, y - X @ beta, starts)
         # rounding scale of the direct sums, term by term
         scale = _scores(np.abs(Z), np.abs(y) + np.abs(X) @ np.abs(beta), starts).max()
-        assert np.abs(C @ np.append(1.0, beta1 - beta) - direct).max() <= 1e-12 * scale
+        scores = np.tensordot(np.append(1.0, beta1 - beta), C, axes=1)
+        assert np.abs(scores - direct).max() <= 1e-12 * scale
 
 
 def test_score_reductions_do_not_grow_with_the_step_count(brand_panel, monkeypatch):
@@ -351,16 +357,25 @@ def _counting_gesdd():
     )
 
 
+def _qr_parts(U, Gv):
+    """R (N x N, upper) and Q'Gv of the Householder QR U' = QR, as ``_step_moments`` forms them."""
+    n = U.shape[0]
+    qr, tau = estimators._GEQRF(U.T)[:2]
+    return np.triu(qr[:n]), estimators._ORMQR("L", "T", qr, tau, Gv, Gv.shape[1])[0][:n]
+
+
 def _step_moments_by_svd(U, Gv, context):
-    """``_step_moments`` deciding every step by the SVD of R (gesdd), with no certificate."""
+    """``_step_moments`` deciding every step by the SVD of R (gesdd), with no certificate.
+
+    A kept step solves as the code does: R^-1 from trtri, then one product.
+    """
     n = U.shape[0]
     if n <= U.shape[1]:
-        qr, tau = estimators._GEQRF(U.T)[:2]
-        R = np.triu(qr[:n])
+        R, QtGv = _qr_parts(U, Gv)
         _, s, _, info = estimators._GESDD(R, compute_uv=0)
-        if info == 0 and estimators._kept(s * s, context).all():
-            QtGv = estimators._ORMQR("L", "T", qr, tau, Gv, Gv.shape[1])[0][:n]
-            return np.column_stack([estimators._TRSV(R, b) for b in QtGv.T]), n
+        R_inv, trtri_info = estimators._TRTRI(R)
+        if info == 0 and estimators._kept(s * s, context).all() and trtri_info == 0:
+            return R_inv @ QtGv, n
     F, rank = _weight_factor(U, context)
     return F.T @ Gv, rank
 
@@ -422,6 +437,46 @@ def test_step_moments_reach_each_outcome(cond, gesdd_calls, cut):
     U = _with_singular_values(rng, np.geomspace(1.0, 1.0 / cond, 6), 40)
     rank, got_gesdd, got_factor = _certificate_outcome(U, rng.standard_normal((40, 3)))
     assert (got_gesdd, got_factor, rank) == (gesdd_calls, int(cut), 6 - cut)
+
+
+def test_a_certified_step_multiplies_by_the_certificates_inverse():
+    # one trtri gives both the certificate and M = R^-1 Q'Gv: no second
+    # inversion, no SVD and no triangular solve
+    rng = np.random.default_rng(16)
+    U = _with_singular_values(rng, np.geomspace(1.0, 0.1, 6), 40)
+    Gv = rng.standard_normal((40, 3))
+    inverses = []
+    trtri = estimators._TRTRI
+    trtri_patch = mock.patch.object(
+        estimators, "_TRTRI", lambda *a, **kw: inverses.append(trtri(*a, **kw)) or inverses[-1]
+    )
+    gesdd_calls, gesdd_patch = _counting_gesdd()
+    with trtri_patch, gesdd_patch:
+        M, rank = _step_moments(U, Gv, "test")
+    assert rank == 6 and len(inverses) == 1 and gesdd_calls == []
+    (R_inv, info), = inverses
+    assert info == 0
+    assert M.tobytes() == (R_inv @ _qr_parts(U, Gv)[1]).tobytes()
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 40), extra=st.integers(0, 30),
+       log_cond=st.floats(0, 5), log_scale=st.floats(-3, 3))
+def test_step_moments_agree_with_a_triangular_solve(seed, n, extra, log_cond, log_scale):
+    # the product with the computed inverse is within n eps ||R||_F ||R^-1||_F
+    # of max|M| of substitution (Higham, ch. 8 and 14), up to cond2 = 1e5
+    rng = np.random.default_rng(seed)
+    t = np.concatenate([[0.0, 1.0], rng.uniform(0, 1, n - 2)])
+    U = _with_singular_values(rng, 10.0 ** (log_scale - log_cond * t), n + extra)
+    Gv = rng.standard_normal((n + extra, 3)) * 10.0 ** rng.uniform(-3, 3, 3)
+    R, QtGv = _qr_parts(U, Gv)
+    R_inv = estimators._keeps_all(R, "test")
+    assert isinstance(R_inv, np.ndarray)
+    M, rank = _step_moments(U, Gv, "test")
+    assert rank == n
+    bound = n * np.finfo(float).eps * np.linalg.norm(R) * np.linalg.norm(R_inv)
+    solved = scipy.linalg.solve_triangular(R, QtGv)
+    assert np.abs(M - solved).max() <= bound * np.abs(M).max()
 
 
 @pytest.mark.parametrize("scale, error", [
