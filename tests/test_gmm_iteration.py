@@ -373,9 +373,10 @@ def _step_moments_by_svd(U, Gv, context):
     if n <= U.shape[1]:
         R, QtGv = _qr_parts(U, Gv)
         _, s, _, info = estimators._GESDD(R, compute_uv=0)
-        R_inv, trtri_info = estimators._TRTRI(R)
-        if info == 0 and estimators._kept(s * s, context).all() and trtri_info == 0:
-            return R_inv @ QtGv, n
+        if info == 0 and estimators._kept(s * s, context).all():
+            R_inv, info = estimators._TRTRI(R)
+            if info == 0:
+                return R_inv @ QtGv, n
     F, rank = _weight_factor(U, context)
     return F.T @ Gv, rank
 
