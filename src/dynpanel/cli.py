@@ -5,11 +5,11 @@ Subcommands: ``estimate`` (one specification on one dataset),
 CSV, since it needs the dependent and at least one exogenous series),
 ``simulate`` (Monte Carlo harness), ``describe`` (summary statistics),
 and ``ratings`` (letter-grade codec). A spec name maps to its model's
-transform through ``SPEC_TRANSFORMS``; a plain (``--plain``) fit goes
-through ``EstimatorConfig.fit``. Every run that writes files also
-writes a manifest with the configuration, seed, input digests, and
-package version; manifests carry no timestamps so reruns are
-byte-identical.
+transform through ``SPEC_TRANSFORMS``; a plain (``--plain``) pooled,
+FE or RE fit is ``fit_plain`` of that model. Every run that writes
+files also writes a manifest with the configuration, seed, input
+digests, and package version; manifests carry no timestamps so reruns
+are byte-identical.
 
 Exit codes: 0 success, 1 estimation or diagnostic failure, 2 usage or
 input/output error.
@@ -37,6 +37,7 @@ from .estimators import (
     ModelSpec,
     Weighting,
     fit_gmm,
+    fit_plain,
 )
 from .instruments import InstrumentSpec, StaticInstrument, DynamicInstrument, parse_instruments
 from .panel import PanelDataset, describe, ingest_long_csv, ingest_wide_csv
@@ -155,8 +156,8 @@ def _default_instruments(spec: str, model: ModelSpec) -> InstrumentSpec:
 
 def _fit_one(spec: str, model: ModelSpec, data: PanelDataset, args) -> EstimationResult:
     weighting = _weighting(args)
-    if args.plain and spec in ("pooled", "fe", "re"):
-        return EstimatorConfig(spec, model).fit(data)
+    if args.plain and not model.transform.is_calendar:
+        return fit_plain(model, data)
     if args.instruments:
         with _spec_errors():
             inst = parse_instruments(args.instruments)

@@ -67,21 +67,25 @@ def j_test(result: EstimationResult) -> JTestResult:
     """Hansen J test of the overidentifying restrictions.
 
     J = (Z'e)' W (Z'e) with W the final-step weighting matrix (for
-    one-step fits, the clustered moment covariance of the residuals is
-    inverted instead so the statistic keeps its chi-square calibration).
+    one-step fits, the clustered moment covariance S = U'U of the
+    residuals is inverted instead so the statistic keeps its chi-square
+    calibration). S comes as its N x L entity scores U, so a fit with
+    fewer entities than instrument columns gets the pseudo-inverse of
+    rank at most N straight from U, as the AR test's weight does.
     Degrees of freedom are the instrument rank minus the number of
     parameters GMM estimates, the columns of the fit's design matrix; a
     within fit's grand-mean intercept is derived after the fit and does
     not count.
     """
-    if result.instruments is None or result.moment_covariance is None:
+    if result.instruments is None:
         raise DiagnosticError("J test needs a result produced by fit_gmm")
     Z = result.instruments.matrix
     gbar = Z.T @ result.residuals
     if result.steps_taken >= 2 and result.weighting_matrix is not None:
         W, rank = result.weighting_matrix, result.weighting_rank
     else:
-        W, rank = _invert_weight(result.moment_covariance, "pinv", "J test",
+        U = _scores(Z, result.residuals, entity_starts(result.entity_ids))
+        W, rank = _invert_weight(None, "pinv", "J test", U,
                                  full_rank=result.instruments.rank == Z.shape[1])
     rank = min(rank, result.instruments.rank)
     k = result.design_matrix.shape[1]
@@ -204,7 +208,10 @@ def hausman(fe: EstimationResult, re: EstimationResult) -> HausmanResult:
 
     Returns the invalidity flag instead of a statistic when the RE fit
     degenerated to pooled OLS (zero cross-section variance component) or
-    when the covariance difference is not positive definite.
+    when the covariance difference is not positive definite. That is
+    judged on the difference in units of the FE standard errors, whose
+    smallest eigenvalue must reach 1e-10, so the verdict does not depend
+    on the units of the regressors.
     """
     common = [n for n in fe.param_names if n in re.param_names and n != "const"]
     if not common:
@@ -223,10 +230,14 @@ def hausman(fe: EstimationResult, re: EstimationResult) -> HausmanResult:
     v_fe = fe.classical_covariance if fe.classical_covariance is not None else fe.covariance
     v_re = re.classical_covariance if re.classical_covariance is not None else re.covariance
     d = fe.coefficients[fe_idx] - re.coefficients[re_idx]
-    dv = v_fe[np.ix_(fe_idx, fe_idx)] - v_re[np.ix_(re_idx, re_idx)]
+    v_fe = v_fe[np.ix_(fe_idx, fe_idx)]
+    dv = v_fe - v_re[np.ix_(re_idx, re_idx)]
     dv = 0.5 * (dv + dv.T)
-    eigvals = np.linalg.eigvalsh(dv)
-    if eigvals.min() < 1e-10:
+    # D^-1/2 dV D^-1/2 with D = diag(V_FE): a regressor's units cancel
+    sd = np.sqrt(np.diag(v_fe))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        unit = dv / np.outer(sd, sd)
+    if not np.isfinite(unit).all() or np.linalg.eigvalsh(unit).min() < 1e-10:
         return HausmanResult(
             valid=False,
             reason="covariance difference V_FE - V_RE is not positive definite",

@@ -1,10 +1,11 @@
 """Linear panel estimation engines.
 
-Pooled OLS, fixed effects by the within transform, random effects GLS with
-Swamy-Arora quasi-demeaning, and instrumented GMM with one-step,
-two-step, and iterated weighting. Reported standard errors are
-White-style heteroskedasticity robust throughout; GMM covariance is
-clustered by entity.
+``fit_plain``: pooled OLS, fixed effects by the within transform, or
+random effects GLS with Swamy-Arora quasi-demeaning, as the model's
+transform says. ``fit_gmm``: instrumented GMM with one-step, two-step,
+and iterated weighting. Reported standard errors are White-style
+heteroskedasticity robust throughout; GMM covariance is clustered by
+entity.
 """
 
 from __future__ import annotations
@@ -198,7 +199,6 @@ class EstimationResult:
     design_matrix: np.ndarray
     classical_covariance: np.ndarray | None = None
     weighting_matrix: np.ndarray | None = None
-    moment_covariance: np.ndarray | None = None
     instruments: InstrumentMatrix | None = None
     instrument_spec: InstrumentSpec | None = None
     weighting: Weighting | None = None
@@ -419,17 +419,6 @@ def _white_covariance(X: np.ndarray, resid: np.ndarray) -> np.ndarray:
     return bread @ meat @ bread
 
 
-def _ols_fit(y: np.ndarray, X: np.ndarray, names: Sequence[str]):
-    """OLS: coefficients, fitted values, residuals, White and classical covariances."""
-    beta = _ols(y, X, names)
-    fitted = X @ beta
-    resid = y - fitted
-    classical = float(resid @ resid) / max(y.size - X.shape[1], 1) * _spd_inverse(
-        X.T @ X, "classical covariance"
-    )
-    return beta, fitted, resid, _white_covariance(X, resid), classical
-
-
 def _r_squared(y: np.ndarray, fitted: np.ndarray, center: bool) -> float:
     resid = y - fitted
     ss_res = float(resid @ resid)
@@ -453,15 +442,18 @@ def _result(
     resid: np.ndarray,
     fitted: np.ndarray,
     r2: tuple[float, float],
-    table: FitTable,
+    level: tuple[np.ndarray, np.ndarray],
     steps: int = 1,
     trace: Sequence[float] = (),
     **extra,
 ) -> EstimationResult:
-    """The finished result of a fit; ``r2`` is the (weighted, unweighted) pair."""
+    """The finished result of a fit; ``r2`` is the (weighted, unweighted)
+    pair and ``level`` the level fit and its mask from ``_level_fit``."""
     se = np.sqrt(np.maximum(np.diag(cov), 0.0))
     with np.errstate(divide="ignore", invalid="ignore"):
         t = np.where(se > 0, beta / se, np.nan)
+    table = FitTable(design.data.entities, design.entity_ids, design.periods,
+                     design.y, fitted, design.y_level, *level)
     return EstimationResult(
         method=method,
         model=design.model,
@@ -491,22 +483,35 @@ def _result(
     )
 
 
-def _level_fit(design: Design, beta: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-    """Level fitted values of a pooled, within or quasi-demeaned design.
+def _level_fit(design: Design, beta: np.ndarray, fitted: np.ndarray):
+    """Level fitted values of any fit, the rows where they are defined, and alpha_a.
 
-    A within design's fit is alpha_a + x'beta; its entity effects
-    alpha_a = ybar_a - xbar_a'beta over each entity's level rows come
-    second, one per entity index, NaN outside the sample. The others
-    apply beta, intercept included, to the level regressors.
+    FD/OD fits push the transformed ``fitted`` back to level units
+    through the inverse transform anchored on the actual series. Within
+    fits are alpha_a + x'beta, with entity effects alpha_a = ybar_a -
+    xbar_a'beta over each entity's level rows, one per entity index and
+    NaN outside the sample; other fits return None for them and apply
+    beta, intercept included, to the level regressors.
     """
-    if design.model.transform is not TransformKind.WITHIN:
-        return design.X_level @ beta, None
+    model, data = design.model, design.data
+    if model.transform.is_calendar:
+        rows = (design.entity_ids, design.periods - data.periods[0])
+        grid_fit = np.full((data.n_entities, data.n_periods), np.nan)
+        grid_mask = np.zeros(grid_fit.shape, dtype=bool)
+        grid_fit[rows], grid_mask[rows] = fitted, True
+        dep = data.require(model.dependent)
+        lvl, lvl_mask = reconstruct_levels(grid_fit, grid_mask, dep.values, dep.mask,
+                                           model.transform)
+        return lvl[rows], lvl_mask[rows], None
+    level_mask = np.ones(design.n, dtype=bool)
+    if model.transform is not TransformKind.WITHIN:
+        return design.X_level @ beta, level_mask, None
     starts = entity_starts(design.entity_ids)
-    alphas = np.full(design.data.n_entities, np.nan)
+    alphas = np.full(data.n_entities, np.nan)
     alphas[design.entity_ids[starts]] = (
         entity_means(design.y_level, starts) - entity_means(design.X_level, starts) @ beta
     )
-    return alphas[design.entity_ids] + design.X_level @ beta, alphas
+    return alphas[design.entity_ids] + design.X_level @ beta, level_mask, alphas
 
 
 def _grand_mean_intercept(
@@ -537,86 +542,57 @@ def _grand_mean_intercept(
 # plain estimators
 
 
-def _require_transform(model: ModelSpec, kind: TransformKind, method: str) -> None:
-    """Raise ValueError unless ``model`` is under the transform ``kind``."""
-    if model.transform is not kind:
-        raise ValueError(f"{method} fits {kind.value!r} models, not {model.transform.value!r}")
+_PLAIN_METHODS = {TransformKind.NONE: "pooled", TransformKind.WITHIN: "fe/within",
+                  TransformKind.QUASI_DEMEAN: "re"}
 
 
-def fit_pooled(model: ModelSpec, data: PanelDataset) -> EstimationResult:
-    """Pooled OLS with White robust standard errors."""
-    _require_transform(model, TransformKind.NONE, "pooled OLS")
-    design = build_design(model, data)
-    beta, fitted, resid, cov, classical = _ols_fit(design.y, design.X, design.x_names)
-    r2 = _r_squared(design.y, fitted, center=model.intercept)
-    return _result(
-        "pooled", design, design.x_names, beta, cov, resid, fitted, (r2, r2),
-        _level_fit_table(design, fitted, fitted),
-        classical_covariance=classical,
-    )
+def fit_plain(model: ModelSpec, data: PanelDataset) -> EstimationResult:
+    """OLS on the model's transformed equation, with White robust standard errors.
 
-
-def fit_fixed_effects(model: ModelSpec, data: PanelDataset) -> EstimationResult:
-    """Fixed effects by the within transform, on a within model.
-
-    Regresses the entity-demeaned y on the demeaned slopes and derives
-    the entity effects alpha_a = ybar_a - xbar_a'beta; ``method`` is
-    ``fe/within``. With an intercept, ``const`` is the grand mean of the
-    entity effects, with a delta-method standard error.
+    The transform picks pooled OLS (``none``), fixed effects (``within``)
+    or random effects GLS (``quasi_demean``, theta_a from the entity's own
+    T_a, so sigma_u = 0 is pooled OLS exactly); FD/OD models raise
+    ValueError, as they need ``fit_gmm``. A fixed effects fit derives
+    alpha_a = ybar_a - xbar_a'beta, and ``const`` is their grand mean with
+    a delta-method standard error. R-squared is the level fit's; random
+    effects report the quasi-demeaned one as weighted.
     """
-    _require_transform(model, TransformKind.WITHIN, "fixed effects")
+    kind = model.transform
+    if kind.is_calendar:
+        raise ValueError(f"{kind.value!r} models need instruments; fit them with fit_gmm")
     design = build_design(model, data)
-    n_ent = np.unique(design.entity_ids).size
-    if n_ent < 2:
-        raise EstimationError("fixed effects need at least 2 entities in sample")
-
-    names = list(design.x_names)
-    Xw, yw = design.X, design.y
-    dead = [n for j, n in enumerate(names) if np.max(np.abs(Xw[:, j])) < 1e-12]
-    if dead:
-        raise EstimationError(
-            f"slope(s) {dead} constant within every entity; not identifiable under fixed effects"
-        )
-    k = Xw.shape[1]
-    beta = _ols(yw, Xw, names)
-    resid = yw - Xw @ beta
-    fitted_level, alphas = _level_fit(design, beta)
-    cov = _white_covariance(Xw, resid)
-    sigma2_within = float(resid @ resid) / max(design.n - n_ent - k, 1)
-    classical = sigma2_within * _spd_inverse(Xw.T @ Xw, "within covariance")
+    names, X, y = list(design.x_names), design.X, design.y
+    absorbed = 0  # entity means the transform removes
+    if kind is TransformKind.WITHIN:
+        absorbed = np.unique(design.entity_ids).size
+        if absorbed < 2:
+            raise EstimationError("fixed effects need at least 2 entities in sample")
+        dead = [n for j, n in enumerate(names) if np.max(np.abs(X[:, j])) < 1e-12]
+        if dead:
+            raise EstimationError(
+                f"slope(s) {dead} constant within every entity; "
+                "not identifiable under fixed effects"
+            )
+    beta = _ols(y, X, names)
+    fitted = X @ beta
+    resid = y - fitted
+    cov = _white_covariance(X, resid)
+    df = max(design.n - absorbed - X.shape[1], 1)
+    classical = float(resid @ resid) / df * _spd_inverse(X.T @ X, "classical covariance")
+    fitted_level, level_mask, alphas = _level_fit(design, beta, fitted)
     beta_full = beta
-    if model.intercept:
+    if alphas is not None and model.intercept:
         beta_full, names, cov, classical = _grand_mean_intercept(
             design, beta, names, alphas, cov, classical
         )
-
-    r2 = _r_squared(design.y_level, fitted_level, center=True)
-    fitted = Xw @ beta
+    center = model.intercept or kind is not TransformKind.NONE
+    r2 = _r_squared(design.y_level, fitted_level, center)
+    r2_weighted = _r_squared(y, fitted, center) if kind is TransformKind.QUASI_DEMEAN else r2
     return _result(
-        "fe/within", design, names, beta_full, cov, resid, fitted, (r2, r2),
-        _level_fit_table(design, fitted_level, fitted),
+        _PLAIN_METHODS[kind], design, names, beta_full, cov, resid, fitted, (r2_weighted, r2),
+        (fitted_level, level_mask),
         classical_covariance=classical,
         entity_effects=alphas,
-    )
-
-
-def fit_random_effects(model: ModelSpec, data: PanelDataset) -> EstimationResult:
-    """Random effects GLS via Swamy-Arora quasi-demeaning, on a quasi_demean model.
-
-    theta_a = 1 - sqrt(sigma_e^2 / (sigma_e^2 + T_a sigma_u^2)) with the
-    entity's own T_a on unbalanced data. sigma_u = 0 collapses to
-    pooled OLS exactly.
-    """
-    _require_transform(model, TransformKind.QUASI_DEMEAN, "random effects")
-    design = build_design(model, data)
-    beta, fitted_q, resid, cov, classical = _ols_fit(design.y, design.X, design.x_names)
-    fitted_level, _ = _level_fit(design, beta)
-    r2 = (_r_squared(design.y, fitted_q, center=True),
-          _r_squared(design.y_level, fitted_level, center=True))
-    return _result(
-        "re", design, design.x_names, beta, cov, resid, fitted_q, r2,
-        _level_fit_table(design, fitted_level, fitted_q),
-        classical_covariance=classical,
     )
 
 
@@ -945,23 +921,18 @@ def fit_gmm(
             raise EstimationError(f"Windmeijer-corrected variance is negative for {negative}")
 
     # level-space fitted values and (for within) the derived intercept
-    fitted_level = alphas = None
-    if not model.transform.is_calendar:
-        fitted_level, alphas = _level_fit(design, beta)
+    fitted_level, level_mask, alphas = _level_fit(design, beta, fitted)
     if alphas is not None and model.intercept:
         beta, names, cov = _grand_mean_intercept(design, beta, names, alphas, cov)
     r2 = _squared_correlation(y, fitted)
     # quasi-demeaned runs also report the level-space (unweighted) fit;
     # the two coincide exactly when theta = 0
-    if model.transform is TransformKind.QUASI_DEMEAN:
-        r2_pair = (r2, _squared_correlation(design.y_level, fitted_level))
-    else:
-        r2_pair = (r2, r2)
+    r2_level = (_squared_correlation(design.y_level, fitted_level)
+                if model.transform is TransformKind.QUASI_DEMEAN else r2)
     return _result(
-        f"gmm/{model.transform.value}", design, names, beta, cov, resid, fitted, r2_pair,
-        _level_fit_table(design, fitted_level, fitted), steps, trace,
+        f"gmm/{model.transform.value}", design, names, beta, cov, resid, fitted, (r2, r2_level),
+        (fitted_level, level_mask), steps, trace,
         weighting_matrix=W,
-        moment_covariance=S_final,
         instruments=zmat,
         instrument_spec=instruments,
         weighting=weighting,
@@ -998,43 +969,3 @@ def _windmeijer_correct(
     Q1 = P1_inv @ G.T @ W1
     V1 = Q1 @ (U1.T @ U1) @ Q1.T
     return cov2 + D @ cov2 + cov2 @ D.T + D @ V1 @ D.T
-
-
-# ---------------------------------------------------------------------------
-# fitted values in level units
-
-
-def _level_fit_table(
-    design: Design, fitted_level: np.ndarray | None, fitted: np.ndarray
-) -> FitTable:
-    """Assemble the (entity, period, actual, fitted) table.
-
-    The transformed columns hold the design's y and the fit ``fitted`` in
-    the model's transformed units. Pooled, within and quasi-demeaned fits
-    pass their level fit per row; FD/OD fits are pushed back to level
-    units through the inverse transform anchored on the actual series.
-    """
-    model, data = design.model, design.data
-    level_mask = np.ones(design.n, dtype=bool)
-    if model.transform.is_calendar:
-        grid_fit = np.full((data.n_entities, data.n_periods), np.nan)
-        grid_mask = np.zeros((data.n_entities, data.n_periods), dtype=bool)
-        per_idx = design.periods - data.periods[0]
-        grid_fit[design.entity_ids, per_idx] = fitted
-        grid_mask[design.entity_ids, per_idx] = True
-        dep = data.require(model.dependent)
-        lvl, lvl_mask = reconstruct_levels(
-            grid_fit, grid_mask, dep.values, dep.mask, model.transform
-        )
-        fitted_level = lvl[design.entity_ids, per_idx]
-        level_mask = lvl_mask[design.entity_ids, per_idx]
-    return FitTable(
-        entities=design.data.entities,
-        entity_ids=design.entity_ids,
-        periods=design.periods,
-        actual_transformed=np.asarray(design.y, dtype=float),
-        fitted_transformed=np.asarray(fitted, dtype=float),
-        actual_level=np.asarray(design.y_level, dtype=float),
-        fitted_level=np.asarray(fitted_level, dtype=float),
-        level_mask=level_mask,
-    )

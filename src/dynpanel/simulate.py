@@ -33,10 +33,8 @@ from .estimators import (
     ModelSpec,
     Weighting,
     _check_on_singular,
-    fit_fixed_effects,
     fit_gmm,
-    fit_pooled,
-    fit_random_effects,
+    fit_plain,
 )
 from .instruments import DynamicInstrument, InstrumentSpec, StaticInstrument
 from .panel import PanelDataset, PanelSeries
@@ -282,7 +280,7 @@ def fd_od_comparison_configs(
 
 @dataclass(frozen=True)
 class EstimatorConfig:
-    """One estimator to run each replication."""
+    """One estimator to run each replication: ``fit_gmm`` with instruments, else ``fit_plain``."""
 
     name: str
     model: ModelSpec
@@ -299,11 +297,7 @@ class EstimatorConfig:
                 self.model, data, self.instruments,
                 weighting=self.weighting, on_singular=self.on_singular,
             )
-        if self.model.transform is TransformKind.WITHIN:
-            return fit_fixed_effects(self.model, data)
-        if self.model.transform is TransformKind.QUASI_DEMEAN:
-            return fit_random_effects(self.model, data)
-        return fit_pooled(self.model, data)
+        return fit_plain(self.model, data)
 
 
 @dataclass(frozen=True)

@@ -31,9 +31,7 @@ from dynpanel.estimators import (
     TWO_STEP,
     build_design,
     fit_gmm,
-    fit_pooled,
-    fit_random_effects,
-    fit_fixed_effects,
+    fit_plain,
 )
 from dynpanel.instruments import DynamicInstrument, InstrumentSpec, StaticInstrument
 from dynpanel.simulate import (
@@ -176,7 +174,7 @@ def test_acceptance_05_gmm_reductions():
     exact = fit_gmm(model, data,
                     InstrumentSpec(static=(StaticInstrument("x1"),
                                            StaticInstrument("x2"))))
-    ols = fit_pooled(model, data)
+    ols = fit_plain(model, data)
     err_exact = float(np.max(np.abs(exact.coefficients - ols.coefficients)))
 
     z = rng.standard_normal((n, 3))
@@ -225,9 +223,9 @@ def test_acceptance_06_re_degeneracy():
     # variance falls under the floor (the mechanism under test)
     dgp = DgpSpec(n_entities=100, n_periods=8, rho=0.5, sigma_effect=0.0, seed=0)
     data = generate(dgp)
-    pooled = fit_pooled(ar1_model(TransformKind.NONE), data)
-    re = fit_random_effects(ar1_model(TransformKind.QUASI_DEMEAN), data)
-    fe = fit_fixed_effects(ar1_model(TransformKind.WITHIN), data)
+    pooled = fit_plain(ar1_model(TransformKind.NONE), data)
+    re = fit_plain(ar1_model(TransformKind.QUASI_DEMEAN), data)
+    fe = fit_plain(ar1_model(TransformKind.WITHIN), data)
     coef_err = float(np.max(np.abs(re.coefficients - pooled.coefficients)))
     h = hausman(fe, re)
     ok = (

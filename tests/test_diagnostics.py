@@ -15,10 +15,8 @@ from dynpanel import (
     TWO_STEP,
     ab_serial_correlation,
     chi_square_sf,
-    fit_fixed_effects,
     fit_gmm,
-    fit_pooled,
-    fit_random_effects,
+    fit_plain,
     from_arrays,
     hausman,
     j_test,
@@ -27,6 +25,7 @@ from dynpanel import (
     swamy_arora,
 )
 from dynpanel.estimators import ExogTerm, ModelSpec
+from dynpanel.panel import PanelSeries
 from dynpanel.simulate import DgpSpec, ar1_model, generate
 from dynpanel.transforms import TransformKind
 
@@ -114,7 +113,7 @@ def test_j_df_counts_instruments_minus_params():
 
 def test_j_needs_gmm_result():
     data = generate(DgpSpec(n_entities=30, n_periods=6, seed=3))
-    pooled = fit_pooled(ar1_model(TransformKind.NONE), data)
+    pooled = fit_plain(ar1_model(TransformKind.NONE), data)
     with pytest.raises(DiagnosticError):
         j_test(pooled)
 
@@ -157,6 +156,25 @@ def test_j_just_identified_within_fit_with_intercept():
     assert (jt.df, jt.p_value) == (0, 1.0)
 
 
+@pytest.mark.parametrize("kind, start, seed", [
+    (TransformKind.ORTHOGONAL_DEVIATION, 1, 18), (TransformKind.FIRST_DIFFERENCE, 2, 103),
+], ids=["od", "fd"])
+def test_one_step_j_with_fewer_entities_than_instruments(kind, start, seed):
+    # 12 entities, 16 instrument columns of full rank: S = U'U has rank 12,
+    # and gbar = U'1 lies in U's row space, so J = 1'U (U'U)^+ U'1 = N
+    # exactly, on rank - k = 12 - 2 degrees of freedom
+    data = generate(DgpSpec(12, 7, rho=0.5, seed=seed))
+    inst = InstrumentSpec(dynamic=(DynamicInstrument("y", start),),
+                          static=(StaticInstrument("x1", 0, 0),))
+    res = fit_gmm(ar1_model(kind), data, inst, weighting=ONE_STEP, on_singular="pinv")
+    assert res.instruments.rank == res.instruments.n_columns == 16
+    jt = j_test(res)
+    assert jt.statistic == pytest.approx(12.0, rel=1e-9)
+    assert jt.df == 10
+    assert jt.p_value == chi_square_sf(jt.statistic, 10)
+    assert jt.p_value == pytest.approx(0.285, abs=5e-4)
+
+
 # ---------------------------------------------------------------------------
 # Arellano-Bond serial correlation
 
@@ -187,7 +205,7 @@ def test_ab_insufficient_periods():
 
 def test_ab_rejects_level_results():
     data = generate(DgpSpec(n_entities=30, n_periods=6, seed=3))
-    pooled = fit_pooled(ar1_model(TransformKind.NONE), data)
+    pooled = fit_plain(ar1_model(TransformKind.NONE), data)
     with pytest.raises(DiagnosticError):
         ab_serial_correlation(pooled, 1)
 
@@ -244,8 +262,8 @@ def test_swamy_arora_within_df_guard():
 def test_hausman_degenerate_invalid():
     data = generate(DgpSpec(n_entities=100, n_periods=8, rho=0.5,
                             sigma_effect=0.0, seed=0))
-    fe = fit_fixed_effects(ar1_model(TransformKind.WITHIN), data)
-    re = fit_random_effects(ar1_model(TransformKind.QUASI_DEMEAN), data)
+    fe = fit_plain(ar1_model(TransformKind.WITHIN), data)
+    re = fit_plain(ar1_model(TransformKind.QUASI_DEMEAN), data)
     h = hausman(fe, re)
     assert not h.valid
     assert "pooled" in h.reason
@@ -254,7 +272,7 @@ def test_hausman_degenerate_invalid():
 def test_hausman_zero_distance_when_pd():
     data = generate(DgpSpec(n_entities=80, n_periods=8, rho=0.3,
                             sigma_effect=1.0, seed=9))
-    fe = fit_fixed_effects(ar1_model(TransformKind.WITHIN), data)
+    fe = fit_plain(ar1_model(TransformKind.WITHIN), data)
     fake_re = dataclasses.replace(
         fe,
         param_names=fe.param_names,
@@ -277,15 +295,34 @@ def test_hausman_power_under_correlated_effects():
     for rep in range(reps):
         data = generate(DgpSpec(n_entities=150, n_periods=8, rho=0.0,
                                 effect_loading=0.8, seed=404), replication=rep)
-        h = hausman(fit_fixed_effects(m_fe, data), fit_random_effects(m_re, data))
+        h = hausman(fit_plain(m_fe, data), fit_plain(m_re, data))
         if h.valid and h.p_value < 0.05:
             rejected += 1
     assert rejected / reps >= 0.80
 
 
+def test_hausman_verdict_ignores_the_units_of_a_regressor():
+    # dV reads 9.0e-5 at scale 1 and 9.0e-11 at scale 1,000: an absolute
+    # cut would call the second not positive definite
+    m_fe = ModelSpec("y", ar_lags=0, exogenous=(ExogTerm("x1"),), intercept=False,
+                     transform=TransformKind.WITHIN)
+    m_re = ModelSpec("y", ar_lags=0, exogenous=(ExogTerm("x1"),), intercept=True,
+                     transform=TransformKind.QUASI_DEMEAN)
+    data = generate(DgpSpec(n_entities=150, n_periods=8, rho=0.0,
+                            effect_loading=0.8, seed=404))
+    x = data.series["x1"]
+    for scale in (1.0, 1e3, 1e5):
+        scaled = dataclasses.replace(data, series={
+            **data.series, "x1": PanelSeries(x.values * scale, x.mask)})
+        h = hausman(fit_plain(m_fe, scaled), fit_plain(m_re, scaled))
+        assert h.valid, (scale, h.reason)
+        assert h.statistic == pytest.approx(1245.0168, abs=5e-5)
+        assert h.df == 1
+
+
 def test_hausman_no_common_slopes():
     data = generate(DgpSpec(n_entities=50, n_periods=6, seed=5))
-    fe = fit_fixed_effects(ar1_model(TransformKind.WITHIN), data)
+    fe = fit_plain(ar1_model(TransformKind.WITHIN), data)
     other = dataclasses.replace(
         fe, param_names=("something_else",), coefficients=np.array([1.0])
     )
@@ -373,7 +410,7 @@ def test_report_for_gmm_includes_j_and_ar():
 def test_report_for_re_includes_components():
     data = generate(DgpSpec(n_entities=60, n_periods=8, rho=0.3,
                             sigma_effect=1.0, seed=10))
-    re = fit_random_effects(ar1_model(TransformKind.QUASI_DEMEAN), data)
+    re = fit_plain(ar1_model(TransformKind.QUASI_DEMEAN), data)
     rep = report_for(re)
     assert rep.variance_components is not None
     d = rep.to_json_dict()

@@ -18,10 +18,8 @@ from dynpanel import (
     RankError,
     SingularWeightingError,
     from_arrays,
-    fit_fixed_effects,
     fit_gmm,
-    fit_pooled,
-    fit_random_effects,
+    fit_plain,
     n_step,
 )
 from dynpanel import estimators
@@ -49,22 +47,18 @@ def test_pooled_exact_fit():
     x = np.arange(1.0, 9.0)
     data = cross_section(2.0 * x, x.reshape(-1, 1), names=("x1",))
     model = ModelSpec("y", ar_lags=0, exogenous=(ExogTerm("x1"),), intercept=False)
-    res = fit_pooled(model, data)
+    res = fit_plain(model, data)
     assert res.coefficient("x1") == pytest.approx(2.0, abs=1e-12)
     assert np.allclose(res.residuals, 0.0, atol=1e-12)
 
 
-PLAIN_FITS = {TransformKind.NONE: fit_pooled, TransformKind.WITHIN: fit_fixed_effects,
-              TransformKind.QUASI_DEMEAN: fit_random_effects}
-
-
-@pytest.mark.parametrize("own, kind", [
-    (own, kind) for own in PLAIN_FITS for kind in TransformKind if kind is not own
-], ids=lambda k: k.value)
-def test_plain_fits_reject_other_transforms(own, kind):
+@pytest.mark.parametrize("kind", [TransformKind.FIRST_DIFFERENCE,
+                                  TransformKind.ORTHOGONAL_DEVIATION], ids=lambda k: k.value)
+def test_fit_plain_rejects_differenced_and_deviated_models(kind):
     data = generate(DgpSpec(n_entities=20, n_periods=5, seed=2))
-    with pytest.raises(ValueError, match=f"fits '{own.value}' models, not '{kind.value}'"):
-        PLAIN_FITS[own](ar1_model(kind), data)
+    with pytest.raises(ValueError, match=f"'{kind.value}' models need instruments; "
+                                         "fit them with fit_gmm"):
+        fit_plain(ar1_model(kind), data)
 
 
 EFFECTS = {TransformKind.NONE: "none", TransformKind.WITHIN: "fixed",
@@ -101,14 +95,13 @@ def test_random_effects_builds_one_design(monkeypatch):
 
     monkeypatch.setattr(estimators, "build_design", counted)
     model = ar1_model(TransformKind.QUASI_DEMEAN)
-    fit_random_effects(model, data)
+    fit_plain(model, data)
     assert calls == [model]
 
 
 def test_random_effects_with_only_an_intercept():
     data = generate(DgpSpec(n_entities=30, n_periods=6, sigma_effect=2.0, seed=4))
-    res = fit_random_effects(ModelSpec("y", ar_lags=0, transform=TransformKind.QUASI_DEMEAN),
-                             data)
+    res = fit_plain(ModelSpec("y", ar_lags=0, transform=TransformKind.QUASI_DEMEAN), data)
     assert res.param_names == ("const",)
     assert res.variance_components.sigma_u2 > 0
 
@@ -143,7 +136,7 @@ def test_model_spec_rejects_degenerate_models(kwargs, message):
 def test_fixed_effects_without_slope_raise():
     data = generate(DgpSpec(n_entities=20, n_periods=5, seed=2))
     with pytest.raises(EstimationError, match="need a slope regressor"):
-        fit_fixed_effects(ModelSpec("y", ar_lags=0, transform=TransformKind.WITHIN), data)
+        fit_plain(ModelSpec("y", ar_lags=0, transform=TransformKind.WITHIN), data)
 
 
 def test_pooled_monte_carlo_recovery():
@@ -152,7 +145,7 @@ def test_pooled_monte_carlo_recovery():
     y = 1.0 + 0.5 * x + rng.normal(0, 0.01, size=1000)
     data = cross_section(y, x.reshape(-1, 1), names=("x1",))
     model = ModelSpec("y", ar_lags=0, exogenous=(ExogTerm("x1"),), intercept=True)
-    res = fit_pooled(model, data)
+    res = fit_plain(model, data)
     assert res.coefficient("const") == pytest.approx(1.0, abs=0.01)
     assert res.coefficient("x1") == pytest.approx(0.5, abs=0.01)
 
@@ -166,12 +159,12 @@ def test_pooled_duplicate_regressor_rank_error():
         exogenous=(ExogTerm("x1"), ExogTerm("x2")), intercept=False,
     )
     with pytest.raises(RankError, match="collinear"):
-        fit_pooled(model, data)
+        fit_plain(model, data)
 
 
 def test_pooled_r2_consistency():
     dgp = DgpSpec(n_entities=50, n_periods=6, seed=2)
-    res = fit_pooled(ar1_model(TransformKind.NONE), generate(dgp))
+    res = fit_plain(ar1_model(TransformKind.NONE), generate(dgp))
     assert 0 <= res.r_squared_unweighted <= 1
     assert res.r_squared_weighted == res.r_squared_unweighted
     assert res.t_statistics == pytest.approx(
@@ -192,7 +185,7 @@ def two_entity_same_slope():
 def test_fe_removes_levels():
     model = ModelSpec("y", ar_lags=0, exogenous=(ExogTerm("x1"),),
                       intercept=True, effects="fixed", transform=TransformKind.WITHIN)
-    res = fit_fixed_effects(model, two_entity_same_slope())
+    res = fit_plain(model, two_entity_same_slope())
     assert res.coefficient("x1") == pytest.approx(3.0, abs=1e-10)
 
 
@@ -226,7 +219,7 @@ def test_lsdv_equals_within(n_entities, n_periods, rho, sigma_effect, missingnes
                             sigma_effect=sigma_effect, missingness=missingness, seed=seed))
     model = ar1_model(TransformKind.WITHIN, intercept=intercept)
     try:
-        within = fit_fixed_effects(model, data)
+        within = fit_plain(model, data)
     except DynpanelError:
         assume(False)
     # leave out exact fits, whose SEs are rounding noise
@@ -257,7 +250,7 @@ def test_fe_monte_carlo_recovery():
                        {"y": y, "x1": x})
     model = ModelSpec("y", ar_lags=0, exogenous=(ExogTerm("x1"),),
                       intercept=True, effects="fixed", transform=TransformKind.WITHIN)
-    res = fit_fixed_effects(model, data)
+    res = fit_plain(model, data)
     assert res.coefficient("x1") == pytest.approx(0.7, abs=0.03)
 
 
@@ -268,7 +261,7 @@ def test_fe_unidentifiable_slope():
     model = ModelSpec("y", ar_lags=0, exogenous=(ExogTerm("x1"),),
                       intercept=True, effects="fixed", transform=TransformKind.WITHIN)
     with pytest.raises(EstimationError, match="constant within"):
-        fit_fixed_effects(model, data)
+        fit_plain(model, data)
 
 
 # ---------------------------------------------------------------------------
@@ -279,9 +272,9 @@ def test_re_zero_sigma_u_equals_pooled():
     # sigma_e^2 / T so the u-component is clamped to zero and theta = 0
     data = generate(DgpSpec(n_entities=100, n_periods=8, rho=0.5,
                             sigma_effect=0.0, seed=0))
-    pooled = fit_pooled(ar1_model(TransformKind.NONE), generate(
+    pooled = fit_plain(ar1_model(TransformKind.NONE), generate(
         DgpSpec(n_entities=100, n_periods=8, rho=0.5, sigma_effect=0.0, seed=0)))
-    re = fit_random_effects(ar1_model(TransformKind.QUASI_DEMEAN), data)
+    re = fit_plain(ar1_model(TransformKind.QUASI_DEMEAN), data)
     assert re.variance_components.sigma_u2 == 0.0
     assert np.allclose(re.coefficients, pooled.coefficients, atol=1e-12)
     assert np.allclose(re.standard_errors, pooled.standard_errors, atol=1e-12)
@@ -302,8 +295,8 @@ def test_re_theta_one_limit_approaches_fe(monkeypatch):
     sigma_u2 = sigma_e2 / T * (1.0 / (1.0 - theta) ** 2 - 1.0)
     comp = VarianceComponents(sigma_u2=sigma_u2, sigma_e2=sigma_e2, floored=False)
     monkeypatch.setattr(estimators, "swamy_arora", lambda model, data: comp)
-    re = fit_random_effects(model, data)
-    fe = fit_fixed_effects(ar1_model(TransformKind.WITHIN), data)
+    re = fit_plain(model, data)
+    fe = fit_plain(ar1_model(TransformKind.WITHIN), data)
     for name in ("y(-1)", "x1"):
         assert re.coefficient(name) == pytest.approx(fe.coefficient(name), abs=1e-4)
 
@@ -316,7 +309,7 @@ def test_re_coverage_static_dgp():
     for rep in range(reps):
         data = generate(DgpSpec(n_entities=100, n_periods=6, rho=0.0,
                                 sigma_effect=1.5, seed=505), replication=rep)
-        res = fit_random_effects(model, data)
+        res = fit_plain(model, data)
         b, se = res.coefficient("x1"), res.se("x1")
         cover += abs(b - 1.0) <= 1.96 * se
     assert cover / reps >= 0.90
@@ -327,7 +320,7 @@ def test_re_negative_sigma_e_rejected(monkeypatch):
     comp = VarianceComponents(sigma_u2=1.0, sigma_e2=0.0, floored=False)
     monkeypatch.setattr(estimators, "swamy_arora", lambda model, data: comp)
     with pytest.raises(EstimationError):
-        fit_random_effects(ar1_model(TransformKind.QUASI_DEMEAN), data)
+        fit_plain(ar1_model(TransformKind.QUASI_DEMEAN), data)
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +335,7 @@ def test_gmm_exactly_identified_equals_ols():
     model = ModelSpec("y", ar_lags=0,
                       exogenous=(ExogTerm("x1"), ExogTerm("x2")), intercept=False)
     inst = InstrumentSpec(static=(StaticInstrument("x1"), StaticInstrument("x2")))
-    ols = fit_pooled(model, data)
+    ols = fit_plain(model, data)
     for weighting in (ONE_STEP, TWO_STEP):
         gmm = fit_gmm(model, data, inst, weighting=weighting)
         assert np.allclose(gmm.coefficients, ols.coefficients, atol=1e-10)
@@ -586,14 +579,14 @@ def test_fitted_levels_zero_residuals():
     x = np.arange(1.0, 7.0).reshape(1, 6)
     data = from_arrays(["a"], range(1, 7), {"y": 2 * x, "x1": x})
     model = ModelSpec("y", ar_lags=0, exogenous=(ExogTerm("x1"),), intercept=False)
-    res = fit_pooled(model, data)
+    res = fit_plain(model, data)
     table = res.fitted_levels
     assert np.allclose(table.fitted_level, table.actual_level, atol=1e-10)
 
 
 def test_plain_fe_transformed_columns_are_within_demeaned():
     data = generate(DgpSpec(n_entities=25, n_periods=6, rho=0.4, missingness=0.1, seed=8))
-    res = fit_fixed_effects(ar1_model(TransformKind.WITHIN), data)
+    res = fit_plain(ar1_model(TransformKind.WITHIN), data)
     table = res.fitted_levels
     demeaned = table.actual_level.copy()
     for e in np.unique(table.entity_ids):
@@ -628,7 +621,7 @@ def reference_fit_csv(table, path):
 def test_fit_table_csv_matches_row_writer(brand_panel, tmp_path, kind):
     model = ModelSpec("pp", exogenous=(ExogTerm("bv"),), intercept=False, transform=kind)
     if kind is TransformKind.WITHIN:
-        table = fit_fixed_effects(model, brand_panel).fitted_levels
+        table = fit_plain(model, brand_panel).fitted_levels
     else:
         inst = InstrumentSpec(dynamic=(DynamicInstrument("pp", 2, 3),))
         table = fit_gmm(model, brand_panel, inst, ONE_STEP, on_singular="pinv").fitted_levels

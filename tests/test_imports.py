@@ -1,4 +1,4 @@
-"""The package's modules import one another without a cycle."""
+"""The package imports without a cycle and exports what it imports."""
 
 import ast
 from pathlib import Path
@@ -60,3 +60,19 @@ def test_package_imports_form_no_cycle():
     assert "estimators" in graph["diagnostics"]
     cycle = find_cycle(graph)
     assert cycle is None, " -> ".join(cycle)
+
+
+def test_all_lists_exactly_the_public_imports():
+    listed = dynpanel.__all__
+    assert len(set(listed)) == len(listed)
+    missing = [name for name in listed if not hasattr(dynpanel, name)]
+    assert not missing, f"__all__ names what the package lacks: {missing}"
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    imported = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+    }
+    unlisted = sorted(n for n in imported if not n.startswith("_") and n not in listed)
+    assert not unlisted, f"public imports missing from __all__: {unlisted}"
