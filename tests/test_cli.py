@@ -572,8 +572,8 @@ def _parse_record(text: str, fmt: str):
     ("estimate_fe", ("estimate", "--spec", "fe", *GMM_ARGS)),
     ("estimate_re", ("estimate", "--spec", "re", *GMM_ARGS)),
     ("estimate_fd", ("estimate", "--spec", "fd", *GMM_ARGS)),
-    ("estimate_pooled_plain", ("estimate", "--spec", "pooled", "--plain", *GMM_ARGS)),
     ("estimate_fe_plain", ("estimate", "--spec", "fe", "--plain", *GMM_ARGS)),
+    ("estimate_pooled_plain", ("estimate", "--spec", "pooled", "--plain", *GMM_ARGS)),
     ("estimate_re_plain", ("estimate", "--spec", "re", "--plain", *GMM_ARGS)),
 ])
 def test_golden_record(brand_panel_csv, tmp_path, capsys, stem, argv, fmt):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dynpanel import DgpSpec, TransformKind, generate, run_experiment
-from dynpanel.estimators import ONE_STEP, ExogTerm, ModelSpec
+from dynpanel.estimators import ONE_STEP, ExogTerm, ModelSpec, fit_plain
 from dynpanel.instruments import DynamicInstrument, InstrumentSpec, StaticInstrument
 from dynpanel.simulate import (
     EstimatorConfig,
@@ -256,6 +256,20 @@ def test_nickell_bias_demonstration():
     od_bias = summary.estimator("od").coef_stats["y(-1)"].bias
     assert within_bias < -0.05
     assert abs(od_bias) < 0.05
+
+
+@pytest.mark.parametrize("kind", list(TransformKind), ids=lambda k: k.value)
+def test_estimator_config_without_instruments_is_the_plain_fit(kind):
+    data = generate(DgpSpec(n_entities=30, n_periods=6, missingness=0.1, seed=7))
+    model = ar1_model(kind)
+    cfg = EstimatorConfig(kind.value, model)
+    if kind.is_calendar:
+        with pytest.raises(ValueError, match="fit them with fit_gmm"):
+            cfg.fit(data)
+    else:
+        res, want = cfg.fit(data), fit_plain(model, data)
+        assert res.coefficients.tobytes() == want.coefficients.tobytes()
+        assert res.covariance.tobytes() == want.covariance.tobytes()
 
 
 def test_failures_recorded_and_excluded():
