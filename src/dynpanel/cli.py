@@ -6,10 +6,11 @@ CSV, since it needs the dependent and at least one exogenous series),
 ``simulate`` (Monte Carlo harness), ``describe`` (summary statistics),
 and ``ratings`` (letter-grade codec). A spec name maps to its model's
 transform through ``SPEC_TRANSFORMS``; a plain (``--plain``) pooled,
-FE or RE fit is ``fit_plain`` of that model. Every run that writes
-files also writes a manifest with the configuration, seed, input
-digests, and package version; manifests carry no timestamps so reruns
-are byte-identical.
+FE or RE fit is ``fit_plain`` of that model, and ``--plain`` with an FD
+or OD spec, ``--instruments`` or ``--windmeijer`` is a usage error.
+Every run that writes files also writes a manifest with the
+configuration, seed, input digests, and package version; manifests
+carry no timestamps so reruns are byte-identical.
 
 Exit codes: 0 success, 1 estimation or diagnostic failure, 2 usage or
 input/output error.
@@ -142,11 +143,11 @@ def _model_for(spec: str, dep: str, ar: int, exog: tuple[ExogTerm, ...],
                      transform=kind)
 
 
-def _default_instruments(spec: str, model: ModelSpec) -> InstrumentSpec:
+def _default_instruments(model: ModelSpec) -> InstrumentSpec:
     """The documented defaults: dynamic blocks with starting lag 2 for
     differenced/deviated runs, two static lags of each exogenous
     regressor plus the intercept for level runs."""
-    if spec in ("od", "fd"):
+    if model.transform.is_calendar:
         dyn = [DynamicInstrument(model.dependent, 2)]
         dyn += [DynamicInstrument(t.name, 2) for t in model.exogenous]
         return InstrumentSpec(dynamic=tuple(dyn))
@@ -154,15 +155,18 @@ def _default_instruments(spec: str, model: ModelSpec) -> InstrumentSpec:
     return InstrumentSpec(static=static, include_intercept=True)
 
 
-def _fit_one(spec: str, model: ModelSpec, data: PanelDataset, args) -> EstimationResult:
+def _fit_one(model: ModelSpec, data: PanelDataset, args) -> EstimationResult:
     weighting = _weighting(args)
-    if args.plain and not model.transform.is_calendar:
-        return fit_plain(model, data)
+    if args.plain:
+        if args.instruments or args.windmeijer:
+            raise DataError("--plain fits take no --instruments or --windmeijer")
+        with _spec_errors():
+            return fit_plain(model, data)
     if args.instruments:
         with _spec_errors():
             inst = parse_instruments(args.instruments)
     else:
-        inst = _default_instruments(spec, model)
+        inst = _default_instruments(model)
     # instrumented level specifications keep the intercept inside the
     # instrument set; the within transform prunes it automatically
     return fit_gmm(
@@ -232,7 +236,7 @@ def cmd_estimate(args) -> int:
     with _spec_errors():
         exog = _parse_exog(args.exog or [])
         model = _model_for(args.spec, args.dep, args.ar, exog, args.intercept)
-    result = _fit_one(args.spec, model, data, args)
+    result = _fit_one(model, data, args)
     rec = _record(result, report_for(result))
 
     outputs = []
@@ -285,7 +289,7 @@ def cmd_replicate(args) -> int:
     for spec in SPEC_CHOICES:
         with _spec_errors():
             model = _model_for(spec, args.dep, 1, exog, None)
-        inst = _default_instruments(spec, model)
+        inst = _default_instruments(model)
         result = fit_gmm(model, data, inst, weighting=weighting, on_singular="pinv")
         records[spec] = _record(result, report_for(result))
 
@@ -343,7 +347,8 @@ def cmd_simulate(args) -> int:
         # comparison sets
         configs.append(fresh[spec] if spec in ("od", "fd") else
                        EstimatorConfig(spec, ar1_model(SPEC_TRANSFORMS[spec], n_x=n_x)))
-    summary = run_experiment(dgp, configs, reps=args.reps)
+    with _spec_errors():
+        summary = run_experiment(dgp, configs, reps=args.reps)
 
     out_dir = Path(args.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

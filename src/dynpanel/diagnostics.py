@@ -3,10 +3,12 @@
 Hansen J overidentification test, Arellano-Bond serial correlation
 test on differenced residuals, the Hausman fixed-vs-random comparison
 (with an explicit invalidity flag for the degenerate zero-variance
-case), and information-criterion lag selection. ``swamy_arora`` is
-defined in :mod:`estimators`, where ``build_design`` calls it for a
-quasi-demeaned model, and re-exported here; it runs its within and
-between regressions on the model's own aligned rows.
+case), and information-criterion lag selection. The J and AR tests read
+a GMM fit's entity ``scores``; only an OD fit's AR test forms its own, for
+the differenced equations. ``swamy_arora`` is defined in :mod:`estimators`,
+where ``build_design`` calls it for a quasi-demeaned model, and re-exported
+here; it runs its within and between regressions on the model's own
+aligned rows.
 """
 
 from __future__ import annotations
@@ -69,9 +71,9 @@ def j_test(result: EstimationResult) -> JTestResult:
     J = (Z'e)' W (Z'e) with W the final-step weighting matrix (for
     one-step fits, the clustered moment covariance S = U'U of the
     residuals is inverted instead so the statistic keeps its chi-square
-    calibration). S comes as its N x L entity scores U, so a fit with
-    fewer entities than instrument columns gets the pseudo-inverse of
-    rank at most N straight from U, as the AR test's weight does.
+    calibration). S comes as the fit's N x L entity ``scores`` U, so a
+    fit with fewer entities than instrument columns gets the pseudo-inverse
+    of rank at most N straight from U, as the AR test's weight does.
     Degrees of freedom are the instrument rank minus the number of
     parameters GMM estimates, the columns of the fit's design matrix; a
     within fit's grand-mean intercept is derived after the fit and does
@@ -81,11 +83,10 @@ def j_test(result: EstimationResult) -> JTestResult:
         raise DiagnosticError("J test needs a result produced by fit_gmm")
     Z = result.instruments.matrix
     gbar = Z.T @ result.residuals
-    if result.steps_taken >= 2 and result.weighting_matrix is not None:
+    if result.steps_taken >= 2:
         W, rank = result.weighting_matrix, result.weighting_rank
     else:
-        U = _scores(Z, result.residuals, entity_starts(result.entity_ids))
-        W, rank = _invert_weight(None, "pinv", "J test", U,
+        W, rank = _invert_weight(None, "pinv", "J test", result.scores,
                                  full_rank=result.instruments.rank == Z.shape[1])
     rank = min(rank, result.instruments.rank)
     k = result.design_matrix.shape[1]
@@ -114,41 +115,40 @@ class ArTestResult:
 def _ar_tests(result: EstimationResult):
     """The AR(m) test of a result as a function of m.
 
-    The differenced residuals, design and moments are built once. A
-    first-difference fit supplies them directly; for an orthogonal
-    deviation fit the differenced equation is rebuilt and evaluated at
-    the same coefficients, since the test is defined on differenced
-    residuals.
+    The differenced residuals, design, entity scores U and weight W are
+    built once. A first-difference fit supplies them, U as its ``scores``;
+    for an orthogonal deviation fit the differenced equation is rebuilt
+    and evaluated at the same coefficients, since the test is defined on
+    differenced residuals, and its U and pseudo-inverse W are formed.
     """
     if result.transform is TransformKind.FIRST_DIFFERENCE:
         e, X = result.residuals, result.design_matrix
         entity_ids, periods = result.entity_ids, result.periods
-        zmat, W = result.instruments, result.weighting_matrix
+        starts = entity_starts(entity_ids)
+        Z, U, W = result.instruments.matrix, result.scores, result.weighting_matrix
     elif result.transform is TransformKind.ORTHOGONAL_DEVIATION:
         model_fd = replace(result.model, transform=TransformKind.FIRST_DIFFERENCE)
         design = build_design(model_fd, result.dataset)
         e, X = design.y - design.X @ result.coefficients, design.X
         entity_ids, periods = design.entity_ids, design.periods
+        starts = entity_starts(entity_ids)
         zmat = assemble(
             result.instrument_spec, result.dataset, design.sample,
             transform=TransformKind.FIRST_DIFFERENCE,
         )
-        W = None
+        Z = zmat.matrix
+        U = _scores(Z, e, starts)
+        W, _ = _invert_weight(None, "pinv", "AR test", U, full_rank=zmat.rank == Z.shape[1])
     else:
         raise DiagnosticError(
             "serial-correlation test is defined for FD or OD results, "
             f"not {result.transform.value!r}"
         )
-    starts = entity_starts(entity_ids)
     # one key per (entity, period), strictly increasing down the rows,
     # which come entity by entity in period order; a row's order-m lag is
     # the row whose key is m smaller within the same entity
     p0 = periods.min()
     key = entity_ids * (int(periods.max() - p0) + 1) + (periods - p0)
-    Z = zmat.matrix
-    U = _scores(Z, e, starts)
-    if W is None:
-        W, _ = _invert_weight(None, "pinv", "AR test", U, full_rank=zmat.rank == Z.shape[1])
     G = Z.T @ X
     projected = _spd_inverse(G.T @ W @ G, "AR test projection") @ (G.T @ W) @ U.T
 

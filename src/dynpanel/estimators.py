@@ -174,7 +174,7 @@ class FitTable:
 
 @dataclass(frozen=True)
 class EstimationResult:
-    """Coefficients, inference, residuals, and fit diagnostics."""
+    """Coefficients, inference, residuals, entity scores, and fit diagnostics."""
 
     method: str
     model: ModelSpec
@@ -206,6 +206,7 @@ class EstimationResult:
     variance_components: VarianceComponents | None = None
     entity_effects: np.ndarray | None = None
     weighting_rank: int | None = None
+    scores: np.ndarray | None = None  # GMM: N x L, row i Z_i'e_i, S = U'U
     iteration_trace: tuple[float, ...] = ()
 
     def coefficient(self, name: str) -> float:
@@ -635,8 +636,8 @@ def _invert_weight(
     A, or, given U, from the SVD of U' as F F' (``_weight_factor``). A
     non-finite A or eigenvalue means the moment products overflowed, and
     raises EstimationError. The one-step weight, the J and AR tests and
-    the iteration of ``fit_gmm`` when U'U is nonsingular come here; its
-    iteration when U'U is singular goes through ``_step_moments``.
+    ``fit_gmm``'s other weights come here; its steps when U'U is singular
+    go through ``_step_moments``.
 
     The Cholesky branch runs the LAPACK calls of cho_factor/cho_solve, so
     its inverse is theirs bit for bit. That branch must not move: the
@@ -824,12 +825,11 @@ def fit_gmm(
     certificate fails (``_keeps_all``), and when it keeps every value the
     trtri inverse still gives M.
     On the brand panel's OD and FD n-step fits it fails on none. The weight
-    W = S^+ = F F' and its rank come once, after the loop, from the SVD
-    of the last step's scores (``_weight_factor``). Otherwise each step
-    inverts S by Cholesky exactly as the direct formulas read, so those
-    fits stay bit for bit what the formulas give. Z'X or Z'y that is not
-    finite, like a step whose coefficients are not finite, raises
-    EstimationError.
+    W = S^+ and its rank come once, after the loop, from ``_invert_weight``
+    of the last step's scores. Otherwise each step inverts S by Cholesky
+    exactly as the direct formulas read, so those fits stay bit for bit
+    what the formulas give. Non-finite Z'X, Z'y or step coefficients raise
+    EstimationError. The final residuals' scores U are kept as ``scores``.
     """
     _check_on_singular(on_singular)
     design = build_design(model, data)
@@ -903,11 +903,10 @@ def fit_gmm(
                 f"{[f'{d:.3e}' for d in shown]}"
             )
         if singular:
-            F, w_rank = _weight_factor(U_prev, "moment covariance")
-            W = F @ F.T
+            W, w_rank = _invert_weight(None, on_singular, "moment covariance", U_prev, full_rank)
 
-    resid = y - X @ beta
     fitted = X @ beta
+    resid = y - fitted
     U = _scores(Z, resid, starts)
     S_final = U.T @ U
     GW = G.T @ W
@@ -937,6 +936,7 @@ def fit_gmm(
         instrument_spec=instruments,
         weighting=weighting,
         weighting_rank=w_rank,
+        scores=U,
         entity_effects=alphas,
     )
 

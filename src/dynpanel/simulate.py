@@ -420,10 +420,14 @@ def run_experiment(
 
     Replications that fail to estimate are excluded from the averages
     and counted per estimator. The J rejection rate at the 5% level is
-    reported for instrumented configurations.
+    reported for instrumented configurations. Configuration names key
+    the summary, so a repeated name raises ValueError.
     """
     if reps < 1:
         raise ValueError("reps must be >= 1")
+    names = [c.name for c in configs]
+    if len(set(names)) < len(names):
+        raise ValueError(f"estimator configuration names repeat: {names}")
     draws: dict[str, dict[str, list[tuple[float, float]]]] = {
         c.name: {} for c in configs
     }

@@ -304,7 +304,7 @@ def test_estimate_plain_fe(brand_panel_csv, tmp_path, capsys):
 def test_estimate_json_records_share_one_key_set(brand_panel_csv, tmp_path, capsys):
     key_sets = set()
     for spec in ("pooled", "fe", "re", "od", "fd"):
-        for plain in ((), ("--plain",)):
+        for plain in ((), ("--plain",)) if spec in ("pooled", "fe", "re") else ((),):
             code, out, _ = run_cli(
                 capsys, "estimate", "--data", brand_panel_csv, "--spec", spec,
                 "--dep", "pp", "--exog", "bv", "--exog", "bt", "--on-singular", "pinv",
@@ -315,6 +315,20 @@ def test_estimate_json_records_share_one_key_set(brand_panel_csv, tmp_path, caps
             key_sets.add(tuple(json.loads(out)))
     assert len(key_sets) == 1
     assert {"j", "j_p", "j_df", "ar", "variance_components"} <= set(key_sets.pop())
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--spec", "od"], "'orthogonal_deviation' models need instruments"),
+    (["--spec", "fd"], "'first_difference' models need instruments"),
+    (["--spec", "pooled", "--instruments", "static(bv,0..1)"], "take no --instruments"),
+    (["--spec", "fe", "--windmeijer"], "take no --instruments or --windmeijer"),
+], ids=["od", "fd", "instruments", "windmeijer"])
+def test_estimate_plain_conflict_exit_2(brand_panel_csv, tmp_path, capsys, argv, message):
+    code, out, err = run_cli(capsys, "estimate", "--data", brand_panel_csv, "--dep", "pp",
+                             "--exog", "bv", "--plain", *argv, "--output-dir", str(tmp_path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and message in err
+    assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("term", ["bv(-2)", "bv(0..2)"])
@@ -461,6 +475,16 @@ def test_simulate_unknown_estimator_exit_2(tmp_path, capsys):
     )
     assert code == 2
     assert "bogus" in err
+
+
+def test_simulate_repeated_estimator_exit_2(tmp_path, capsys):
+    code, _, err = run_cli(
+        capsys, "simulate", "--estimators", "od,fd,od", "--reps", "1",
+        "--output-dir", str(tmp_path),
+    )
+    assert code == 2
+    assert err.startswith("error: estimator configuration names repeat")
+    assert not list(tmp_path.iterdir())
 
 
 def test_simulate_nonstationary_rho_exit_2(tmp_path, capsys):

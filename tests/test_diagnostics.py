@@ -24,6 +24,7 @@ from dynpanel import (
     report_for,
     swamy_arora,
 )
+from dynpanel import diagnostics, estimators
 from dynpanel.estimators import ExogTerm, ModelSpec
 from dynpanel.panel import PanelSeries
 from dynpanel.simulate import DgpSpec, ar1_model, generate
@@ -405,6 +406,26 @@ def test_report_for_gmm_includes_j_and_ar():
     assert orders == [1, 2]
     d = rep.to_json_dict()
     assert "j" in d and "ar" in d
+
+
+@pytest.mark.parametrize("kind, calls", [
+    (TransformKind.FIRST_DIFFERENCE, 0), (TransformKind.ORTHOGONAL_DEVIATION, 1),
+], ids=["fd", "od"])
+def test_report_for_forms_scores_only_for_an_od_fits_differenced_system(
+        brand_panel, monkeypatch, kind, calls):
+    # an FD fit's J and AR tests read the fit's own scores; an OD fit's AR
+    # test forms those of the differenced equations, once for both orders
+    model = ModelSpec("pp", 1, (ExogTerm("bv"), ExogTerm("bt")), intercept=False,
+                      transform=kind)
+    spec = InstrumentSpec(dynamic=tuple(DynamicInstrument(v, 2) for v in ("pp", "bv", "bt")))
+    res = fit_gmm(model, brand_panel, spec, weighting=ONE_STEP, on_singular="pinv")
+    counted = []
+    scores = estimators._scores
+    for module in (estimators, diagnostics):
+        monkeypatch.setattr(module, "_scores", lambda *a: counted.append(1) or scores(*a))
+    rep = report_for(res)
+    assert rep.j is not None and [t.order for t in rep.ar_tests] == [1, 2]
+    assert len(counted) == calls
 
 
 def test_report_for_re_includes_components():

@@ -222,6 +222,39 @@ def test_score_reductions_do_not_grow_with_the_step_count(brand_panel, monkeypat
     assert len(set(counts.values())) == 1
 
 
+# iterated level fits with L > N cycle instead of converging on these panels
+SCORE_CASES = [(wide, kind, how) for wide in (True, False) for kind in TransformKind
+               for how in ("one-step", "two-step", "n-step")
+               if not (wide and how == "n-step" and not kind.is_calendar)]
+
+
+@pytest.mark.parametrize(
+    "wide, kind, how", SCORE_CASES,
+    ids=[f"{'L>N' if w else 'L<N'}-{k.value}-{h}" for w, k, h in SCORE_CASES],
+)
+def test_a_fit_keeps_the_scores_of_its_residuals(wide, kind, how):
+    weighting = {"one-step": ONE_STEP, "two-step": TWO_STEP, "n-step": n_step(max_iter=300)}
+    if kind.is_calendar:  # every lag of y on 8 entities is L > N
+        n, inst = (8, DynamicInstrument("y", 2)) if wide else (40, DynamicInstrument("y", 2, 3))
+        spec = InstrumentSpec(dynamic=(inst,), static=(StaticInstrument("x1"),))
+    else:  # 6 columns on 4 entities is L > N
+        n, depth = (4, 4) if wide else (40, 2)
+        spec = InstrumentSpec(static=(StaticInstrument("x1", 0, depth),),
+                              include_intercept=True)
+    data = generate(DgpSpec(n, 9, rho=0.5, missingness=0.1, seed=14))
+    res = fit_gmm(ar1_model(kind), data, spec, weighting=weighting[how], on_singular="pinv")
+    assert (res.cross_sections < res.instruments.n_columns) is wide
+    want = _scores(res.instruments.matrix, res.residuals, entity_starts(res.entity_ids))
+    assert res.scores.tobytes() == want.tobytes()
+    assert res.scores.shape == want.shape
+
+
+def test_a_plain_fit_keeps_no_scores():
+    data = generate(DgpSpec(40, 9, rho=0.5, missingness=0.1, seed=5))
+    for kind in (TransformKind.NONE, TransformKind.WITHIN, TransformKind.QUASI_DEMEAN):
+        assert estimators.fit_plain(ar1_model(kind), data).scores is None
+
+
 @pytest.mark.parametrize("bad_call", [1, 2, 5])
 @pytest.mark.parametrize("wide", [True, False], ids=["L>N", "L<N"])
 def test_a_non_finite_step_raises_at_once(monkeypatch, wide, bad_call):

@@ -272,6 +272,13 @@ def test_estimator_config_without_instruments_is_the_plain_fit(kind):
         assert res.covariance.tobytes() == want.covariance.tobytes()
 
 
+def test_repeated_configuration_names_are_rejected():
+    # both entries would share one draws entry, each printed with the pooled draws
+    od = fd_od_comparison_configs()[0]
+    with pytest.raises(ValueError, match="names repeat"):
+        run_experiment(DgpSpec(60, 8, rho=0.5, seed=1), [od, od], reps=5)
+
+
 def test_failures_recorded_and_excluded():
     # 5 entities cannot support the unbounded two-step weighting: the
     # moment covariance is singular every replication
