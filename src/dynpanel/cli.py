@@ -158,6 +158,9 @@ def _default_instruments(model: ModelSpec) -> InstrumentSpec:
 def _fit_one(model: ModelSpec, data: PanelDataset, args) -> EstimationResult:
     weighting = _weighting(args)
     if args.plain:
+        if model.transform.is_calendar:
+            raise DataError(f"--plain fits --spec pooled, fe or re; drop --plain for "
+                            f"--spec {args.spec}")
         if args.instruments or args.windmeijer:
             raise DataError("--plain fits take no --instruments or --windmeijer")
         with _spec_errors():

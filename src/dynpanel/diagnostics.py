@@ -87,7 +87,7 @@ def j_test(result: EstimationResult) -> JTestResult:
         W, rank = result.weighting_matrix, result.weighting_rank
     else:
         W, rank = _invert_weight(None, "pinv", "J test", result.scores,
-                                 full_rank=result.instruments.rank == Z.shape[1])
+                                 full_rank=result.instruments.full_rank)
     rank = min(rank, result.instruments.rank)
     k = result.design_matrix.shape[1]
     df = rank - k
@@ -138,7 +138,7 @@ def _ar_tests(result: EstimationResult):
         )
         Z = zmat.matrix
         U = _scores(Z, e, starts)
-        W, _ = _invert_weight(None, "pinv", "AR test", U, full_rank=zmat.rank == Z.shape[1])
+        W, _ = _invert_weight(None, "pinv", "AR test", U, full_rank=zmat.full_rank)
     else:
         raise DiagnosticError(
             "serial-correlation test is defined for FD or OD results, "

@@ -374,23 +374,17 @@ def _check_rank(X: np.ndarray, names: Sequence[str]) -> None:
 # factor-and-solve of a 4 x 4 system, against 3 us of LAPACK work) or their
 # finiteness check: a NaN passes through, and callers check.
 _POTRF, _POTRS = get_lapack_funcs(("potrf", "potrs"), (np.zeros(1),))
-# Householder QR, Q' applied, triangular inverse and values-only SVD,
-# called directly for the same reason by each pseudo-inverse GMM step. A
-# step whose triangular factor R has ||R||_F ||R^-1||_F < 1e5 keeps every
-# singular value: that product bounds cond2(R) from above (Golub & Van
-# Loan, Matrix Computations, 2.3 and 3.5), and it sits a decade below the
-# 1e6 at which ``_kept`` starts to cut, so rounding cannot flip the
-# decision. The trtri inverse costs about a tenth of gesdd on 31 x 31, and
-# gesdd runs only when that certificate fails. The same computed inverse
-# gives the step's M = R^-1 Q'Gv as one product, with no triangular solve:
-# its error is at most about n eps ||R||_F ||R^-1||_F of max|M| (Higham,
+# Householder QR, Q' applied and triangular inverse, called directly for
+# the same reason by each pseudo-inverse GMM step. A step whose triangular
+# factor R has ||R||_F ||R^-1||_F < 1e5 keeps every singular value: that
+# product bounds cond2(R) from above (Golub & Van Loan, Matrix
+# Computations, 2.3 and 3.5), and it sits a decade below the 1e6 at which
+# ``_kept`` starts to cut, so rounding cannot flip the decision. The same
+# computed inverse gives the step's M = R^-1 Q'Gv as one product: its
+# error is at most about n eps ||R||_F ||R^-1||_F of max|M| (Higham,
 # Accuracy and Stability of Numerical Algorithms, 8 and 14), so under the
-# certificate below 7e-10 for the 31 firms of the brand panel. Unlike
-# LAPACK's trtrs (a level-3 trsm, 1.6-1.7x slower on `replicate` with BLAS
-# threads not pinned), that product does not slow down unpinned.
-_GEQRF, _ORMQR, _TRTRI, _GESDD = get_lapack_funcs(
-    ("geqrf", "ormqr", "trtri", "gesdd"), (np.zeros(1),)
-)
+# certificate below 7e-10 for the 31 firms of the brand panel.
+_GEQRF, _ORMQR, _TRTRI = get_lapack_funcs(("geqrf", "ormqr", "trtri"), (np.zeros(1),))
 
 
 def _cho_solve(A: np.ndarray, B: np.ndarray) -> np.ndarray | None:
@@ -636,8 +630,8 @@ def _invert_weight(
     A, or, given U, from the SVD of U' as F F' (``_weight_factor``). A
     non-finite A or eigenvalue means the moment products overflowed, and
     raises EstimationError. The one-step weight, the J and AR tests and
-    ``fit_gmm``'s other weights come here; its steps when U'U is singular
-    go through ``_step_moments``.
+    every ``fit_gmm`` step weight come here, except a step on a singular
+    U'U that ``_certified_moments`` certifies.
 
     The Cholesky branch runs the LAPACK calls of cho_factor/cho_solve, so
     its inverse is theirs bit for bit. That branch must not move: the
@@ -702,27 +696,6 @@ def _weight_factor(U: np.ndarray, context: str) -> tuple[np.ndarray, int]:
     return V[:, keep] / s[keep], int(keep.sum())
 
 
-def _step_moments(U: np.ndarray, Gv: np.ndarray, context: str) -> tuple[np.ndarray, int]:
-    """M with M'M = Gv'(U'U)^+ Gv, and the rank of (U'U)^+.
-
-    When U (N x L) has N <= L, U' = QR by Householder QR, and the
-    eigenvalues of U'U are the squares of R's singular values. If
-    ``_kept`` keeps all N, ``_keeps_all`` returns the trtri inverse of R,
-    (U'U)^+ = Q R^-T R^-1 Q' and M = R^-1 Q'Gv is one product with that
-    inverse. Its error is n eps ||R||_F ||R^-1||_F of max|M| at most, as
-    the comment at ``_TRTRI`` sets out. When a value is cut, or N > L,
-    M = F'Gv with F the factor of ``_weight_factor``.
-    """
-    n = U.shape[0]
-    if n <= U.shape[1]:
-        qr, tau = _GEQRF(U.T)[:2]
-        R_inv = _keeps_all(np.where(_upper(n), qr[:n], 0.0), context)
-        if R_inv is not None:
-            return R_inv @ _ORMQR("L", "T", qr, tau, Gv, Gv.shape[1])[0][:n], n
-    F, rank = _weight_factor(U, context)
-    return F.T @ Gv, rank
-
-
 @functools.lru_cache(maxsize=8)
 def _upper(n: int) -> np.ndarray:
     """Read-only mask of the upper triangle of an n x n matrix, built once per n."""
@@ -731,30 +704,32 @@ def _upper(n: int) -> np.ndarray:
     return mask
 
 
-def _keeps_all(R: np.ndarray, context: str) -> np.ndarray | None:
-    """R^-1 when ``_kept`` keeps every singular value s of the triangular R, else None.
+def _certified_moments(U: np.ndarray, Gv: np.ndarray) -> np.ndarray | None:
+    """M with M'M = Gv'(U'U)^+ Gv when every singular value of U is certified kept, else None.
 
-    Every value is kept when cond2(R) = s_max / s_min < 1e6 and s^2 neither
+    When U (N x L) has N <= L, U' = QR by Householder QR, and the
+    eigenvalues of U'U are the squares of R's singular values s. ``_kept``
+    keeps all N when cond2(R) = s_max / s_min < 1e6 and s^2 neither
     overflows nor underflows. The certificate: trtri inverts R, both
     Frobenius norms are below 1e150 (so 1e-150 < s_min <= s_max < 1e150),
-    and ||R||_F ||R^-1||_F < 1e5. That product is at least cond2(R), since
-    ||A||_2 <= ||A||_F, and the decade to 1e6 absorbs the rounding of the
-    inverse and of the SVD, so the answer is the SVD's bit for bit. A norm
-    that is not finite fails the first comparisons before any product is
-    formed. Only when the certificate fails does gesdd compute the
-    singular values for ``_kept``, which raises on non-finite ones; when it
-    keeps them all, the trtri inverse is returned if trtri succeeded.
+    and ||R||_F ||R^-1||_F < 1e5, as the comment at ``_TRTRI`` sets out. A
+    norm that is not finite fails the first comparisons before any product
+    is formed. Then (U'U)^+ = Q R^-T R^-1 Q' and M = R^-1 Q'Gv is one
+    product with the trtri inverse. None when N > L or the certificate
+    fails; the step then inverts U'U as ``_invert_weight`` does.
     """
+    n = U.shape[0]
+    if n > U.shape[1]:
+        return None
+    qr, tau = _GEQRF(U.T)[:2]
+    R = np.where(_upper(n), qr[:n], 0.0)
     R_inv, info = _TRTRI(R)
-    if info == 0:
-        norm, norm_inv = np.linalg.norm(R), np.linalg.norm(R_inv)
-        if norm < 1e150 and norm_inv < 1e150 and norm * norm_inv < 1e5:
-            return R_inv
-    inverted = info == 0
-    _, s, _, info = _GESDD(R, compute_uv=0)
-    if info == 0 and _kept(s * s, context).all() and inverted:
-        return R_inv
-    return None
+    if info != 0:
+        return None
+    norm, norm_inv = np.linalg.norm(R), np.linalg.norm(R_inv)
+    if not (norm < 1e150 and norm_inv < 1e150 and norm * norm_inv < 1e5):
+        return None
+    return R_inv @ _ORMQR("L", "T", qr, tau, Gv, Gv.shape[1])[0][:n]
 
 
 def _cross_moments(Z: np.ndarray, e1: np.ndarray, X: np.ndarray,
@@ -812,24 +787,17 @@ def fit_gmm(
     ``on_singular='pinv'`` is replaced by its pseudo-inverse, tracking the
     effective rank. Any other ``on_singular`` raises ValueError.
 
-    When S is singular by those tests, the iteration never forms an L x L
-    weight: each step's scores are the one product [1, beta1 - beta] @ C,
-    with C the entity cross-moments of the one-step residuals and of X
-    laid out (1+k) x N L, and beta solves the normal equations P[:-1, :-1]
-    beta = P[:-1, -1] of P = M'M, M from ``_step_moments``, for which
-    M'M = [Z'X Z'y]'S^+[Z'X Z'y]: by Householder QR U' = QR and the trtri
-    inverse of R when every singular value is kept, from the SVD of U'
-    otherwise. That every value is kept is certified without an SVD when
-    ||R||_F ||R^-1||_F < 1e5, a bound on cond2(R) a decade below the 1e6 at
-    which ``_kept`` cuts; an SVD of R decides only the steps the
-    certificate fails (``_keeps_all``), and when it keeps every value the
-    trtri inverse still gives M.
-    On the brand panel's OD and FD n-step fits it fails on none. The weight
-    W = S^+ and its rank come once, after the loop, from ``_invert_weight``
-    of the last step's scores. Otherwise each step inverts S by Cholesky
-    exactly as the direct formulas read, so those fits stay bit for bit
-    what the formulas give. Non-finite Z'X, Z'y or step coefficients raise
-    EstimationError. The final residuals' scores U are kept as ``scores``.
+    When S is singular by those tests, each step's scores are the one
+    product [1, beta1 - beta] @ C, with C the entity cross-moments of the
+    one-step residuals and of X laid out (1+k) x N L. A step that
+    ``_certified_moments`` certifies keeps every singular value of U and
+    forms no L x L weight: with P = M'M = [Z'X Z'y]'S^+[Z'X Z'y], beta
+    solves P[:-1, :-1] beta = P[:-1, -1], and W = S^+ comes after the loop
+    from ``_invert_weight`` of the last step's scores. Every other step is
+    the textbook one: W from ``_invert_weight``, then the normal equations,
+    so fits on a nonsingular S stay bit for bit what the formulas give.
+    Non-finite Z'X, Z'y or step coefficients raise EstimationError. The
+    final residuals' scores U are kept as ``scores``.
     """
     _check_on_singular(on_singular)
     design = build_design(model, data)
@@ -850,7 +818,7 @@ def fit_gmm(
         raise RankError("Z'X is rank deficient; instruments do not identify "
                         f"{list(names)}", names)
     starts = entity_starts(design.entity_ids)
-    full_rank = zmat.rank == zmat.n_columns
+    full_rank = zmat.full_rank
 
     A1 = _one_step_weight_blocks(design, Z)
     W1, w_rank = _invert_weight(A1, on_singular, "one-step", full_rank=full_rank)
@@ -864,8 +832,8 @@ def fit_gmm(
     if weighting.kind in ("two_step", "n_step"):
         # U'U is singular at every step when the instruments lack full rank
         # or there are fewer entities than columns: each step's scores then
-        # come from the one-step cross-moments, and the L x L weight is built
-        # only from the last step's scores
+        # come from the one-step cross-moments, and a certified step builds
+        # no L x L weight
         singular = not full_rank or starts.size < Z.shape[1]
         if singular:
             _require_pinv(on_singular, "moment covariance")
@@ -878,13 +846,17 @@ def fit_gmm(
             if singular:
                 np.subtract(beta1, beta, out=a[1:])
                 U_prev = (a @ C).reshape(starts.size, -1)
-                M = _step_moments(U_prev, Gv, "moment covariance")[0]
-                P = M.T @ M
-                beta_new = _solve_normal(P[:-1, :-1], P[:-1, -1], names)
+                M = _certified_moments(U_prev, Gv)
             else:
                 U_prev = _scores(Z, y - X @ beta, starts)
-                W, w_rank = _invert_weight(None, on_singular, "moment covariance", U_prev)
+                M = None
+            if M is None:
+                W, w_rank = _invert_weight(None, on_singular, "moment covariance", U_prev,
+                                           full_rank)
                 beta_new = _gmm_beta(G, W, v, names)
+            else:
+                P = M.T @ M
+                beta_new = _solve_normal(P[:-1, :-1], P[:-1, -1], names)
             steps += 1
             delta = float(np.max(np.abs(beta_new - beta)))
             if not math.isfinite(delta):
@@ -902,7 +874,7 @@ def fit_gmm(
                 f"{'' if len(trace) <= 8 else '(first 3, last 5) '}"
                 f"{[f'{d:.3e}' for d in shown]}"
             )
-        if singular:
+        if M is not None:  # the last step was certified and built no weight
             W, w_rank = _invert_weight(None, on_singular, "moment covariance", U_prev, full_rank)
 
     fitted = X @ beta

@@ -155,6 +155,11 @@ class InstrumentMatrix:
     def n_columns(self) -> int:
         return self.matrix.shape[1]
 
+    @property
+    def full_rank(self) -> bool:
+        """Whether the columns are linearly independent."""
+        return self.rank == self.n_columns
+
 
 def _lag_column(
     data: PanelDataset,

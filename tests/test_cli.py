@@ -318,8 +318,8 @@ def test_estimate_json_records_share_one_key_set(brand_panel_csv, tmp_path, caps
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["--spec", "od"], "'orthogonal_deviation' models need instruments"),
-    (["--spec", "fd"], "'first_difference' models need instruments"),
+    (["--spec", "od"], "--plain fits --spec pooled, fe or re; drop --plain for --spec od"),
+    (["--spec", "fd"], "--plain fits --spec pooled, fe or re; drop --plain for --spec fd"),
     (["--spec", "pooled", "--instruments", "static(bv,0..1)"], "take no --instruments"),
     (["--spec", "fe", "--windmeijer"], "take no --instruments or --windmeijer"),
 ], ids=["od", "fd", "instruments", "windmeijer"])
@@ -328,6 +328,7 @@ def test_estimate_plain_conflict_exit_2(brand_panel_csv, tmp_path, capsys, argv,
                              "--exog", "bv", "--plain", *argv, "--output-dir", str(tmp_path))
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and message in err
+    assert "fit_gmm" not in err
     assert not list(tmp_path.iterdir())
 
 

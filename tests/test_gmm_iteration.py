@@ -2,16 +2,17 @@
 
 When the moment covariance U'U is singular from the start, ``fit_gmm``
 takes each step's scores from the one-step entity cross-moments, one
-product [1, beta1 - beta] @ C, and solves each step through
-``_step_moments``: Householder QR U' = QR and M = R^-1 Q'Gv with the
-trtri inverse of R, or the SVD factor F of W = F F' when a singular value
-is cut. A triangular-inverse bound on cond(R) decides, with an SVD of R
-only when it fails. ``_step_moments_by_svd`` is that step decided by the
-SVD alone, solving as the code does, so the certificate's decisions are
-checked bit for bit; the product with the inverse is checked against a
-triangular solve within n eps ||R||_F ||R^-1||_F. ``reference_gmm``
-below is the direct per-step form of the same estimator: scores by
-``reduceat`` at every step, the L x L (pseudo-)inverse weight, and
+product [1, beta1 - beta] @ C. A step that ``_certified_moments``
+certifies solves with M = R^-1 Q'Gv, from Householder QR U' = QR and the
+trtri inverse of R; any other step is the textbook one, the weight from
+``_invert_weight`` and then ``_gmm_beta``. The certificate is checked to
+be sound: whenever it returns M, the SVD keeps every value of U and M'M
+is the SVD factor's Gv'F F'Gv, so whenever the SVD cuts a value it
+returns None. The product with the inverse is checked against a
+triangular solve within n eps ||R||_F ||R^-1||_F, and textbook steps
+against certified ones on the brand panel. ``reference_gmm`` below is
+the direct per-step form of the same estimator: scores by ``reduceat`` at
+every step, the L x L (pseudo-)inverse weight, and
 ``cho_factor``/``cho_solve``. The fits must agree with it to 1e-10, and
 bit for bit when U'U is nonsingular.
 """
@@ -38,10 +39,11 @@ from dynpanel import estimators
 from dynpanel.estimators import (
     ExogTerm,
     ModelSpec,
+    _certified_moments,
     _cross_moments,
+    _invert_weight,
     _one_step_weight_blocks,
     _scores,
-    _step_moments,
     _weight_factor,
     _windmeijer_correct,
     build_design,
@@ -302,8 +304,8 @@ def test_overflowing_moment_products_are_named_as_an_overflow(n, dynamic):
 
 def test_overflowing_moment_products_raise_without_a_warning():
     # the pseudo-inverse repro above: R overflows, so its norm is inf and its
-    # inverse's 0; the certificate must fall through to the SVD without
-    # forming inf * 0, and the SVD names the overflow
+    # inverse's 0; the certificate must fail without forming inf * 0, and the
+    # textbook step's SVD names the overflow
     data = _scaled(generate(DgpSpec(8, 10, missingness=0.1, seed=4)), 1e100)
     spec = InstrumentSpec(dynamic=(DynamicInstrument("y", 2),), static=(StaticInstrument("x1"),))
     with pytest.raises(EstimationError) as info:
@@ -350,7 +352,7 @@ def _counting_weight_factor():
 @settings(max_examples=60, derandomize=True, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), shape=st.sampled_from(["N<=L", "repeated", "N>L"]),
        n=st.integers(1, 12), extra=st.integers(0, 30), k=st.integers(1, 4))
-def test_step_moments_match_the_svd_factor(seed, shape, n, extra, k):
+def test_certified_moments_match_the_svd_factor(seed, shape, n, extra, k):
     rng = np.random.default_rng(seed)
     if shape == "N>L":
         n, L = n + extra + 1, n
@@ -364,54 +366,25 @@ def test_step_moments_match_the_svd_factor(seed, shape, n, extra, k):
         if n > L:
             return
     Gv = rng.standard_normal((L, k + 1))
-    calls, patch = _counting_weight_factor()
-    with patch:
-        M, rank = _step_moments(U, Gv, "test")
-    F, want_rank = _weight_factor(U, "test")
-    assert rank == want_rank
-    want = (F.T @ Gv).T @ (F.T @ Gv)
+    M = _certified_moments(U, Gv)
+    F, rank = _weight_factor(U, "test")
     if shape == "N<=L":
-        # the QR branch: every singular value kept, no SVD factor built
-        assert rank == n and not calls
+        # certified: every singular value kept, and M'M = Gv'F F'Gv
+        assert rank == n
         assert M.shape == (n, k + 1)
+        want = (F.T @ Gv).T @ (F.T @ Gv)
         assert np.abs(M.T @ M - want).max() <= 1e-9 * np.abs(want).max()
     else:
-        # a value cut (two equal rows) or N > L: the SVD factor itself
+        # a value cut (two equal rows) or N > L: the step is the textbook one
         assert rank == (n - 1 if shape == "repeated" else L)
-        assert calls == [1]
-        assert np.array_equal(M, F.T @ Gv)
-
-
-def _counting_gesdd():
-    calls = []
-    gesdd = estimators._GESDD
-    return calls, mock.patch.object(
-        estimators, "_GESDD", lambda *a, **kw: calls.append(1) or gesdd(*a, **kw)
-    )
+        assert M is None
 
 
 def _qr_parts(U, Gv):
-    """R (N x N, upper) and Q'Gv of the Householder QR U' = QR, as ``_step_moments`` forms them."""
+    """R (N x N, upper) and Q'Gv of the Householder QR U' = QR, formed as the step forms them."""
     n = U.shape[0]
     qr, tau = estimators._GEQRF(U.T)[:2]
     return np.triu(qr[:n]), estimators._ORMQR("L", "T", qr, tau, Gv, Gv.shape[1])[0][:n]
-
-
-def _step_moments_by_svd(U, Gv, context):
-    """``_step_moments`` deciding every step by the SVD of R (gesdd), with no certificate.
-
-    A kept step solves as the code does: R^-1 from trtri, then one product.
-    """
-    n = U.shape[0]
-    if n <= U.shape[1]:
-        R, QtGv = _qr_parts(U, Gv)
-        _, s, _, info = estimators._GESDD(R, compute_uv=0)
-        if info == 0 and estimators._kept(s * s, context).all():
-            R_inv, info = estimators._TRTRI(R)
-            if info == 0:
-                return R_inv @ QtGv, n
-    F, rank = _weight_factor(U, context)
-    return F.T @ Gv, rank
 
 
 def _with_singular_values(rng, s, L):
@@ -421,24 +394,12 @@ def _with_singular_values(rng, s, L):
     return (A * s) @ B.T
 
 
-def _certificate_outcome(U, Gv):
-    """``_step_moments`` and the reference on U: (M, rank, gesdd calls, factor calls)."""
-    want_M, want_rank = _step_moments_by_svd(U, Gv, "test")
-    gesdd_calls, gesdd_patch = _counting_gesdd()
-    factor_calls, factor_patch = _counting_weight_factor()
-    with gesdd_patch, factor_patch:
-        M, rank = _step_moments(U, Gv, "test")
-    assert rank == want_rank
-    assert M.tobytes() == want_M.tobytes()
-    return rank, len(gesdd_calls), len(factor_calls)
-
-
 @settings(max_examples=150, derandomize=True, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 12), extra=st.integers(0, 30),
        log_cond=st.one_of(st.floats(0, 9), st.floats(4.7, 5.3), st.floats(5.7, 6.3)),
        log_scale=st.floats(-3, 3), repeat=st.sampled_from([None, "row", "zero"]))
-def test_step_moments_certificate_matches_the_svd_decision(seed, n, extra, log_cond,
-                                                           log_scale, repeat):
+def test_a_certified_step_keeps_every_singular_value(seed, n, extra, log_cond, log_scale,
+                                                     repeat):
     # cond2(U) = 10^log_cond, dense around the certificate's 1e5 and the
     # 1e6 at which a value is cut; a repeated or zero row makes U rank
     # deficient (a cut, or trtri's info > 0 on an exactly zero pivot)
@@ -452,42 +413,39 @@ def test_step_moments_certificate_matches_the_svd_decision(seed, n, extra, log_c
     if U.shape[0] > U.shape[1]:
         return
     Gv = rng.standard_normal((U.shape[1], 3))
-    rank, gesdd_calls, factor_calls = _certificate_outcome(U, Gv)
-    # a certified step needs no SVD and keeps every value; a cut builds the factor
-    assert gesdd_calls in (0, 1)
-    assert factor_calls == (rank < U.shape[0])
-    if gesdd_calls == 0:
+    M = _certified_moments(U, Gv)
+    F, rank = _weight_factor(U, "test")
+    # sound one way: a certified step keeps every value, so a cut is never certified
+    event("certified" if M is not None else "cut" if rank < U.shape[0] else "keeps all")
+    if M is not None:
         assert rank == U.shape[0]
-    event("certified" if gesdd_calls == 0 else "cut" if factor_calls else "fallback keeps all")
+        want = (F.T @ Gv).T @ (F.T @ Gv)
+        assert np.abs(M.T @ M - want).max() <= 1e-9 * np.abs(want).max()
 
 
-@pytest.mark.parametrize("cond, gesdd_calls, cut", [
-    (10.0, 0, False),  # certified: ||R||_F ||R^-1||_F <= N cond < 1e5
-    (3e5, 1, False),   # the bound is at least cond >= 1e5; the SVD keeps all
-    (1e7, 1, True),    # the SVD cuts the smallest value
-], ids=["certified", "fallback-keeps-all", "cut"])
-def test_step_moments_reach_each_outcome(cond, gesdd_calls, cut):
+@pytest.mark.parametrize("cond, certified, cut", [
+    (10.0, True, False),  # ||R||_F ||R^-1||_F <= N cond < 1e5
+    (3e5, False, False),  # the bound is at least cond >= 1e5, though the SVD keeps all
+    (1e7, False, True),   # the SVD cuts the smallest value
+], ids=["certified", "uncertified-keeps-all", "cut"])
+def test_certified_moments_reach_each_outcome(cond, certified, cut):
     rng = np.random.default_rng(16)
     U = _with_singular_values(rng, np.geomspace(1.0, 1.0 / cond, 6), 40)
-    rank, got_gesdd, got_factor = _certificate_outcome(U, rng.standard_normal((40, 3)))
-    assert (got_gesdd, got_factor, rank) == (gesdd_calls, int(cut), 6 - cut)
+    M = _certified_moments(U, rng.standard_normal((40, 3)))
+    assert (M is not None, _weight_factor(U, "test")[1]) == (certified, 6 - cut)
 
 
 def test_a_certified_step_multiplies_by_the_certificates_inverse():
     # one trtri gives both the certificate and M = R^-1 Q'Gv: no second
-    # inversion, no SVD and no triangular solve
+    # inversion and no triangular solve
     rng = np.random.default_rng(16)
     U = _with_singular_values(rng, np.geomspace(1.0, 0.1, 6), 40)
     Gv = rng.standard_normal((40, 3))
     inverses = []
     trtri = estimators._TRTRI
-    trtri_patch = mock.patch.object(
-        estimators, "_TRTRI", lambda *a, **kw: inverses.append(trtri(*a, **kw)) or inverses[-1]
-    )
-    gesdd_calls, gesdd_patch = _counting_gesdd()
-    with trtri_patch, gesdd_patch:
-        M, rank = _step_moments(U, Gv, "test")
-    assert rank == 6 and len(inverses) == 1 and gesdd_calls == []
+    with mock.patch.object(estimators, "_TRTRI",
+                           lambda *a, **kw: inverses.append(trtri(*a, **kw)) or inverses[-1]):
+        M = _certified_moments(U, Gv)
     (R_inv, info), = inverses
     assert info == 0
     assert M.tobytes() == (R_inv @ _qr_parts(U, Gv)[1]).tobytes()
@@ -496,7 +454,8 @@ def test_a_certified_step_multiplies_by_the_certificates_inverse():
 @settings(max_examples=60, derandomize=True, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 40), extra=st.integers(0, 30),
        log_cond=st.floats(0, 5), log_scale=st.floats(-3, 3))
-def test_step_moments_agree_with_a_triangular_solve(seed, n, extra, log_cond, log_scale):
+def test_certified_moments_agree_with_a_triangular_solve(seed, n, extra, log_cond,
+                                                         log_scale):
     # the product with the computed inverse is within n eps ||R||_F ||R^-1||_F
     # of max|M| of substitution (Higham, ch. 8 and 14), up to cond2 = 1e5
     rng = np.random.default_rng(seed)
@@ -504,11 +463,15 @@ def test_step_moments_agree_with_a_triangular_solve(seed, n, extra, log_cond, lo
     U = _with_singular_values(rng, 10.0 ** (log_scale - log_cond * t), n + extra)
     Gv = rng.standard_normal((n + extra, 3)) * 10.0 ** rng.uniform(-3, 3, 3)
     R, QtGv = _qr_parts(U, Gv)
-    R_inv = estimators._keeps_all(R, "test")
-    assert isinstance(R_inv, np.ndarray)
-    M, rank = _step_moments(U, Gv, "test")
-    assert rank == n
-    bound = n * np.finfo(float).eps * np.linalg.norm(R) * np.linalg.norm(R_inv)
+    R_inv, info = estimators._TRTRI(R)
+    assert info == 0
+    norms = np.linalg.norm(R) * np.linalg.norm(R_inv)
+    M = _certified_moments(U, Gv)
+    event("certified" if M is not None else "uncertified")
+    if M is None:  # at these scales only the product bound can fail
+        assert norms >= 1e5
+        return
+    bound = n * np.finfo(float).eps * norms
     solved = scipy.linalg.solve_triangular(R, QtGv)
     assert np.abs(M - solved).max() <= bound * np.abs(M).max()
 
@@ -517,39 +480,72 @@ def test_step_moments_agree_with_a_triangular_solve(seed, n, extra, log_cond, lo
     (1e160, "test weighting matrix is not finite"),  # s^2 overflows
     (1e-170, "test weighting matrix is zero"),       # s^2 underflows to 0
 ])
-def test_step_moments_at_extreme_scales_raise_as_the_svd_does(scale, error):
+def test_extreme_scales_are_uncertified_and_raise_as_the_svd_does(scale, error):
     # cond2 = 10 passes the product bound, but s^2 leaves the normal range:
     # the certificate's norm bounds send these steps to the SVD's errors
     rng = np.random.default_rng(16)
     U = _with_singular_values(rng, np.geomspace(scale, scale / 10, 6), 40)
-    Gv = rng.standard_normal((40, 3))
-    for step_moments in (_step_moments_by_svd, _step_moments):
+    with np.errstate(over="ignore", under="ignore"):
+        assert _certified_moments(U, rng.standard_normal((40, 3))) is None
         with pytest.raises(EstimationError, match=error):
-            with np.errstate(over="ignore", under="ignore"):
-                step_moments(U, Gv, "test")
+            _invert_weight(None, "pinv", "test", U)
+
+
+def _counting_uncertified():
+    """Records, per call of ``_certified_moments``, whether the step went uncertified."""
+    calls = []
+    certified = estimators._certified_moments
+
+    def counted(*args):
+        M = certified(*args)
+        calls.append(M is None)
+        return M
+
+    return calls, mock.patch.object(estimators, "_certified_moments", counted)
+
+
+def _brand_gmm(brand_panel, kind):
+    model, spec = _brand_fd(brand_panel)
+    return ModelSpec(model.dependent, 1, model.exogenous, intercept=False, transform=kind), spec
 
 
 @pytest.mark.parametrize("kind", [FD, OD], ids=["fd", "od"])
 def test_pseudo_inverse_steps_build_the_svd_factor_once(brand_panel, kind):
-    model, spec = _brand_fd(brand_panel)
-    model = ModelSpec(model.dependent, 1, model.exogenous, intercept=False, transform=kind)
+    model, spec = _brand_gmm(brand_panel, kind)
     calls, patch = _counting_weight_factor()
-    gesdd_calls, gesdd_patch = _counting_gesdd()
-    with patch, gesdd_patch:
+    uncertified, certified_patch = _counting_uncertified()
+    with patch, certified_patch:
         res = fit_gmm(model, brand_panel, spec, weighting=n_step(max_iter=500),
                       on_singular="pinv")
     assert res.instruments.n_columns > res.cross_sections == res.weighting_rank == 31
     assert res.steps_taken > 100
+    # every step's full rank is certified by the triangular inverse, and the
+    # weight is built once, after the loop
+    assert uncertified == [False] * (res.steps_taken - 1)
     assert calls == [1]
-    # every step's full rank is certified by the triangular inverse: no SVD of R
-    assert gesdd_calls == []
+
+
+@pytest.mark.parametrize("kind", [FD, OD], ids=["fd", "od"])
+def test_textbook_steps_give_the_certified_fit(brand_panel, kind):
+    # two-step, as the OD n-step iteration has two fixed points on this panel
+    model, spec = _brand_gmm(brand_panel, kind)
+    uncertified, certified_patch = _counting_uncertified()
+    with certified_patch:
+        certified = fit_gmm(model, brand_panel, spec, weighting=TWO_STEP, on_singular="pinv")
+    assert uncertified == [False]
+    with mock.patch.object(estimators, "_certified_moments", lambda *a: None):
+        textbook = fit_gmm(model, brand_panel, spec, weighting=TWO_STEP, on_singular="pinv")
+    assert textbook.weighting_rank == certified.weighting_rank == 31
+    W = certified.weighting_matrix
+    assert _max_rel(textbook.coefficients, certified.coefficients) < 1e-10
+    assert _max_rel(textbook.standard_errors, certified.standard_errors) < 1e-10
+    assert _max_rel(textbook.weighting_matrix, W, np.abs(W).max()) < 1e-10
 
 
 @pytest.mark.parametrize("on_singular", ["raise", "Pinv", "ignore"])
 def test_an_unknown_on_singular_is_rejected_before_any_work(brand_panel, monkeypatch,
                                                             on_singular):
-    model, spec = _brand_fd(brand_panel)
-    model = ModelSpec(model.dependent, 1, model.exogenous, intercept=False, transform=OD)
+    model, spec = _brand_gmm(brand_panel, OD)
     monkeypatch.setattr(estimators, "build_design", mock.Mock(side_effect=AssertionError))
     within = ModelSpec(model.dependent, 1, model.exogenous, transform=TransformKind.WITHIN)
     # a plain config never reads on_singular, yet rejects it as an instrumented one does
@@ -584,8 +580,9 @@ def test_fallback_steps_match_the_per_step_reference(seed, kind, how):
     with patch:
         res = fit_gmm(model, data, spec, weighting=weighting, on_singular="pinv",
                       windmeijer=windmeijer)
-    # every step falls back to the SVD factor, and the weight is built once more
-    assert calls == [1] * res.steps_taken
+    # every step is uncertified and builds its own SVD factor; none is built
+    # after the loop
+    assert calls == [1] * (res.steps_taken - 1)
     assert res.weighting_rank == ref["rank"] < res.cross_sections == 9
     assert res.steps_taken == ref["steps"]
     assert _max_rel(res.coefficients, ref["coef"]) < 1e-10
