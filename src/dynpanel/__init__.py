@@ -37,7 +37,6 @@ from .estimators import (
     TWO_STEP,
     EstimationResult,
     ExogTerm,
-    FitTable,
     ModelSpec,
     VarianceComponents,
     Weighting,
@@ -94,7 +93,6 @@ __all__ = [
     "EstimationResult",
     "EstimatorConfig",
     "ExogTerm",
-    "FitTable",
     "GRADE_SCALE",
     "HausmanResult",
     "InstrumentMatrix",

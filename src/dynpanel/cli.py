@@ -19,6 +19,7 @@ input/output error.
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
 import json
 import os
@@ -195,8 +196,8 @@ def _record(result: EstimationResult, report: DiagnosticsReport) -> dict:
         "r2": result.r_squared_unweighted,
         "r2_weighted": result.r_squared_weighted,
         "n": result.sample_size,
-        "cross_sections": result.cross_sections,
-        "periods": result.periods_used,
+        "cross_sections": int(np.unique(result.design.entity_ids).size),
+        "periods": int(np.unique(result.design.periods).size),
         "steps": result.steps_taken,
         **report.to_json_dict(),
     }
@@ -234,6 +235,24 @@ def _render_column(rec: dict) -> str:
     return "\n".join(lines)
 
 
+def _write_fitted(result: EstimationResult, path) -> None:
+    """The ``--fitted-out`` table: one row per sample row, actual and fitted
+    values in transformed and level units; level cells are empty outside
+    the fit's ``level_mask``."""
+    design = result.design
+    level = result.level_mask.tolist()
+    actual, fitted = ([repr(x) if m else "" for x, m in zip(col.tolist(), level)]
+                      for col in (design.y_level, result.fitted_level))
+    rows = zip([design.sample.entities[e] for e in design.entity_ids.tolist()],
+               design.periods.tolist(), map(repr, design.y.tolist()),
+               map(repr, result.fitted_transformed.tolist()), actual, fitted)
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["entity", "period", "actual_transformed", "fitted_transformed",
+                         "actual_level", "fitted_level"])
+        writer.writerows(rows)
+
+
 def cmd_estimate(args) -> int:
     data = _load_dataset(args)
     with _spec_errors():
@@ -247,7 +266,7 @@ def cmd_estimate(args) -> int:
     if args.fitted_out:
         out_dir.mkdir(parents=True, exist_ok=True)
         fit_path = out_dir / args.fitted_out
-        result.fitted_levels.to_csv(fit_path)
+        _write_fitted(result, fit_path)
         outputs.append(str(fit_path))
     if args.out == "json":
         print(json.dumps(rec, indent=2, sort_keys=True))

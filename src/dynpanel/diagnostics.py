@@ -3,12 +3,13 @@
 Hansen J overidentification test, Arellano-Bond serial correlation
 test on differenced residuals, the Hausman fixed-vs-random comparison
 (with an explicit invalidity flag for the degenerate zero-variance
-case), and information-criterion lag selection. The J and AR tests read
-a GMM fit's entity ``scores``; only an OD fit's AR test forms its own, for
-the differenced equations. ``swamy_arora`` is defined in :mod:`estimators`,
-where ``build_design`` calls it for a quasi-demeaned model, and re-exported
-here; it runs its within and between regressions on the model's own
-aligned rows.
+case), and information-criterion lag selection. Each test reads the
+fit's own ``design`` (its rows, model, dataset and variance components)
+and, for GMM fits, its entity ``scores``; only an OD fit's AR test forms
+its own, for the differenced equations. ``swamy_arora`` is defined in
+:mod:`estimators`, where ``build_design`` runs the same computation on
+the sample it has already aligned, and re-exported here; it runs its
+within and between regressions on the model's own aligned rows.
 """
 
 from __future__ import annotations
@@ -89,7 +90,7 @@ def j_test(result: EstimationResult) -> JTestResult:
         W, rank = _invert_weight(None, "pinv", "J test", result.scores,
                                  full_rank=result.instruments.full_rank)
     rank = min(rank, result.instruments.rank)
-    k = result.design_matrix.shape[1]
+    k = result.design.X.shape[1]
     df = rank - k
     if df < 0:
         raise DiagnosticError(
@@ -121,29 +122,25 @@ def _ar_tests(result: EstimationResult):
     and evaluated at the same coefficients, since the test is defined on
     differenced residuals, and its U and pseudo-inverse W are formed.
     """
-    if result.transform is TransformKind.FIRST_DIFFERENCE:
-        e, X = result.residuals, result.design_matrix
-        entity_ids, periods = result.entity_ids, result.periods
-        starts = entity_starts(entity_ids)
-        Z, U, W = result.instruments.matrix, result.scores, result.weighting_matrix
-    elif result.transform is TransformKind.ORTHOGONAL_DEVIATION:
-        model_fd = replace(result.model, transform=TransformKind.FIRST_DIFFERENCE)
-        design = build_design(model_fd, result.dataset)
-        e, X = design.y - design.X @ result.coefficients, design.X
-        entity_ids, periods = design.entity_ids, design.periods
-        starts = entity_starts(entity_ids)
-        zmat = assemble(
-            result.instrument_spec, result.dataset, design.sample,
-            transform=TransformKind.FIRST_DIFFERENCE,
+    fd, design = TransformKind.FIRST_DIFFERENCE, result.design
+    kind = design.model.transform
+    if kind is TransformKind.ORTHOGONAL_DEVIATION:
+        design = build_design(replace(design.model, transform=fd), design.data)
+    elif kind is not fd:
+        raise DiagnosticError(
+            f"serial-correlation test is defined for FD or OD results, not {kind.value!r}"
         )
+    X, entity_ids, periods = design.X, design.entity_ids, design.periods
+    starts = entity_starts(entity_ids)
+    if kind is fd:
+        e, Z, U, W = (result.residuals, result.instruments.matrix, result.scores,
+                      result.weighting_matrix)
+    else:
+        e = design.y - X @ result.coefficients
+        zmat = assemble(result.instrument_spec, design.data, design.sample, transform=fd)
         Z = zmat.matrix
         U = _scores(Z, e, starts)
         W, _ = _invert_weight(None, "pinv", "AR test", U, full_rank=zmat.full_rank)
-    else:
-        raise DiagnosticError(
-            "serial-correlation test is defined for FD or OD results, "
-            f"not {result.transform.value!r}"
-        )
     # one key per (entity, period), strictly increasing down the rows,
     # which come entity by entity in period order; a row's order-m lag is
     # the row whose key is m smaller within the same entity
@@ -216,10 +213,8 @@ def hausman(fe: EstimationResult, re: EstimationResult) -> HausmanResult:
     common = [n for n in fe.param_names if n in re.param_names and n != "const"]
     if not common:
         raise DiagnosticError("no common slope coefficients between FE and RE results")
-    if (
-        re.variance_components is not None
-        and re.variance_components.sigma_u2 == 0.0
-    ):
+    components = re.design.components
+    if components is not None and components.sigma_u2 == 0.0:
         return HausmanResult(
             valid=False,
             reason="zero cross-section variance component; RE coincides with "
@@ -376,7 +371,7 @@ def report_for(result: EstimationResult) -> DiagnosticsReport:
     ar_tests: list[ArTestResult] = []
     if result.instruments is not None:
         j = j_test(result)
-    if result.transform.is_calendar:
+    if result.design.model.transform.is_calendar:
         ar_test = _ar_tests(result)
         for m in (1, 2):
             try:
@@ -386,5 +381,5 @@ def report_for(result: EstimationResult) -> DiagnosticsReport:
     return DiagnosticsReport(
         j=j,
         ar_tests=tuple(ar_tests),
-        variance_components=result.variance_components,
+        variance_components=result.design.components,
     )

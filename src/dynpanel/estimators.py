@@ -5,12 +5,14 @@ random effects GLS with Swamy-Arora quasi-demeaning, as the model's
 transform says. ``fit_gmm``: instrumented GMM with one-step, two-step,
 and iterated weighting. Reported standard errors are White-style
 heteroskedasticity robust throughout; GMM covariance is clustered by
-entity.
+entity. Every fit keeps its ``Design``, the one owner of the fit's rows,
+model and dataset; the result adds only what the fit computes. Rank and
+identification checks judge each regressor against its own scale, so a
+regressor's units do not decide whether a fit raises.
 """
 
 from __future__ import annotations
 
-import csv
 import functools
 import math
 from dataclasses import dataclass
@@ -20,7 +22,7 @@ import numpy as np
 import scipy.linalg
 from scipy.linalg.lapack import get_lapack_funcs
 
-from .errors import EstimationError, RankError, SingularWeightingError
+from .errors import EstimationError, RankError, SingularWeightingError, UnderIdentifiedError
 from .instruments import InstrumentMatrix, InstrumentSpec, assemble, intercept_column
 from .panel import AlignedSample, PanelDataset, align_columns
 from .transforms import (
@@ -145,69 +147,56 @@ class VarianceComponents:
 
 
 @dataclass(frozen=True)
-class FitTable:
-    """Aligned actual/fitted rows in transformed and level units."""
-
-    entities: tuple[str, ...]
-    entity_ids: np.ndarray
-    periods: np.ndarray
-    actual_transformed: np.ndarray
-    fitted_transformed: np.ndarray
-    actual_level: np.ndarray
-    fitted_level: np.ndarray
-    level_mask: np.ndarray  # rows where the level reconstruction is defined
-
-    def to_csv(self, path) -> None:
-        """Write one row per sample row; level cells are empty outside ``level_mask``."""
-        level = self.level_mask.tolist()
-        actual, fitted = ([repr(x) if m else "" for x, m in zip(col.tolist(), level)]
-                          for col in (self.actual_level, self.fitted_level))
-        rows = zip([self.entities[e] for e in self.entity_ids.tolist()], self.periods.tolist(),
-                   map(repr, self.actual_transformed.tolist()),
-                   map(repr, self.fitted_transformed.tolist()), actual, fitted)
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["entity", "period", "actual_transformed", "fitted_transformed",
-                             "actual_level", "fitted_level"])
-            writer.writerows(rows)
-
-
-@dataclass(frozen=True)
 class EstimationResult:
-    """Coefficients, inference, residuals, entity scores, and fit diagnostics."""
+    """Coefficients, inference, residuals, entity scores, and fit diagnostics.
+
+    ``design`` owns the fit's rows and inputs: its ``model`` and ``data``,
+    the aligned ``sample`` with entity ids and periods, ``y``/``X`` and
+    their levels, and random effects' ``theta`` and ``components``. The
+    result keeps what the fit adds: ``fitted_level`` is the level fit at
+    the design's rows where ``level_mask`` holds. Standard errors and t
+    statistics are read off ``covariance``.
+    """
 
     method: str
-    model: ModelSpec
+    design: Design
     param_names: tuple[str, ...]
     coefficients: np.ndarray
-    standard_errors: np.ndarray
-    t_statistics: np.ndarray
     covariance: np.ndarray
     residuals: np.ndarray
     fitted_transformed: np.ndarray
-    fitted_levels: FitTable
+    fitted_level: np.ndarray
+    level_mask: np.ndarray
     r_squared_weighted: float
     r_squared_unweighted: float
-    steps_taken: int
-    sample_size: int
-    cross_sections: int
-    periods_used: int
-    entity_ids: np.ndarray
-    periods: np.ndarray
-    dataset: PanelDataset
-    transform: TransformKind
-    design_matrix: np.ndarray
+    steps_taken: int = 1
     classical_covariance: np.ndarray | None = None
     weighting_matrix: np.ndarray | None = None
     instruments: InstrumentMatrix | None = None
     instrument_spec: InstrumentSpec | None = None
     weighting: Weighting | None = None
-    theta: np.ndarray | None = None
-    variance_components: VarianceComponents | None = None
     entity_effects: np.ndarray | None = None
     weighting_rank: int | None = None
     scores: np.ndarray | None = None  # GMM: N x L, row i Z_i'e_i, S = U'U
     iteration_trace: tuple[float, ...] = ()
+
+    @property
+    def standard_errors(self) -> np.ndarray:
+        return np.sqrt(np.maximum(np.diag(self.covariance), 0.0))
+
+    @property
+    def t_statistics(self) -> np.ndarray:
+        se = self.standard_errors
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(se > 0, self.coefficients / se, np.nan)
+
+    @property
+    def design_matrix(self) -> np.ndarray:
+        return self.design.X
+
+    @property
+    def sample_size(self) -> int:
+        return self.design.n
 
     def coefficient(self, name: str) -> float:
         try:
@@ -227,18 +216,18 @@ class EstimationResult:
 class Design:
     """Regression arrays for one model on one dataset, transform applied.
 
-    ``y`` and ``X`` are in the model's transformed units; ``y_level`` and
-    ``X_level`` hold the level values at the same rows. ``X`` holds every
-    regression column named in ``x_names``, ``const`` last when the
-    equation has one. ``theta`` is the per-entity quasi-demeaning weight
-    of a random effects design, and ``components`` the variance
-    components behind it.
+    ``sample`` owns the rows: their entity ids and periods, and in
+    ``matrix`` the level dependent and regressors. ``y`` and ``X`` are in
+    the model's transformed units; ``y_level`` and ``X_level`` are the
+    levels at the same rows, views of ``sample.matrix`` but for an
+    intercept. ``X`` holds every regression column named in ``x_names``,
+    ``const`` last when the equation has one. ``theta`` is the per-entity
+    quasi-demeaning weight of a random effects design, and ``components``
+    the variance components behind it.
     """
 
     model: ModelSpec
     data: PanelDataset
-    entity_ids: np.ndarray
-    periods: np.ndarray
     y: np.ndarray
     X: np.ndarray
     x_names: list[str]
@@ -251,6 +240,14 @@ class Design:
     @property
     def n(self) -> int:
         return self.y.size
+
+    @property
+    def entity_ids(self) -> np.ndarray:
+        return self.sample.entity_ids
+
+    @property
+    def periods(self) -> np.ndarray:
+        return self.sample.periods
 
 
 def build_design(model: ModelSpec, data: PanelDataset) -> Design:
@@ -272,13 +269,14 @@ def build_design(model: ModelSpec, data: PanelDataset) -> Design:
     if kind is TransformKind.WITHIN and not cols:
         raise EstimationError("fixed effects need a slope regressor; the within "
                               "transform absorbs the intercept")
-    sample, yX, y_level, X_level = _align_levels(model, data, kind)
+    sample, yX = _align(model, data, kind)
+    y_level, X_level = sample.matrix[:, 0], sample.matrix[:, 1:]
     y, X, theta, components = y_level, X_level, None, None
     if kind.is_calendar:
         y, X = yX[:, 0], yX[:, 1:]
     elif kind in (TransformKind.WITHIN, TransformKind.QUASI_DEMEAN):
         if kind is TransformKind.QUASI_DEMEAN:
-            components = swamy_arora(model, data)
+            components = _swamy_arora(model, sample)
             if components.sigma_e2 <= 0:
                 raise EstimationError(
                     f"idiosyncratic variance must be positive, got {components.sigma_e2}"
@@ -289,22 +287,28 @@ def build_design(model: ModelSpec, data: PanelDataset) -> Design:
         y = demean_by_entity(y, sample.entity_ids, shift)
         X = demean_by_entity(X, sample.entity_ids, shift)
     names = [n for _, _, n in cols]
+    if kind is TransformKind.WITHIN or kind.is_calendar:
+        # a slope the transform leaves at rounding noise of its own levels
+        dead = [n for n, top, level in zip(names, np.max(np.abs(X), axis=0),
+                                           np.max(np.abs(X_level), axis=0))
+                if top <= 1e-12 * level]
+        if dead:
+            raise RankError(f"slope(s) {dead} constant within every entity; "
+                            f"not identifiable under the {kind.value} transform", dead)
     if model.intercept and kind is not TransformKind.WITHIN:
         X = np.column_stack([X, intercept_column(sample, kind, theta)])
         X_level = np.column_stack([X_level, np.ones(sample.n_rows)])
         names.append("const")
     return Design(
-        model=model, data=data, entity_ids=sample.entity_ids, periods=sample.periods,
-        y=y, X=X, x_names=names,
+        model=model, data=data, y=y, X=X, x_names=names,
         y_level=y_level, X_level=X_level, sample=sample, theta=theta, components=components,
     )
 
 
-def _align_levels(model: ModelSpec, data: PanelDataset, kind=TransformKind.NONE):
-    """The model's ``align_columns`` sample, its matrix, and level y and X copies."""
+def _align(model: ModelSpec, data: PanelDataset, kind=TransformKind.NONE):
+    """The model's ``align_columns`` sample and its matrix in ``kind``'s units."""
     columns = [(model.dependent, 0)] + [(v, l) for v, l, _ in model.regressor_columns()]
-    sample, yX = align_columns(data, columns, kind)
-    return sample, yX, sample.matrix[:, 0].copy(), sample.matrix[:, 1:].copy()
+    return align_columns(data, columns, kind)
 
 
 def swamy_arora(model: ModelSpec, data: PanelDataset) -> VarianceComponents:
@@ -316,7 +320,12 @@ def swamy_arora(model: ModelSpec, data: PanelDataset) -> VarianceComponents:
     the harmonic-mean correction for unbalanced entity lengths and is
     floored at zero.
     """
-    sample, _, y_level, X_level = _align_levels(model, data)
+    return _swamy_arora(model, _align(model, data)[0])
+
+
+def _swamy_arora(model: ModelSpec, sample: AlignedSample) -> VarianceComponents:
+    """``swamy_arora`` on the model's level sample, already aligned."""
+    y_level, X_level = sample.matrix[:, 0], sample.matrix[:, 1:]
     starts = entity_starts(sample.entity_ids)
     yw = demean_by_entity(y_level, sample.entity_ids)
     Xw = demean_by_entity(X_level, sample.entity_ids)
@@ -340,7 +349,7 @@ def swamy_arora(model: ModelSpec, data: PanelDataset) -> VarianceComponents:
         raise EstimationError(
             f"too few entities ({n_ent}) for the between regression with {k} slopes"
         )
-    beta_b, *_ = np.linalg.lstsq(Xb, ybar, rcond=None)
+    beta_b = _lstsq(Xb, ybar)
     resid_b = ybar - Xb @ beta_b
     mse_between = float(resid_b @ resid_b) / df_between
     t_harmonic = n_ent / float(np.sum(1.0 / counts))
@@ -351,11 +360,18 @@ def swamy_arora(model: ModelSpec, data: PanelDataset) -> VarianceComponents:
     )
 
 
+def _column_scale(A: np.ndarray) -> np.ndarray:
+    """Each column's largest magnitude (1 for a zero column): dividing by it
+    leaves no column's units to count, and cannot overflow as a 2-norm can."""
+    top = np.max(np.abs(A), axis=0)
+    return np.where(top > 0, top, 1.0)
+
+
 def _check_rank(X: np.ndarray, names: Sequence[str]) -> None:
-    """Raise RankError naming the dependent columns, via pivoted QR."""
+    """Raise RankError naming the dependent columns, via pivoted QR of X's scaled columns."""
     if X.shape[1] == 0:
         return
-    r, piv = scipy.linalg.qr(X, mode="r", pivoting=True)
+    r, piv = scipy.linalg.qr(X / _column_scale(X), mode="r", pivoting=True)
     diag = np.abs(np.diag(r[: X.shape[1], : X.shape[1]]))
     if diag.size == 0 or diag[0] == 0.0:
         rank = 0
@@ -404,8 +420,20 @@ def _spd_inverse(A: np.ndarray, context: str) -> np.ndarray:
 
 def _ols(y: np.ndarray, X: np.ndarray, names: Sequence[str]) -> np.ndarray:
     _check_rank(X, names)
-    beta, *_ = np.linalg.lstsq(X, y, rcond=None)
-    return beta
+    return _lstsq(X, y)
+
+
+def _lstsq(X: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """lstsq, on scaled columns when X's ``_column_scale`` spans more than 1e6.
+
+    lstsq loses digits in proportion to that span and drops singular values
+    below eps max(n, k) of the largest, so a regressor's units would decide
+    the fit; below the span the plain call is kept, bit for bit.
+    """
+    scale = _column_scale(X)
+    if scale.max(initial=1.0) <= 1e6 * scale.min(initial=1.0):
+        return np.linalg.lstsq(X, y, rcond=None)[0]
+    return np.linalg.lstsq(X / scale, y, rcond=None)[0] / scale
 
 
 def _white_covariance(X: np.ndarray, resid: np.ndarray) -> np.ndarray:
@@ -426,56 +454,6 @@ def _squared_correlation(y: np.ndarray, fitted: np.ndarray) -> float:
     if y.size < 2 or np.std(y) == 0 or np.std(fitted) == 0:
         return np.nan
     return float(np.corrcoef(y, fitted)[0, 1] ** 2)
-
-
-def _result(
-    method: str,
-    design: Design,
-    names: Sequence[str],
-    beta: np.ndarray,
-    cov: np.ndarray,
-    resid: np.ndarray,
-    fitted: np.ndarray,
-    r2: tuple[float, float],
-    level: tuple[np.ndarray, np.ndarray],
-    steps: int = 1,
-    trace: Sequence[float] = (),
-    **extra,
-) -> EstimationResult:
-    """The finished result of a fit; ``r2`` is the (weighted, unweighted)
-    pair and ``level`` the level fit and its mask from ``_level_fit``."""
-    se = np.sqrt(np.maximum(np.diag(cov), 0.0))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = np.where(se > 0, beta / se, np.nan)
-    table = FitTable(design.data.entities, design.entity_ids, design.periods,
-                     design.y, fitted, design.y_level, *level)
-    return EstimationResult(
-        method=method,
-        model=design.model,
-        param_names=tuple(names),
-        coefficients=beta,
-        standard_errors=se,
-        t_statistics=t,
-        covariance=cov,
-        residuals=resid,
-        fitted_transformed=fitted,
-        fitted_levels=table,
-        r_squared_weighted=r2[0],
-        r_squared_unweighted=r2[1],
-        steps_taken=steps,
-        sample_size=design.n,
-        cross_sections=int(np.unique(design.entity_ids).size),
-        periods_used=int(np.unique(design.periods).size),
-        entity_ids=design.entity_ids,
-        periods=design.periods,
-        dataset=design.data,
-        transform=design.model.transform,
-        design_matrix=design.X,
-        theta=design.theta,
-        variance_components=design.components,
-        iteration_trace=tuple(trace),
-        **extra,
-    )
 
 
 def _level_fit(design: Design, beta: np.ndarray, fitted: np.ndarray):
@@ -562,12 +540,6 @@ def fit_plain(model: ModelSpec, data: PanelDataset) -> EstimationResult:
         absorbed = np.unique(design.entity_ids).size
         if absorbed < 2:
             raise EstimationError("fixed effects need at least 2 entities in sample")
-        dead = [n for j, n in enumerate(names) if np.max(np.abs(X[:, j])) < 1e-12]
-        if dead:
-            raise EstimationError(
-                f"slope(s) {dead} constant within every entity; "
-                "not identifiable under fixed effects"
-            )
     beta = _ols(y, X, names)
     fitted = X @ beta
     resid = y - fitted
@@ -583,11 +555,12 @@ def fit_plain(model: ModelSpec, data: PanelDataset) -> EstimationResult:
     center = model.intercept or kind is not TransformKind.NONE
     r2 = _r_squared(design.y_level, fitted_level, center)
     r2_weighted = _r_squared(y, fitted, center) if kind is TransformKind.QUASI_DEMEAN else r2
-    return _result(
-        _PLAIN_METHODS[kind], design, names, beta_full, cov, resid, fitted, (r2_weighted, r2),
-        (fitted_level, level_mask),
-        classical_covariance=classical,
-        entity_effects=alphas,
+    return EstimationResult(
+        method=_PLAIN_METHODS[kind], design=design, param_names=tuple(names),
+        coefficients=beta_full, covariance=cov, residuals=resid, fitted_transformed=fitted,
+        fitted_level=fitted_level, level_mask=level_mask,
+        r_squared_weighted=r2_weighted, r_squared_unweighted=r2,
+        classical_covariance=classical, entity_effects=alphas,
     )
 
 
@@ -805,16 +778,16 @@ def fit_gmm(
     k = X.shape[1]
     _check_rank(X, names)
 
-    zmat = assemble(
-        instruments, data, design.sample,
-        transform=model.transform, theta=design.theta, n_regressors=k,
-    )
+    zmat = assemble(instruments, data, design.sample, transform=model.transform,
+                    theta=design.theta)
+    if zmat.n_columns < k:
+        raise UnderIdentifiedError(f"{zmat.n_columns} instrument column(s) for {k} regressors")
     Z = zmat.matrix
     G = Z.T @ X
     v = Z.T @ y
     if not (np.isfinite(G).all() and np.isfinite(v).all()):
         raise _overflow("Z'X or Z'y")
-    if np.linalg.matrix_rank(G) < k:
+    if np.linalg.matrix_rank(G / _column_scale(G)) < k:
         raise RankError("Z'X is rank deficient; instruments do not identify "
                         f"{list(names)}", names)
     starts = entity_starts(design.entity_ids)
@@ -900,9 +873,12 @@ def fit_gmm(
     # the two coincide exactly when theta = 0
     r2_level = (_squared_correlation(design.y_level, fitted_level)
                 if model.transform is TransformKind.QUASI_DEMEAN else r2)
-    return _result(
-        f"gmm/{model.transform.value}", design, names, beta, cov, resid, fitted, (r2, r2_level),
-        (fitted_level, level_mask), steps, trace,
+    return EstimationResult(
+        method=f"gmm/{model.transform.value}", design=design, param_names=tuple(names),
+        coefficients=beta, covariance=cov, residuals=resid, fitted_transformed=fitted,
+        fitted_level=fitted_level, level_mask=level_mask,
+        r_squared_weighted=r2, r_squared_unweighted=r2_level,
+        steps_taken=steps, iteration_trace=tuple(trace),
         weighting_matrix=W,
         instruments=zmat,
         instrument_spec=instruments,

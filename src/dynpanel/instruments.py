@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, EstimationError, UnderIdentifiedError
+from .errors import DataError, EstimationError
 from .panel import AlignedSample, PanelDataset, lagged_grid
 from .transforms import TransformKind, apply_grid, demean_by_entity
 
@@ -232,8 +232,11 @@ def build_static_block(
     The column is transformed like the equation: calendar transforms
     (FD/OD) are applied on the grid before reading the rows; demeaning
     transforms use per-entity means over the sample rows where the lag is
-    present. Absent cells are zero-filled after transforming.
+    present. Absent cells are zero-filled after transforming, and a column
+    at most 1e-12 of the variable's largest level, rounding noise, is zeroed.
     """
+    series = data.require(static.variable)
+    level = float(np.max(np.abs(series.values[series.mask]), initial=0.0))
     cols: list[np.ndarray] = []
     labels: list[str] = []
     for j in range(static.lag_from, static.lag_to + 1):
@@ -252,6 +255,8 @@ def build_static_block(
             raise DataError(
                 f"static instrument {static.variable!r} lag {j} has no present values"
             )
+        if np.max(np.abs(col)) <= 1e-12 * level:
+            col = np.zeros_like(col)
         cols.append(col)
         labels.append(static.variable if j == 0 else f"{static.variable}(-{j})")
     return np.column_stack(cols), labels
@@ -284,13 +289,11 @@ def assemble(
     sample: AlignedSample,
     transform: TransformKind = TransformKind.NONE,
     theta: float | np.ndarray | None = None,
-    n_regressors: int | None = None,
 ) -> InstrumentMatrix:
     """Concatenate static and dynamic blocks into one instrument matrix.
 
-    Identically-zero columns are pruned with a warning. When
-    ``n_regressors`` is given the order condition is checked and an
-    :class:`UnderIdentifiedError` raised if violated.
+    All-zero columns are pruned with a warning, so no variable's units
+    decide what goes; ``build_static_block`` zeroes its rounding noise.
     """
     if spec.is_empty():
         raise EstimationError("instrument specification is empty")
@@ -309,8 +312,7 @@ def assemble(
         labels.extend(names)
     matrix = np.hstack(blocks)
 
-    scale = max(1.0, float(np.max(np.abs(matrix))) if matrix.size else 1.0)
-    alive = np.max(np.abs(matrix), axis=0) > 1e-12 * scale
+    alive = np.any(matrix != 0.0, axis=0)
     pruned = tuple(lab for lab, keep in zip(labels, alive) if not keep)
     if pruned:
         logger.warning("pruned %d identically-zero instrument column(s): %s",
@@ -322,8 +324,4 @@ def assemble(
         raise EstimationError("all instrument columns were pruned")
 
     rank = int(np.linalg.matrix_rank(matrix))
-    if n_regressors is not None and matrix.shape[1] < n_regressors:
-        raise UnderIdentifiedError(
-            f"{matrix.shape[1]} instrument column(s) for {n_regressors} regressors"
-        )
     return InstrumentMatrix(matrix=matrix, labels=tuple(labels), rank=rank, pruned=pruned)

@@ -229,7 +229,7 @@ def test_acceptance_06_re_degeneracy():
     coef_err = float(np.max(np.abs(re.coefficients - pooled.coefficients)))
     h = hausman(fe, re)
     ok = (
-        re.variance_components.sigma_u2 == 0.0
+        re.design.components.sigma_u2 == 0.0
         and coef_err < 1e-12
         and not h.valid
     )

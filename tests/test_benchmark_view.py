@@ -3,11 +3,15 @@
 The tracer wraps each function of ``perfbench/tracer.TRACED`` at its
 ``dynpanel`` module, and the workloads import the library at load time;
 removing or renaming one of those names would break only the benchmark.
+The same holds for each ``result.<name>`` the workloads and the tracer
+read off a fit, some of them only in traced runs.
 Each workload also runs once here, with its checks, at the small sizes of
 ``perfbench/tests``: that suite cannot join this one's test paths, as
 both hold a ``conftest`` module that their tests import by name.
 """
 
+import ast
+import functools
 import importlib
 import importlib.util
 import json
@@ -15,6 +19,11 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from dynpanel import TWO_STEP, fit_gmm, fit_plain
+from dynpanel.instruments import DynamicInstrument, InstrumentSpec, StaticInstrument
+from dynpanel.simulate import DgpSpec, ar1_model, generate
+from dynpanel.transforms import TransformKind
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -53,3 +62,48 @@ def test_workload_smoke(tmp_path, name, seed, sizes):
     if name == "replicate-brand":
         reference = json.loads((PERFBENCH / "reference.json").read_text())[name]["all"]
     assert workload.verify(first, reference) == []
+
+
+def result_reads(name: str) -> set[tuple[str, ...]]:
+    """Every attribute chain ``result.a.b...`` read in ``perfbench/<name>.py``."""
+    chains = set()
+    for node in ast.walk(ast.parse((PERFBENCH / f"{name}.py").read_text())):
+        chain = []
+        while isinstance(node, ast.Attribute):
+            chain.append(node.attr)
+            node = node.value
+        if chain and isinstance(node, ast.Name) and node.id == "result":
+            chains.add(tuple(reversed(chain)))
+    return chains
+
+
+READS = sorted(result_reads("workloads") | result_reads("tracer"))
+
+
+@functools.cache
+def fits():
+    data = generate(DgpSpec(n_entities=40, n_periods=6, seed=2))
+    inst = InstrumentSpec(dynamic=(DynamicInstrument("y", 2, 3),),
+                          static=(StaticInstrument("x1", 0, 0),))
+    gmm = fit_gmm(ar1_model(TransformKind.FIRST_DIFFERENCE), data, inst, TWO_STEP)
+    return gmm, fit_plain(ar1_model(TransformKind.WITHIN), data)
+
+
+def test_the_benchmark_reads_fit_results():
+    assert {("sample_size",), ("design_matrix",), ("weighting_rank",),
+            ("instruments", "n_columns")} <= set(READS)
+
+
+@pytest.mark.parametrize("chain", READS, ids=".".join)
+def test_every_result_read_of_the_benchmark_exists(chain):
+    gmm, plain = fits()
+    value = gmm
+    for attr in chain:
+        value = getattr(value, attr)
+    # a plain fit has every attribute; a chain through one it leaves None
+    # (its instruments or weighting) does not apply to it
+    value = plain
+    for attr in chain:
+        if value is None:
+            break
+        value = getattr(value, attr)

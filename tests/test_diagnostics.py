@@ -279,7 +279,6 @@ def test_hausman_zero_distance_when_pd():
         param_names=fe.param_names,
         coefficients=fe.coefficients.copy(),
         classical_covariance=fe.classical_covariance * 0.5,
-        variance_components=None,
     )
     h = hausman(fe, fake_re)
     assert h.valid

@@ -1,4 +1,5 @@
 import csv
+import functools
 from dataclasses import replace
 
 import numpy as np
@@ -12,6 +13,8 @@ from dynpanel import (
     EstimationError,
     InstrumentSpec,
     DynamicInstrument,
+    PanelDataset,
+    PanelSeries,
     StaticInstrument,
     ONE_STEP,
     TWO_STEP,
@@ -23,8 +26,9 @@ from dynpanel import (
     n_step,
 )
 from dynpanel import estimators
+from dynpanel.cli import _write_fitted
 from dynpanel.diagnostics import report_for
-from dynpanel.estimators import ExogTerm, ModelSpec, VarianceComponents, build_design
+from dynpanel.estimators import ExogTerm, ModelSpec, VarianceComponents, build_design, swamy_arora
 from dynpanel.simulate import DgpSpec, ar1_model, generate
 from dynpanel.transforms import TransformKind
 
@@ -99,11 +103,28 @@ def test_random_effects_builds_one_design(monkeypatch):
     assert calls == [model]
 
 
+def test_random_effects_aligns_its_rows_once(monkeypatch):
+    data = generate(DgpSpec(n_entities=30, n_periods=6, seed=4))
+    model = ar1_model(TransformKind.QUASI_DEMEAN)
+    want = swamy_arora(model, data)
+    calls = []
+    align = estimators.align_columns
+
+    def counted(*args):
+        calls.append(args)
+        return align(*args)
+
+    monkeypatch.setattr(estimators, "align_columns", counted)
+    res = fit_plain(model, data)
+    assert len(calls) == 1
+    assert res.design.components == want
+
+
 def test_random_effects_with_only_an_intercept():
     data = generate(DgpSpec(n_entities=30, n_periods=6, sigma_effect=2.0, seed=4))
     res = fit_plain(ModelSpec("y", ar_lags=0, transform=TransformKind.QUASI_DEMEAN), data)
     assert res.param_names == ("const",)
-    assert res.variance_components.sigma_u2 > 0
+    assert res.design.components.sigma_u2 > 0
 
 
 @pytest.mark.parametrize("kind", list(TransformKind), ids=lambda k: k.value)
@@ -224,9 +245,9 @@ def test_lsdv_equals_within(n_entities, n_periods, rho, sigma_effect, missingnes
         assume(False)
     # leave out exact fits, whose SEs are rounding noise
     k = within.design_matrix.shape[1]
-    assume(within.sample_size - within.cross_sections - k >= 3)
+    assume(within.sample_size - np.unique(within.design.entity_ids).size - k >= 3)
     slopes, resid, effects = reference_lsdv(model, data)
-    scale = float(np.abs(within.fitted_levels.actual_level).max())
+    scale = float(np.abs(within.design.y_level).max())
 
     def close(got, want, scale):
         assert np.max(np.abs(got - want), initial=0.0) <= 1e-10 * scale
@@ -254,16 +275,6 @@ def test_fe_monte_carlo_recovery():
     assert res.coefficient("x1") == pytest.approx(0.7, abs=0.03)
 
 
-def test_fe_unidentifiable_slope():
-    x = np.array([[1.0, 1, 1], [4.0, 4, 4]])  # constant within each entity
-    y = np.array([[1.0, 2, 3], [4.0, 5, 6]])
-    data = from_arrays(["a", "b"], range(1, 4), {"y": y, "x1": x})
-    model = ModelSpec("y", ar_lags=0, exogenous=(ExogTerm("x1"),),
-                      intercept=True, effects="fixed", transform=TransformKind.WITHIN)
-    with pytest.raises(EstimationError, match="constant within"):
-        fit_plain(model, data)
-
-
 # ---------------------------------------------------------------------------
 # random effects
 
@@ -275,7 +286,7 @@ def test_re_zero_sigma_u_equals_pooled():
     pooled = fit_plain(ar1_model(TransformKind.NONE), generate(
         DgpSpec(n_entities=100, n_periods=8, rho=0.5, sigma_effect=0.0, seed=0)))
     re = fit_plain(ar1_model(TransformKind.QUASI_DEMEAN), data)
-    assert re.variance_components.sigma_u2 == 0.0
+    assert re.design.components.sigma_u2 == 0.0
     assert np.allclose(re.coefficients, pooled.coefficients, atol=1e-12)
     assert np.allclose(re.standard_errors, pooled.standard_errors, atol=1e-12)
 
@@ -294,7 +305,7 @@ def test_re_theta_one_limit_approaches_fe(monkeypatch):
     theta = 0.9999
     sigma_u2 = sigma_e2 / T * (1.0 / (1.0 - theta) ** 2 - 1.0)
     comp = VarianceComponents(sigma_u2=sigma_u2, sigma_e2=sigma_e2, floored=False)
-    monkeypatch.setattr(estimators, "swamy_arora", lambda model, data: comp)
+    monkeypatch.setattr(estimators, "_swamy_arora", lambda model, sample: comp)
     re = fit_plain(model, data)
     fe = fit_plain(ar1_model(TransformKind.WITHIN), data)
     for name in ("y(-1)", "x1"):
@@ -318,7 +329,7 @@ def test_re_coverage_static_dgp():
 def test_re_negative_sigma_e_rejected(monkeypatch):
     data = generate(DgpSpec(n_entities=20, n_periods=5, seed=1))
     comp = VarianceComponents(sigma_u2=1.0, sigma_e2=0.0, floored=False)
-    monkeypatch.setattr(estimators, "swamy_arora", lambda model, data: comp)
+    monkeypatch.setattr(estimators, "_swamy_arora", lambda model, sample: comp)
     with pytest.raises(EstimationError):
         fit_plain(ar1_model(TransformKind.QUASI_DEMEAN), data)
 
@@ -580,55 +591,53 @@ def test_fitted_levels_zero_residuals():
     data = from_arrays(["a"], range(1, 7), {"y": 2 * x, "x1": x})
     model = ModelSpec("y", ar_lags=0, exogenous=(ExogTerm("x1"),), intercept=False)
     res = fit_plain(model, data)
-    table = res.fitted_levels
-    assert np.allclose(table.fitted_level, table.actual_level, atol=1e-10)
+    assert np.allclose(res.fitted_level, res.design.y_level, atol=1e-10)
 
 
 def test_plain_fe_transformed_columns_are_within_demeaned():
     data = generate(DgpSpec(n_entities=25, n_periods=6, rho=0.4, missingness=0.1, seed=8))
     res = fit_plain(ar1_model(TransformKind.WITHIN), data)
-    table = res.fitted_levels
-    demeaned = table.actual_level.copy()
-    for e in np.unique(table.entity_ids):
-        rows = table.entity_ids == e
-        demeaned[rows] -= table.actual_level[rows].mean()
-    assert np.allclose(table.actual_transformed, demeaned, rtol=0, atol=1e-10)
-    assert np.array_equal(table.fitted_transformed, res.fitted_transformed)
-    assert np.allclose(table.actual_transformed - table.fitted_transformed,
-                       res.residuals, rtol=0, atol=1e-10)
+    design = res.design
+    demeaned = design.y_level.copy()
+    for e in np.unique(design.entity_ids):
+        rows = design.entity_ids == e
+        demeaned[rows] -= design.y_level[rows].mean()
+    assert np.allclose(design.y, demeaned, rtol=0, atol=1e-10)
+    assert np.allclose(design.y - res.fitted_transformed, res.residuals, rtol=0, atol=1e-10)
 
 
-def reference_fit_csv(table, path):
+def reference_fit_csv(res, path):
     """Row-by-row writer of the ``--fitted-out`` layout."""
+    design = res.design
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["entity", "period", "actual_transformed", "fitted_transformed",
                          "actual_level", "fitted_level"])
-        for i in range(table.entity_ids.size):
-            level = table.level_mask[i]
+        for i in range(design.n):
+            level = res.level_mask[i]
             writer.writerow([
-                table.entities[table.entity_ids[i]],
-                int(table.periods[i]),
-                repr(float(table.actual_transformed[i])),
-                repr(float(table.fitted_transformed[i])),
-                repr(float(table.actual_level[i])) if level else "",
-                repr(float(table.fitted_level[i])) if level else "",
+                design.data.entities[design.entity_ids[i]],
+                int(design.periods[i]),
+                repr(float(design.y[i])),
+                repr(float(res.fitted_transformed[i])),
+                repr(float(design.y_level[i])) if level else "",
+                repr(float(res.fitted_level[i])) if level else "",
             ])
 
 
 @pytest.mark.parametrize("kind", [TransformKind.FIRST_DIFFERENCE,
                                   TransformKind.ORTHOGONAL_DEVIATION, TransformKind.WITHIN])
-def test_fit_table_csv_matches_row_writer(brand_panel, tmp_path, kind):
+def test_fitted_out_csv_matches_row_writer(brand_panel, tmp_path, kind):
     model = ModelSpec("pp", exogenous=(ExogTerm("bv"),), intercept=False, transform=kind)
     if kind is TransformKind.WITHIN:
-        table = fit_plain(model, brand_panel).fitted_levels
+        res = fit_plain(model, brand_panel)
     else:
         inst = InstrumentSpec(dynamic=(DynamicInstrument("pp", 2, 3),))
-        table = fit_gmm(model, brand_panel, inst, ONE_STEP, on_singular="pinv").fitted_levels
+        res = fit_gmm(model, brand_panel, inst, ONE_STEP, on_singular="pinv")
         # blank some level cells, as where a level fit has no anchor
-        table = replace(table, level_mask=table.level_mask & (np.arange(table.level_mask.size) % 5 > 0))
-    table.to_csv(tmp_path / "table.csv")
-    reference_fit_csv(table, tmp_path / "reference.csv")
+        res = replace(res, level_mask=res.level_mask & (np.arange(res.level_mask.size) % 5 > 0))
+    _write_fitted(res, tmp_path / "table.csv")
+    reference_fit_csv(res, tmp_path / "reference.csv")
     assert (tmp_path / "table.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
 
@@ -640,11 +649,10 @@ def test_fitted_levels_od_table(brand_panel):
         DynamicInstrument("pp", 2), DynamicInstrument("bv", 2),
         DynamicInstrument("bt", 2)))
     res = fit_gmm(model, brand_panel, inst, weighting=ONE_STEP, on_singular="pinv")
-    table = res.fitted_levels
-    assert table.entity_ids.size == 258
+    assert res.fitted_level.size == res.design.entity_ids.size == 258
     assert res.sample_size == 258
     # transformed-scale R^2 is the squared correlation by definition
-    r2 = np.corrcoef(table.actual_transformed, table.fitted_transformed)[0, 1] ** 2
+    r2 = np.corrcoef(res.design.y, res.fitted_transformed)[0, 1] ** 2
     assert r2 == pytest.approx(res.r_squared_unweighted)
 
 
@@ -654,13 +662,13 @@ def test_fd_fitted_levels_anchor_on_lagged_actuals(brand_panel):
     inst = InstrumentSpec(dynamic=(DynamicInstrument("pp", 2),),
                           static=(StaticInstrument("bv"), StaticInstrument("bt")))
     res = fit_gmm(model, brand_panel, inst, weighting=ONE_STEP, on_singular="pinv")
-    table = res.fitted_levels
+    design = res.design
     pp = brand_panel.series["pp"]
-    for i in range(min(50, table.entity_ids.size)):
-        e, t = table.entity_ids[i], table.periods[i]
+    for i in range(min(50, design.n)):
+        e, t = design.entity_ids[i], design.periods[i]
         j = t - brand_panel.periods[0]
-        expected = pp.values[e, j - 1] + table.fitted_transformed[i]
-        assert table.fitted_level[i] == pytest.approx(expected)
+        expected = pp.values[e, j - 1] + res.fitted_transformed[i]
+        assert res.fitted_level[i] == pytest.approx(expected)
 
 
 # ---------------------------------------------------------------------------
@@ -709,7 +717,7 @@ def test_fd_one_step_weight_equals_explicit_h():
     rows0 = entity_rows(design.entity_ids)[0]
     assert rows0.size >= 3
     periods[rows0[0]] = periods[rows0[1]] - 2
-    design = replace(design, periods=periods)
+    design = replace(design, sample=replace(design.sample, periods=periods))
     gaps = [np.diff(periods[r]) for r in entity_rows(design.entity_ids)]
     assert any((g == 2).any() for g in gaps)
     assert any((g > 2).any() for g in gaps)
@@ -789,10 +797,10 @@ def test_pinv_weight_rank_matches_eigh_threshold_when_columns_exceed_entities():
     one = fit_gmm(model, data, spec, weighting=ONE_STEP)
     two = fit_gmm(model, data, spec, weighting=TWO_STEP, on_singular="pinv")
     Z = one.instruments.matrix
-    n_entities = np.unique(one.entity_ids).size
+    n_entities = np.unique(one.design.entity_ids).size
     assert Z.shape[1] > n_entities
 
-    U = _scores(Z, one.residuals, entity_starts(one.entity_ids))
+    U = _scores(Z, one.residuals, entity_starts(one.design.entity_ids))
     S = U.T @ U
     w, V = np.linalg.eigh(S)
     keep = w > 1e-12 * w[-1]
@@ -845,10 +853,76 @@ def test_fd_od_fit_aligned_but_empty_after_transform_raises(kind):
 def test_variance_components_reported_only_for_random_effects(monkeypatch):
     data = generate(DgpSpec(n_entities=40, n_periods=6, rho=0.5, seed=3))
     comp = VarianceComponents(5.0, 1.0, False)
-    monkeypatch.setattr(estimators, "swamy_arora", lambda model, data: comp)
+    monkeypatch.setattr(estimators, "_swamy_arora", lambda model, sample: comp)
     fd = fit_gmm(ar1_model(TransformKind.FIRST_DIFFERENCE), data,
                  _ar1_instruments(TransformKind.FIRST_DIFFERENCE))
-    assert fd.variance_components is None
+    assert fd.design.components is None
     re_inst = InstrumentSpec(static=(StaticInstrument("x1", 0, 1),), include_intercept=True)
     re = fit_gmm(ar1_model(TransformKind.QUASI_DEMEAN), data, re_inst)
-    assert re.variance_components == comp
+    assert re.design.components == comp
+
+
+# ---------------------------------------------------------------------------
+# a regressor's units
+
+def _rescaled(data, name, scale):
+    series = dict(data.series)
+    series[name] = PanelSeries(series[name].values * scale, series[name].mask)
+    return PanelDataset(data.entities, data.periods, series)
+
+
+def _assert_rescaled_fit(base, fit, name, scale):
+    """``fit`` on ``name`` times ``scale``: its coefficient and SE divide by
+    ``scale`` to within 1e-8, and every other coefficient stays put."""
+    i = base.param_names.index(name)
+    assert fit.param_names == base.param_names
+    assert fit.coefficients[i] * scale == pytest.approx(base.coefficients[i], rel=1e-8)
+    assert fit.standard_errors[i] * scale == pytest.approx(base.standard_errors[i], rel=1e-8)
+    others = [j for j in range(len(base.param_names)) if j != i]
+    assert fit.coefficients[others] == pytest.approx(base.coefficients[others], rel=1e-8)
+    assert fit.standard_errors[others] == pytest.approx(base.standard_errors[others], rel=1e-8)
+
+
+@pytest.mark.parametrize("scale", [1e12, 1e-12])
+@pytest.mark.parametrize("kind", [TransformKind.NONE, TransformKind.WITHIN],
+                         ids=lambda k: k.value)
+def test_plain_fits_follow_a_regressors_units(brand_panel, kind, scale):
+    model = ModelSpec("pp", 1, (ExogTerm("bv"), ExogTerm("bt")), transform=kind)
+    _assert_rescaled_fit(fit_plain(model, brand_panel),
+                         fit_plain(model, _rescaled(brand_panel, "bv", scale)), "bv", scale)
+
+
+@pytest.mark.parametrize("scale", [1e12, 1e-12])
+@pytest.mark.parametrize("weighting", [ONE_STEP, TWO_STEP], ids=lambda w: w.kind)
+def test_fd_gmm_fits_follow_a_regressors_units(weighting, scale):
+    # N = 200 entities against 3 instrument columns: every weight is a plain inverse
+    data = generate(DgpSpec(n_entities=200, n_periods=6, missingness=0.1, seed=3))
+    model = ar1_model(TransformKind.FIRST_DIFFERENCE)
+    inst = InstrumentSpec(dynamic=(DynamicInstrument("y", 2, 3),),
+                          static=(StaticInstrument("x1", 0, 0),))
+    fit = functools.partial(fit_gmm, model, instruments=inst, weighting=weighting,
+                            windmeijer=weighting is TWO_STEP)
+    _assert_rescaled_fit(fit(data=data), fit(data=_rescaled(data, "x1", scale)), "x1", scale)
+
+
+@pytest.mark.parametrize("level", [3e2, 3e5, 3e8, 3e11])
+@pytest.mark.parametrize("kind, gmm", [
+    (TransformKind.WITHIN, False), (TransformKind.WITHIN, True),
+    (TransformKind.FIRST_DIFFERENCE, True), (TransformKind.ORTHOGONAL_DEVIATION, True),
+], ids=["fe-plain", "fe-gmm", "fd-gmm", "od-gmm"])
+def test_firm_constant_slope_is_unidentifiable_at_any_level(brand_panel, kind, gmm, level):
+    # fc's transformed column is zero or rounding noise of its own levels
+    n, T = brand_panel.n_entities, brand_panel.n_periods
+    fc = np.repeat(level * (1.0 + np.arange(n) / n), T).reshape(n, T)
+    data = PanelDataset(brand_panel.entities, brand_panel.periods, dict(
+        brand_panel.series, fc=PanelSeries(fc, np.ones((n, T), dtype=bool))))
+    model = ModelSpec("pp", 1, (ExogTerm("bv"), ExogTerm("fc")), intercept=False,
+                      transform=kind)
+    inst = InstrumentSpec(dynamic=(DynamicInstrument("pp", 2, 3),),
+                          static=(StaticInstrument("bv"), StaticInstrument("fc")))
+    with pytest.raises(RankError, match="constant within every entity") as info:
+        if gmm:
+            fit_gmm(model, data, inst, on_singular="pinv")
+        else:
+            fit_plain(model, data)
+    assert info.value.columns == ("fc",)

@@ -68,8 +68,7 @@ def reference_gmm(model, data, spec, weighting, windmeijer=False):
     """
     design = build_design(model, data)
     X, y = design.X, design.y
-    zmat = assemble(spec, data, design.sample, transform=model.transform,
-                    n_regressors=X.shape[1])
+    zmat = assemble(spec, data, design.sample, transform=model.transform)
     Z = zmat.matrix
     starts = entity_starts(design.entity_ids)
     full_rank = zmat.rank == zmat.n_columns
@@ -165,7 +164,7 @@ def test_fit_gmm_matches_the_per_step_reference(wide, how, seed, kind, missingne
         return
     res = fit()
     zmat = res.instruments
-    nonsingular = zmat.rank == zmat.n_columns and res.cross_sections >= zmat.n_columns
+    nonsingular = zmat.rank == zmat.n_columns and res.scores.shape[0] >= zmat.n_columns
     assert nonsingular is not wide
     assert res.steps_taken == ref["steps"]
     assert res.weighting_rank == ref["rank"]
@@ -196,7 +195,7 @@ def test_cross_moments_give_the_scores_of_any_beta(brand_panel):
     one = fit_gmm(model, brand_panel, spec, weighting=ONE_STEP, on_singular="pinv")
     Z, X = one.instruments.matrix, one.design_matrix
     y = build_design(model, brand_panel).y
-    starts = entity_starts(one.entity_ids)
+    starts = entity_starts(one.design.entity_ids)
     assert Z.shape[1] > starts.size  # the brand FD fit is on the pseudo-inverse path
     beta1 = one.coefficients
     C = _cross_moments(Z, one.residuals, X, starts)
@@ -245,8 +244,9 @@ def test_a_fit_keeps_the_scores_of_its_residuals(wide, kind, how):
                               include_intercept=True)
     data = generate(DgpSpec(n, 9, rho=0.5, missingness=0.1, seed=14))
     res = fit_gmm(ar1_model(kind), data, spec, weighting=weighting[how], on_singular="pinv")
-    assert (res.cross_sections < res.instruments.n_columns) is wide
-    want = _scores(res.instruments.matrix, res.residuals, entity_starts(res.entity_ids))
+    assert (res.scores.shape[0] < res.instruments.n_columns) is wide
+    want = _scores(res.instruments.matrix, res.residuals,
+                   entity_starts(res.design.entity_ids))
     assert res.scores.tobytes() == want.tobytes()
     assert res.scores.shape == want.shape
 
@@ -517,7 +517,7 @@ def test_pseudo_inverse_steps_build_the_svd_factor_once(brand_panel, kind):
     with patch, certified_patch:
         res = fit_gmm(model, brand_panel, spec, weighting=n_step(max_iter=500),
                       on_singular="pinv")
-    assert res.instruments.n_columns > res.cross_sections == res.weighting_rank == 31
+    assert res.instruments.n_columns > res.scores.shape[0] == res.weighting_rank == 31
     assert res.steps_taken > 100
     # every step's full rank is certified by the triangular inverse, and the
     # weight is built once, after the loop
@@ -583,7 +583,7 @@ def test_fallback_steps_match_the_per_step_reference(seed, kind, how):
     # every step is uncertified and builds its own SVD factor; none is built
     # after the loop
     assert calls == [1] * (res.steps_taken - 1)
-    assert res.weighting_rank == ref["rank"] < res.cross_sections == 9
+    assert res.weighting_rank == ref["rank"] < res.scores.shape[0] == 9
     assert res.steps_taken == ref["steps"]
     assert _max_rel(res.coefficients, ref["coef"]) < 1e-10
     assert _max_rel(res.standard_errors, ref["se"]) < 1e-10
@@ -594,8 +594,8 @@ def test_fallback_steps_match_the_per_step_reference(seed, kind, how):
 def _two_step_map(res):
     """The two-step estimate as a function of the estimate that builds its weight."""
     Z, X = res.instruments.matrix, res.design_matrix
-    y = build_design(res.model, res.dataset).y
-    starts = entity_starts(res.entity_ids)
+    y = res.design.y
+    starts = entity_starts(res.design.entity_ids)
     G, v = Z.T @ X, Z.T @ y
 
     def two_step(b):
@@ -618,7 +618,7 @@ def test_windmeijer_correction_matches_a_finite_difference_derivative(seed, kind
     one = fit_gmm(model, data, spec, weighting=ONE_STEP)
     two = fit_gmm(model, data, spec, weighting=TWO_STEP)
     corrected = fit_gmm(model, data, spec, weighting=TWO_STEP, windmeijer=True)
-    assert two.cross_sections >= two.instruments.n_columns == two.instruments.rank
+    assert two.scores.shape[0] >= two.instruments.n_columns == two.instruments.rank
 
     # D = d beta2 / d beta1 by central differences. With step h the
     # truncation error is O(h^2) and the rounding error O(eps / h), both

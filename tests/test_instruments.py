@@ -320,13 +320,13 @@ def test_a_pruned_intercept_leaves_the_within_fit_bit_for_bit(brand_panel):
         assert getattr(pruned, name).tobytes() == getattr(plain, name).tobytes(), name
 
 
-def test_assemble_under_identified():
-    data = balanced(T=5)
-    sample = fd_sample(data)
+def test_fit_gmm_under_identified():
+    data = balanced(n=6, T=6, extra=("x1", "x2"))
+    model = ModelSpec("y", ar_lags=1, exogenous=(ExogTerm("x1"), ExogTerm("x2")),
+                      intercept=False, transform=TransformKind.FIRST_DIFFERENCE)
     spec = InstrumentSpec(static=(StaticInstrument("y", 2, 2),))
-    with pytest.raises(UnderIdentifiedError):
-        assemble(spec, data, sample, transform=TransformKind.FIRST_DIFFERENCE,
-                 n_regressors=5)
+    with pytest.raises(UnderIdentifiedError, match=r"1 instrument column\(s\) for 3 regressors"):
+        fit_gmm(model, data, spec)
 
 
 def test_assemble_empty_spec():
@@ -340,7 +340,7 @@ def test_assemble_order_condition_reported():
     data = balanced(n=6, T=6)
     sample = fd_sample(data)
     spec = InstrumentSpec(dynamic=(DynamicInstrument("y", 2),))
-    zmat = assemble(spec, data, sample, n_regressors=1)
+    zmat = assemble(spec, data, sample)
     assert zmat.rank >= 1
     assert zmat.n_columns == len(zmat.labels)
 
