@@ -353,8 +353,6 @@ def cmd_simulate(args) -> int:
             missingness=args.missingness,
             seed=args.seed,
         )
-    if args.reps < 1:
-        raise DataError("reps must be >= 1")
     n_x = len(betas)
     weighting = _weighting(args)
     fresh = {

@@ -436,12 +436,6 @@ def _lstsq(X: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.linalg.lstsq(X / scale, y, rcond=None)[0] / scale
 
 
-def _white_covariance(X: np.ndarray, resid: np.ndarray) -> np.ndarray:
-    bread = _spd_inverse(X.T @ X, "White covariance")
-    meat = (X * resid[:, None] ** 2).T @ X
-    return bread @ meat @ bread
-
-
 def _r_squared(y: np.ndarray, fitted: np.ndarray, center: bool) -> float:
     resid = y - fitted
     ss_res = float(resid @ resid)
@@ -543,9 +537,10 @@ def fit_plain(model: ModelSpec, data: PanelDataset) -> EstimationResult:
     beta = _ols(y, X, names)
     fitted = X @ beta
     resid = y - fitted
-    cov = _white_covariance(X, resid)
+    bread = _spd_inverse(X.T @ X, "White covariance")
+    cov = bread @ ((X * resid[:, None] ** 2).T @ X) @ bread
     df = max(design.n - absorbed - X.shape[1], 1)
-    classical = float(resid @ resid) / df * _spd_inverse(X.T @ X, "classical covariance")
+    classical = float(resid @ resid) / df * bread
     fitted_level, level_mask, alphas = _level_fit(design, beta, fitted)
     beta_full = beta
     if alphas is not None and model.intercept:

@@ -294,6 +294,7 @@ def assemble(
 
     All-zero columns are pruned with a warning, so no variable's units
     decide what goes; ``build_static_block`` zeroes its rounding noise.
+    The rank is that of the columns scaled to unit largest magnitude.
     """
     if spec.is_empty():
         raise EstimationError("instrument specification is empty")
@@ -323,5 +324,7 @@ def assemble(
     if matrix.shape[1] == 0:
         raise EstimationError("all instrument columns were pruned")
 
-    rank = int(np.linalg.matrix_rank(matrix))
+    # each column over its largest magnitude (none is zero after the prune),
+    # so no variable's units decide the rank
+    rank = int(np.linalg.matrix_rank(matrix / np.max(np.abs(matrix), axis=0)))
     return InstrumentMatrix(matrix=matrix, labels=tuple(labels), rank=rank, pruned=pruned)

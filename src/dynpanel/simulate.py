@@ -10,7 +10,10 @@ cost most of a generated entity's time; the 152 digests in
 ``tests/data/golden/generate_digests.json`` and a test of the states
 against numpy's own pin the contract. The harness fits a list of
 estimator configurations on each replication and aggregates bias, RMSE,
-SE calibration, and rejection rates.
+SE calibration, and rejection rates into an ``McSummary``, whose
+dataclasses are the one source of both output files. Replication r draws
+from the streams of (seed, r), so the summary's seed ledger is derived
+from its DGP and replication count rather than stored.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -310,7 +313,7 @@ class CoefStats:
     rmse: float
     sd: float
     mean_se: float
-    se_sd_ratio: float
+    se_sd_ratio: float | None  # None when sd = 0, as with one replication
     t_rejection: float  # share of |t| > 1.96 against the true value
 
 
@@ -323,14 +326,35 @@ class EstimatorSummary:
     j_rejection_rate: float | None = None
 
 
+# the per-coefficient statistics of the CSV, in column order
+_CSV_STATS = ("bias", "rmse", "sd", "mean_se", "se_sd_ratio", "t_rejection")
+
+
+def _estimator_record(summary: EstimatorSummary) -> dict:
+    """``asdict(summary)`` under the output files' keys."""
+    record = asdict(summary)
+    record["coefficients"] = record.pop("coef_stats")
+    for stats in record["coefficients"].values():
+        stats["true"] = stats.pop("true_value")
+    return record
+
+
 @dataclass(frozen=True)
 class McSummary:
-    """Aggregated Monte Carlo results plus the seed ledger."""
+    """Aggregated Monte Carlo results.
+
+    Its dataclasses own every reported statistic: both output files are
+    rendered from ``to_json_dict``. The seed ledger is derived from dgp and reps.
+    """
 
     dgp: DgpSpec
     reps: int
     estimators: tuple[EstimatorSummary, ...]
-    seed_ledger: tuple[tuple[int, int], ...] = field(repr=False)  # (seed, replication)
+
+    @property
+    def seed_ledger(self) -> tuple[tuple[int, int], ...]:
+        """The (seed, replication) pair of every generated panel."""
+        return tuple((self.dgp.seed, rep) for rep in range(self.reps))
 
     def estimator(self, name: str) -> EstimatorSummary:
         for e in self.estimators:
@@ -342,58 +366,22 @@ class McSummary:
         return {
             "dgp": asdict(self.dgp),
             "reps": self.reps,
-            "estimators": [
-                {
-                    "name": e.name,
-                    "n_success": e.n_success,
-                    "n_failed": e.n_failed,
-                    "j_rejection_rate": e.j_rejection_rate,
-                    "coefficients": {
-                        name: {
-                            "true": s.true_value,
-                            "mean": s.mean,
-                            "bias": s.bias,
-                            "rmse": s.rmse,
-                            "sd": s.sd,
-                            "mean_se": s.mean_se,
-                            "se_sd_ratio": s.se_sd_ratio,
-                            "t_rejection": s.t_rejection,
-                        }
-                        for name, s in e.coef_stats.items()
-                    },
-                }
-                for e in self.estimators
-            ],
+            "estimators": [_estimator_record(e) for e in self.estimators],
             "seed_ledger": [list(pair) for pair in self.seed_ledger],
         }
 
     def to_csv(self) -> str:
         """One row per estimator; per-coefficient stats in labeled columns."""
-        coef_names: list[str] = []
-        for e in self.estimators:
-            for n in e.coef_stats:
-                if n not in coef_names:
-                    coef_names.append(n)
+        records = self.to_json_dict()["estimators"]
+        coef_names = list(dict.fromkeys(n for r in records for n in r["coefficients"]))
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        header = ["estimator", "n_success", "n_failed", "j_rejection_rate"]
-        for n in coef_names:
-            header += [f"{n}:bias", f"{n}:rmse", f"{n}:sd", f"{n}:mean_se",
-                       f"{n}:se_sd_ratio", f"{n}:t_rejection"]
-        writer.writerow(header)
-        for e in self.estimators:
-            row = [
-                e.name, e.n_success, e.n_failed,
-                "" if e.j_rejection_rate is None else repr(e.j_rejection_rate),
-            ]
-            for n in coef_names:
-                s = e.coef_stats.get(n)
-                if s is None:
-                    row += [""] * 6
-                else:
-                    row += [repr(s.bias), repr(s.rmse), repr(s.sd),
-                            repr(s.mean_se), repr(s.se_sd_ratio), repr(s.t_rejection)]
-            writer.writerow(row)
+        writer.writerow(["estimator", "n_success", "n_failed", "j_rejection_rate"]
+                        + [f"{n}:{stat}" for n in coef_names for stat in _CSV_STATS])
+        for r in records:
+            values = [r["n_success"], r["n_failed"], r["j_rejection_rate"]] + [
+                r["coefficients"].get(n, {}).get(stat) for n in coef_names for stat in _CSV_STATS]
+            writer.writerow([r["name"]] + ["" if v is None else repr(v) for v in values])
         return buf.getvalue()
 
     def to_json(self) -> str:
@@ -433,11 +421,9 @@ def run_experiment(
     }
     j_rejects: dict[str, list[bool]] = {c.name: [] for c in configs}
     failures: dict[str, int] = {c.name: 0 for c in configs}
-    ledger: list[tuple[int, int]] = []
 
     for rep in range(reps):
         data = generate(dgp, replication=rep)
-        ledger.append((dgp.seed, rep))
         for cfg in configs:
             try:
                 result = cfg.fit(data)
@@ -457,40 +443,29 @@ def run_experiment(
     summaries = []
     for cfg in configs:
         truth = true_coefficients(dgp, cfg.model)
-        coef_stats: dict[str, CoefStats] = {}
-        n_success = reps - failures[cfg.name]
-        for name, pairs in draws[cfg.name].items():
-            if name not in truth:
-                continue
-            est = np.array([p[0] for p in pairs])
-            ses = np.array([p[1] for p in pairs])
-            true_val = truth[name]
-            bias = float(est.mean() - true_val)
-            rmse = float(np.sqrt(np.mean((est - true_val) ** 2)))
-            sd = float(est.std(ddof=1)) if est.size > 1 else 0.0
-            mean_se = float(ses.mean())
-            with np.errstate(divide="ignore", invalid="ignore"):
-                t_rej = float(np.mean(np.abs((est - true_val) / ses) > 1.96))
-            coef_stats[name] = CoefStats(
-                true_value=true_val,
-                mean=float(est.mean()),
-                bias=bias,
-                rmse=rmse,
-                sd=sd,
-                mean_se=mean_se,
-                se_sd_ratio=mean_se / sd if sd > 0 else float("nan"),
-                t_rejection=t_rej,
-            )
-        j_rate = (
-            float(np.mean(j_rejects[cfg.name])) if j_rejects[cfg.name] else None
-        )
-        summaries.append(
-            EstimatorSummary(
-                name=cfg.name,
-                n_success=n_success,
-                n_failed=failures[cfg.name],
-                coef_stats=coef_stats,
-                j_rejection_rate=j_rate,
-            )
-        )
-    return McSummary(dgp, reps, tuple(summaries), tuple(ledger))
+        coef_stats = {name: _coef_stats(truth[name], pairs)
+                      for name, pairs in draws[cfg.name].items() if name in truth}
+        j_rate = float(np.mean(j_rejects[cfg.name])) if j_rejects[cfg.name] else None
+        summaries.append(EstimatorSummary(cfg.name, reps - failures[cfg.name],
+                                          failures[cfg.name], coef_stats, j_rate))
+    return McSummary(dgp, reps, tuple(summaries))
+
+
+def _coef_stats(true_val: float, pairs: list[tuple[float, float]]) -> CoefStats:
+    """The summary of one coefficient's (estimate, SE) draws."""
+    est = np.array([p[0] for p in pairs])
+    ses = np.array([p[1] for p in pairs])
+    sd = float(est.std(ddof=1)) if est.size > 1 else 0.0
+    mean_se = float(ses.mean())
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t_rej = float(np.mean(np.abs((est - true_val) / ses) > 1.96))
+    return CoefStats(
+        true_value=true_val,
+        mean=float(est.mean()),
+        bias=float(est.mean() - true_val),
+        rmse=float(np.sqrt(np.mean((est - true_val) ** 2))),
+        sd=sd,
+        mean_se=mean_se,
+        se_sd_ratio=mean_se / sd if sd > 0 else None,
+        t_rejection=t_rej,
+    )

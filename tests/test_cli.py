@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import os
@@ -467,6 +468,24 @@ def test_simulate_manifest_contents(tmp_path, capsys):
     assert manifest["seed"] == 3
     assert manifest["version"]
     assert sorted(manifest["outputs"]) == ["mc_summary.csv", "mc_summary.json"]
+
+
+def test_simulate_one_replication_writes_strict_json(tmp_path, capsys):
+    # one replication has sd = 0 and no SE/SD ratio: JSON null, an empty CSV cell
+    code, _, _ = run_cli(capsys, "simulate", "--entities", "30", "--periods", "6",
+                         "--reps", "1", "--weighting", "one-step", "--output-dir", str(tmp_path))
+    assert code == 0
+
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    summary = json.loads((tmp_path / "mc_summary.json").read_text(), parse_constant=reject)
+    ratios = [s["se_sd_ratio"] for e in summary["estimators"] for s in e["coefficients"].values()]
+    assert ratios and all(r is None for r in ratios)
+    with open(tmp_path / "mc_summary.csv", newline="") as f:
+        rows = list(csv.DictReader(f))
+    cells = [v for row in rows for k, v in row.items() if k.endswith(":se_sd_ratio")]
+    assert cells and all(v == "" for v in cells)
 
 
 def test_simulate_unknown_estimator_exit_2(tmp_path, capsys):

@@ -427,6 +427,19 @@ def test_report_for_forms_scores_only_for_an_od_fits_differenced_system(
     assert len(counted) == calls
 
 
+@pytest.mark.parametrize("kind", [TransformKind.FIRST_DIFFERENCE,
+                                  TransformKind.ORTHOGONAL_DEVIATION], ids=["fd", "od"])
+def test_report_for_leaves_out_an_ar_order_the_panel_cannot_test(kind):
+    # four periods leave no FD residuals two periods apart
+    data = generate(DgpSpec(n_entities=100, n_periods=4, seed=0))
+    inst = InstrumentSpec(dynamic=(DynamicInstrument("y", 2, 3),),
+                          static=(StaticInstrument("x1", 0, 0),))
+    res = fit_gmm(ar1_model(kind), data, inst, weighting=ONE_STEP)
+    with pytest.raises(DiagnosticError, match=r"too few periods for AR\(2\)"):
+        ab_serial_correlation(res, 2)
+    assert [t.order for t in report_for(res).ar_tests] == [1]
+
+
 def test_report_for_re_includes_components():
     data = generate(DgpSpec(n_entities=60, n_periods=8, rho=0.3,
                             sigma_effect=1.0, seed=10))

@@ -148,6 +148,8 @@ def test_design_carries_the_intercept_column(kind):
 @pytest.mark.parametrize("kwargs, message", [
     ({"ar_lags": 0, "intercept": False}, "no regressor and no intercept"),
     ({"exogenous": (ExogTerm("x1"), ExogTerm("y", 1))}, "'y' is the dependent"),
+    ({"transform": TransformKind.FIRST_DIFFERENCE, "intercept": True}, "have no intercept"),
+    ({"transform": TransformKind.ORTHOGONAL_DEVIATION, "intercept": True}, "have no intercept"),
 ])
 def test_model_spec_rejects_degenerate_models(kwargs, message):
     with pytest.raises(ValueError, match=message):
@@ -892,11 +894,13 @@ def test_plain_fits_follow_a_regressors_units(brand_panel, kind, scale):
                          fit_plain(model, _rescaled(brand_panel, "bv", scale)), "bv", scale)
 
 
+@pytest.mark.parametrize("n_entities", [200, 2000])
 @pytest.mark.parametrize("scale", [1e12, 1e-12])
 @pytest.mark.parametrize("weighting", [ONE_STEP, TWO_STEP], ids=lambda w: w.kind)
-def test_fd_gmm_fits_follow_a_regressors_units(weighting, scale):
-    # N = 200 entities against 3 instrument columns: every weight is a plain inverse
-    data = generate(DgpSpec(n_entities=200, n_periods=6, missingness=0.1, seed=3))
+def test_fd_gmm_fits_follow_a_regressors_units(weighting, scale, n_entities):
+    # N entities against 3 instrument columns: every weight is a plain inverse, and
+    # at N = 2000 an unscaled rank tolerance would count a rescaled x1 as noise
+    data = generate(DgpSpec(n_entities=n_entities, n_periods=6, missingness=0.1, seed=3))
     model = ar1_model(TransformKind.FIRST_DIFFERENCE)
     inst = InstrumentSpec(dynamic=(DynamicInstrument("y", 2, 3),),
                           static=(StaticInstrument("x1", 0, 0),))
@@ -912,10 +916,7 @@ def test_fd_gmm_fits_follow_a_regressors_units(weighting, scale):
 ], ids=["fe-plain", "fe-gmm", "fd-gmm", "od-gmm"])
 def test_firm_constant_slope_is_unidentifiable_at_any_level(brand_panel, kind, gmm, level):
     # fc's transformed column is zero or rounding noise of its own levels
-    n, T = brand_panel.n_entities, brand_panel.n_periods
-    fc = np.repeat(level * (1.0 + np.arange(n) / n), T).reshape(n, T)
-    data = PanelDataset(brand_panel.entities, brand_panel.periods, dict(
-        brand_panel.series, fc=PanelSeries(fc, np.ones((n, T), dtype=bool))))
+    data = _with_firm_constant(brand_panel, level)
     model = ModelSpec("pp", 1, (ExogTerm("bv"), ExogTerm("fc")), intercept=False,
                       transform=kind)
     inst = InstrumentSpec(dynamic=(DynamicInstrument("pp", 2, 3),),
@@ -926,3 +927,29 @@ def test_firm_constant_slope_is_unidentifiable_at_any_level(brand_panel, kind, g
         else:
             fit_plain(model, data)
     assert info.value.columns == ("fc",)
+
+
+def _with_firm_constant(brand_panel, level):
+    """The brand panel plus ``fc``, constant within each firm at about ``level``."""
+    n, T = brand_panel.n_entities, brand_panel.n_periods
+    fc = np.repeat(level * (1.0 + np.arange(n) / n), T).reshape(n, T)
+    return PanelDataset(brand_panel.entities, brand_panel.periods, dict(
+        brand_panel.series, fc=PanelSeries(fc, np.ones((n, T), dtype=bool))))
+
+
+@pytest.mark.parametrize("level", [3e2, 3e5, 3e8, 3e11])
+@pytest.mark.parametrize("kind", [TransformKind.WITHIN, TransformKind.ORTHOGONAL_DEVIATION],
+                         ids=["fe", "od"])
+def test_a_firm_constant_instrument_is_pruned_at_any_level(brand_panel, kind, level):
+    # within and OD leave only rounding noise of fc's levels, which the static
+    # block zeroes; the fit is then the one without fc
+    data = _with_firm_constant(brand_panel, level)
+    model = ModelSpec("pp", 1, (ExogTerm("bv"),), intercept=False, transform=kind)
+    dynamic = (DynamicInstrument("pp", 2, 3),)
+    with_fc = fit_gmm(model, data, InstrumentSpec(
+        dynamic=dynamic, static=(StaticInstrument("bv"), StaticInstrument("fc"))),
+        on_singular="pinv")
+    without = fit_gmm(model, data, InstrumentSpec(
+        dynamic=dynamic, static=(StaticInstrument("bv"),)), on_singular="pinv")
+    assert with_fc.instruments.pruned == ("fc",)
+    assert with_fc.coefficients.tobytes() == without.coefficients.tobytes()
