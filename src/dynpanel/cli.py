@@ -7,7 +7,9 @@ CSV, since it needs the dependent and at least one exogenous series),
 and ``ratings`` (letter-grade codec). A spec name maps to its model's
 transform through ``SPEC_TRANSFORMS``; a plain (``--plain``) pooled,
 FE or RE fit is ``fit_plain`` of that model, and ``--plain`` with an FD
-or OD spec, ``--instruments`` or ``--windmeijer`` is a usage error.
+or OD spec, ``--instruments`` or ``--windmeijer`` is a usage error, as are
+``--intercept`` with an FD or OD spec and ``--windmeijer`` with one-step
+weighting.
 Every run that writes files also writes a manifest with the
 configuration, seed, input digests, and package version; manifests
 carry no timestamps so reruns are byte-identical.
@@ -138,7 +140,7 @@ def _load_dataset(args) -> PanelDataset:
 def _model_for(spec: str, dep: str, ar: int, exog: tuple[ExogTerm, ...],
                intercept: bool | None) -> ModelSpec:
     kind = SPEC_TRANSFORMS[spec]
-    if intercept is None or kind.is_calendar:
+    if intercept is None:
         intercept = not kind.is_calendar
     return ModelSpec(dependent=dep, ar_lags=ar, exogenous=exog, intercept=intercept,
                      transform=kind)
@@ -166,6 +168,9 @@ def _fit_one(model: ModelSpec, data: PanelDataset, args) -> EstimationResult:
             raise DataError("--plain fits take no --instruments or --windmeijer")
         with _spec_errors():
             return fit_plain(model, data)
+    if args.windmeijer and weighting.kind == "one_step":
+        raise DataError("--windmeijer corrects two-step or n-step standard errors; "
+                        "drop it for --weighting one-step")
     if args.instruments:
         with _spec_errors():
             inst = parse_instruments(args.instruments)
@@ -393,15 +398,13 @@ def cmd_simulate(args) -> int:
 def cmd_describe(args) -> int:
     data = _load_dataset(args)
     variables = args.vars.split(",") if args.vars else list(data.variables)
-    stats = {v: describe(data, v) for v in variables}
+    records = {v: describe(data, v).to_json_dict() for v in variables}
     if args.out == "json":
-        print(json.dumps({v: s.to_json_dict() for v, s in stats.items()},
-                         indent=2, sort_keys=True))
+        print(json.dumps(records, indent=2, sort_keys=True))
     else:
-        cols = ["mean", "median", "max", "min", "sd", "skewness", "kurtosis", "n"]
+        cols = list(next(iter(records.values())))
         print(f"{'variable':<12}" + "".join(f"{c:>12}" for c in cols))
-        for v, s in stats.items():
-            d = s.to_json_dict()
+        for v, d in records.items():
             print(f"{v:<12}" + "".join(
                 f"{d[c]:>12}" if c == "n" else f"{d[c]:>12.4f}" for c in cols
             ))

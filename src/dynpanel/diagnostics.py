@@ -22,9 +22,10 @@ from typing import Mapping
 import numpy as np
 import scipy.special
 
-from .errors import DiagnosticError, EstimationError
+from .errors import DiagnosticError
 from .estimators import (
     EstimationResult,
+    ExogTerm,
     ModelSpec,
     VarianceComponents,
     _invert_weight,
@@ -35,7 +36,7 @@ from .estimators import (
     swamy_arora,
 )
 from .instruments import assemble
-from .panel import PanelDataset, align
+from .panel import PanelDataset
 from .transforms import TransformKind, entity_starts
 
 
@@ -275,9 +276,10 @@ def lag_selection(
     """Choose lag orders by information criteria on a common sample.
 
     Candidates combine AR orders 1..max_ar (or just 0 when max_ar is 0)
-    with exogenous lag depths 0..max_exog[name]. All candidates are
-    estimated by pooled OLS on the rows where the deepest lags exist so
-    their Gaussian log-likelihoods are commensurable.
+    with exogenous lag depths 0..max_exog[name]. They are column subsets
+    of one pooled ``build_design``, that of the widest candidate, so all
+    are estimated by pooled OLS on the rows where the deepest lags exist
+    and their Gaussian log-likelihoods are commensurable.
 
     Schwarz and Hannan-Quinn are consistent: they pick the true orders
     with probability tending to 1. AIC is not: it keeps a fixed chance of
@@ -287,30 +289,25 @@ def lag_selection(
     """
     max_exog = dict(max_exog or {t.name: t.lags for t in template.exogenous})
     exog_names = [t.name for t in template.exogenous]
-
-    required = {template.dependent: max(max_ar, 0)}
-    for name in exog_names:
-        required[name] = max_exog.get(name, 0)
-    sample = align(data, [template.dependent] + exog_names, required)
-    y = sample.column(template.dependent, 0)
-    n = y.size
+    exog = tuple(ExogTerm(name, max_exog.get(name, 0)) for name in exog_names)
+    widest = ModelSpec(template.dependent, max(max_ar, 0), exog, template.intercept)
+    design = build_design(widest, data)
+    y, n = design.y, design.n
+    columns = widest.regressor_columns()
 
     ar_options = range(1, max_ar + 1) if max_ar >= 1 else [0]
-    lag_options = [range(max_exog.get(name, 0) + 1) for name in exog_names]
+    lag_options = [range(term.lags + 1) for term in exog]
     candidates = []
     for ar in ar_options:
         for combo in itertools.product(*lag_options):
-            cols = [sample.column(template.dependent, i) for i in range(1, ar + 1)]
-            names = [f"{template.dependent}(-{i})" for i in range(1, ar + 1)]
-            for name, depth in zip(exog_names, combo):
-                for l in range(depth + 1):
-                    cols.append(sample.column(name, l))
-                    names.append(name if l == 0 else f"{name}(-{l})")
+            limit = {template.dependent: ar, **dict(zip(exog_names, combo))}
+            keep = [c for c, (var, lag, _) in enumerate(columns) if lag <= limit[var]]
             if template.intercept:
-                cols.append(np.ones(n))
-                names.append("const")
-            X = np.column_stack(cols) if cols else np.empty((n, 0))
-            beta = _ols(y, X, names)
+                keep.append(len(columns))  # const, last
+            # a C-ordered copy: X @ beta on the F-ordered design.X[:, keep]
+            # takes another BLAS path and can move the loglik by an ulp
+            X = np.column_stack([design.X[:, c] for c in keep])
+            beta = _ols(y, X, [design.x_names[c] for c in keep])
             resid = y - X @ beta
             ssr = float(resid @ resid)
             if ssr <= 0:
@@ -328,8 +325,6 @@ def lag_selection(
                     hannan_quinn=-2.0 * loglik + 2.0 * p * math.log(math.log(n)),
                 )
             )
-    if not candidates:
-        raise EstimationError("no estimable lag candidates")
     chosen = {c: min(candidates, key=lambda cand: getattr(cand, c)) for c in CRITERIA}
     return LagSelectionResult(tuple(candidates), chosen)
 

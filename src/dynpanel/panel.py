@@ -11,7 +11,7 @@ CSV readers parse a whole column of cells at a time by one grammar,
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import compress
 from typing import Mapping, NoReturn, Sequence
 
@@ -353,16 +353,10 @@ class DescriptiveStats:
     observations: int
 
     def to_json_dict(self) -> dict:
-        return {
-            "mean": self.mean,
-            "median": self.median,
-            "max": self.max,
-            "min": self.min,
-            "sd": self.standard_deviation,
-            "skewness": self.skewness,
-            "kurtosis": self.kurtosis,
-            "n": self.observations,
-        }
+        """The fields in order, ``standard_deviation`` as ``sd`` and
+        ``observations`` as ``n``."""
+        short = {"standard_deviation": "sd", "observations": "n"}
+        return {short.get(k, k): v for k, v in asdict(self).items()}
 
 
 def describe(data: PanelDataset, variable: str) -> DescriptiveStats:
@@ -416,13 +410,6 @@ class AlignedSample:
     @property
     def n_rows(self) -> int:
         return self.entity_ids.size
-
-    def column(self, variable: str, lag: int = 0) -> np.ndarray:
-        try:
-            c = self.columns.index((variable, lag))
-        except ValueError:
-            raise DataError(f"no aligned column for ({variable}, lag {lag})") from None
-        return self.matrix[:, c]
 
 
 def lagged_grid(data: PanelDataset, variable: str, lag: int) -> PanelSeries:

@@ -132,9 +132,9 @@ def test_estimate_od_json_schema(brand_panel_csv, tmp_path, capsys):
     assert brand_panel_csv in manifest["inputs"]
 
 
-def test_estimate_re_degenerate_annotated(tmp_path, capsys):
-    # a panel with no between-entity variance: RE collapses to pooled
-    rng = np.random.default_rng(2)
+def no_effects_csv(tmp_path, seed):
+    """A 40-entity panel with no between-entity variance: RE collapses to pooled."""
+    rng = np.random.default_rng(seed)
     rows = ["entity,period,y,x"]
     for a in range(40):
         y_prev = 0.0
@@ -145,6 +145,11 @@ def test_estimate_re_degenerate_annotated(tmp_path, capsys):
             y_prev = y
     path = tmp_path / "nofx.csv"
     path.write_text("\n".join(rows) + "\n")
+    return path
+
+
+def test_estimate_re_degenerate_annotated(tmp_path, capsys):
+    path = no_effects_csv(tmp_path, 2)
     code, out, _ = run_cli(
         capsys, "estimate", "--data", str(path), "--spec", "re", "--dep", "y",
         "--ar", "1", "--exog", "x", "--plain", "--output-dir", str(tmp_path),
@@ -333,6 +338,32 @@ def test_estimate_plain_conflict_exit_2(brand_panel_csv, tmp_path, capsys, argv,
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--spec", "fd", "--intercept"], "differenced/deviated equations have no intercept"),
+    (["--spec", "od", "--intercept"], "differenced/deviated equations have no intercept"),
+    (["--spec", "fd", "--weighting", "one-step", "--windmeijer"],
+     "drop it for --weighting one-step"),
+], ids=["fd-intercept", "od-intercept", "one-step-windmeijer"])
+def test_estimate_option_the_fit_would_ignore_exit_2(brand_panel_csv, tmp_path, capsys,
+                                                     argv, message):
+    code, out, err = run_cli(capsys, "estimate", "--data", brand_panel_csv, "--dep", "pp",
+                             "--exog", "bv", *argv, "--output-dir", str(tmp_path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and message in err
+    assert not list(tmp_path.iterdir())
+
+
+def test_estimate_fd_no_intercept_is_the_default_fit(brand_panel_csv, tmp_path, capsys):
+    outs = []
+    for flag in ([], ["--no-intercept"]):
+        code, out, _ = run_cli(capsys, "estimate", "--data", brand_panel_csv, "--spec", "fd",
+                               "--dep", "pp", "--exog", "bv", "--on-singular", "pinv", *flag,
+                               "--out", "json", "--output-dir", str(tmp_path))
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1]
+
+
 @pytest.mark.parametrize("term", ["bv(-2)", "bv(0..2)"])
 def test_estimate_exog_lag_terms(brand_panel_csv, tmp_path, capsys, term):
     code, out, _ = run_cli(
@@ -379,6 +410,15 @@ def test_replicate_table_renders_258(brand_panel_csv, tmp_path, capsys):
     assert "258" in out
     for label in ("pp(-1)", "bv", "bt", "R-squared", "J-stat"):
         assert label in out
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_replicate_notes_a_floored_re_variance(tmp_path, capsys, seed):
+    code, out, _ = run_cli(capsys, "replicate", "--data", str(no_effects_csv(tmp_path, seed)),
+                           "--dep", "y", "--exog-vars", "x", "--weighting", "two-step",
+                           "--output-dir", str(tmp_path))
+    assert code == 0
+    assert out.endswith("\nnote: rho_u = 0; RE coefficients identical to pooled\n")
 
 
 def test_replicate_requires_brand_series(tmp_path, capsys):

@@ -1,4 +1,6 @@
 import dataclasses
+import itertools
+import math
 
 import numpy as np
 import pytest
@@ -26,8 +28,8 @@ from dynpanel import (
 )
 from dynpanel import diagnostics, estimators
 from dynpanel.estimators import ExogTerm, ModelSpec
-from dynpanel.panel import PanelSeries
-from dynpanel.simulate import DgpSpec, ar1_model, generate
+from dynpanel.panel import PanelSeries, align_columns
+from dynpanel.simulate import DgpSpec, ar1_model, fd_od_comparison_configs, generate
 from dynpanel.transforms import TransformKind
 
 
@@ -196,6 +198,27 @@ def test_ab_od_uses_differenced_residuals():
     res = fit_gmm(model, data, inst, weighting=TWO_STEP)
     ar1 = ab_serial_correlation(res, 1)
     assert ar1.statistic < -2.0
+
+
+def test_ar_variance_falls_back_to_its_leading_term():
+    # a covariance that drives the three-term variance negative leaves
+    # z = b / sqrt(sum_i w_i^2), w_i entity i's sum of e_t e_{t-2}
+    data = generate(DgpSpec(n_entities=200, n_periods=8, rho=0.5, seed=4))
+    fd = {c.name: c for c in fd_od_comparison_configs()}["fd"]
+    res = fd.fit(data)
+    broken = dataclasses.replace(res, covariance=-1e6 * np.eye(res.coefficients.size))
+    w, n_pairs = [], 0
+    for a in np.unique(res.design.entity_ids):
+        rows = res.design.entity_ids == a
+        e = dict(zip(res.design.periods[rows].tolist(), res.residuals[rows]))
+        pairs = [e[t] * e[t - 2] for t in e if t - 2 in e]
+        w.append(sum(pairs))
+        n_pairs += len(pairs)
+    ar2 = ab_serial_correlation(broken, 2)
+    assert ar2.statistic == pytest.approx(sum(w) / math.sqrt(sum(x * x for x in w)), rel=1e-12)
+    assert ar2.statistic == pytest.approx(-0.6020, abs=1e-4)
+    assert ar2.n_pairs == n_pairs
+    assert ab_serial_correlation(res, 2).statistic == pytest.approx(-0.6121, abs=1e-4)
 
 
 def test_ab_insufficient_periods():
@@ -378,6 +401,74 @@ def test_lag_selection_degenerate_grid():
     assert len(sel.candidates) == 1
     ar, exog = sel.chosen_orders("aic")
     assert ar == 0 and exog["x1"] == 0
+
+
+def hand_built_lag_selection(data, template, max_ar, max_exog):
+    """Every candidate's columns laid out one by one on the deepest-lag sample."""
+    dep, names = template.dependent, [t.name for t in template.exogenous]
+    depth = {dep: max(max_ar, 0), **{x: max_exog.get(x, 0) for x in names}}
+    sample, _ = align_columns(data, [(v, l) for v in [dep] + names for l in range(depth[v] + 1)])
+
+    def column(v, l):
+        return sample.matrix[:, sample.columns.index((v, l))]
+
+    y = column(dep, 0)
+    n = y.size
+    candidates = []
+    for ar in range(1, max_ar + 1) if max_ar >= 1 else [0]:
+        for combo in itertools.product(*[range(depth[x] + 1) for x in names]):
+            cols = [column(dep, i) for i in range(1, ar + 1)]
+            labels = [f"{dep}(-{i})" for i in range(1, ar + 1)]
+            for x, d in zip(names, combo):
+                cols += [column(x, l) for l in range(d + 1)]
+                labels += [x if l == 0 else f"{x}(-{l})" for l in range(d + 1)]
+            if template.intercept:
+                cols.append(np.ones(n))
+                labels.append("const")
+            X = np.column_stack(cols)
+            resid = y - X @ estimators._ols(y, X, labels)
+            ssr = float(resid @ resid)
+            if ssr <= 0:
+                ssr = np.finfo(float).tiny
+            loglik = -0.5 * n * (math.log(2.0 * math.pi) + math.log(ssr / n) + 1.0)
+            p = X.shape[1]
+            candidates.append(diagnostics.LagCandidate(
+                ar, tuple(zip(names, combo)), p, loglik,
+                aic=-2.0 * loglik + 2.0 * p,
+                schwarz=-2.0 * loglik + p * math.log(n),
+                hannan_quinn=-2.0 * loglik + 2.0 * p * math.log(math.log(n)),
+            ))
+    return candidates
+
+
+@pytest.mark.parametrize("max_ar, max_x", [(0, 0), (1, 0), (2, 2), (3, 1)])
+@pytest.mark.parametrize("intercept", [True, False], ids=["const", "noconst"])
+@pytest.mark.parametrize("n_x", [1, 2])
+@pytest.mark.parametrize("missingness", [0.0, 0.1, 0.2, 0.3])
+def test_lag_selection_matches_hand_built_candidates(missingness, n_x, intercept, max_ar, max_x):
+    data = generate(DgpSpec(60, 9, exogenous_betas=(1.0, -0.5)[:n_x], missingness=missingness))
+    names = [f"x{j + 1}" for j in range(n_x)]
+    template = ModelSpec("y", ar_lags=0, exogenous=tuple(ExogTerm(x) for x in names),
+                         intercept=intercept)
+    max_exog = {x: max_x for x in names}
+    sel = lag_selection(data, template, max_ar=max_ar, max_exog=max_exog)
+    reference = hand_built_lag_selection(data, template, max_ar, max_exog)
+    assert sel.candidates == tuple(reference)
+    for crit in diagnostics.CRITERIA:
+        assert sel.chosen[crit] == min(reference, key=lambda c: getattr(c, crit))
+
+
+def test_lag_selection_rejects_a_negative_exogenous_depth():
+    data = generate(DgpSpec(n_entities=40, n_periods=6, seed=2))
+    with pytest.raises(ValueError, match="exogenous lag count must be >= 0"):
+        lag_selection(data, static_model(), max_ar=1, max_exog={"x1": -1})
+
+
+def test_lag_selection_rejects_an_empty_model():
+    data = generate(DgpSpec(n_entities=40, n_periods=6, seed=2))
+    template = ModelSpec("y", ar_lags=1, intercept=False)
+    with pytest.raises(ValueError, match="no regressor and no intercept"):
+        lag_selection(data, template, max_ar=0)
 
 
 def test_lag_selection_common_sample():
