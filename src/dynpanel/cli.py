@@ -10,7 +10,7 @@ FE or RE fit is ``fit_plain`` of that model, and ``--plain`` with an FD
 or OD spec, ``--instruments`` or ``--windmeijer`` is a usage error, as are
 ``--intercept`` with an FD or OD spec and ``--windmeijer`` with one-step
 weighting.
-Every run that writes files also writes a manifest with the
+``estimate``, ``replicate`` and ``simulate`` write a manifest with the
 configuration, seed, input digests, and package version; manifests
 carry no timestamps so reruns are byte-identical.
 
@@ -343,7 +343,7 @@ def cmd_replicate(args) -> int:
 
 def cmd_simulate(args) -> int:
     try:
-        betas = tuple(float(b) for b in args.betas.split(",")) if args.betas else (1.0,)
+        betas = tuple(float(b) for b in args.betas.split(","))
     except ValueError:
         raise DataError(f"--betas must be comma-separated numbers, got {args.betas!r}") from None
     with _spec_errors():
@@ -434,14 +434,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"dynpanel {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_weighting=True, max_iter=100):
+    def add_common(p, max_iter=100):
         p.add_argument("--output-dir", default=os.environ.get("DYNPANEL_OUTPUT_DIR", "."),
                        help="directory for output files and the run manifest")
-        if with_weighting:
-            p.add_argument("--weighting", default="n-step",
-                           choices=["one-step", "two-step", "n-step"])
-            p.add_argument("--max-iter", type=int, default=max_iter)
-            p.add_argument("--tol", type=float, default=1e-8)
+        p.add_argument("--weighting", default="n-step",
+                       choices=["one-step", "two-step", "n-step"])
+        p.add_argument("--max-iter", type=int, default=max_iter)
+        p.add_argument("--tol", type=float, default=1e-8)
 
     p_est = sub.add_parser("estimate", help="fit one specification")
     p_est.add_argument("--data", required=True, help="input CSV path")
@@ -497,7 +496,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_desc.add_argument("--wide", metavar="VAR")
     p_desc.add_argument("--vars", help="comma-separated variable names")
     p_desc.add_argument("--out", default="table", choices=["table", "json"])
-    add_common(p_desc, with_weighting=False)
     p_desc.set_defaults(func=cmd_describe)
 
     p_rat = sub.add_parser("ratings", help="letter-grade codec")
@@ -505,7 +503,6 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--grade", help="letter grade to convert to its value")
     group.add_argument("--value", type=float, help="numeric value to convert to a grade")
     group.add_argument("--export-csv", metavar="PATH", help="dump the scale as CSV")
-    add_common(p_rat, with_weighting=False)
     p_rat.set_defaults(func=cmd_ratings)
 
     return parser

@@ -63,9 +63,6 @@ class JTestResult:
     df: int
     p_value: float
 
-    def __str__(self):
-        return f"{self.statistic:.4f} ({self.p_value:.4f})"
-
 
 def j_test(result: EstimationResult) -> JTestResult:
     """Hansen J test of the overidentifying restrictions.
@@ -109,9 +106,6 @@ class ArTestResult:
     statistic: float
     p_value: float
     n_pairs: int
-
-    def __str__(self):
-        return f"AR({self.order}) z = {self.statistic:.4f} (p = {self.p_value:.4f})"
 
 
 def _ar_tests(result: EstimationResult):
@@ -195,11 +189,6 @@ class HausmanResult:
     p_value: float | None = None
     reason: str | None = None
 
-    def __str__(self):
-        if not self.valid:
-            return f"Hausman test invalid: {self.reason}"
-        return f"H = {self.statistic:.4f}, df = {self.df}, p = {self.p_value:.4f}"
-
 
 def hausman(fe: EstimationResult, re: EstimationResult) -> HausmanResult:
     """Hausman comparison of fixed- and random-effects slopes.
@@ -276,10 +265,11 @@ def lag_selection(
     """Choose lag orders by information criteria on a common sample.
 
     Candidates combine AR orders 1..max_ar (or just 0 when max_ar is 0)
-    with exogenous lag depths 0..max_exog[name]. They are column subsets
-    of one pooled ``build_design``, that of the widest candidate, so all
-    are estimated by pooled OLS on the rows where the deepest lags exist
-    and their Gaussian log-likelihoods are commensurable.
+    with exogenous lag depths 0..max_exog[name], whose keys must name
+    exogenous terms of the template. They are column subsets of one
+    pooled ``build_design``, that of the widest candidate, so all are
+    estimated by pooled OLS on the rows where the deepest lags exist and
+    their Gaussian log-likelihoods are commensurable.
 
     Schwarz and Hannan-Quinn are consistent: they pick the true orders
     with probability tending to 1. AIC is not: it keeps a fixed chance of
@@ -289,6 +279,8 @@ def lag_selection(
     """
     max_exog = dict(max_exog or {t.name: t.lags for t in template.exogenous})
     exog_names = [t.name for t in template.exogenous]
+    if unknown := sorted(set(max_exog) - set(exog_names)):
+        raise ValueError(f"max_exog names no exogenous term of the template: {unknown}")
     exog = tuple(ExogTerm(name, max_exog.get(name, 0)) for name in exog_names)
     widest = ModelSpec(template.dependent, max(max_ar, 0), exog, template.intercept)
     design = build_design(widest, data)

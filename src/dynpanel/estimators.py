@@ -56,11 +56,11 @@ class ModelSpec:
     ``ar_lags`` lags of the dependent variable enter as regressors;
     every exogenous term enters at lags 0..term.lags. Differenced and
     deviated equations carry no intercept. A model needs a regressor or
-    an intercept, and no exogenous term may be the dependent. ``effects``
-    follows the transform: "fixed" under within, "random" under
-    quasi-demeaning, "none" otherwise. A value passed must agree, so
-    ``dataclasses.replace(model, transform=...)`` into another effects
-    class needs ``effects=None``.
+    an intercept, and no exogenous term may be the dependent or name the
+    variable of another. ``effects`` follows the transform: "fixed" under
+    within, "random" under quasi-demeaning, "none" otherwise. A value
+    passed must agree, so ``dataclasses.replace(model, transform=...)``
+    into another effects class needs ``effects=None``.
     """
 
     dependent: str
@@ -75,8 +75,11 @@ class ModelSpec:
             raise ValueError("ar_lags must be >= 0")
         if not (self.ar_lags or self.exogenous or self.intercept):
             raise ValueError("the model has no regressor and no intercept")
-        if any(term.name == self.dependent for term in self.exogenous):
+        names = [term.name for term in self.exogenous]
+        if self.dependent in names:
             raise ValueError(f"exogenous term {self.dependent!r} is the dependent variable")
+        if repeated := sorted({name for name in names if names.count(name) > 1}):
+            raise ValueError(f"exogenous variable(s) {repeated} named by more than one term")
         if self.transform.is_calendar and self.intercept:
             raise ValueError("differenced/deviated equations have no intercept")
         effects = _EFFECTS.get(self.transform, "none")

@@ -176,11 +176,12 @@ def generate(dgp: DgpSpec, replication: int = 0) -> PanelDataset:
     platforms. numpy's constructors are not called per entity:
     ``_entity_streams`` computes every entity's state at once and one
     reused generator is set to each in turn. The 152 golden digests and a
-    test of those states against numpy's pin this. The time recursion
-    then runs once across all entities. With ``y0`` set the recursion
-    starts from that value at the first period and no burn-in is applied;
-    otherwise the start is drawn near the stationary mean and ``burn_in``
-    periods are discarded.
+    test of those states against numpy's pin this. x'beta is summed left
+    to right, b1 x1 + b2 x2 + ..., with no BLAS call, so a panel does not
+    depend on the BLAS build. The time recursion then runs once across
+    all entities. With ``y0`` set the recursion starts from that value at
+    the first period and no burn-in is applied; otherwise the start is
+    drawn near the stationary mean and ``burn_in`` periods are discarded.
     """
     _require_non_negative_int("replication", replication)
     n_x = len(dgp.exogenous_betas)
@@ -208,11 +209,9 @@ def generate(dgp: DgpSpec, replication: int = 0) -> PanelDataset:
     omega *= dgp.sigma_effect
     x_path += dgp.effect_loading * omega[:, None, None]
     eps *= dgp.sigma_noise
-    if n_x == 1:
-        bx = betas[0] * x_path[:, 0]
-    else:
-        # the per-cell dot product fixes the rounding of x'beta
-        bx = np.array([[betas @ x[:, t] for t in range(total)] for x in x_path])
+    bx = np.full((N, total), -0.0)  # -0.0 + p is p to the bit, sign of zero included
+    for beta, x in zip(betas, x_path.swapaxes(0, 1)):
+        bx += beta * x
 
     path = np.empty((N, total))
     if dgp.y0 is not None:

@@ -141,10 +141,9 @@ def demean_by_entity(
     starts = entity_starts(entity_ids)
     sizes = np.diff(starts, append=arr.shape[0])
     if present is None:
-        means = entity_means(arr, starts)
-    else:
-        sums = np.add.reduceat(np.where(present, arr, 0.0), starts, axis=0)
-        means = sums / np.maximum(np.add.reduceat(present.astype(int), starts, axis=0), 1)
+        present = np.ones(arr.shape, dtype=bool)
+    sums = np.add.reduceat(np.where(present, arr, 0.0), starts, axis=0)
+    means = sums / np.maximum(np.add.reduceat(present.astype(int), starts, axis=0), 1)
     if thetas.ndim:
         thetas = thetas[entity_ids[starts]]
     shift = means * thetas.reshape((-1,) + (1,) * (arr.ndim - 1))

@@ -44,13 +44,24 @@ def test_ratings_export(tmp_path, capsys):
     assert path.read_text().startswith("grade,description,value")
 
 
+@pytest.mark.parametrize("argv", [
+    ("ratings", "--grade", "AAA"),
+    ("describe", "--data", "panel.csv"),
+])
+def test_commands_that_write_no_manifest_take_no_output_dir(tmp_path, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--output-dir", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --output-dir" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # describe
 
-def test_describe_table1(table1_path, capsys, tmp_path):
+def test_describe_table1(table1_path, capsys):
     code, out, _ = run_cli(
         capsys, "describe", "--data", table1_path, "--wide", "pp",
-        "--vars", "pp", "--out", "json", "--output-dir", str(tmp_path),
+        "--vars", "pp", "--out", "json",
     )
     assert code == 0
     stats = json.loads(out)["pp"]
@@ -63,10 +74,7 @@ def test_describe_table1(table1_path, capsys, tmp_path):
 def test_describe_wide_bad_total_cell_exit_2(tmp_path, capsys, token):
     path = tmp_path / "wide.csv"
     path.write_text(f"name,2005,2006\nfirm,1,2\nfirm2,2,4\nTOTAL,{token},3\n")
-    code, _, err = run_cli(
-        capsys, "describe", "--data", str(path), "--wide", "pp",
-        "--output-dir", str(tmp_path),
-    )
+    code, _, err = run_cli(capsys, "describe", "--data", str(path), "--wide", "pp")
     assert code == 2
     assert "wide.csv:4: cell (TOTAL, 2005)" in err
     assert "Traceback" not in err
@@ -85,23 +93,21 @@ def test_describe_latin1_csv_exit_2(tmp_path, capsys, wide):
             "entity,period,pp\nMünchener Rück,2005,1\nMünchener Rück,2006,2\n")
     path.write_bytes(text.encode("latin-1"))
     extra = ("--wide", "pp") if wide else ()
-    code, _, err = run_cli(capsys, "describe", "--data", str(path), *extra,
-                           "--output-dir", str(tmp_path))
+    code, _, err = run_cli(capsys, "describe", "--data", str(path), *extra)
     assert code == 2
     assert err.startswith(f"error: {path}: not UTF-8 text")
     assert "Traceback" not in err
 
 
-def test_describe_table_layout(brand_panel_csv, tmp_path, capsys):
-    code, out, _ = run_cli(capsys, "describe", "--data", brand_panel_csv,
-                           "--vars", "pp,bt", "--output-dir", str(tmp_path))
+def test_describe_table_layout(brand_panel_csv, capsys):
+    code, out, _ = run_cli(capsys, "describe", "--data", brand_panel_csv, "--vars", "pp,bt")
     assert code == 0
     header, *rows = out.splitlines()
     assert header == ("variable            mean      median         max         min"
                       "          sd    skewness    kurtosis           n")
     assert [r[:12] for r in rows] == ["pp          ", "bt          "]
     code, out, _ = run_cli(capsys, "describe", "--data", brand_panel_csv,
-                           "--vars", "pp", "--out", "json", "--output-dir", str(tmp_path))
+                           "--vars", "pp", "--out", "json")
     stats = json.loads(out)["pp"]
     cells = [rows[0][12 + 12 * i: 24 + 12 * i] for i in range(8)]
     assert len(rows[0]) == 12 + 8 * 12
@@ -182,6 +188,8 @@ def test_estimate_negative_ar_exit_2(brand_panel_csv, tmp_path, capsys):
     (["--spec", "pooled", "--ar", "0", "--no-intercept", "--plain"],
      "no regressor and no intercept"),
     (["--spec", "pooled", "--plain", "--exog", "pp"], "'pp' is the dependent variable"),
+    (["--spec", "fd", "--exog", "bv", "--exog", "bv"],
+     "exogenous variable(s) ['bv'] named by more than one term"),
 ])
 def test_estimate_degenerate_model_exit_2(brand_panel_csv, tmp_path, capsys, argv, message):
     code, _, err = run_cli(capsys, "estimate", "--data", brand_panel_csv, "--dep", "pp",
@@ -580,6 +588,7 @@ def test_simulate_zero_reps_exit_2(tmp_path, capsys):
     (("--betas", "nan"), "exogenous_betas must be finite, got (nan,)"),
     (("--betas", "1,inf"), "exogenous_betas must be finite, got (1.0, inf)"),
     (("--betas", "1,,2"), "--betas must be comma-separated numbers, got '1,,2'"),
+    (("--betas", ""), "--betas must be comma-separated numbers, got ''"),
 ])
 def test_simulate_bad_dgp_parameter_exit_2(tmp_path, capsys, argv, message):
     code, _, err = run_cli(capsys, "simulate", *argv, "--reps", "1",

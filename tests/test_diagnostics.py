@@ -190,6 +190,12 @@ def test_ab_fd_signature():
     assert 0 <= ar2.p_value <= 1
 
 
+@pytest.mark.parametrize("order", [0, -1])
+def test_ab_serial_correlation_needs_a_positive_order(order):
+    with pytest.raises(ValueError, match="^order must be >= 1$"):
+        ab_serial_correlation(fd_fit(n=50, T=6), order)
+
+
 def test_ab_od_uses_differenced_residuals():
     data = generate(DgpSpec(n_entities=200, n_periods=8, rho=0.5, seed=55))
     model = ar1_model(TransformKind.ORTHOGONAL_DEVIATION)
@@ -462,6 +468,14 @@ def test_lag_selection_rejects_a_negative_exogenous_depth():
     data = generate(DgpSpec(n_entities=40, n_periods=6, seed=2))
     with pytest.raises(ValueError, match="exogenous lag count must be >= 0"):
         lag_selection(data, static_model(), max_ar=1, max_exog={"x1": -1})
+
+
+@pytest.mark.parametrize("max_exog", [{"x1": 1, "x2": 3}, {"x2": 3}])
+def test_lag_selection_rejects_a_max_exog_key_that_names_no_exogenous_term(max_exog):
+    data = generate(DgpSpec(n_entities=60, n_periods=9, exogenous_betas=(1.0, -0.5), seed=2))
+    with pytest.raises(ValueError) as info:
+        lag_selection(data, static_model(), max_ar=1, max_exog=max_exog)
+    assert str(info.value) == "max_exog names no exogenous term of the template: ['x2']"
 
 
 def test_lag_selection_rejects_an_empty_model():

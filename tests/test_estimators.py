@@ -148,6 +148,8 @@ def test_design_carries_the_intercept_column(kind):
 @pytest.mark.parametrize("kwargs, message", [
     ({"ar_lags": 0, "intercept": False}, "no regressor and no intercept"),
     ({"exogenous": (ExogTerm("x1"), ExogTerm("y", 1))}, "'y' is the dependent"),
+    ({"exogenous": (ExogTerm("x1"), ExogTerm("x2"), ExogTerm("x1", 2))},
+     r"^exogenous variable\(s\) \['x1'\] named by more than one term$"),
     ({"transform": TransformKind.FIRST_DIFFERENCE, "intercept": True}, "have no intercept"),
     ({"transform": TransformKind.ORTHOGONAL_DEVIATION, "intercept": True}, "have no intercept"),
 ])
@@ -583,6 +585,15 @@ def test_gmm_zx_rank_error():
     inst = InstrumentSpec(static=(StaticInstrument("z1"),))
     with pytest.raises((RankError, EstimationError)):
         fit_gmm(model, data, inst)
+
+
+def test_gmm_zx_rank_error_names_the_regressors():
+    # static(x1, 0) twice: two instrument columns, but Z'X has rank 1 for two slopes
+    data = generate(DgpSpec(n_entities=40, n_periods=6, seed=2))
+    inst = InstrumentSpec(static=(StaticInstrument("x1"), StaticInstrument("x1")))
+    with pytest.raises(RankError) as info:
+        fit_gmm(ar1_model(TransformKind.FIRST_DIFFERENCE), data, inst, ONE_STEP)
+    assert str(info.value) == "Z'X is rank deficient; instruments do not identify ['y(-1)', 'x1']"
 
 
 # ---------------------------------------------------------------------------

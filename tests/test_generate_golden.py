@@ -2,8 +2,10 @@
 
 ``tests/data/golden/generate_digests.json`` holds one digest per case of
 the ``DgpSpec`` grid below. Acceptance 6-8 and the Monte Carlo harness
-rely on exact panels from fixed seeds, so a faster generator must keep
-every digest; a mismatch means the simulated data changed.
+rely on exact panels from fixed seeds. The digests pin numpy's PCG64
+streams and x'beta summed left to right from the first product, which
+makes no BLAS call, so they hold on any BLAS build; a mismatch means the
+simulated data changed.
 """
 
 import hashlib

@@ -8,6 +8,8 @@ from dynpanel import (
     DynamicInstrument,
     EstimationError,
     InstrumentSpec,
+    PanelDataset,
+    PanelSeries,
     StaticInstrument,
     UnderIdentifiedError,
     align,
@@ -301,6 +303,28 @@ def test_assemble_prunes_annihilated_intercept():
     zmat = assemble(spec, data, sample, transform=TransformKind.WITHIN)
     assert "const" in zmat.pruned
     assert "const" not in zmat.labels
+
+
+def test_an_intercept_alone_under_fd_is_pruned_to_nothing():
+    data = balanced(T=6)
+    model = ModelSpec("y", ar_lags=1, intercept=False, transform=TransformKind.FIRST_DIFFERENCE)
+    with pytest.raises(EstimationError) as info:
+        fit_gmm(model, data, InstrumentSpec(include_intercept=True))
+    assert str(info.value) == "all instrument columns were pruned"
+
+
+def test_a_static_lag_with_no_present_value_in_the_sample_is_a_data_error():
+    # z is observed only in the last period, so its lag 1 misses every sample row
+    data = balanced(T=6)
+    mask = np.zeros((data.n_entities, data.n_periods), dtype=bool)
+    mask[:, -1] = True
+    z = PanelSeries(np.where(mask, 1.0, np.nan), mask)
+    data = PanelDataset(data.entities, data.periods, {**data.series, "z": z})
+    spec = InstrumentSpec(static=(StaticInstrument("y", 2, 2), StaticInstrument("z", 1, 1)))
+    model = ModelSpec("y", ar_lags=1, intercept=False, transform=TransformKind.FIRST_DIFFERENCE)
+    with pytest.raises(DataError) as info:
+        fit_gmm(model, data, spec)
+    assert str(info.value) == "static instrument 'z' lag 1 has no present values"
 
 
 def test_a_pruned_intercept_leaves_the_within_fit_bit_for_bit(brand_panel):

@@ -1,4 +1,6 @@
+import functools
 import json
+import operator
 
 import numpy as np
 import pytest
@@ -17,53 +19,59 @@ from dynpanel.simulate import (
 
 
 def _reference_generate(dgp, replication=0):
-    """``generate`` with numpy's own SeedSequence and PCG64 built per entity.
+    """``generate`` with numpy's own SeedSequence and PCG64 built per entity
+    and the recursion run cell by cell in Python floats.
 
     The draws of entity a come from ``default_rng(SeedSequence(seed,
     spawn_key=(replication, a)))`` in the order omega, x paths, noise,
-    mask. ``generate`` must match it bit for bit.
+    mask. A cell's x'beta is b1*x1 + b2*x2 + ..., added left to right from
+    the first product; with no regressor there is no such term. ``generate``
+    must match it bit for bit.
     """
     n_x = len(dgp.exogenous_betas)
     N, T = dgp.n_entities, dgp.n_periods
     burn = 0 if dgp.y0 is not None else dgp.burn_in
     total = burn + T
-    betas = np.asarray(dgp.exogenous_betas)
-    omega = np.empty(N)
+    betas = [float(b) for b in dgp.exogenous_betas]
+    beta_sum = functools.reduce(operator.add, betas, 0.0)
     x_path = np.empty((N, n_x, total))
-    eps = np.empty((N, total))
+    path = np.empty((N, total))
     keep = np.ones((N, T), dtype=bool)
     for a in range(N):
         rng = np.random.default_rng(
             np.random.SeedSequence(dgp.seed, spawn_key=(replication, a))
         )
-        omega[a] = rng.standard_normal()
-        x_path[a] = rng.standard_normal((n_x, total))
-        eps[a] = rng.standard_normal(total)
+        omega = rng.standard_normal() * dgp.sigma_effect
+        x_path[a] = rng.standard_normal((n_x, total)) + dgp.effect_loading * omega
+        eps = (rng.standard_normal(total) * dgp.sigma_noise).tolist()
         if dgp.missingness > 0.0:
             drop = rng.random(T) < dgp.missingness
             if drop.all():
                 drop[0] = False
             keep[a] = ~drop
-    omega *= dgp.sigma_effect
-    x_path += dgp.effect_loading * omega[:, None, None]
-    eps *= dgp.sigma_noise
-    if n_x == 1:
-        bx = betas[0] * x_path[:, 0]
-    else:
-        bx = np.array([[betas @ x[:, t] for t in range(total)] for x in x_path])
-    path = np.empty((N, total))
-    if dgp.y0 is not None:
-        path[:, 0] = yt = np.full(N, float(dgp.y0))
-        first = 1
-    else:
-        x_mean = dgp.effect_loading * omega
-        yt = (omega + float(betas.sum()) * x_mean) / (1.0 - dgp.rho)
-        first = 0
-    for t in range(first, total):
-        yt = dgp.rho * yt + bx[:, t] + omega + eps[:, t]
-        path[:, t] = yt
+        if dgp.y0 is not None:
+            path[a, 0] = y = float(dgp.y0)
+            first = 1
+        else:
+            y = (omega + beta_sum * (dgp.effect_loading * omega)) / (1.0 - dgp.rho)
+            first = 0
+        for t, x in enumerate(x_path[a].T.tolist()[first:], start=first):
+            y = dgp.rho * y
+            if n_x:
+                y = y + functools.reduce(operator.add, [b * v for b, v in zip(betas, x)])
+            path[a, t] = y = y + omega + eps[t]
     grids = {"y": path[:, burn:], **{f"x{j + 1}": x_path[:, j, burn:] for j in range(n_x)}}
     return {name: (np.where(keep, g, np.nan), keep.copy()) for name, g in grids.items()}
+
+
+def _assert_equals_reference(dgp, replication=0):
+    data = generate(dgp, replication)
+    want = _reference_generate(dgp, replication)
+    assert set(data.series) == set(want)
+    for name, (values, mask) in want.items():
+        assert np.array_equal(data.series[name].mask, mask)
+        assert np.array_equal(data.series[name].values, values, equal_nan=True)
+        assert (np.signbit(data.series[name].values) == np.signbit(values)).all()
 
 
 def test_spec_validation():
@@ -142,16 +150,22 @@ def test_entity_streams_equal_numpys_seeded_pcg64(seed, replication, entities):
 def test_generate_is_bit_identical_to_the_per_entity_seed_sequence_loop(
     n_entities, n_periods, n_x, missingness, y0, burn_in, effect_loading, seed, replication,
 ):
-    dgp = DgpSpec(n_entities, n_periods, rho=0.7, exogenous_betas=(1.0, -0.5, 0.25)[:n_x],
+    # non-dyadic betas: their products round, so the order of the sum shows
+    dgp = DgpSpec(n_entities, n_periods, rho=0.7, exogenous_betas=(1.25, -0.5, 0.3)[:n_x],
                   sigma_effect=1.3, sigma_noise=0.8, burn_in=burn_in,
                   missingness=missingness, seed=seed, effect_loading=effect_loading, y0=y0)
-    data = generate(dgp, replication)
-    want = _reference_generate(dgp, replication)
-    assert set(data.series) == set(want)
-    for name, (values, mask) in want.items():
-        assert np.array_equal(data.series[name].mask, mask)
-        assert np.array_equal(data.series[name].values, values, equal_nan=True)
-        assert (np.signbit(data.series[name].values) == np.signbit(values)).all()
+    _assert_equals_reference(dgp, replication)
+
+
+@pytest.mark.parametrize("betas, sigma, y0", [
+    ((), 1.0, None),
+    ((), 0.0, -0.0),
+    ((0.0,), 0.0, -0.0),  # every cell a signed zero: x'beta keeps the sign of b1*x1
+])
+def test_generate_equals_the_reference_with_no_regressor_and_on_signed_zeros(betas, sigma, y0):
+    for seed in range(4):
+        _assert_equals_reference(DgpSpec(8, 6, rho=0.5, exogenous_betas=betas, sigma_effect=sigma,
+                                         sigma_noise=sigma, seed=seed, y0=y0))
 
 
 def test_noise_free_recursion():
