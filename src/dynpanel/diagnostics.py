@@ -266,7 +266,9 @@ def lag_selection(
 
     Candidates combine AR orders 1..max_ar (or just 0 when max_ar is 0)
     with exogenous lag depths 0..max_exog[name], whose keys must name
-    exogenous terms of the template. They are column subsets of one
+    exogenous terms of the template. A term the mapping omits gets depth 0
+    (so ``{}`` searches depth 0 only); ``None`` takes the template's own
+    depths. They are column subsets of one
     pooled ``build_design``, that of the widest candidate, so all are
     estimated by pooled OLS on the rows where the deepest lags exist and
     their Gaussian log-likelihoods are commensurable.
@@ -277,7 +279,8 @@ def lag_selection(
     AR 1-3 x x lag 0-1 with asymptotic probability only about 0.664
     (exact when the AR and x-lag scores are uncorrelated).
     """
-    max_exog = dict(max_exog or {t.name: t.lags for t in template.exogenous})
+    if max_exog is None:
+        max_exog = {t.name: t.lags for t in template.exogenous}
     exog_names = [t.name for t in template.exogenous]
     if unknown := sorted(set(max_exog) - set(exog_names)):
         raise ValueError(f"max_exog names no exogenous term of the template: {unknown}")

@@ -567,14 +567,15 @@ def fit_plain(model: ModelSpec, data: PanelDataset) -> EstimationResult:
 
 
 def _one_step_weight_blocks(
-    design: Design, Z: np.ndarray
+    design: Design, zmat: InstrumentMatrix
 ) -> np.ndarray:
     """Sum of Z_i' H Z_i with H identity except tridiagonal for FD.
 
-    FD: H is 2 on the diagonal and -1 between rows one period apart, so
-    the sum is 2 Z'Z - B - B' with B over those adjacent rows.
+    Z'Z is the instruments' own Gram. FD: H is 2 on the diagonal and -1
+    between rows one period apart, so the sum is 2 Z'Z - B - B' with B
+    over those adjacent rows.
     """
-    A = Z.T @ Z
+    A, Z = zmat.gram, zmat.matrix
     if design.model.transform is not TransformKind.FIRST_DIFFERENCE:
         return A
     adj = (np.diff(design.entity_ids) == 0) & (np.diff(design.periods) == 1)
@@ -791,7 +792,7 @@ def fit_gmm(
     starts = entity_starts(design.entity_ids)
     full_rank = zmat.full_rank
 
-    A1 = _one_step_weight_blocks(design, Z)
+    A1 = _one_step_weight_blocks(design, zmat)
     W1, w_rank = _invert_weight(A1, on_singular, "one-step", full_rank=full_rank)
     W = W1
     beta = beta1 = _gmm_beta(G, W1, v, names)

@@ -21,16 +21,20 @@ a warning so weighting matrices stay invertible.
 from __future__ import annotations
 
 import logging
+import math
 import re
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import get_lapack_funcs
 
 from .errors import DataError, EstimationError
 from .panel import AlignedSample, PanelDataset, lagged_grid
 from .transforms import TransformKind, apply_grid, demean_by_entity
 
 logger = logging.getLogger(__name__)
+
+_POTRF, _TRTRI = get_lapack_funcs(("potrf", "trtri"), (np.zeros(1),))
 
 
 @dataclass(frozen=True)
@@ -141,15 +145,17 @@ def parse_instruments(text: str) -> InstrumentSpec:
 
 @dataclass(frozen=True)
 class InstrumentMatrix:
-    """Assembled per-observation instrument columns."""
+    """Assembled per-observation instrument columns and their Gram Z'Z."""
 
     matrix: np.ndarray           # (n_rows, n_columns)
+    gram: np.ndarray             # (n_columns, n_columns), matrix.T @ matrix
     labels: tuple[str, ...]
     rank: int
     pruned: tuple[str, ...] = ()
 
     def __post_init__(self):
         self.matrix.setflags(write=False)
+        self.gram.setflags(write=False)
 
     @property
     def n_columns(self) -> int:
@@ -189,10 +195,10 @@ def build_dynamic_block(
     For each equation period t appearing in the sample, one column per
     lag j = start..depth(t), valued x_{a,t-j} on rows of period t (zero
     when the level cell is absent) and zero elsewhere. Collapsed mode
-    returns one column per lag depth with all periods stacked. Each lag's
-    level column is read once and laid out from there.
+    returns one column per lag depth with all periods stacked. All lags
+    are read from the level grid at once and scattered in one assignment.
     """
-    data.require(dyn.variable)
+    series = data.require(dyn.variable)
     p0 = data.periods[0]
     eq_periods = np.unique(sample.periods).tolist()
 
@@ -206,18 +212,23 @@ def build_dynamic_block(
             f"empty instrument block for dyn({dyn.variable},{dyn.start_lag}): "
             "no usable lags at any equation period"
         )
-    level = np.column_stack([
-        np.where(present, col, 0.0)
-        for col, present in (_lag_column(data, sample, dyn.variable, j) for j in lags)
-    ])
+    # every lag in one read of the level grid: column j holds period t - lags[j]
+    src = (sample.periods - p0)[:, None] - np.asarray(lags)[None, :]
+    ents, cells = sample.entity_ids[:, None], np.maximum(src, 0)
+    present = series.mask[ents, cells] & (src >= 0)
+    level = np.where(present, series.values[ents, cells], 0.0)
     if dyn.collapsed:
         return level, [f"dyn({dyn.variable},{j})" for j in lags]
-    blocks, labels = [], []
-    for t in eq_periods:
-        used = lags_at(t)
-        blocks.append(np.where((sample.periods == t)[:, None], level[:, : len(used)], 0.0))
-        labels += [f"dyn({dyn.variable},{j})@{t}" for j in used]
-    return np.hstack(blocks), labels
+    # period t's lags are a prefix of ``lags``: scatter each row's prefix
+    # into its period's columns, zero elsewhere
+    widths = np.array([len(lags_at(t)) for t in eq_periods])
+    period = np.searchsorted(eq_periods, sample.periods)  # index into eq_periods
+    used = np.arange(len(lags)) < widths[period][:, None]
+    rows, cols = np.nonzero(used)
+    out = np.zeros((sample.n_rows, int(widths.sum())))
+    out[rows, (np.cumsum(widths) - widths)[period[rows]] + cols] = level[used]
+    labels = [f"dyn({dyn.variable},{j})@{t}" for t in eq_periods for j in lags_at(t)]
+    return out, labels
 
 
 def build_static_block(
@@ -324,7 +335,37 @@ def assemble(
     if matrix.shape[1] == 0:
         raise EstimationError("all instrument columns were pruned")
 
-    # each column over its largest magnitude (none is zero after the prune),
-    # so no variable's units decide the rank
-    rank = int(np.linalg.matrix_rank(matrix / np.max(np.abs(matrix), axis=0)))
-    return InstrumentMatrix(matrix=matrix, labels=tuple(labels), rank=rank, pruned=pruned)
+    # the one-step weight starts from this Gram (``fit_gmm``)
+    gram = matrix.T @ matrix
+    return InstrumentMatrix(matrix=matrix, gram=gram, labels=tuple(labels),
+                            rank=_scaled_rank(matrix, gram), pruned=pruned)
+
+
+def _scaled_rank(matrix: np.ndarray, gram: np.ndarray) -> int:
+    """Rank of the columns each over its largest magnitude (none is zero).
+
+    So no variable's units decide the rank. It is ``matrix_rank`` of the
+    scaled copy unless the Gram certifies full rank first. Let D hold the
+    column maxima, Zs = Z/D the M x L scaled matrix and R the Cholesky
+    factor of the computed D^-1 Z'Z D^-1. With columns of magnitude within
+    1e+-100 no Gram product overflows, and underflow errs by far less than
+    eps, so by Higham (2002) sections 3.5 and 10.1 Zs'Zs = R'R + E with
+    ||E||_2 <= (M + L + 3) eps ||R||_F^2, up to second-order terms; and
+    ||R||_F^2 is trace(Zs'Zs) up to the same error. If ||R||_F ||R^-1||_F
+    < 0.1 / sqrt(M L eps), the computed R^-1 is accurate to well under 1%
+    and sigma_min(Zs)^2 >= ||R||_F^2 (100 M L - M - L - 3) eps, so
+    sigma_min / sigma_max of Zs is about 10 sqrt(M L eps) or more. That is
+    far above ``matrix_rank``'s cut of max(M, L) eps and its own rounding
+    (and M < L cannot pass), so the certificate says full rank only where
+    ``matrix_rank`` does. A NaN or infinite norm fails the comparison.
+    """
+    n_rows, n_cols = matrix.shape
+    top = np.max(np.abs(matrix), axis=0)
+    if np.all((top >= 1e-100) & (top <= 1e100)):
+        factor, info = _POTRF(gram / np.outer(top, top), lower=False)
+        if info == 0:
+            inverse, info = _TRTRI(factor, lower=False)
+            product = np.linalg.norm(factor) * np.linalg.norm(inverse)
+            if info == 0 and product < 0.1 / math.sqrt(n_rows * n_cols * np.finfo(float).eps):
+                return n_cols
+    return int(np.linalg.matrix_rank(matrix / top))

@@ -257,9 +257,12 @@ def fd_od_comparison_configs(
     lagged levels of the dependent variable: differencing contaminates
     the lag-1 level (it contains the differenced-away error), so FD
     starts at lag 2; forward deviations touch only current and future
-    errors, so OD may start at lag 1. At unbounded depth the two moment
-    sets span the same space and the estimators coincide; the bounded
-    fresh-lag sets expose the deviation transform's advantage.
+    errors, so OD may start at lag 1. At unbounded depth one-step FD
+    ``dyn(y,2)`` and OD ``dyn(y,1)`` coincide (Arellano and Bover 1995)
+    when every entity's forward-deviation weights are the same: a common
+    last period and no gaps, starts may differ. Ragged ends or gaps break
+    the identity. The bounded fresh-lag sets expose the deviation
+    transform's advantage.
     """
     statics = tuple(StaticInstrument(f"x{j + 1}", 0, 0) for j in range(n_x))
     od_inst = InstrumentSpec(

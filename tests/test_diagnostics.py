@@ -409,6 +409,17 @@ def test_lag_selection_degenerate_grid():
     assert ar == 0 and exog["x1"] == 0
 
 
+def test_lag_selection_an_empty_max_exog_puts_every_term_at_depth_0():
+    data = generate(DgpSpec(n_entities=60, n_periods=9, seed=2))
+    template = ModelSpec("y", ar_lags=0, exogenous=(ExogTerm("x1", 2),),
+                         transform=TransformKind.NONE)
+    empty, zero = (lag_selection(data, template, max_ar=1, max_exog=m)
+                   for m in ({}, {"x1": 0}))
+    assert len(empty.candidates) == 1
+    assert empty.candidates == zero.candidates
+    assert len(lag_selection(data, template, max_ar=1).candidates) == 3
+
+
 def hand_built_lag_selection(data, template, max_ar, max_exog):
     """Every candidate's columns laid out one by one on the deepest-lag sample."""
     dep, names = template.dependent, [t.name for t in template.exogenous]

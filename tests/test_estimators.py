@@ -574,16 +574,18 @@ def test_gmm_windmeijer_correction_widens_se():
 
 
 def test_gmm_zx_rank_error():
+    # x1 and x2 are independent, so build_design passes them; the
+    # instruments z1 and 3 z1 span one direction, so Z'X has rank 1
     rng = np.random.default_rng(2)
     n = 50
-    x = rng.standard_normal(n)
-    z = rng.standard_normal(n)  # irrelevant instrument
-    y = x + rng.standard_normal(n)
-    data = cross_section(y, np.column_stack([x, x * 2]), extra={"z1": z})
+    x = rng.standard_normal((n, 2))
+    z = rng.standard_normal(n)
+    y = x @ [1.0, -0.5] + rng.standard_normal(n)
+    data = cross_section(y, x, extra={"z1": z, "z2": 3.0 * z})
     model = ModelSpec("y", ar_lags=0,
                       exogenous=(ExogTerm("x1"), ExogTerm("x2")), intercept=False)
-    inst = InstrumentSpec(static=(StaticInstrument("z1"),))
-    with pytest.raises((RankError, EstimationError)):
+    inst = InstrumentSpec(static=(StaticInstrument("z1"), StaticInstrument("z2")))
+    with pytest.raises(RankError, match="Z'X is rank deficient"):
         fit_gmm(model, data, inst)
 
 
@@ -709,9 +711,8 @@ def fd_design_and_instruments(data):
     design = build_design(model, data)
     spec = InstrumentSpec(dynamic=(DynamicInstrument("y", 2, 4),),
                           static=(StaticInstrument("x1"),))
-    Z = assemble(spec, data, design.sample,
-                 transform=TransformKind.FIRST_DIFFERENCE).matrix
-    return model, spec, design, Z
+    zmat = assemble(spec, data, design.sample, transform=TransformKind.FIRST_DIFFERENCE)
+    return model, spec, design, zmat
 
 
 def entity_rows(entity_ids):
@@ -723,7 +724,8 @@ def test_fd_one_step_weight_equals_explicit_h():
 
     from dynpanel.estimators import _one_step_weight_blocks
 
-    _, _, design, Z = fd_design_and_instruments(gapped_panel())
+    _, _, design, zmat = fd_design_and_instruments(gapped_panel())
+    Z = zmat.matrix
     # move the first entity's second row one period earlier, so that its
     # adjacent rows are two periods apart and must get no -1 in H
     periods = design.periods.copy()
@@ -741,7 +743,7 @@ def test_fd_one_step_weight_equals_explicit_h():
         H = 2.0 * np.eye(rows.size)
         H[np.abs(p[:, None] - p[None, :]) == 1] = -1.0
         expected += Z[rows].T @ H @ Z[rows]
-    got = _one_step_weight_blocks(design, Z)
+    got = _one_step_weight_blocks(design, zmat)
     assert np.allclose(got, expected, rtol=1e-12, atol=1e-12 * np.abs(expected).max())
 
 
@@ -749,7 +751,8 @@ def test_moment_covariance_equals_entity_outer_products():
     from dynpanel.estimators import _scores
     from dynpanel.transforms import entity_starts
 
-    _, _, design, Z = fd_design_and_instruments(gapped_panel())
+    _, _, design, zmat = fd_design_and_instruments(gapped_panel())
+    Z = zmat.matrix
     e = np.random.default_rng(1).standard_normal(design.n)
     U = _scores(Z, e, entity_starts(design.entity_ids))
     expected = sum(
@@ -761,7 +764,8 @@ def test_moment_covariance_equals_entity_outer_products():
 
 def test_windmeijer_matches_entity_loop_reference():
     data = gapped_panel(seed=9, n=40)
-    model, spec, design, Z = fd_design_and_instruments(data)
+    model, spec, design, zmat = fd_design_and_instruments(data)
+    Z = zmat.matrix
     one = fit_gmm(model, data, spec, weighting=ONE_STEP)
     two = fit_gmm(model, data, spec, weighting=TWO_STEP)
     corrected = fit_gmm(model, data, spec, weighting=TWO_STEP, windmeijer=True)

@@ -96,7 +96,7 @@ def reference_gmm(model, data, spec, weighting, windmeijer=False):
         GW = G.T @ W
         return _cho(GW @ G, GW @ v)
 
-    W1, rank = invert(_one_step_weight_blocks(design, Z))
+    W1, rank = invert(_one_step_weight_blocks(design, zmat))
     W, beta, steps, trace = W1, solve(W1), 1, []
     if weighting.kind != "one_step":
         for _ in range(1 if weighting.kind == "two_step" else weighting.max_iter):

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -20,8 +22,14 @@ from dynpanel import (
     parse_instruments,
 )
 from dynpanel.estimators import ModelSpec, ExogTerm, build_design
-from dynpanel.instruments import build_dynamic_block, build_static_block, intercept_column
-from dynpanel.simulate import DgpSpec, generate
+from dynpanel.estimators import ONE_STEP
+from dynpanel.instruments import (
+    _scaled_rank,
+    build_dynamic_block,
+    build_static_block,
+    intercept_column,
+)
+from dynpanel.simulate import DgpSpec, fd_od_comparison_configs, generate
 from dynpanel.transforms import TransformKind
 
 
@@ -367,6 +375,119 @@ def test_assemble_order_condition_reported():
     zmat = assemble(spec, data, sample)
     assert zmat.rank >= 1
     assert zmat.n_columns == len(zmat.labels)
+
+
+# ---------------------------------------------------------------------------
+# rank: certified from the Gram, else matrix_rank of the scaled columns
+
+def scaled_matrix_rank(Z):
+    """The rank ``assemble`` reports: that of each column over its largest magnitude."""
+    return int(np.linalg.matrix_rank(Z / np.max(np.abs(Z), axis=0)))
+
+
+def assemble_columns(Z):
+    """``assemble`` over Z's columns as lag-0 static instruments, one row per entity."""
+    names = [f"z{j}" for j in range(Z.shape[1])]
+    data = from_arrays([f"e{i:03d}" for i in range(Z.shape[0])], [1],
+                       {name: Z[:, j:j + 1] for j, name in enumerate(names)})
+    spec = InstrumentSpec(static=tuple(StaticInstrument(name) for name in names))
+    return assemble(spec, data, align(data, names))
+
+
+def rank_fallbacks(monkeypatch):
+    """Shapes of the matrices ``instruments`` hands to ``matrix_rank`` from now on."""
+    calls = []
+    matrix_rank = np.linalg.matrix_rank
+
+    def counted(M, *args, **kwargs):
+        if sys._getframe(1).f_globals["__name__"] == "dynpanel.instruments":
+            calls.append(M.shape)
+        return matrix_rank(M, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "matrix_rank", counted)
+    return calls
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(
+    M=st.integers(1, 400),
+    L=st.integers(1, 12),
+    k=st.integers(0, 16),
+    spread=st.sampled_from([0, 10, 100, 150]),
+    seed=st.integers(0, 2**16),
+)
+def test_the_rank_is_matrix_ranks_of_the_scaled_columns(M, L, k, spread, seed):
+    # k > 0 plants a dependency: the last column is a mix of the others
+    # plus noise at 10^-k of the mix, a singular value ratio near 10^-k;
+    # then columns are scaled by up to 10^+-spread
+    rng = np.random.default_rng(seed)
+    Z = rng.standard_normal((M, L))
+    if k and L > 1:
+        mix = Z[:, :-1] @ rng.standard_normal(L - 1)
+        noise = rng.standard_normal(M)
+        Z[:, -1] = mix + 10.0**-k * np.linalg.norm(mix) / np.linalg.norm(noise) * noise
+    Z *= 10.0 ** rng.uniform(-spread, spread, L)
+    zmat = assemble_columns(Z)
+    assert zmat.rank == scaled_matrix_rank(zmat.matrix)
+
+
+def test_a_duplicate_column_leaves_the_rank_one_short():
+    Z = np.random.default_rng(0).standard_normal((50, 4))
+    Z[:, 3] = Z[:, 1]
+    zmat = assemble_columns(Z)
+    assert zmat.rank == scaled_matrix_rank(zmat.matrix) == 3
+
+
+def test_a_column_at_1e_12_of_anothers_scale_is_certified_full_rank(monkeypatch):
+    Z = np.random.default_rng(1).standard_normal((50, 3))
+    Z[:, 2] *= 1e-12
+    calls = rank_fallbacks(monkeypatch)
+    zmat = assemble_columns(Z)
+    assert (zmat.rank, calls) == (3, [])
+    assert scaled_matrix_rank(zmat.matrix) == 3
+
+
+@pytest.mark.parametrize("cell", [np.inf, -np.inf, np.nan])
+def test_a_non_finite_cell_takes_the_matrix_rank_fallback(cell, monkeypatch):
+    Z = np.random.default_rng(2).standard_normal((30, 3))
+    Z[4, 1] = cell
+    with pytest.raises(np.linalg.LinAlgError) as want, np.errstate(invalid="ignore"):
+        scaled_matrix_rank(Z)
+    calls = rank_fallbacks(monkeypatch)
+    with pytest.raises(np.linalg.LinAlgError) as got, np.errstate(invalid="ignore"):
+        _scaled_rank(Z, Z.T @ Z)
+    assert str(got.value) == str(want.value)
+    assert calls == [Z.shape]
+
+
+def test_the_gram_is_the_pruned_matrixs_product_and_read_only(brand_panel):
+    model = ModelSpec("pp", 1, intercept=False, transform=TransformKind.FIRST_DIFFERENCE)
+    spec = InstrumentSpec(dynamic=(DynamicInstrument("pp", 2),), include_intercept=True)
+    zmat = assemble(spec, brand_panel, build_design(model, brand_panel).sample,
+                    transform=TransformKind.FIRST_DIFFERENCE)
+    assert zmat.pruned == ("const",)
+    assert zmat.gram.tobytes() == (zmat.matrix.T @ zmat.matrix).tobytes()
+    assert not zmat.gram.flags.writeable
+
+
+def test_the_comparison_fits_certify_their_rank(monkeypatch):
+    data = generate(DgpSpec(500, 11, rho=0.85))
+    calls = rank_fallbacks(monkeypatch)
+    fits = [config.fit(data) for config in fd_od_comparison_configs()]
+    assert calls == []
+    assert all(fit.instruments.full_rank for fit in fits)
+
+
+def test_the_brand_panels_od_fit_takes_the_matrix_rank_fallback(monkeypatch, brand_panel):
+    # 108 columns on 31 firms: the Gram's Cholesky fails, matrix_rank decides
+    model = ModelSpec("pp", 1, (ExogTerm("bv"), ExogTerm("bt")), intercept=False,
+                      transform=TransformKind.ORTHOGONAL_DEVIATION)
+    spec = InstrumentSpec(dynamic=tuple(DynamicInstrument(v, 2) for v in ("pp", "bv", "bt")))
+    calls = rank_fallbacks(monkeypatch)
+    fit = fit_gmm(model, brand_panel, spec, weighting=ONE_STEP, on_singular="pinv")
+    assert len(calls) >= 1
+    assert fit.instruments.rank == scaled_matrix_rank(fit.instruments.matrix)
+    assert not fit.instruments.full_rank
 
 
 def test_sample_orthogonality_shrinks_with_n():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dynpanel import DgpSpec, TransformKind, generate, run_experiment
+from dynpanel import DgpSpec, TransformKind, fit_gmm, from_arrays, generate, run_experiment
 from dynpanel.estimators import ONE_STEP, ExogTerm, ModelSpec, fit_plain
 from dynpanel.instruments import DynamicInstrument, InstrumentSpec, StaticInstrument
 from dynpanel.simulate import (
@@ -270,6 +270,41 @@ def test_nickell_bias_demonstration():
     od_bias = summary.estimator("od").coef_stats["y(-1)"].bias
     assert within_bias < -0.05
     assert abs(od_bias) < 0.05
+
+
+def cut_ends(data, seed, trailing):
+    """Drop 0-3 leading (or trailing) periods of each entity's y."""
+    y = data.require("y").values.copy()
+    cut = np.random.default_rng(seed).integers(0, 4, data.n_entities)
+    cols = np.arange(data.n_periods)[None, :]
+    y[cols >= data.n_periods - cut[:, None] if trailing else cols < cut[:, None]] = np.nan
+    return from_arrays(data.entities, data.periods, {"y": y})
+
+
+def one_step_fd_and_od_rho(data):
+    """rho from one-step FD with dyn(y,2) and from one-step OD with dyn(y,1)."""
+    return [
+        fit_gmm(ar1_model(kind, n_x=0), data,
+                InstrumentSpec(dynamic=(DynamicInstrument("y", start),)),
+                weighting=ONE_STEP).coefficients[0]
+        for kind, start in ((TransformKind.FIRST_DIFFERENCE, 2),
+                            (TransformKind.ORTHOGONAL_DEVIATION, 1))
+    ]
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("shape", ["balanced", "ragged start", "ragged end"])
+def test_one_step_fd_and_od_coincide_only_with_a_common_last_period(shape, seed):
+    # Arellano and Bover (1995): with every lagged level as an instrument
+    # the two are one estimator when the forward-deviation weights agree
+    data = generate(DgpSpec(60, 8, rho=0.6, exogenous_betas=(), seed=seed))
+    if shape != "balanced":
+        data = cut_ends(data, seed, trailing=shape == "ragged end")
+    fd, od = one_step_fd_and_od_rho(data)
+    if shape == "ragged end":
+        assert abs(fd - od) > 1e-3 * abs(od)
+    else:
+        assert abs(fd - od) <= 1e-12 * abs(od)
 
 
 @pytest.mark.parametrize("kind", list(TransformKind), ids=lambda k: k.value)
