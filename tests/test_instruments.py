@@ -21,8 +21,7 @@ from dynpanel import (
     n_step,
     parse_instruments,
 )
-from dynpanel.estimators import ModelSpec, ExogTerm, build_design
-from dynpanel.estimators import ONE_STEP
+from dynpanel.estimators import ONE_STEP, ModelSpec, ExogTerm, build_design
 from dynpanel.instruments import (
     _scaled_rank,
     build_dynamic_block,
@@ -445,6 +444,17 @@ def test_a_column_at_1e_12_of_anothers_scale_is_certified_full_rank(monkeypatch)
     zmat = assemble_columns(Z)
     assert (zmat.rank, calls) == (3, [])
     assert scaled_matrix_rank(zmat.matrix) == 3
+
+
+def test_a_dependent_pair_whose_gram_underflows_takes_the_fallback(monkeypatch):
+    # at 1e-160 the Gram's products are subnormal and keep few digits, so
+    # the Cholesky of z and 3 z's scaled Gram passes the certificate's bound:
+    # the column magnitude check must send it to matrix_rank
+    v = np.random.default_rng(1).standard_normal(20)
+    calls = rank_fallbacks(monkeypatch)
+    zmat = assemble_columns(1e-160 * np.column_stack([v, 3.0 * v]))
+    assert zmat.rank == scaled_matrix_rank(zmat.matrix) == 1
+    assert calls == [(20, 2)]
 
 
 @pytest.mark.parametrize("cell", [np.inf, -np.inf, np.nan])
