@@ -3,14 +3,22 @@
 A :class:`PanelDataset` stores one entity-by-period value matrix per
 variable together with a boolean presence mask. Periods are contiguous
 integer labels; missing years inside an entity's run stay in the grid as
-masked-out cells so that lags remain calendar lags. The long and wide
-CSV readers parse a whole column of cells at a time by one grammar,
-``_parse_cells``; a per-cell pass runs only to name the first bad cell.
+masked-out cells so that lags remain calendar lags.
+
+The long and wide CSV readers read a file's bytes once and decode them
+whole, less one leading UTF-8 byte-order mark. They parse a whole column
+of cells at a time by one grammar, ``_parse_cells``: one ``float`` pass
+over the raw tokens, and only if that fails a pass that strips cells,
+marks missing ones and drops commas. A per-cell pass runs only to name
+the first bad cell. The long reader splits text without quotes into
+columns with ``str.split`` and keeps ``csv.reader``, and the per-row
+checks that name a fault, for any other text and for any text at fault.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import asdict, dataclass, field
 from itertools import compress
 from typing import Mapping, NoReturn, Sequence
@@ -152,7 +160,22 @@ def _parse_cells(tokens: Sequence[str]) -> tuple[np.ndarray, np.ndarray] | None:
     The cell grammar of both readers: a stripped cell in ``MISSING_TOKENS``
     is absent (NaN); any other must be a finite float once its commas
     (thousands separators, as source tables print them) are dropped.
+
+    One ``float`` pass over the raw tokens runs first. If every token
+    converts to a finite value, that is the answer, all present: ``float``
+    rejects every missing token and every comma, and strips no character
+    that ``str.strip`` keeps. Otherwise, for instance when a cell is
+    missing or padded with ``\\x1c``-``\\x1f`` (which ``str.strip`` drops
+    and ``float`` does not), a second pass strips the cells, marks the
+    missing ones and drops commas.
     """
+    try:
+        values = np.fromiter(map(float, tokens), float, len(tokens))
+    except ValueError:
+        pass
+    else:
+        if np.isfinite(values).all():
+            return values, np.ones(len(values), dtype=bool)
     text = list(map(str.strip, tokens))
     present = ~np.fromiter(map(MISSING_TOKENS.__contains__, text), bool, len(text))
     cells = compress(text, present)
@@ -166,23 +189,102 @@ def _parse_cells(tokens: Sequence[str]) -> tuple[np.ndarray, np.ndarray] | None:
     return (values, present) if np.isfinite(values[present]).all() else None
 
 
-def _read_csv(path) -> tuple[list[str], list[list[str]]]:
-    """Header and rows of a CSV file; an empty or non-UTF-8 file is a DataError."""
+def _read_text(path) -> str:
+    """A file's bytes decoded whole as UTF-8, less one leading byte-order mark.
+
+    A non-UTF-8 file is a DataError that names the offending byte's offset
+    in the file (the mark counted).
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            rows = list(csv.reader(fh))
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        # the reader decodes in chunks, so exc.start counts from a chunk's
-        # start; decoding the file's bytes whole gives the offset in the file
-        with open(path, "rb") as fh:
-            try:
-                fh.read().decode("utf-8")
-            except UnicodeDecodeError as whole:
-                exc = whole
         raise DataError(f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})") from None
+    return text.removeprefix("\ufeff")
+
+
+def _read_csv(path, text: str) -> tuple[list[str], list[list[str]]]:
+    """Header and rows of a file's text by ``csv.reader``; an empty file is a DataError."""
+    rows = list(csv.reader(io.StringIO(text, newline="")))
     if not rows:
         raise DataError(f"{path}: empty file")
     return rows[0], rows[1:]
+
+
+def _split_quote_free(text: str) -> tuple[list[str], list[list[str]]] | None:
+    """Header and data columns of text that ``csv.reader`` only splits; else None.
+
+    Without ``"`` or NUL, ``csv.reader`` splits rows at ``\\r\\n``, ``\\r``
+    and ``\\n`` and fields at commas, so ``str.split`` finds the same
+    fields. Empty lines after the header, which it reads as rows to skip,
+    are dropped. None for any other text, when a data line holds a field
+    count other than the header's (a whitespace-only line among them), or
+    when a line is longer than ``csv.field_size_limit()``, as a field that
+    ``csv.reader`` rejects may be.
+    """
+    if '"' in text or "\0" in text:
+        return None
+    text = text.replace("\r\n", "\n").replace("\r", "\n")
+    while "\n\n" in text:
+        text = text.replace("\n\n", "\n")
+    limit = csv.field_size_limit()
+    if len(text) > limit:
+        # a line's UTF-8 length bounds the length of each of its fields
+        data = np.frombuffer(text.encode(), np.uint8)
+        ends = np.flatnonzero(data == ord("\n"))
+        if np.diff(ends, prepend=-1, append=len(data)).max() > limit + 1:
+            return None
+    first, _, body = text.removesuffix("\n").partition("\n")
+    header = first.split(",")
+    n = len(header)
+    # each line end becomes a cell of its own, so the data lines all hold
+    # n fields iff every line end falls at the (n + 1)-th cell after the last
+    cells = body.replace("\n", ",\n,").split(",")
+    m = body.count("\n") + 1
+    if not body or len(cells) != m * (n + 1) - 1 or cells[n::n + 1].count("\n") != m - 1:
+        return None
+    return header, [cells[j::n + 1] for j in range(n)]
+
+
+def _long_header_fault(header: list[str]) -> str | None:
+    """What is wrong with a long-CSV header, if anything."""
+    if len(header) < 3 or header[0].strip().lower() != "entity" or header[1].strip().lower() != "period":
+        return f"expected header 'entity,period,<var>,...', got {header}"
+    var_names = [h.strip() for h in header[2:]]
+    for k, name in enumerate(var_names):
+        if not name or name in var_names[:k]:
+            return f"header cell {k + 3} {header[k + 2]!r} is empty or repeated"
+    return None
+
+
+def _long_dataset(header: list[str], columns: Sequence[Sequence[str]]) -> PanelDataset | None:
+    """The dataset of the data columns under a valid long-CSV header; None
+    if a period is not an integer, a key repeats or a cell is bad."""
+    try:  # parse each distinct token once
+        period_of = {t: int(t.strip()) for t in dict.fromkeys(columns[1])}
+    except ValueError:
+        return None
+    period = np.array(list(map(period_of.__getitem__, columns[1])))
+    codes: dict[str, int] = {}  # entity code by stripped name, in first-appearance order
+    entity_of = {t: codes.setdefault(t.strip(), len(codes)) for t in dict.fromkeys(columns[0])}
+    pmin, pmax = int(period.min()), int(period.max())
+    periods = tuple(range(pmin, pmax + 1))
+    shape = (len(codes), len(periods))
+    key = np.array(list(map(entity_of.__getitem__, columns[0]))) * len(periods) + (period - pmin)
+    if np.bincount(key).max() > 1:
+        return None
+    series = {}
+    for h, column in zip(header[2:], columns[2:]):
+        parsed = _parse_cells(column)
+        if parsed is None:
+            return None
+        values = np.full(shape, np.nan)
+        mask = np.zeros(shape, dtype=bool)
+        # no key repeats, so each cell is set once
+        values.reshape(-1)[key], mask.reshape(-1)[key] = parsed
+        series[h.strip()] = PanelSeries(values, mask)
+    return PanelDataset(tuple(codes), periods, series)
 
 
 def _raise_first_fault(path, header: list[str], raw: list[list[str]]) -> NoReturn:
@@ -226,46 +328,33 @@ def ingest_long_csv(path) -> PanelDataset:
     period, in line order; (2) no data rows; (3) a duplicate (entity,
     period) row or a bad cell, in line order, the key before the cells and
     cells in header order.
+
+    Text without quotes whose data lines all hold the header's field count
+    is split into columns directly (``_split_quote_free``). Any other text,
+    and any text with a fault, is read again by ``csv.reader``, whose rows
+    name the fault. A blank row, which that path skips, has a blank period,
+    so it sends the text there too. Both paths build the dataset from the
+    same columns by ``_long_dataset``.
     """
-    header, raw = _read_csv(path)
-    if len(header) < 3 or header[0].strip().lower() != "entity" or header[1].strip().lower() != "period":
-        raise DataError(f"{path}: expected header 'entity,period,<var>,...', got {header}")
-    var_names = [h.strip() for h in header[2:]]
-    for k, name in enumerate(var_names):
-        if not name or name in var_names[:k]:
-            raise DataError(f"{path}: header cell {k + 3} {header[k + 2]!r} is empty or repeated")
+    text = _read_text(path)
+    split = _split_quote_free(text)
+    if split is not None and _long_header_fault(split[0]) is None:
+        data = _long_dataset(*split)
+        if data is not None:
+            return data
+    header, raw = _read_csv(path, text)
+    fault = _long_header_fault(header)
+    if fault:
+        raise DataError(f"{path}: {fault}")
     rows = [row for row in raw if "".join(row).strip()]
     if set(map(len, rows)) - {len(header)}:
         _raise_first_fault(path, header, raw)
     if not rows:
         raise DataError(f"{path}: no data rows")
-    columns = list(zip(*rows))
-    try:  # parse each distinct token once
-        period_of = {t: int(t.strip()) for t in dict.fromkeys(columns[1])}
-    except ValueError:
+    data = _long_dataset(header, list(zip(*rows)))
+    if data is None:
         _raise_first_fault(path, header, raw)
-    period = np.array(list(map(period_of.__getitem__, columns[1])))
-    codes: dict[str, int] = {}  # entity code by stripped name, in first-appearance order
-    entity_of = {t: codes.setdefault(t.strip(), len(codes)) for t in dict.fromkeys(columns[0])}
-    pmin, pmax = int(period.min()), int(period.max())
-    periods = tuple(range(pmin, pmax + 1))
-    shape = (len(codes), len(periods))
-    key = np.array(list(map(entity_of.__getitem__, columns[0]))) * len(periods) + (period - pmin)
-    fault = np.bincount(key).max() > 1
-    series = {}
-    for v, column in zip(var_names, columns[2:]):
-        parsed = _parse_cells(column)
-        if parsed is None:
-            fault = True
-            continue
-        values = np.full(shape, np.nan)
-        mask = np.zeros(shape, dtype=bool)
-        # a duplicate key is a fault raised below, so each cell is set once
-        values.reshape(-1)[key], mask.reshape(-1)[key] = parsed
-        series[v] = PanelSeries(values, mask)
-    if fault:
-        _raise_first_fault(path, header, raw)
-    return PanelDataset(tuple(codes), periods, series)
+    return data
 
 
 def ingest_wide_csv(path, variable_name: str) -> PanelDataset:
@@ -278,7 +367,7 @@ def ingest_wide_csv(path, variable_name: str) -> PanelDataset:
     ``MISSING_TOKENS``. A bad cell is named in line order over the entity
     rows, then over the TOTAL row.
     """
-    header, raw = _read_csv(path)
+    header, raw = _read_csv(path, _read_text(path))
     if len(header) < 2:
         raise DataError(f"{path}: header needs a name column and at least one year")
     year_labels = []

@@ -99,6 +99,15 @@ def test_describe_latin1_csv_exit_2(tmp_path, capsys, wide):
     assert "Traceback" not in err
 
 
+def test_describe_csv_with_byte_order_mark(brand_panel_csv, tmp_path, capsys):
+    # Excel's "CSV UTF-8" starts the file with EF BB BF
+    path = tmp_path / "bom.csv"
+    path.write_bytes(b"\xef\xbb\xbf" + Path(brand_panel_csv).read_bytes())
+    code, out, _ = run_cli(capsys, "describe", "--data", brand_panel_csv, "--vars", "pp")
+    assert code == 0
+    assert run_cli(capsys, "describe", "--data", str(path), "--vars", "pp") == (code, out, "")
+
+
 def test_describe_table_layout(brand_panel_csv, capsys):
     code, out, _ = run_cli(capsys, "describe", "--data", brand_panel_csv, "--vars", "pp,bt")
     assert code == 0

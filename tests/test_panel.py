@@ -1,6 +1,8 @@
+import codecs
 import csv
 import io
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -18,7 +20,8 @@ from dynpanel import (
     ingest_long_csv,
     ingest_wide_csv,
 )
-from dynpanel.panel import MISSING_TOKENS, lagged_grid
+from dynpanel.panel import MISSING_TOKENS, _parse_cells, _split_quote_free, lagged_grid
+from dynpanel.simulate import DgpSpec, generate
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -27,16 +30,18 @@ def write(tmp_path, text, name="data.csv"):
     return str(path)
 
 
+@pytest.mark.parametrize("bom", [False, True], ids=["plain", "bom"])
 @pytest.mark.parametrize("wide", [False, True], ids=["long", "wide"])
-def test_non_utf8_byte_past_the_first_chunk_names_its_file_offset(tmp_path, wide):
-    # the text reader decodes 8 KiB at a time; the offset is the file's
+def test_non_utf8_byte_past_the_first_chunk_names_its_file_offset(tmp_path, wide, bom):
+    # a chunked text reader would count from its chunk; the offset is the
+    # file's, a byte-order mark's three bytes included
     if wide:
         head = "name,2005,2006\n" + "".join(f"firm{i},1,2\n" for i in range(1500))
         tail = b"firm\xff,1,2\n"
     else:
         head = "entity,period,pp\n" + "".join(f"firm{i},2005,1\n" for i in range(1200))
         tail = b"firm\xff,2005,1\n"
-    data = head.encode() + tail
+    data = (codecs.BOM_UTF8 if bom else b"") + head.encode() + tail
     offset = data.index(b"\xff")
     assert offset > 8192
     path = tmp_path / "data.csv"
@@ -46,6 +51,30 @@ def test_non_utf8_byte_past_the_first_chunk_names_its_file_offset(tmp_path, wide
             ingest_wide_csv(str(path), "pp")
         else:
             ingest_long_csv(str(path))
+
+
+@pytest.mark.parametrize("text", [
+    "entity,period,x\na,2010,1\nb,2010,2\na,2011,3\n",
+    'entity,period,x\n"Firm, Inc.",2010,"1,250.5"\nb,2010,2\n',
+], ids=["quote-free", "quoted"])
+def test_long_byte_order_mark_is_not_part_of_the_header(tmp_path, text):
+    plain = ingest_long_csv(write(tmp_path, text))
+    path = tmp_path / "bom.csv"
+    path.write_bytes(codecs.BOM_UTF8 + text.encode())
+    marked = ingest_long_csv(str(path))
+    assert marked.entities == plain.entities and marked.periods == plain.periods
+    assert marked.series["x"].values.tobytes() == plain.series["x"].values.tobytes()
+
+
+def test_wide_byte_order_mark_is_not_part_of_the_header(tmp_path):
+    text = "name,2005,2006\nfirm a,1,2\nTOTAL,1,2\n"
+    plain = ingest_wide_csv(write(tmp_path, text), "pp")
+    path = tmp_path / "bom.csv"
+    path.write_bytes(codecs.BOM_UTF8 + text.encode())
+    marked = ingest_wide_csv(str(path), "pp")
+    assert marked.entities == plain.entities and marked.periods == plain.periods
+    assert marked.series["pp"].values.tobytes() == plain.series["pp"].values.tobytes()
+    assert marked.checksums["pp"].tobytes() == plain.checksums["pp"].tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -133,18 +162,34 @@ def test_long_quoted_entity_with_comma(tmp_path):
     assert data.series["x"].values.tolist() == [[1250.5]]
 
 
+def test_long_quoted_fields_without_commas(tmp_path):
+    # as many fields as a plain split finds, but the quotes are not data
+    path = write(tmp_path, 'entity,period,x\n"a",2010,1\n"Say ""hi"" Ltd",2010,2\n')
+    data = ingest_long_csv(path)
+    assert data.entities == ("a", 'Say "hi" Ltd')
+    assert data.series["x"].values.tolist() == [[1.0], [2.0]]
+
+
+def test_long_ragged_lines_that_add_up_to_whole_rows(tmp_path):
+    # 2 + 1 + 4 fields are 7 = 2 * 4 - 1 cells once each line end is a cell
+    path = write(tmp_path, "entity,period,x,y\na,2000\n5\nb,2001,3,4\n")
+    with pytest.raises(DataError, match=r"data.csv:2: expected 4 fields, got 2"):
+        ingest_long_csv(path)
+
+
+def reference_parse_cell(token):
+    """Value and presence of one CSV cell; ValueError if it is not a finite number."""
+    text = token.strip()
+    if text in MISSING_TOKENS:
+        return np.nan, False
+    value = float(text.replace(",", ""))
+    if not math.isfinite(value):
+        raise ValueError(text)
+    return value, True
+
+
 def reference_ingest_long_csv(path) -> PanelDataset:
     """Per-row, per-cell long-CSV reader that ingest_long_csv must match."""
-
-    def parse_cell(token):
-        text = token.strip()
-        if text in MISSING_TOKENS:
-            return np.nan, False
-        value = float(text.replace(",", ""))
-        if not math.isfinite(value):
-            raise ValueError(text)
-        return value, True
-
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -194,7 +239,7 @@ def reference_ingest_long_csv(path) -> PanelDataset:
         j = period - pmin
         for v, token in zip(var_names, cells):
             try:
-                val, present = parse_cell(token)
+                val, present = reference_parse_cell(token)
             except ValueError:
                 raise DataError(
                     f"{path}:{lineno}: cell ({entity}, {period}, {v}) "
@@ -253,9 +298,16 @@ def long_csv_texts(draw):
     return out.getvalue()
 
 
-@settings(max_examples=400, derandomize=True, deadline=None)
-@given(long_csv_texts())
-def test_long_reader_matches_per_row_reference(tmp_path_factory, text):
+def assert_same_panel(got: PanelDataset, want: PanelDataset) -> None:
+    assert got.entities == want.entities
+    assert got.periods == want.periods
+    assert got.variables == want.variables
+    for name in want.variables:
+        assert got.series[name].values.tobytes() == want.series[name].values.tobytes()
+        assert np.array_equal(got.series[name].mask, want.series[name].mask)
+
+
+def assert_long_reader_matches_reference(tmp_path_factory, text):
     path = tmp_path_factory.getbasetemp() / "data.csv"
     path.write_text(text, encoding="utf-8", newline="")
     outcomes = []
@@ -267,13 +319,144 @@ def test_long_reader_matches_per_row_reference(tmp_path_factory, text):
     got, want = outcomes
     if isinstance(want, str):
         assert got == want
+    else:
+        assert_same_panel(got, want)
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(long_csv_texts())
+def test_long_reader_matches_per_row_reference(tmp_path_factory, text):
+    assert_long_reader_matches_reference(tmp_path_factory, text)
+
+
+QUOTE_FREE_GOOD_CELLS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.sampled_from(["-0.0", "5e-324", "1_000", "7", "+1E3", "١٢"]).flatmap(_pad),
+)
+QUOTE_FREE_CLEAN_CELLS = st.one_of(*[QUOTE_FREE_GOOD_CELLS] * 4, MISSING_CELLS)
+QUOTE_FREE_CELLS = st.one_of(
+    *[QUOTE_FREE_CLEAN_CELLS] * 30,
+    st.sampled_from(["abc", "nan", "inf", "-Infinity", "1.2.3", "--1", "1e400"]),
+)
+QUOTE_FREE_ENTITIES = st.sampled_from(["a", " a ", "b", "Firm Inc.", "\x1cz", "z", "", " "])
+
+
+@st.composite
+def quote_free_long_texts(draw):
+    """Small long CSVs without a quote, so ``csv.reader`` only splits them;
+    half hold no fault, the rest mix every fault the reader names."""
+    clean = draw(st.booleans())
+    n_vars = draw(st.integers(1, 3))
+    lines = [["entity", " Period ", *["x", " y ", "z"][:n_vars]]]
+    keys = set()
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from(
+            ["row"] * 30 + ["blank", "spaces", "commas", "ragged", "duplicate"]))
+        if kind == "blank":
+            lines.append([""])
+        elif kind == "spaces":
+            lines.append([draw(st.sampled_from([" ", "\t", "\x1c", "\x0b \t"]))])
+        elif kind == "commas":  # a blank row with the header's field count
+            lines.append(draw(st.lists(st.sampled_from(["", " "]),
+                                       min_size=n_vars + 2, max_size=n_vars + 2)))
+        elif kind == "duplicate" and not clean and len(lines) > 1:
+            lines.append(lines[-1][:2] + draw(st.lists(QUOTE_FREE_CELLS,
+                                                       min_size=n_vars, max_size=n_vars)))
+        elif clean:
+            row = [draw(QUOTE_FREE_ENTITIES), draw(CLEAN_PERIODS)]
+            if (row[0].strip(), int(row[1].strip())) not in keys:
+                keys.add((row[0].strip(), int(row[1].strip())))
+                lines.append(row + draw(st.lists(QUOTE_FREE_CLEAN_CELLS,
+                                                 min_size=n_vars, max_size=n_vars)))
+        else:
+            cells = draw(st.lists(QUOTE_FREE_CELLS, min_size=n_vars, max_size=n_vars))
+            row = [draw(QUOTE_FREE_ENTITIES), draw(PERIODS), *cells]
+            if kind == "ragged":
+                row = row[:-1] if draw(st.booleans()) else row + ["1"]
+            lines.append(row)
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]),
+                         min_size=len(lines), max_size=len(lines)))
+    if not draw(st.booleans()):  # no final line end
+        ends[-1] = ""
+    return "".join(",".join(fields) + end for fields, end in zip(lines, ends))
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(quote_free_long_texts())
+def test_quote_free_long_reader_matches_per_row_reference(tmp_path_factory, text):
+    assert '"' not in text
+    split = _split_quote_free(text)
+    if split is not None:  # the columns of csv.reader's rows, empty rows dropped
+        header, *rows = csv.reader(io.StringIO(text, newline=""))
+        assert split == (header, [list(c) for c in zip(*filter(None, rows))])
+    assert_long_reader_matches_reference(tmp_path_factory, text)
+
+
+# every str.isspace character there is, plus a sample for padding tokens
+SPACES = [c for c in map(chr, range(sys.maxunicode + 1)) if c.isspace()]
+SPACE_SAMPLE = [" ", "\t", "\n", "\x0b", "\x0c", "\r", "\x1c", "\x1d", "\x1e", "\x1f",
+                "\x85", "\xa0", "\u1680", "\u2003", "\u2028", "\u3000"]
+GRAMMAR_CORES = st.one_of(
+    st.floats().map(repr),
+    st.integers(-10**6, 10**6).map(str),
+    st.sampled_from([
+        "1_000", "1__000", "_1", "1_", "١٢", "١٢.٥", "٣e٢",
+        "+7", "-7", "+-7", "1e3", "-2.5E-3", "+.5e+2", "1e400", "-1e400", "1e-400", ".5", "5.",
+        "e5", "0x10", *sorted(MISSING_TOKENS), "N/A",
+        "1,234.5", ",", "1,,2", ",5", "-1,000", "1,e3",
+        "nan", "-inf", "Infinity", "NaN", "+nan", "abc", "1 2",
+    ]),
+)
+PADS = st.lists(st.sampled_from(SPACE_SAMPLE), max_size=2).map("".join)
+
+
+@settings(max_examples=500, derandomize=True, deadline=None)
+@given(st.lists(st.tuples(PADS, GRAMMAR_CORES, PADS).map("".join), min_size=1, max_size=4))
+def test_parse_cells_matches_per_cell_reference(tokens):
+    try:
+        want = [reference_parse_cell(t) for t in tokens]
+    except ValueError:
+        assert _parse_cells(tokens) is None
         return
-    assert got.entities == want.entities
-    assert got.periods == want.periods
-    assert got.variables == want.variables
-    for name in want.variables:
-        assert got.series[name].values.tobytes() == want.series[name].values.tobytes()
-        assert np.array_equal(got.series[name].mask, want.series[name].mask)
+    values, present = _parse_cells(tokens)
+    assert values.tobytes() == np.array([v for v, _ in want]).tobytes()
+    assert present.tolist() == [p for _, p in want]
+
+
+@pytest.mark.parametrize("core", ["5", "-1.5e3", "NA", "1,234", "nan"])
+def test_parse_cells_strips_every_space_character(core):
+    # float() does not strip \x1c-\x1f, so those tokens take the second pass
+    for c in SPACES:
+        token = c + core + c
+        try:
+            want = reference_parse_cell(token)
+        except ValueError:
+            assert _parse_cells([token]) is None, repr(token)
+            continue
+        values, present = _parse_cells([token])
+        assert (values.tobytes(), present[0]) == (np.array([want[0]]).tobytes(), want[1])
+
+
+def test_column_split_declines_a_line_longer_than_the_csv_field_limit():
+    # csv.reader rejects a field over the limit; the split must leave such text to it
+    limit = csv.field_size_limit()
+    text = "entity,period,x\nb,2000,1\n{},2000,1\n"
+    assert _split_quote_free(text.format("a" * (limit - 10))) is not None
+    assert _split_quote_free(text.format("a" * (limit + 1))) is None
+
+
+def test_long_reader_paths_agree_at_scale(tmp_path):
+    data = generate(DgpSpec(n_entities=2000, n_periods=8, missingness=0.1))
+    path = tmp_path / "split.csv"
+    data.to_long_csv(path)
+    assert _split_quote_free(path.read_text(encoding="utf-8")) is not None
+    assert_same_panel(ingest_long_csv(path), data)
+    # a quoted entity sends the file to csv.reader
+    renamed = PanelDataset(("Firm, Inc.", *data.entities[1:]), data.periods, data.series)
+    path = tmp_path / "quoted.csv"
+    renamed.to_long_csv(path)
+    assert _split_quote_free(path.read_text(encoding="utf-8")) is None
+    assert_same_panel(ingest_long_csv(path), renamed)
 
 
 def reference_to_long_csv(data: PanelDataset, path) -> None:
@@ -400,16 +583,6 @@ def test_wide_ragged_row(tmp_path):
 
 def reference_ingest_wide_csv(path, variable_name) -> PanelDataset:
     """Per-row, per-cell wide-CSV reader that ingest_wide_csv must match."""
-
-    def parse_cell(token):
-        text = token.strip()
-        if text in MISSING_TOKENS:
-            return np.nan, False
-        value = float(text.replace(",", ""))
-        if not math.isfinite(value):
-            raise ValueError(text)
-        return value, True
-
     with open(path, newline="", encoding="utf-8") as fh:
         header, *raw = csv.reader(fh)
     year_labels = [int(h.strip()) for h in header[1:]]
@@ -438,7 +611,7 @@ def reference_ingest_wide_csv(path, variable_name) -> PanelDataset:
         out = np.full(len(year_labels), np.nan)
         for j, token in enumerate(cells):
             try:
-                out[j], present = parse_cell(token)
+                out[j], present = reference_parse_cell(token)
             except ValueError:
                 present = None
             if present is None or (required and not present):
