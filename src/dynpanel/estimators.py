@@ -13,7 +13,6 @@ regressor's units do not decide whether a fit raises.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -393,17 +392,17 @@ def _check_rank(X: np.ndarray, names: Sequence[str]) -> None:
 # factor-and-solve of a 4 x 4 system, against 3 us of LAPACK work) or their
 # finiteness check: a NaN passes through, and callers check.
 _POTRF, _POTRS = get_lapack_funcs(("potrf", "potrs"), (np.zeros(1),))
-# Householder QR, Q' applied and triangular inverse, called directly for
-# the same reason by each pseudo-inverse GMM step. A step whose triangular
-# factor R has ||R||_F ||R^-1||_F < 1e5 keeps every singular value: that
-# product bounds cond2(R) from above (Golub & Van Loan, Matrix
-# Computations, 2.3 and 3.5), and it sits a decade below the 1e6 at which
-# ``_kept`` starts to cut, so rounding cannot flip the decision. The same
-# computed inverse gives the step's M = R^-1 Q'Gv as one product: its
-# error is at most about n eps ||R||_F ||R^-1||_F of max|M| (Higham,
-# Accuracy and Stability of Numerical Algorithms, 8 and 14), so under the
-# certificate below 7e-10 for the 31 firms of the brand panel.
-_GEQRF, _ORMQR, _TRTRI = get_lapack_funcs(("geqrf", "ormqr", "trtri"), (np.zeros(1),))
+# Triangular inverse, called directly for the same reason by each
+# pseudo-inverse GMM step. With U U' = c'c (c upper Cholesky, N x N), c has
+# the singular values of U, and a step whose ||c||_F ||c^-1||_F < 1e3 keeps
+# every one: that product bounds cond2(c) from above (Golub & Van Loan,
+# Matrix Computations, 2.3), three decades below the 1e6 at which ``_kept``
+# starts to cut, so rounding cannot flip the decision. The bound is 1e3, not
+# the 1e5 a QR of U would allow, because forming U U' squares the condition
+# number in the error (Bjorck, Linear Algebra Appl. 88/89, 1987): the step's
+# M'M is within about 3 eps ||c||_F^2 ||c^-1||_F^2 of its largest entry, so
+# under the certificate within 7e-10.
+_TRTRI = get_lapack_funcs("trtri", (np.zeros(1),))
 
 
 def _cho_solve(A: np.ndarray, B: np.ndarray) -> np.ndarray | None:
@@ -603,7 +602,7 @@ def _invert_weight(
     non-finite A or eigenvalue means the moment products overflowed, and
     raises EstimationError. The one-step weight, the J and AR tests and
     every ``fit_gmm`` step weight come here, except a step on a singular
-    U'U that ``_certified_moments`` certifies.
+    U'U that ``_certified_moments`` certifies from U U'.
 
     The Cholesky branch runs the LAPACK calls of cho_factor/cho_solve, so
     its inverse is theirs bit for bit. That branch must not move: the
@@ -668,40 +667,43 @@ def _weight_factor(U: np.ndarray, context: str) -> tuple[np.ndarray, int]:
     return V[:, keep] / s[keep], int(keep.sum())
 
 
-@functools.lru_cache(maxsize=8)
-def _upper(n: int) -> np.ndarray:
-    """Read-only mask of the upper triangle of an n x n matrix, built once per n."""
-    mask = np.triu(np.ones((n, n), dtype=bool))
-    mask.flags.writeable = False
-    return mask
-
-
-def _certified_moments(U: np.ndarray, Gv: np.ndarray) -> np.ndarray | None:
-    """M with M'M = Gv'(U'U)^+ Gv when every singular value of U is certified kept, else None.
-
-    When U (N x L) has N <= L, U' = QR by Householder QR, and the
-    eigenvalues of U'U are the squares of R's singular values s. ``_kept``
-    keeps all N when cond2(R) = s_max / s_min < 1e6 and s^2 neither
-    overflows nor underflows. The certificate: trtri inverts R, both
-    Frobenius norms are below 1e150 (so 1e-150 < s_min <= s_max < 1e150),
-    and ||R||_F ||R^-1||_F < 1e5, as the comment at ``_TRTRI`` sets out. A
-    norm that is not finite fails the first comparisons before any product
-    is formed. Then (U'U)^+ = Q R^-T R^-1 Q' and M = R^-1 Q'Gv is one
-    product with the trtri inverse. None when N > L or the certificate
-    fails; the step then inverts U'U as ``_invert_weight`` does.
-    """
-    n = U.shape[0]
-    if n > U.shape[1]:
+def _gram_blocks(C: np.ndarray, Gv: np.ndarray, n: int):
+    """The (k+1)^2 x N^2 Gram blocks C_a C_b' of C's k+1 blocks C_a (N x L), from one
+    ((k+1) N)^2 product, and the (k+1) x N(k+1) products C_a Gv; None when N > L,
+    where U U' is singular and no step can be certified."""
+    m, stacked = C.shape[0], C.reshape(-1, C.shape[1] // n)
+    if n > stacked.shape[1]:
         return None
-    qr, tau = _GEQRF(U.T)[:2]
-    R = np.where(_upper(n), qr[:n], 0.0)
-    R_inv, info = _TRTRI(R)
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = (stacked @ stacked.T).reshape(m, n, m, n).transpose(0, 2, 1, 3)
+        return gram.reshape(m * m, n * n), (stacked @ Gv).reshape(m, -1)
+
+
+def _certified_moments(blocks, a: np.ndarray) -> np.ndarray | None:
+    """M with M'M = Gv'(U'U)^+ Gv when every singular value of U = a @ C is certified kept.
+
+    K = U U' = (a x a) @ blocks[0] and U Gv = a @ blocks[1], from
+    ``_gram_blocks``, round on the scale of |a| |C|; an overflow leaves them
+    non-finite, without a warning. The certificate, as the comment at
+    ``_TRTRI`` sets out: K, U Gv and the Frobenius norms of K's upper
+    Cholesky factor c and of its trtri inverse are finite, the norms below
+    1e150 (so U's singular values s have normal s^2) and their product
+    below 1e3. Then (U'U)^+ = U'K^-2 U and M = c^-1 c^-T U Gv; otherwise
+    None, and the step inverts U'U as ``_invert_weight`` does.
+    """
+    n = math.isqrt(blocks[0].shape[1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        K, UGv = (np.outer(a, a).ravel() @ blocks[0]).reshape(n, n), a @ blocks[1]
+    if not (np.isfinite(K).all() and np.isfinite(UGv).all()):
+        return None
+    c, info = _POTRF(K, lower=False, clean=True)
     if info != 0:
         return None
-    norm, norm_inv = np.linalg.norm(R), np.linalg.norm(R_inv)
-    if not (norm < 1e150 and norm_inv < 1e150 and norm * norm_inv < 1e5):
+    c_inv = _TRTRI(c)[0]  # potrf left a positive diagonal, so trtri cannot fail
+    norm, norm_inv = np.linalg.norm(c), np.linalg.norm(c_inv)
+    if not (norm < 1e150 and norm_inv < 1e150 and norm * norm_inv < 1e3):
         return None
-    return R_inv @ _ORMQR("L", "T", qr, tau, Gv, Gv.shape[1])[0][:n]
+    return c_inv @ (c_inv.T @ UGv.reshape(n, -1))
 
 
 def _cross_moments(Z: np.ndarray, e1: np.ndarray, X: np.ndarray,
@@ -760,14 +762,16 @@ def fit_gmm(
     effective rank. Any other ``on_singular`` raises ValueError.
 
     When S is singular by those tests, each step's scores are the one
-    product [1, beta1 - beta] @ C, with C the entity cross-moments of the
-    one-step residuals and of X laid out (1+k) x N L. A step that
-    ``_certified_moments`` certifies keeps every singular value of U and
-    forms no L x L weight: with P = M'M = [Z'X Z'y]'S^+[Z'X Z'y], beta
-    solves P[:-1, :-1] beta = P[:-1, -1], and W = S^+ comes after the loop
-    from ``_invert_weight`` of the last step's scores. Every other step is
-    the textbook one: W from ``_invert_weight``, then the normal equations,
-    so fits on a nonsingular S stay bit for bit what the formulas give.
+    product U = [1, beta1 - beta] @ C, with C the entity cross-moments of
+    the one-step residuals and of X laid out (1+k) x N L. When N <= L, the
+    N x N ``_gram_blocks`` give each step's U U' and U Gv at a cost free of
+    L. A step that ``_certified_moments`` certifies from them keeps every
+    singular value of U and forms neither U nor an L x L weight: with P =
+    M'M = Gv'S^+Gv, Gv = [Z'X Z'y], beta solves P[:-1, :-1] beta =
+    P[:-1, -1], and W = S^+ comes after the loop from ``_invert_weight`` of
+    the last step's scores. Every other step is the textbook one: U, then
+    W from ``_invert_weight`` and the normal equations, so fits on a
+    nonsingular S stay bit for bit what the formulas give.
     Non-finite Z'X, Z'y or step coefficients raise EstimationError. The
     final residuals' scores U are kept as ``scores``.
     """
@@ -811,14 +815,15 @@ def fit_gmm(
             _require_pinv(on_singular, "moment covariance")
             C = _cross_moments(Z, y - X @ beta1, X, starts).reshape(k + 1, -1)
             a = np.ones(k + 1)  # [1, beta1 - beta], refilled each step
-            Gv = np.column_stack([G, v])
+            blocks = _gram_blocks(C, np.column_stack([G, v]), starts.size)
         max_iter = 1 if weighting.kind == "two_step" else weighting.max_iter
         converged = weighting.kind == "two_step"
         for _ in range(max_iter):
             if singular:
                 np.subtract(beta1, beta, out=a[1:])
-                U_prev = (a @ C).reshape(starts.size, -1)
-                M = _certified_moments(U_prev, Gv)
+                M = None if blocks is None else _certified_moments(blocks, a)
+                if M is None:
+                    U_prev = (a @ C).reshape(starts.size, -1)
             else:
                 U_prev = _scores(Z, y - X @ beta, starts)
                 M = None
@@ -846,7 +851,8 @@ def fit_gmm(
                 f"{'' if len(trace) <= 8 else '(first 3, last 5) '}"
                 f"{[f'{d:.3e}' for d in shown]}"
             )
-        if M is not None:  # the last step was certified and built no weight
+        if M is not None:  # the last step was certified and built neither U nor a weight
+            U_prev = (a @ C).reshape(starts.size, -1)
             W, w_rank = _invert_weight(None, on_singular, "moment covariance", U_prev, full_rank)
 
     fitted = X @ beta

@@ -205,8 +205,12 @@ def _read_text(path) -> str:
 
 
 def _read_csv(path, text: str) -> tuple[list[str], list[list[str]]]:
-    """Header and rows of a file's text by ``csv.reader``; an empty file is a DataError."""
-    rows = list(csv.reader(io.StringIO(text, newline="")))
+    """Header and rows of the text by ``csv.reader``; an empty file or csv.Error is a DataError."""
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        rows = list(reader)
+    except csv.Error as exc:
+        raise DataError(f"{path}:{reader.line_num}: {exc}") from None
     if not rows:
         raise DataError(f"{path}: empty file")
     return rows[0], rows[1:]

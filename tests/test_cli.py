@@ -99,6 +99,22 @@ def test_describe_latin1_csv_exit_2(tmp_path, capsys, wide):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("layout", ["quote-free", "quoted", "wide"])
+def test_describe_csv_field_over_the_size_limit_exit_2(tmp_path, capsys, layout):
+    # csv.reader rejects a field longer than csv.field_size_limit(); the
+    # long reader's column split leaves such a line to it
+    name = "a" * (csv.field_size_limit() + 1)
+    path = tmp_path / "big.csv"
+    path.write_text({"quote-free": f"entity,period,x\nb,2000,1\n{name},2000,1\n",
+                     "quoted": f'entity,period,x\nb,2000,1\n"{name}",2000,1\n',
+                     "wide": f"name,2005,2006\nfirm1,1,2\n{name},2,4\n"}[layout])
+    extra = ("--wide", "x") if layout == "wide" else ("--vars", "x")
+    code, _, err = run_cli(capsys, "describe", "--data", str(path), *extra)
+    assert code == 2
+    assert err.startswith(f"error: {path}:3: field larger than field limit")
+    assert "Traceback" not in err
+
+
 def test_describe_csv_with_byte_order_mark(brand_panel_csv, tmp_path, capsys):
     # Excel's "CSV UTF-8" starts the file with EF BB BF
     path = tmp_path / "bom.csv"

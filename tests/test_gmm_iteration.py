@@ -2,17 +2,20 @@
 
 When the moment covariance U'U is singular from the start, ``fit_gmm``
 takes each step's scores from the one-step entity cross-moments, one
-product [1, beta1 - beta] @ C. A step that ``_certified_moments``
-certifies solves with M = R^-1 Q'Gv, from Householder QR U' = QR and the
-trtri inverse of R; any other step is the textbook one, the weight from
-``_invert_weight`` and then ``_gmm_beta``. The certificate is checked to
-be sound: whenever it returns M, the SVD keeps every value of U and M'M
-is the SVD factor's Gv'F F'Gv, so whenever the SVD cuts a value it
-returns None. The product with the inverse is checked against a
-triangular solve within n eps ||R||_F ||R^-1||_F, and textbook steps
-against certified ones on the brand panel. ``reference_gmm`` below is
-the direct per-step form of the same estimator: scores by ``reduceat`` at
-every step, the L x L (pseudo-)inverse weight, and
+product [1, beta1 - beta] @ C. When N <= L, ``_gram_blocks`` forms the
+N x N Gram blocks C_a C_b' and the products C_a Gv once per fit, so each
+step's U U' and U Gv are products with a = [1, beta1 - beta]. A step that
+``_certified_moments`` certifies solves with M = c^-1 c^-T U Gv, from the
+Cholesky factor c'c = U U' and its trtri inverse; any other step is the
+textbook one, the weight from ``_invert_weight`` and then ``_gmm_beta``.
+The certificate is checked to be sound: whenever it returns M, the SVD
+keeps every value of U and M'M is the SVD factor's Gv'F F'Gv to 1e-9, so
+whenever the SVD cuts a value it returns None. That error grows as
+eps ||c||_F^2 ||c^-1||_F^2, which is why the certificate stops at 1e3
+where a QR of U would allow 1e5. Textbook steps
+are checked against certified ones on the brand panel. ``reference_gmm``
+below is the direct per-step form of the same estimator: scores by
+``reduceat`` at every step, the L x L (pseudo-)inverse weight, and
 ``cho_factor``/``cho_solve``. The fits must agree with it to 1e-10, and
 bit for bit when U'U is nonsingular.
 """
@@ -41,6 +44,7 @@ from dynpanel.estimators import (
     ModelSpec,
     _certified_moments,
     _cross_moments,
+    _gram_blocks,
     _invert_weight,
     _one_step_weight_blocks,
     _scores,
@@ -209,6 +213,54 @@ def test_cross_moments_give_the_scores_of_any_beta(brand_panel):
         assert np.abs(scores - direct).max() <= 1e-12 * scale
 
 
+def test_gram_blocks_give_the_products_of_any_beta(brand_panel):
+    model, spec = _brand_fd(brand_panel)
+    one = fit_gmm(model, brand_panel, spec, weighting=ONE_STEP, on_singular="pinv")
+    Z, X = one.instruments.matrix, one.design_matrix
+    y = build_design(model, brand_panel).y
+    starts = entity_starts(one.design.entity_ids)
+    n, beta1 = starts.size, one.coefficients
+    C = _cross_moments(Z, one.residuals, X, starts).reshape(beta1.size + 1, -1)
+    Gv = np.column_stack([Z.T @ X, Z.T @ y])
+    blocks = _gram_blocks(C, Gv, n)
+    rng = np.random.default_rng(7)
+    for _ in range(20):
+        beta = beta1 + rng.standard_normal(beta1.size) * 10.0 ** rng.uniform(-6, 1)
+        a = np.append(1.0, beta1 - beta)
+        U = _scores(Z, y - X @ beta, starts)
+        K = (np.outer(a, a).ravel() @ blocks[0]).reshape(n, n)
+        UGv = (a @ blocks[1]).reshape(n, -1)
+        # rounding scale of the products, term by term in |a| and |C|
+        bound = (np.abs(a) @ np.abs(C)).reshape(n, -1)
+        assert np.abs(K - U @ U.T).max() <= 1e-12 * (bound @ bound.T).max()
+        assert np.abs(UGv - U @ Gv).max() <= 1e-12 * (bound @ np.abs(Gv)).max()
+
+
+def test_a_fit_with_more_entities_than_columns_builds_no_gram_blocks(monkeypatch):
+    # x2 = 2 x1 makes Z rank deficient, so U'U is singular with N = 60 > L = 15:
+    # no step can be certified, and the (k+1)^2 N^2 blocks would be wasted
+    data = generate(DgpSpec(60, 9, rho=0.5, missingness=0.1, seed=14))
+    series = dict(data.series)
+    series["x2"] = PanelSeries(2.0 * series["x1"].values, series["x1"].mask)
+    data = PanelDataset(data.entities, data.periods, series)
+    spec = InstrumentSpec(dynamic=(DynamicInstrument("y", 2, 3),),
+                          static=(StaticInstrument("x1"), StaticInstrument("x2")))
+    blocks, gram_blocks = [], estimators._gram_blocks
+    monkeypatch.setattr(estimators, "_gram_blocks",
+                        lambda *a: blocks.append(gram_blocks(*a)) or blocks[-1])
+    monkeypatch.setattr(estimators, "_certified_moments",
+                        mock.Mock(side_effect=AssertionError))
+    weighting = n_step(max_iter=300)
+    res = fit_gmm(ar1_model(FD), data, spec, weighting=weighting, on_singular="pinv")
+    ref = reference_gmm(ar1_model(FD), data, spec, weighting)
+    assert res.scores.shape[0] > res.instruments.n_columns > res.instruments.rank
+    assert blocks == [None]
+    assert res.steps_taken == ref["steps"] > 2
+    assert res.weighting_rank == ref["rank"]
+    assert _max_rel(res.coefficients, ref["coef"]) < 1e-10
+    assert _max_rel(res.standard_errors, ref["se"]) < 1e-10
+
+
 def test_score_reductions_do_not_grow_with_the_step_count(brand_panel, monkeypatch):
     model, spec = _brand_fd(brand_panel)
     calls = []
@@ -349,6 +401,22 @@ def _counting_weight_factor():
     )
 
 
+def _certified(U, Gv):
+    """``_certified_moments`` of U's Gram products, formed as a step forms them.
+
+    U is one block (k = 0) at a = [1]; None when N > L, where a fit builds
+    no blocks.
+    """
+    blocks = _gram_blocks(U.reshape(1, -1), Gv, U.shape[0])
+    return None if blocks is None else _certified_moments(blocks, np.ones(1))
+
+
+def _certificate(U):
+    """||c||_F ||c^-1||_F of the upper Cholesky factor c'c = U U'."""
+    c = estimators._POTRF(U @ U.T, lower=False, clean=True)[0]
+    return np.linalg.norm(c) * np.linalg.norm(estimators._TRTRI(c)[0])
+
+
 @settings(max_examples=60, derandomize=True, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), shape=st.sampled_from(["N<=L", "repeated", "N>L"]),
        n=st.integers(1, 12), extra=st.integers(0, 30), k=st.integers(1, 4))
@@ -366,11 +434,16 @@ def test_certified_moments_match_the_svd_factor(seed, shape, n, extra, k):
         if n > L:
             return
     Gv = rng.standard_normal((L, k + 1))
-    M = _certified_moments(U, Gv)
+    M = _certified(U, Gv)
     F, rank = _weight_factor(U, "test")
     if shape == "N<=L":
-        # certified: every singular value kept, and M'M = Gv'F F'Gv
+        # every singular value kept; certified, with M'M = Gv'F F'Gv, unless
+        # the product bound fails, as a square U or the row scales can make it
         assert rank == n
+        event("certified" if M is not None else "uncertified")
+        if M is None:
+            assert _certificate(U) >= 1e3
+            return
         assert M.shape == (n, k + 1)
         want = (F.T @ Gv).T @ (F.T @ Gv)
         assert np.abs(M.T @ M - want).max() <= 1e-9 * np.abs(want).max()
@@ -378,13 +451,6 @@ def test_certified_moments_match_the_svd_factor(seed, shape, n, extra, k):
         # a value cut (two equal rows) or N > L: the step is the textbook one
         assert rank == (n - 1 if shape == "repeated" else L)
         assert M is None
-
-
-def _qr_parts(U, Gv):
-    """R (N x N, upper) and Q'Gv of the Householder QR U' = QR, formed as the step forms them."""
-    n = U.shape[0]
-    qr, tau = estimators._GEQRF(U.T)[:2]
-    return np.triu(qr[:n]), estimators._ORMQR("L", "T", qr, tau, Gv, Gv.shape[1])[0][:n]
 
 
 def _with_singular_values(rng, s, L):
@@ -396,13 +462,15 @@ def _with_singular_values(rng, s, L):
 
 @settings(max_examples=150, derandomize=True, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 12), extra=st.integers(0, 30),
-       log_cond=st.one_of(st.floats(0, 9), st.floats(4.7, 5.3), st.floats(5.7, 6.3)),
+       log_cond=st.one_of(st.floats(0, 9), st.floats(2.7, 3.3), st.floats(4.7, 5.3),
+                          st.floats(5.7, 6.3)),
        log_scale=st.floats(-3, 3), repeat=st.sampled_from([None, "row", "zero"]))
 def test_a_certified_step_keeps_every_singular_value(seed, n, extra, log_cond, log_scale,
                                                      repeat):
-    # cond2(U) = 10^log_cond, dense around the certificate's 1e5 and the
-    # 1e6 at which a value is cut; a repeated or zero row makes U rank
-    # deficient (a cut, or trtri's info > 0 on an exactly zero pivot)
+    # cond2(U) = 10^log_cond, dense around the certificate's 1e3, the 1e5
+    # a QR of U would allow, and the 1e6 at which a value is cut; a
+    # repeated or zero row makes U rank deficient (a cut, or potrf's
+    # info > 0 on a pivot that rounding leaves at or below zero)
     rng = np.random.default_rng(seed)
     t = np.concatenate([[0.0, 1.0], rng.uniform(0, 1, n - 2)])
     U = _with_singular_values(rng, 10.0 ** (log_scale - log_cond * t), n + extra)
@@ -413,7 +481,7 @@ def test_a_certified_step_keeps_every_singular_value(seed, n, extra, log_cond, l
     if U.shape[0] > U.shape[1]:
         return
     Gv = rng.standard_normal((U.shape[1], 3))
-    M = _certified_moments(U, Gv)
+    M = _certified(U, Gv)
     F, rank = _weight_factor(U, "test")
     # sound one way: a certified step keeps every value, so a cut is never certified
     event("certified" if M is not None else "cut" if rank < U.shape[0] else "keeps all")
@@ -424,56 +492,40 @@ def test_a_certified_step_keeps_every_singular_value(seed, n, extra, log_cond, l
 
 
 @pytest.mark.parametrize("cond, certified, cut", [
-    (10.0, True, False),  # ||R||_F ||R^-1||_F <= N cond < 1e5
-    (3e5, False, False),  # the bound is at least cond >= 1e5, though the SVD keeps all
+    (10.0, True, False),  # ||c||_F ||c^-1||_F <= N cond < 1e3
+    (3e3, False, False),  # a QR of U would certify this: its bound was 1e5
+    (3e5, False, False),  # the bound is at least cond >= 1e3, though the SVD keeps all
     (1e7, False, True),   # the SVD cuts the smallest value
-], ids=["certified", "uncertified-keeps-all", "cut"])
+], ids=["certified", "uncertified-below-1e5", "uncertified-keeps-all", "cut"])
 def test_certified_moments_reach_each_outcome(cond, certified, cut):
     rng = np.random.default_rng(16)
     U = _with_singular_values(rng, np.geomspace(1.0, 1.0 / cond, 6), 40)
-    M = _certified_moments(U, rng.standard_normal((40, 3)))
+    M = _certified(U, rng.standard_normal((40, 3)))
     assert (M is not None, _weight_factor(U, "test")[1]) == (certified, 6 - cut)
-
-
-def test_a_certified_step_multiplies_by_the_certificates_inverse():
-    # one trtri gives both the certificate and M = R^-1 Q'Gv: no second
-    # inversion and no triangular solve
-    rng = np.random.default_rng(16)
-    U = _with_singular_values(rng, np.geomspace(1.0, 0.1, 6), 40)
-    Gv = rng.standard_normal((40, 3))
-    inverses = []
-    trtri = estimators._TRTRI
-    with mock.patch.object(estimators, "_TRTRI",
-                           lambda *a, **kw: inverses.append(trtri(*a, **kw)) or inverses[-1]):
-        M = _certified_moments(U, Gv)
-    (R_inv, info), = inverses
-    assert info == 0
-    assert M.tobytes() == (R_inv @ _qr_parts(U, Gv)[1]).tobytes()
 
 
 @settings(max_examples=60, derandomize=True, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 40), extra=st.integers(0, 30),
-       log_cond=st.floats(0, 5), log_scale=st.floats(-3, 3))
-def test_certified_moments_agree_with_a_triangular_solve(seed, n, extra, log_cond,
-                                                         log_scale):
-    # the product with the computed inverse is within n eps ||R||_F ||R^-1||_F
-    # of max|M| of substitution (Higham, ch. 8 and 14), up to cond2 = 1e5
+       log_cond=st.floats(0, 3.3), log_scale=st.floats(-3, 3))
+def test_a_certified_steps_error_grows_as_its_condition_squared(seed, n, extra, log_cond,
+                                                                log_scale):
+    # forming U U' squares the condition number in the error (Bjorck 1987):
+    # M'M is within about 3 eps ||c||_F^2 ||c^-1||_F^2 of its largest entry,
+    # so the certificate's 1e3 keeps it within 1e-9
     rng = np.random.default_rng(seed)
     t = np.concatenate([[0.0, 1.0], rng.uniform(0, 1, n - 2)])
     U = _with_singular_values(rng, 10.0 ** (log_scale - log_cond * t), n + extra)
     Gv = rng.standard_normal((n + extra, 3)) * 10.0 ** rng.uniform(-3, 3, 3)
-    R, QtGv = _qr_parts(U, Gv)
-    R_inv, info = estimators._TRTRI(R)
-    assert info == 0
-    norms = np.linalg.norm(R) * np.linalg.norm(R_inv)
-    M = _certified_moments(U, Gv)
+    M = _certified(U, Gv)
+    norms = _certificate(U)
     event("certified" if M is not None else "uncertified")
     if M is None:  # at these scales only the product bound can fail
-        assert norms >= 1e5
+        assert norms >= 1e3
         return
-    bound = n * np.finfo(float).eps * norms
-    solved = scipy.linalg.solve_triangular(R, QtGv)
-    assert np.abs(M - solved).max() <= bound * np.abs(M).max()
+    F = _weight_factor(U, "test")[0]
+    want = (F.T @ Gv).T @ (F.T @ Gv)
+    bound = 4 * np.finfo(float).eps * norms**2
+    assert np.abs(M.T @ M - want).max() <= bound * np.abs(want).max()
 
 
 @pytest.mark.parametrize("scale, error", [
@@ -482,11 +534,12 @@ def test_certified_moments_agree_with_a_triangular_solve(seed, n, extra, log_con
 ])
 def test_extreme_scales_are_uncertified_and_raise_as_the_svd_does(scale, error):
     # cond2 = 10 passes the product bound, but s^2 leaves the normal range:
-    # the certificate's norm bounds send these steps to the SVD's errors
+    # U U' overflows to a non-finite K, or the norm bounds fail, and these
+    # steps go to the SVD's errors
     rng = np.random.default_rng(16)
     U = _with_singular_values(rng, np.geomspace(scale, scale / 10, 6), 40)
     with np.errstate(over="ignore", under="ignore"):
-        assert _certified_moments(U, rng.standard_normal((40, 3))) is None
+        assert _certified(U, rng.standard_normal((40, 3))) is None
         with pytest.raises(EstimationError, match=error):
             _invert_weight(None, "pinv", "test", U)
 
@@ -514,13 +567,16 @@ def test_pseudo_inverse_steps_build_the_svd_factor_once(brand_panel, kind):
     model, spec = _brand_gmm(brand_panel, kind)
     calls, patch = _counting_weight_factor()
     uncertified, certified_patch = _counting_uncertified()
-    with patch, certified_patch:
+    blocks = mock.Mock(side_effect=_gram_blocks)
+    with patch, certified_patch, mock.patch.object(estimators, "_gram_blocks", blocks):
         res = fit_gmm(model, brand_panel, spec, weighting=n_step(max_iter=500),
                       on_singular="pinv")
     assert res.instruments.n_columns > res.scores.shape[0] == res.weighting_rank == 31
     assert res.steps_taken > 100
-    # every step's full rank is certified by the triangular inverse, and the
-    # weight is built once, after the loop
+    # the Gram blocks are built once; every step's full rank is certified by
+    # the inverse of U U''s Cholesky factor, and the weight is built once,
+    # after the loop
+    assert blocks.call_count == 1
     assert uncertified == [False] * (res.steps_taken - 1)
     assert calls == [1]
 

@@ -307,6 +307,18 @@ def test_one_step_fd_and_od_coincide_only_with_a_common_last_period(shape, seed)
         assert abs(fd - od) <= 1e-12 * abs(od)
 
 
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(n=st.integers(20, 80), T=st.integers(5, 9), seed=st.integers(0, 10_000),
+       ragged_start=st.booleans())
+def test_one_step_fd_and_od_coincide_over_panel_sizes(n, T, seed, ragged_start):
+    # the identity above, over N, T and seeds, on balanced and ragged-start panels
+    data = generate(DgpSpec(n, T, rho=0.6, exogenous_betas=(), seed=seed))
+    if ragged_start:
+        data = cut_ends(data, seed, trailing=False)
+    fd, od = one_step_fd_and_od_rho(data)
+    assert abs(fd - od) <= 1e-12 * abs(od)
+
+
 @pytest.mark.parametrize("kind", list(TransformKind), ids=lambda k: k.value)
 def test_estimator_config_without_instruments_is_the_plain_fit(kind):
     data = generate(DgpSpec(n_entities=30, n_periods=6, missingness=0.1, seed=7))
