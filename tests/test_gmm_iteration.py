@@ -11,13 +11,12 @@ textbook one, the weight from ``_invert_weight`` and then ``_gmm_beta``.
 The certificate is checked to be sound: whenever it returns M, the SVD
 keeps every value of U and M'M is the SVD factor's Gv'F F'Gv to 1e-9, so
 whenever the SVD cuts a value it returns None. That error grows as
-eps ||c||_F^2 ||c^-1||_F^2, which is why the certificate stops at 1e3
-where a QR of U would allow 1e5. Textbook steps
-are checked against certified ones on the brand panel. ``reference_gmm``
-below is the direct per-step form of the same estimator: scores by
-``reduceat`` at every step, the L x L (pseudo-)inverse weight, and
-``cho_factor``/``cho_solve``. The fits must agree with it to 1e-10, and
-bit for bit when U'U is nonsingular.
+eps ||c||_F^2 ||c^-1||_F^2, which is why the certificate stops at 1e3.
+Textbook steps are checked against certified ones on the brand panel.
+``reference_gmm`` below is the direct per-step form of the same
+estimator: scores by ``reduceat`` at every step, the L x L
+(pseudo-)inverse weight, and ``cho_factor``/``cho_solve``. The fits must
+agree with it to 1e-10, and bit for bit when U'U is nonsingular.
 """
 
 import warnings
@@ -467,10 +466,10 @@ def _with_singular_values(rng, s, L):
        log_scale=st.floats(-3, 3), repeat=st.sampled_from([None, "row", "zero"]))
 def test_a_certified_step_keeps_every_singular_value(seed, n, extra, log_cond, log_scale,
                                                      repeat):
-    # cond2(U) = 10^log_cond, dense around the certificate's 1e3, the 1e5
-    # a QR of U would allow, and the 1e6 at which a value is cut; a
-    # repeated or zero row makes U rank deficient (a cut, or potrf's
-    # info > 0 on a pivot that rounding leaves at or below zero)
+    # cond2(U) = 10^log_cond, dense around the certificate's 1e3, around
+    # 1e5, and around the 1e6 at which a value is cut; a repeated or zero
+    # row makes U rank deficient (a cut, or potrf's info > 0 on a pivot
+    # that rounding leaves at or below zero)
     rng = np.random.default_rng(seed)
     t = np.concatenate([[0.0, 1.0], rng.uniform(0, 1, n - 2)])
     U = _with_singular_values(rng, 10.0 ** (log_scale - log_cond * t), n + extra)
@@ -493,7 +492,7 @@ def test_a_certified_step_keeps_every_singular_value(seed, n, extra, log_cond, l
 
 @pytest.mark.parametrize("cond, certified, cut", [
     (10.0, True, False),  # ||c||_F ||c^-1||_F <= N cond < 1e3
-    (3e3, False, False),  # a QR of U would certify this: its bound was 1e5
+    (3e3, False, False),  # cond in [1e3, 1e5): the SVD keeps all, the bound fails
     (3e5, False, False),  # the bound is at least cond >= 1e3, though the SVD keeps all
     (1e7, False, True),   # the SVD cuts the smallest value
 ], ids=["certified", "uncertified-below-1e5", "uncertified-keeps-all", "cut"])
@@ -542,6 +541,17 @@ def test_extreme_scales_are_uncertified_and_raise_as_the_svd_does(scale, error):
         assert _certified(U, rng.standard_normal((40, 3))) is None
         with pytest.raises(EstimationError, match=error):
             _invert_weight(None, "pinv", "test", U)
+
+
+def test_an_overflowing_u_gv_is_uncertified_without_a_warning():
+    # U U' stays near 1e6 while U Gv overflows: the step must go to the
+    # textbook one, not return a non-finite M
+    rng = np.random.default_rng(16)
+    U = _with_singular_values(rng, np.geomspace(1e3, 1e2, 6), 40)
+    Gv = rng.standard_normal((40, 3)) * 1e307
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert _certified(U, Gv) is None
 
 
 def _counting_uncertified():
