@@ -20,7 +20,6 @@ from dataclasses import dataclass, replace
 from typing import Mapping
 
 import numpy as np
-import scipy.special
 
 from .errors import DiagnosticError
 from .estimators import (
@@ -43,13 +42,30 @@ from .transforms import TransformKind, entity_starts
 def chi_square_sf(x: float, df: int) -> float:
     """Upper tail P(X > x) of the chi-square distribution.
 
-    Computed as the regularized upper incomplete gamma Q(df/2, x/2).
+    The regularized upper incomplete gamma Q(df/2, x/2) in closed form
+    for integer df (Abramowitz and Stegun 26.4.4-5): with h = x/2, e^-h
+    sum_{k < df/2} h^k / k!, or for odd df erfc(sqrt h) + e^-h sum_{k <
+    (df-1)/2} h^(k+1/2) / Gamma(k + 3/2). Each term is the last times h /
+    (k + 1) or h / (k + 3/2); where e^-h would underflow, each is summed
+    from its logarithm.
     """
     if x < 0:
         raise ValueError("chi-square statistic must be >= 0")
-    if df < 1:
-        raise ValueError("degrees of freedom must be >= 1")
-    return float(scipy.special.gammaincc(df / 2.0, x / 2.0))
+    if df < 1 or df != int(df):
+        raise ValueError(f"degrees of freedom must be an integer >= 1, got {df}")
+    h = x / 2.0
+    if h == math.inf:
+        return 0.0
+    n, odd = divmod(int(df), 2)
+    a = 0.5 * odd  # term k carries h^(a + k)
+    total = math.erfc(math.sqrt(h)) if odd else 0.0
+    if h < 700.0:
+        term = math.exp(-h) * (2.0 * math.sqrt(h / math.pi) if odd else 1.0)
+        for k in range(n):
+            total, term = total + term, term * (h / (a + k + 1))
+        return total
+    return total + sum(math.exp((a + k) * math.log(h) - h - math.lgamma(a + k + 1))
+                       for k in range(n))
 
 
 def normal_sf(z: float) -> float:

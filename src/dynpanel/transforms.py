@@ -52,9 +52,8 @@ def lag(values: np.ndarray, mask: np.ndarray, k: int) -> tuple[np.ndarray, np.nd
 def _first_difference_grid(values: np.ndarray, mask: np.ndarray):
     out_v = np.full_like(values, np.nan, dtype=float)
     out_m = np.zeros_like(mask)
-    both = mask[:, 1:] & mask[:, :-1]
-    out_v[:, 1:][both] = values[:, 1:][both] - values[:, :-1][both]
-    out_m[:, 1:] = both
+    both = np.logical_and(mask[:, 1:], mask[:, :-1], out=out_m[:, 1:])
+    np.subtract(values[:, 1:], values[:, :-1], out=out_v[:, 1:], where=both)
     return out_v, out_m
 
 
@@ -106,9 +105,11 @@ def entity_starts(entity_ids: np.ndarray) -> np.ndarray:
 
     Sample rows come from ``np.nonzero`` on the entity x period grid, so
     they are grouped by entity, in period order; the block sums rely on it.
+    Increasing heads prove it; in any other order no head may repeat.
     """
     starts = np.concatenate(([0], np.flatnonzero(np.diff(entity_ids)) + 1))
-    if np.unique(entity_ids[starts]).size != starts.size:
+    heads = entity_ids[starts]
+    if not np.all(heads[1:] > heads[:-1]) and np.unique(heads).size != starts.size:
         raise ValueError("design rows are not grouped by entity")
     return starts
 

@@ -1,11 +1,8 @@
 import numpy as np
 import pytest
 
-from dynpanel import PanelDataset, PanelSeries, from_arrays
-from dynpanel.transforms import demean_by_entity
-
-DATA_DIR = __file__.rsplit("/", 1)[0] + "/data"
-TABLE1 = DATA_DIR + "/table1_premiums.csv"
+from dynpanel import PanelDataset, from_arrays
+from suite_helpers import TABLE1
 
 # contiguous per-entity run lengths summing to 320 cells over 31 firms;
 # an AR(1) model on the FD/OD transform then loses 2 rows per firm,
@@ -50,18 +47,3 @@ def brand_panel_csv(tmp_path_factory, brand_panel):
     path = tmp_path_factory.mktemp("brand") / "brand_panel.csv"
     brand_panel.to_long_csv(path)
     return str(path)
-
-
-def grid(values_2d) -> PanelSeries:
-    """PanelSeries from a nested list with None for absent cells."""
-    arr = np.array(
-        [[np.nan if v is None else float(v) for v in row] for row in values_2d]
-    )
-    return PanelSeries(arr, ~np.isnan(arr))
-
-
-def demean_grid(values, mask, theta=1.0):
-    """Each row of a grid less theta_a times its mean over its present cells,
-    by ``demean_by_entity``; absent (NaN) cells stay NaN."""
-    rows = np.repeat(np.arange(values.shape[0]), values.shape[1])
-    return demean_by_entity(values.ravel(), rows, theta, mask.ravel()).reshape(values.shape)

@@ -43,7 +43,7 @@ from dynpanel.simulate import (
 )
 from dynpanel.transforms import TransformKind, apply_grid, reconstruct_levels
 
-from conftest import TABLE1, demean_grid
+from suite_helpers import TABLE1, demean_grid
 
 
 def report(num, ok, detail, elapsed, budget):

@@ -6,8 +6,8 @@ removing or renaming one of those names would break only the benchmark.
 The same holds for each ``result.<name>`` the workloads and the tracer
 read off a fit, some of them only in traced runs.
 Each workload also runs once here, with its checks, at the small sizes of
-``perfbench/tests``: that suite cannot join this one's test paths, as
-both hold a ``conftest`` module that their tests import by name.
+``perfbench/tests``, so the default test paths cover the benchmark; one
+call runs both suites: ``python -m pytest tests perfbench/tests``.
 """
 
 import ast

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 import scipy.integrate
+import scipy.special
 import scipy.stats
 
 from dynpanel import (
@@ -77,6 +78,28 @@ def test_chi_square_sf_validation():
         chi_square_sf(-1.0, 3)
     with pytest.raises(ValueError):
         chi_square_sf(1.0, 0)
+    with pytest.raises(ValueError, match="integer"):
+        chi_square_sf(1.0, 2.5)
+
+
+def test_chi_square_sf_matches_gammaincc():
+    # x up to 3 df + 50: e^-x/2 underflows there for df >= 450, which the
+    # log-space sum covers
+    got, want = [], []
+    for df in range(1, 501):
+        for x in np.linspace(0.0, 3.0 * df + 50.0, 21):
+            got.append(chi_square_sf(float(x), df))
+            want.append(scipy.special.gammaincc(df / 2.0, x / 2.0))
+    got, want = np.array(got), np.array(want)
+    assert np.all(want > 0.0)
+    assert np.max(np.abs(got - want) / want) <= 1e-12
+
+
+@pytest.mark.parametrize("df", [1, 2, 7, 30])
+def test_chi_square_sf_at_zero_infinity_and_nan(df):
+    assert chi_square_sf(0.0, df) == 1.0
+    assert chi_square_sf(math.inf, df) == 0.0
+    assert math.isnan(chi_square_sf(math.nan, df))
 
 
 # ---------------------------------------------------------------------------

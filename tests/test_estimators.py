@@ -803,6 +803,14 @@ def test_entity_starts_rejects_interleaved_entities():
         entity_starts(np.array([0, 0, 1, 0]))
 
 
+def test_entity_starts_accepts_grouped_entities_in_descending_order():
+    from dynpanel.transforms import entity_starts
+
+    assert entity_starts(np.array([3, 3, 1, 1])).tolist() == [0, 2]
+    with pytest.raises(ValueError, match="not grouped by entity"):
+        entity_starts(np.array([3, 1, 3]))
+
+
 def test_pinv_weight_rank_matches_eigh_threshold_when_columns_exceed_entities():
     from dynpanel.estimators import _invert_weight, _scores
     from dynpanel.transforms import entity_starts

@@ -1,6 +1,9 @@
 """The package imports without a cycle and exports what it imports."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import dynpanel
@@ -76,3 +79,11 @@ def test_all_lists_exactly_the_public_imports():
     }
     unlisted = sorted(n for n in imported if not n.startswith("_") and n not in listed)
     assert not unlisted, f"public imports missing from __all__: {unlisted}"
+
+
+def test_the_package_and_cli_import_without_scipy_special():
+    code = "import sys, dynpanel, dynpanel.cli; print('scipy.special' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=env)
+    assert out.stdout.strip() == "False"

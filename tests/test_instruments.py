@@ -89,23 +89,24 @@ def test_dynamic_block_column_counts_balanced_t5():
         for j in range(2, 10)
         if t - j >= 1
     ]
-    block, labels = build_dynamic_block(data, sample, DynamicInstrument("y", 2))
+    block, labels, _ = build_dynamic_block(data, sample, DynamicInstrument("y", 2))
     assert block.shape[1] == len(pairs) == 6
 
-    block2, _ = build_dynamic_block(data, sample, DynamicInstrument("y", 2, 2))
+    block2, _, _ = build_dynamic_block(data, sample, DynamicInstrument("y", 2, 2))
     assert block2.shape[1] == 3  # one column per period
 
-    block3, labels3 = build_dynamic_block(
+    block3, labels3, periods3 = build_dynamic_block(
         data, sample, DynamicInstrument("y", 2, collapsed=True)
     )
     assert block3.shape[1] == 3  # lags 2..4 stacked across periods
     assert labels3 == ["dyn(y,2)", "dyn(y,3)", "dyn(y,4)"]
+    assert periods3 is None
 
 
 def test_dynamic_block_values_and_zero_structure():
     data = balanced()
     sample = fd_sample(data)
-    block, labels = build_dynamic_block(data, sample, DynamicInstrument("y", 2))
+    block, labels, _ = build_dynamic_block(data, sample, DynamicInstrument("y", 2))
     y = data.series["y"].values
     for c, label in enumerate(labels):
         lag = int(label.split(",")[1].split(")")[0])
@@ -120,7 +121,7 @@ def test_dynamic_block_values_and_zero_structure():
 def test_dynamic_block_only_uses_levels_dated_at_most_t_minus_s():
     data = balanced(T=6)
     sample = fd_sample(data)
-    block, labels = build_dynamic_block(data, sample, DynamicInstrument("y", 2))
+    block, labels, _ = build_dynamic_block(data, sample, DynamicInstrument("y", 2))
     for label in labels:
         lag = int(label.split(",")[1].split(")")[0])
         assert lag >= 2
@@ -131,7 +132,7 @@ def test_dynamic_block_missing_levels_zero_filled():
     values = np.vstack([values, np.arange(1.0, 7.0)])
     data = from_arrays(["a", "b"], range(1, 7), {"y": values})
     sample = fd_sample(data)
-    block, labels = build_dynamic_block(data, sample, DynamicInstrument("y", 2))
+    block, labels, _ = build_dynamic_block(data, sample, DynamicInstrument("y", 2))
     # entity a's first equation row is period 4; its lag-3 level (y at
     # period 1) is absent and enters the block as zero
     col = labels.index("dyn(y,3)@4")
@@ -154,8 +155,8 @@ def test_collapsed_spans_same_moments_when_depth_is_one():
     # collapsed and uncollapsed blocks are the same column
     data = balanced(T=3)
     sample = fd_sample(data)
-    full, _ = build_dynamic_block(data, sample, DynamicInstrument("y", 2))
-    coll, _ = build_dynamic_block(data, sample, DynamicInstrument("y", 2, collapsed=True))
+    full, _, _ = build_dynamic_block(data, sample, DynamicInstrument("y", 2))
+    coll, _, _ = build_dynamic_block(data, sample, DynamicInstrument("y", 2, collapsed=True))
     assert np.allclose(full, coll)
 
 
@@ -243,8 +244,12 @@ def test_dynamic_block_matches_reference(n, T, missing, seed, transform, variabl
     if isinstance(want[0], type):
         assert got == want
         return
-    (block, labels), (ref_block, ref_labels) = got, want
+    (block, labels, periods), (ref_block, ref_labels) = got, want
     assert labels == ref_labels
+    if collapsed:
+        assert periods is None
+    else:
+        assert periods.tolist() == [int(label.split("@")[1]) for label in labels]
     assert block.shape == ref_block.shape and block.dtype == ref_block.dtype
     assert block.tobytes() == ref_block.tobytes()
 
@@ -377,7 +382,8 @@ def test_assemble_order_condition_reported():
 
 
 # ---------------------------------------------------------------------------
-# rank: certified from the Gram, else matrix_rank of the scaled columns
+# rank: certified from the Gram or by period blocks, else matrix_rank of the
+# scaled columns
 
 def scaled_matrix_rank(Z):
     """The rank ``assemble`` reports: that of each column over its largest magnitude."""
@@ -488,16 +494,87 @@ def test_the_comparison_fits_certify_their_rank(monkeypatch):
     assert all(fit.instruments.full_rank for fit in fits)
 
 
-def test_the_brand_panels_od_fit_takes_the_matrix_rank_fallback(monkeypatch, brand_panel):
-    # 108 columns on 31 firms: the Gram's Cholesky fails, matrix_rank decides
+@pytest.mark.parametrize("transform, rank, n_columns", [
+    (TransformKind.ORTHOGONAL_DEVIATION, 107, 108),
+    (TransformKind.FIRST_DIFFERENCE, 131, 135),
+])
+def test_the_brand_panels_gmm_fits_certify_their_rank_by_period_blocks(
+        transform, rank, n_columns, monkeypatch, brand_panel):
+    # more lag columns than firms in the late periods: the Gram's Cholesky
+    # fails, and each period block certifies its own rank instead
     model = ModelSpec("pp", 1, (ExogTerm("bv"), ExogTerm("bt")), intercept=False,
-                      transform=TransformKind.ORTHOGONAL_DEVIATION)
+                      transform=transform)
     spec = InstrumentSpec(dynamic=tuple(DynamicInstrument(v, 2) for v in ("pp", "bv", "bt")))
     calls = rank_fallbacks(monkeypatch)
     fit = fit_gmm(model, brand_panel, spec, weighting=ONE_STEP, on_singular="pinv")
-    assert len(calls) >= 1
-    assert fit.instruments.rank == scaled_matrix_rank(fit.instruments.matrix)
-    assert not fit.instruments.full_rank
+    assert calls == []
+    zmat = fit.instruments
+    assert (zmat.rank, zmat.n_columns) == (rank, n_columns)
+    assert zmat.rank == scaled_matrix_rank(zmat.matrix)
+    assert not zmat.full_rank
+
+
+def test_duplicate_series_send_dynamic_blocks_to_the_matrix_rank_fallback(monkeypatch):
+    # x == y: each period block holds each column twice, so no block certifies
+    data = balanced(n=8, T=6)
+    data = from_arrays(data.entities, data.periods,
+                       {"y": data.series["y"].values, "x": data.series["y"].values})
+    spec = InstrumentSpec(dynamic=(DynamicInstrument("y", 2), DynamicInstrument("x", 2)))
+    calls = rank_fallbacks(monkeypatch)
+    zmat = assemble(spec, data, fd_sample(data))
+    assert calls == [zmat.matrix.shape]
+    assert zmat.rank == scaled_matrix_rank(zmat.matrix) == zmat.n_columns // 2
+
+
+def dynamic_panel(n, T, spans, seed, n_vars, spread, dependency):
+    """Random panel of ``n_vars`` series on ``spans`` cells ("balanced",
+    "ragged" contiguous runs or "gapped" scattered gaps), every series'
+    period p scaled by one 10^u_p, |u_p| <= spread; ``dependency`` k makes
+    the last series 2 y, plus noise at 10^-k of y's scale when k > 0."""
+    rng = np.random.default_rng(seed)
+    present = np.ones((n, T), dtype=bool)
+    if spans == "ragged":
+        first = rng.integers(0, T - 2, n)
+        last = rng.integers(first + 3, T + 1)
+        present = (np.arange(T) >= first[:, None]) & (np.arange(T) < last[:, None])
+    elif spans == "gapped":
+        present = rng.random((n, T)) >= 0.2
+    series = [rng.standard_normal((n, T)) for _ in range(n_vars)]
+    if dependency is not None and n_vars > 1:
+        series[-1] = 2.0 * series[0]
+        if dependency:
+            series[-1] += 10.0**-dependency * rng.standard_normal((n, T))
+    scale = 10.0 ** rng.uniform(-spread, spread, T)
+    names = ["y", "x", "w"][:n_vars]
+    return from_arrays([f"e{i:02d}" for i in range(n)], range(1, T + 1),
+                       {name: np.where(present, v * scale, np.nan)
+                        for name, v in zip(names, series)})
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(
+    n=st.integers(3, 40),
+    T=st.integers(3, 10),
+    spans=st.sampled_from(["balanced", "ragged", "gapped"]),
+    seed=st.integers(0, 2**16),
+    n_vars=st.integers(1, 3),
+    bound=st.sampled_from([None, 2, 3, 5]),
+    spread=st.sampled_from([0, 10, 100, 150]),
+    dependency=st.sampled_from([None, 0, 2, 8, 12, 14, 16]),
+    transform=st.sampled_from([TransformKind.FIRST_DIFFERENCE,
+                               TransformKind.ORTHOGONAL_DEVIATION]),
+)
+def test_a_dynamic_only_rank_is_matrix_ranks_of_the_scaled_columns(
+        n, T, spans, seed, n_vars, bound, spread, dependency, transform):
+    data = dynamic_panel(n, T, spans, seed, n_vars, spread, dependency)
+    model = ModelSpec("y", ar_lags=1, intercept=False, transform=transform)
+    spec = InstrumentSpec(dynamic=tuple(DynamicInstrument(name, 2, bound)
+                                        for name in data.series))
+    try:
+        zmat = assemble(spec, data, build_design(model, data).sample)
+    except DynpanelError:
+        assume(False)
+    assert zmat.rank == scaled_matrix_rank(zmat.matrix)
 
 
 def test_sample_orthogonality_shrinks_with_n():

@@ -3,7 +3,7 @@ import pytest
 
 from dynpanel.transforms import TransformKind, apply_grid, demean_by_entity, lag, reconstruct_levels
 
-from conftest import demean_grid, grid
+from suite_helpers import demean_grid, grid
 
 
 def vec(values):
