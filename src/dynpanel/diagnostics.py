@@ -51,7 +51,7 @@ def chi_square_sf(x: float, df: int) -> float:
     """
     if x < 0:
         raise ValueError("chi-square statistic must be >= 0")
-    if df < 1 or df != int(df):
+    if df < 1 or not float(df).is_integer():
         raise ValueError(f"degrees of freedom must be an integer >= 1, got {df}")
     h = x / 2.0
     if h == math.inf:

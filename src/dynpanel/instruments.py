@@ -150,7 +150,7 @@ class InstrumentMatrix:
     matrix: np.ndarray           # (n_rows, n_columns)
     gram: np.ndarray             # (n_columns, n_columns), matrix.T @ matrix
     labels: tuple[str, ...]
-    rank: int
+    rank: int                    # of the columns over their maxima, ``_scaled_rank``
     pruned: tuple[str, ...] = ()
 
     def __post_init__(self):
@@ -379,14 +379,14 @@ def _period_block_rank(matrix: np.ndarray, scaled: np.ndarray, top: np.ndarray,
     periods, starts, widths = np.unique(col_periods[order], return_index=True,
                                         return_counts=True)
     scaled = scaled[np.ix_(order, order)]
-    # a row is live only in a period with a column, and each column in a live row
+    # each nonzero sits in a live row and a column of one period: both cover the same
     heights = np.unique(row_periods[live], return_counts=True)[1]
     rank = 0
     for t, a, l, m in zip(periods, starts.tolist(), widths.tolist(), heights.tolist()):
-        cols = order[a:a + l]
         if l <= m:
             sub = scaled[a:a + l, a:a + l]
         else:
+            cols = order[a:a + l]
             block = matrix[np.ix_(live & (row_periods == t), cols)] / top[cols]
             sub = block @ block.T
         if not _sigma_min_bound(sub, m, l) > floor:
@@ -419,7 +419,7 @@ def _scaled_rank(matrix: np.ndarray, gram: np.ndarray,
     multiple of eps sigma_max. The rest are exact zeros, a wide block's
     surplus and a period's empty rows, which the SVD reads far below its
     cut: on the brand panel's OD and FD matrices, 5.6e-17 of sigma_max or
-    less against 5.7e-14. If a block fails, the Gram of Zs decides.
+    less against 5.7e-14. If a block fails, the Gram of Zs is tried, then the SVD.
     """
     n_rows, n_cols = matrix.shape
     top = np.max(np.abs(matrix), axis=0)

@@ -78,8 +78,9 @@ def test_chi_square_sf_validation():
         chi_square_sf(-1.0, 3)
     with pytest.raises(ValueError):
         chi_square_sf(1.0, 0)
-    with pytest.raises(ValueError, match="integer"):
-        chi_square_sf(1.0, 2.5)
+    for df in (2.5, math.inf, math.nan):
+        with pytest.raises(ValueError, match="integer"):
+            chi_square_sf(1.0, df)
 
 
 def test_chi_square_sf_matches_gammaincc():

@@ -1,4 +1,4 @@
-"""The package imports without a cycle and exports what it imports."""
+"""The package imports without a cycle or scipy.special, and exports what it imports."""
 
 import ast
 import os

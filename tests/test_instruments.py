@@ -497,7 +497,7 @@ def test_the_comparison_fits_certify_their_rank(monkeypatch):
 @pytest.mark.parametrize("transform, rank, n_columns", [
     (TransformKind.ORTHOGONAL_DEVIATION, 107, 108),
     (TransformKind.FIRST_DIFFERENCE, 131, 135),
-])
+], ids=["od", "fd"])
 def test_the_brand_panels_gmm_fits_certify_their_rank_by_period_blocks(
         transform, rank, n_columns, monkeypatch, brand_panel):
     # more lag columns than firms in the late periods: the Gram's Cholesky
