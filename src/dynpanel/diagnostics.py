@@ -280,14 +280,14 @@ def lag_selection(
 ) -> LagSelectionResult:
     """Choose lag orders by information criteria on a common sample.
 
-    Candidates combine AR orders 1..max_ar (or just 0 when max_ar is 0)
-    with exogenous lag depths 0..max_exog[name], whose keys must name
-    exogenous terms of the template. A term the mapping omits gets depth 0
-    (so ``{}`` searches depth 0 only); ``None`` takes the template's own
-    depths. They are column subsets of one
-    pooled ``build_design``, that of the widest candidate, so all are
-    estimated by pooled OLS on the rows where the deepest lags exist and
-    their Gaussian log-likelihoods are commensurable.
+    Candidates combine AR orders 1..max_ar (or just 0 when max_ar is 0; a
+    negative one is a ValueError) with exogenous lag depths
+    0..max_exog[name], whose keys must name exogenous terms of the
+    template. A term the mapping omits gets depth 0 (so ``{}`` searches
+    depth 0 only); ``None`` takes the template's own depths. They are
+    column subsets of one pooled ``build_design``, that of the widest
+    candidate, so all are estimated by pooled OLS on the rows where the
+    deepest lags exist and their Gaussian log-likelihoods are commensurable.
 
     Schwarz and Hannan-Quinn are consistent: they pick the true orders
     with probability tending to 1. AIC is not: it keeps a fixed chance of
@@ -301,7 +301,7 @@ def lag_selection(
     if unknown := sorted(set(max_exog) - set(exog_names)):
         raise ValueError(f"max_exog names no exogenous term of the template: {unknown}")
     exog = tuple(ExogTerm(name, max_exog.get(name, 0)) for name in exog_names)
-    widest = ModelSpec(template.dependent, max(max_ar, 0), exog, template.intercept)
+    widest = ModelSpec(template.dependent, max_ar, exog, template.intercept)
     design = build_design(widest, data)
     y, n = design.y, design.n
     columns = widest.regressor_columns()

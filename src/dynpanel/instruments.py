@@ -167,37 +167,17 @@ class InstrumentMatrix:
         return self.rank == self.n_columns
 
 
-def _lag_column(
-    data: PanelDataset,
-    sample: AlignedSample,
-    variable: str,
-    lag: int,
-    transform: TransformKind = TransformKind.NONE,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Lag ``lag`` of ``variable`` at the sample rows, and where it is present.
-
-    FD/OD ``transform`` is applied on the grid before the rows are read;
-    any other leaves the level values.
-    """
-    grid = lagged_grid(data, variable, lag)
-    values, mask = grid.values, grid.mask
-    if transform.is_calendar:
-        values, mask = apply_grid(transform, values, mask)
-    per_idx = sample.periods - data.periods[0]
-    return values[sample.entity_ids, per_idx], mask[sample.entity_ids, per_idx]
-
-
 def build_dynamic_block(
     data: PanelDataset, sample: AlignedSample, dyn: DynamicInstrument
-) -> tuple[np.ndarray, list[str], np.ndarray | None]:
-    """Period-block level-lag columns for one variable, their labels and periods.
+) -> tuple[np.ndarray, list[str]]:
+    """Period-block level-lag columns for one variable and their labels.
 
     For each equation period t appearing in the sample, one column per
     lag j = start..depth(t), valued x_{a,t-j} on rows of period t (zero
-    when the level cell is absent) and zero elsewhere; the third value
-    holds each column's period t. Collapsed mode returns one column per
-    lag depth with all periods stacked, and None for the periods. All lags
-    are read from the level grid at once and scattered in one assignment.
+    when the level cell is absent) and zero elsewhere, so a column is
+    nonzero only on its own period's rows. Collapsed mode gives one column
+    per lag depth with all periods stacked. All lags are read from the
+    level grid at once and scattered in one assignment.
     """
     series = data.require(dyn.variable)
     p0 = data.periods[0]
@@ -219,7 +199,7 @@ def build_dynamic_block(
     present = series.mask[ents, cells] & (src >= 0)
     level = np.where(present, series.values[ents, cells], 0.0)
     if dyn.collapsed:
-        return level, [f"dyn({dyn.variable},{j})" for j in lags], None
+        return level, [f"dyn({dyn.variable},{j})" for j in lags]
     # period t's lags are a prefix of ``lags``: scatter each row's prefix
     # into its period's columns, zero elsewhere
     widths = np.array([len(lags_at(t)) for t in eq_periods])
@@ -229,7 +209,7 @@ def build_dynamic_block(
     out = np.zeros((sample.n_rows, int(widths.sum())))
     out[rows, (np.cumsum(widths) - widths)[period[rows]] + cols] = level[used]
     labels = [f"dyn({dyn.variable},{j})@{t}" for t in eq_periods for j in lags_at(t)]
-    return out, labels, np.repeat(eq_periods, widths)
+    return out, labels
 
 
 def build_static_block(
@@ -249,6 +229,7 @@ def build_static_block(
     """
     series = data.require(static.variable)
     level = float(np.max(np.abs(series.values[series.mask]), initial=0.0))
+    rows = sample.entity_ids, sample.periods - data.periods[0]
     cols: list[np.ndarray] = []
     labels: list[str] = []
     for j in range(static.lag_from, static.lag_to + 1):
@@ -256,7 +237,11 @@ def build_static_block(
             raise DataError(
                 f"static instrument lag {j} of {static.variable!r} exceeds panel depth"
             )
-        col, present = _lag_column(data, sample, static.variable, j, transform)
+        grid = lagged_grid(data, static.variable, j)
+        values, mask = grid.values, grid.mask
+        if transform.is_calendar:
+            values, mask = apply_grid(transform, values, mask)
+        col, present = values[rows], mask[rows]
         if transform in (TransformKind.WITHIN, TransformKind.QUASI_DEMEAN):
             scale = 1.0 if transform is TransformKind.WITHIN else theta
             if scale is None:
@@ -307,7 +292,7 @@ def assemble(
     All-zero columns are pruned with a warning, so no variable's units
     decide what goes; ``build_static_block`` zeroes its rounding noise.
     The rank is that of the columns scaled to unit largest magnitude, found
-    period by period when every kept column is a non-collapsed dynamic one.
+    period by period when the spec has only non-collapsed dynamic blocks.
     """
     if spec.is_empty():
         raise EstimationError("instrument specification is empty")
@@ -320,16 +305,14 @@ def assemble(
         block, names = build_static_block(data, sample, st, transform, theta)
         blocks.append(block)
         labels.extend(names)
-    periods = [np.full(len(labels), np.nan)]  # NaN: a column without a period
     for dyn in spec.dynamic:
-        block, names, at = build_dynamic_block(data, sample, dyn)
+        block, names = build_dynamic_block(data, sample, dyn)
         blocks.append(block)
         labels.extend(names)
-        periods.append(np.full(len(names), np.nan) if at is None else at)
     matrix = np.hstack(blocks)
-    col_periods = np.concatenate(periods)
 
-    alive = np.any(matrix != 0.0, axis=0)
+    top = np.max(np.abs(matrix), axis=0)  # a NaN or inf cell keeps its column
+    alive = top != 0.0
     pruned = tuple(lab for lab, keep in zip(labels, alive) if not keep)
     if pruned:
         logger.warning("pruned %d identically-zero instrument column(s): %s",
@@ -337,15 +320,17 @@ def assemble(
         # C order, as unpruned: the fit is then bit for bit the one without them
         matrix = np.ascontiguousarray(matrix[:, alive])
         labels = [lab for lab, keep in zip(labels, alive) if keep]
-        col_periods = col_periods[alive]
+        top = top[alive]
     if matrix.shape[1] == 0:
         raise EstimationError("all instrument columns were pruned")
 
     # the one-step weight starts from this Gram (``fit_gmm``)
     gram = matrix.T @ matrix
-    blocked = None if np.isnan(col_periods).any() else (sample.periods, col_periods)
+    by_period = not (spec.static or spec.include_intercept
+                     or any(dyn.collapsed for dyn in spec.dynamic))
+    rank = _scaled_rank(matrix, gram, top, sample.periods if by_period else None)
     return InstrumentMatrix(matrix=matrix, gram=gram, labels=tuple(labels),
-                            rank=_scaled_rank(matrix, gram, blocked), pruned=pruned)
+                            rank=rank, pruned=pruned)
 
 
 _EPS = np.finfo(float).eps
@@ -367,14 +352,17 @@ def _sigma_min_bound(gram: np.ndarray, n_rows: int, n_cols: int) -> float:
 
 
 def _period_block_rank(matrix: np.ndarray, scaled: np.ndarray, top: np.ndarray,
-                       row_periods: np.ndarray, col_periods: np.ndarray) -> int | None:
+                       row_periods: np.ndarray) -> int | None:
     """Sum over periods t of min(m_t, l_t), or None if a block fails.
 
-    Block t has period t's l_t columns and m_t nonzero rows; its Gram is
-    read off ``scaled`` (exact) if l_t <= m_t, else formed as B_t B_t'.
+    Block t has the l_t columns whose first nonzero row is of period t and
+    its m_t nonzero rows; its Gram is read off ``scaled`` (exact) if l_t <=
+    m_t, else formed as B_t B_t'.
     """
     floor = 1e3 * max(matrix.shape) * _EPS * math.sqrt(float(np.trace(scaled)))
-    live = np.any(matrix != 0.0, axis=1)
+    nonzero = matrix != 0.0
+    live = np.any(nonzero, axis=1)
+    col_periods = row_periods[np.argmax(nonzero, axis=0)]
     order = np.argsort(col_periods, kind="stable")
     periods, starts, widths = np.unique(col_periods[order], return_index=True,
                                         return_counts=True)
@@ -395,9 +383,9 @@ def _period_block_rank(matrix: np.ndarray, scaled: np.ndarray, top: np.ndarray,
     return rank
 
 
-def _scaled_rank(matrix: np.ndarray, gram: np.ndarray,
-                 blocked: tuple[np.ndarray, np.ndarray] | None = None) -> int:
-    """Rank of the columns each over its largest magnitude (none is zero).
+def _scaled_rank(matrix: np.ndarray, gram: np.ndarray, top: np.ndarray,
+                 row_periods: np.ndarray | None = None) -> int:
+    """Rank of the columns, each over its largest magnitude ``top`` (none is 0).
 
     So no variable's units decide the rank. It is ``matrix_rank`` of the
     scaled copy unless a certificate decides first. Let Zs be the M x L
@@ -411,22 +399,22 @@ def _scaled_rank(matrix: np.ndarray, gram: np.ndarray,
     more (``_sigma_min_bound``; a NaN norm fails). For A = Zs that is far
     above ``matrix_rank``'s cut, max(M, L) eps sigma_max, and its rounding.
 
-    ``blocked`` gives the row and column periods of non-collapsed dynamic
-    blocks. Period t's columns are zero off its rows, so up to a permutation
-    Zs is block-diagonal, with the union of its period blocks' singular
-    values. Each block certifies min(m, l) of them at 1e3 times the cut or
-    more (sigma_max <= ||Zs||_F), beyond the SVD's backward error, a small
-    multiple of eps sigma_max. The rest are exact zeros, a wide block's
+    ``row_periods``, given when every column is a non-collapsed dynamic one,
+    holds each row's period; a column's period is that of its first nonzero
+    row, as period t's columns are zero off its rows (``build_dynamic_block``).
+    So up to a permutation Zs is block-diagonal, with the union of its
+    period blocks' singular values. Each block certifies min(m, l) of them
+    at 1e3 times the cut or more (sigma_max <= ||Zs||_F), beyond the SVD's
+    backward error, a small multiple of eps sigma_max. The rest are exact zeros, a wide block's
     surplus and a period's empty rows, which the SVD reads far below its
     cut: on the brand panel's OD and FD matrices, 5.6e-17 of sigma_max or
     less against 5.7e-14. If a block fails, the Gram of Zs is tried, then the SVD.
     """
     n_rows, n_cols = matrix.shape
-    top = np.max(np.abs(matrix), axis=0)
     if np.all((top >= 1e-100) & (top <= 1e100)):
         scaled = gram / np.outer(top, top)
-        if blocked is not None:
-            rank = _period_block_rank(matrix, scaled, top, *blocked)
+        if row_periods is not None:
+            rank = _period_block_rank(matrix, scaled, top, row_periods)
             if rank is not None:
                 return rank
         if _sigma_min_bound(scaled, n_rows, n_cols) > 0.0:

@@ -37,6 +37,12 @@ def test_ratings_unknown_grade_exit_2(capsys):
     assert "unknown grade" in err
 
 
+def test_ratings_without_an_option_exit_2(capsys):
+    code, _, err = run_cli(capsys, "ratings")
+    assert code == 2
+    assert err == "error: ratings needs --grade, --value, or --export-csv\n"
+
+
 def test_ratings_export(tmp_path, capsys):
     path = tmp_path / "scale.csv"
     code, _, _ = run_cli(capsys, "ratings", "--export-csv", str(path))
@@ -84,6 +90,14 @@ def test_describe_missing_file_exit_2(capsys):
     code, _, err = run_cli(capsys, "describe", "--data", "/no/such/file.csv")
     assert code == 2
     assert "/no/such/file.csv" in err
+
+
+def test_describe_empty_file_exit_2(tmp_path, capsys):
+    path = tmp_path / "empty.csv"
+    path.write_text("")
+    code, _, err = run_cli(capsys, "describe", "--data", str(path))
+    assert code == 2
+    assert err == f"error: {path}: empty file\n"
 
 
 @pytest.mark.parametrize("wide", [False, True])
@@ -559,6 +573,19 @@ def test_simulate_one_replication_writes_strict_json(tmp_path, capsys):
         rows = list(csv.DictReader(f))
     cells = [v for row in rows for k, v in row.items() if k.endswith(":se_sd_ratio")]
     assert cells and all(v == "" for v in cells)
+
+
+def test_simulate_plain_estimators(tmp_path, capsys):
+    code, out, _ = run_cli(
+        capsys, "simulate", "--entities", "30", "--periods", "6", "--reps", "2",
+        "--estimators", "pooled,fe,re", "--output-dir", str(tmp_path),
+    )
+    assert code == 0
+    with open(tmp_path / "mc_summary.csv", newline="") as f:
+        rows = list(csv.DictReader(f))
+    assert [(row["estimator"], row["n_success"]) for row in rows] == [
+        ("pooled", "2"), ("fe", "2"), ("re", "2")]
+    assert "fe: mean rho_hat" in out
 
 
 def test_simulate_unknown_estimator_exit_2(tmp_path, capsys):

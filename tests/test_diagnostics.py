@@ -505,6 +505,13 @@ def test_lag_selection_rejects_a_negative_exogenous_depth():
         lag_selection(data, static_model(), max_ar=1, max_exog={"x1": -1})
 
 
+def test_lag_selection_rejects_a_negative_ar_order():
+    data = generate(DgpSpec(60, 9, seed=2))
+    template = ModelSpec("y", ar_lags=0, exogenous=(ExogTerm("x1", 1),))
+    with pytest.raises(ValueError, match="ar_lags must be >= 0"):
+        lag_selection(data, template, max_ar=-1)
+
+
 @pytest.mark.parametrize("max_exog", [{"x1": 1, "x2": 3}, {"x2": 3}])
 def test_lag_selection_rejects_a_max_exog_key_that_names_no_exogenous_term(max_exog):
     data = generate(DgpSpec(n_entities=60, n_periods=9, exogenous_betas=(1.0, -0.5), seed=2))

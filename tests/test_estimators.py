@@ -187,6 +187,24 @@ def test_pooled_duplicate_regressor_rank_error():
         fit_plain(model, data)
 
 
+def test_all_zero_regressors_rank_error_names_them():
+    data = cross_section(np.arange(6.0), np.zeros((6, 2)))
+    model = ModelSpec("y", ar_lags=0, exogenous=(ExogTerm("x1"), ExogTerm("x2")),
+                      intercept=False)
+    with pytest.raises(RankError) as info:
+        fit_plain(model, data)
+    assert str(info.value) == "regressor matrix is rank deficient; collinear column(s): ['x1', 'x2']"
+    assert info.value.columns == ("x1", "x2")
+
+
+def test_coefficient_of_an_unknown_name_is_a_key_error():
+    res = fit_plain(ModelSpec("y", ar_lags=0, exogenous=(ExogTerm("x1"),)),
+                    generate(DgpSpec(n_entities=20, n_periods=5, seed=1)))
+    with pytest.raises(KeyError) as info:
+        res.coefficient("nope")
+    assert info.value.args == ("no coefficient 'nope'; have ('x1', 'const')",)
+
+
 def test_pooled_r2_consistency():
     dgp = DgpSpec(n_entities=50, n_periods=6, seed=2)
     res = fit_plain(ar1_model(TransformKind.NONE), generate(dgp))
@@ -265,6 +283,12 @@ def test_lsdv_equals_within(n_entities, n_periods, rho, sigma_effect, missingnes
     close(effects[present], within.entity_effects[present], scale)
 
 
+def test_fe_on_one_entity_raises():
+    data = generate(DgpSpec(n_entities=1, n_periods=6, seed=1))
+    with pytest.raises(EstimationError, match="^fixed effects need at least 2 entities in sample$"):
+        fit_plain(ar1_model(TransformKind.WITHIN), data)
+
+
 def test_fe_monte_carlo_recovery():
     rng = np.random.default_rng(77)
     n, T = 200, 6
@@ -328,6 +352,13 @@ def test_re_coverage_static_dgp():
         b, se = res.coefficient("x1"), res.se("x1")
         cover += abs(b - 1.0) <= 1.96 * se
     assert cover / reps >= 0.90
+
+
+def test_swamy_arora_needs_more_entities_than_between_parameters():
+    data = generate(DgpSpec(n_entities=2, n_periods=5, seed=1))
+    with pytest.raises(EstimationError) as info:
+        swamy_arora(ModelSpec("y", ar_lags=0, exogenous=(ExogTerm("x1"),)), data)
+    assert str(info.value) == "too few entities (2) for the between regression with 1 slopes"
 
 
 def test_re_negative_sigma_e_rejected(monkeypatch):
@@ -524,6 +555,11 @@ def test_weighting_rejects_bad_iteration_settings(max_iter, tol):
     with pytest.raises(ValueError, match="max_iter|tol"):
         n_step(max_iter=max_iter, tol=tol)
     assert n_step(max_iter=1, tol=0.0).tol == 0.0
+
+
+def test_weighting_rejects_an_unknown_kind():
+    with pytest.raises(ValueError, match="^unknown weighting 'three_step'$"):
+        estimators.Weighting("three_step")
 
 
 def test_singular_weighting_error_and_pinv_escape():

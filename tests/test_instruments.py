@@ -23,6 +23,7 @@ from dynpanel import (
 )
 from dynpanel.estimators import ONE_STEP, ModelSpec, ExogTerm, build_design
 from dynpanel.instruments import (
+    _period_block_rank,
     _scaled_rank,
     build_dynamic_block,
     build_static_block,
@@ -57,6 +58,16 @@ def test_parse_grammar():
     assert spec.include_intercept
 
 
+def test_parse_skips_an_empty_term():
+    assert parse_instruments("dyn(y,2),,static(x,0)") == InstrumentSpec(
+        (DynamicInstrument("y", 2),), (StaticInstrument("x", 0, 0),), False)
+
+
+def test_static_lag_range_must_not_run_backwards():
+    with pytest.raises(ValueError, match=r"^bad static lag range 2\.\.1$"):
+        StaticInstrument("x", 2, 1)
+
+
 def test_parse_single_lag_static():
     spec = parse_instruments("static(bv,1)")
     assert spec.static[0] == StaticInstrument("bv", 1, 1)
@@ -89,24 +100,23 @@ def test_dynamic_block_column_counts_balanced_t5():
         for j in range(2, 10)
         if t - j >= 1
     ]
-    block, labels, _ = build_dynamic_block(data, sample, DynamicInstrument("y", 2))
+    block, labels = build_dynamic_block(data, sample, DynamicInstrument("y", 2))
     assert block.shape[1] == len(pairs) == 6
 
-    block2, _, _ = build_dynamic_block(data, sample, DynamicInstrument("y", 2, 2))
+    block2, _ = build_dynamic_block(data, sample, DynamicInstrument("y", 2, 2))
     assert block2.shape[1] == 3  # one column per period
 
-    block3, labels3, periods3 = build_dynamic_block(
+    block3, labels3 = build_dynamic_block(
         data, sample, DynamicInstrument("y", 2, collapsed=True)
     )
     assert block3.shape[1] == 3  # lags 2..4 stacked across periods
     assert labels3 == ["dyn(y,2)", "dyn(y,3)", "dyn(y,4)"]
-    assert periods3 is None
 
 
 def test_dynamic_block_values_and_zero_structure():
     data = balanced()
     sample = fd_sample(data)
-    block, labels, _ = build_dynamic_block(data, sample, DynamicInstrument("y", 2))
+    block, labels = build_dynamic_block(data, sample, DynamicInstrument("y", 2))
     y = data.series["y"].values
     for c, label in enumerate(labels):
         lag = int(label.split(",")[1].split(")")[0])
@@ -121,7 +131,7 @@ def test_dynamic_block_values_and_zero_structure():
 def test_dynamic_block_only_uses_levels_dated_at_most_t_minus_s():
     data = balanced(T=6)
     sample = fd_sample(data)
-    block, labels, _ = build_dynamic_block(data, sample, DynamicInstrument("y", 2))
+    block, labels = build_dynamic_block(data, sample, DynamicInstrument("y", 2))
     for label in labels:
         lag = int(label.split(",")[1].split(")")[0])
         assert lag >= 2
@@ -132,7 +142,7 @@ def test_dynamic_block_missing_levels_zero_filled():
     values = np.vstack([values, np.arange(1.0, 7.0)])
     data = from_arrays(["a", "b"], range(1, 7), {"y": values})
     sample = fd_sample(data)
-    block, labels, _ = build_dynamic_block(data, sample, DynamicInstrument("y", 2))
+    block, labels = build_dynamic_block(data, sample, DynamicInstrument("y", 2))
     # entity a's first equation row is period 4; its lag-3 level (y at
     # period 1) is absent and enters the block as zero
     col = labels.index("dyn(y,3)@4")
@@ -155,8 +165,8 @@ def test_collapsed_spans_same_moments_when_depth_is_one():
     # collapsed and uncollapsed blocks are the same column
     data = balanced(T=3)
     sample = fd_sample(data)
-    full, _, _ = build_dynamic_block(data, sample, DynamicInstrument("y", 2))
-    coll, _, _ = build_dynamic_block(data, sample, DynamicInstrument("y", 2, collapsed=True))
+    full, _ = build_dynamic_block(data, sample, DynamicInstrument("y", 2))
+    coll, _ = build_dynamic_block(data, sample, DynamicInstrument("y", 2, collapsed=True))
     assert np.allclose(full, coll)
 
 
@@ -244,12 +254,8 @@ def test_dynamic_block_matches_reference(n, T, missing, seed, transform, variabl
     if isinstance(want[0], type):
         assert got == want
         return
-    (block, labels, periods), (ref_block, ref_labels) = got, want
+    (block, labels), (ref_block, ref_labels) = got, want
     assert labels == ref_labels
-    if collapsed:
-        assert periods is None
-    else:
-        assert periods.tolist() == [int(label.split("@")[1]) for label in labels]
     assert block.shape == ref_block.shape and block.dtype == ref_block.dtype
     assert block.tobytes() == ref_block.tobytes()
 
@@ -471,7 +477,7 @@ def test_a_non_finite_cell_takes_the_matrix_rank_fallback(cell, monkeypatch):
         scaled_matrix_rank(Z)
     calls = rank_fallbacks(monkeypatch)
     with pytest.raises(np.linalg.LinAlgError) as got, np.errstate(invalid="ignore"):
-        _scaled_rank(Z, Z.T @ Z)
+        _scaled_rank(Z, Z.T @ Z, np.max(np.abs(Z), axis=0))
     assert str(got.value) == str(want.value)
     assert calls == [Z.shape]
 
@@ -524,6 +530,23 @@ def test_duplicate_series_send_dynamic_blocks_to_the_matrix_rank_fallback(monkey
     zmat = assemble(spec, data, fd_sample(data))
     assert calls == [zmat.matrix.shape]
     assert zmat.rank == scaled_matrix_rank(zmat.matrix) == zmat.n_columns // 2
+
+
+def test_a_period_block_below_the_floor_sends_the_rank_to_matrix_rank(monkeypatch):
+    # period 2's block [[1, 1], [1, 1 - 1e-5]] certifies its sigma_min at
+    # 5.0e-6, under the floor 1e3 max(M, L) eps ||Zs||_F = 2.2e-5 that the
+    # 100,000 rows of period 1 set: the blocks give up, and so does the Gram
+    rng = np.random.default_rng(3)
+    Z = np.zeros((100_002, 12))
+    Z[:100_000, :10] = rng.choice([-1.0, 1.0], (100_000, 10))
+    Z[100_000:, 10:] = [[1.0, 1.0], [1.0, 1.0 - 1e-5]]
+    periods = np.repeat([1, 2], [100_000, 2])
+    top = np.max(np.abs(Z), axis=0)
+    gram = Z.T @ Z
+    assert _period_block_rank(Z, gram / np.outer(top, top), top, periods) is None
+    calls = rank_fallbacks(monkeypatch)
+    assert _scaled_rank(Z, gram, top, periods) == scaled_matrix_rank(Z) == 12
+    assert calls == [Z.shape]
 
 
 def dynamic_panel(n, T, spans, seed, n_vars, spread, dependency):

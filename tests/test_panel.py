@@ -155,6 +155,25 @@ def test_long_empty_variable_name_rejected(tmp_path):
         ingest_long_csv(path)
 
 
+@pytest.mark.parametrize("read", [ingest_long_csv, lambda path: ingest_wide_csv(path, "pp")],
+                         ids=["long", "wide"])
+def test_empty_file_rejected(tmp_path, read):
+    path = write(tmp_path, "")
+    with pytest.raises(DataError) as info:
+        read(path)
+    assert str(info.value) == f"{path}: empty file"
+
+
+@pytest.mark.parametrize("header", ["firm,year,pp", "entity,period"])
+def test_long_header_without_entity_period_and_a_variable_rejected(tmp_path, header):
+    path = write(tmp_path, header + "\na,2010" + ",1" * (header.count(",") - 1) + "\n")
+    with pytest.raises(DataError) as info:
+        ingest_long_csv(path)
+    assert str(info.value) == (
+        f"{path}: expected header 'entity,period,<var>,...', got {header.split(',')}"
+    )
+
+
 def test_long_quoted_entity_with_comma(tmp_path):
     path = write(tmp_path, 'entity,period,x\n"Firm, Inc.",2010,"1,250.5"\n')
     data = ingest_long_csv(path)
@@ -543,6 +562,20 @@ def test_wide_bad_year_header(tmp_path):
         ingest_wide_csv(path, "pp")
 
 
+def test_wide_header_without_a_year_rejected(tmp_path):
+    path = write(tmp_path, "name\nfirm\n")
+    with pytest.raises(DataError) as info:
+        ingest_wide_csv(path, "pp")
+    assert str(info.value) == f"{path}: header needs a name column and at least one year"
+
+
+def test_wide_non_consecutive_years_rejected(tmp_path):
+    path = write(tmp_path, "name,2005,2007\nfirm,1,2\n")
+    with pytest.raises(DataError) as info:
+        ingest_wide_csv(path, "pp")
+    assert str(info.value) == f"{path}: year headers must be consecutive, got [2005, 2007]"
+
+
 @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
 def test_wide_non_finite_value_names_cell(tmp_path, token):
     path = write(tmp_path, f"name,2005,2006\nfirm,1,{token}\n")
@@ -771,6 +804,24 @@ def test_from_arrays_rejects_non_finite_present_cell(bad):
         from_arrays(["a", "b"], [1, 2, 3], {"y": np.ones((2, 3)), "x": x})
 
 
+def test_series_values_and_mask_must_share_a_shape():
+    with pytest.raises(DataError, match="^series values and mask shapes differ$"):
+        PanelSeries(np.zeros((1, 2)), np.ones((1, 3), dtype=bool))
+
+
+@pytest.mark.parametrize("entities, periods, shape, message", [
+    ((), (1, 2), None, "dataset has no entities"),
+    (("a",), (), None, "dataset has no periods"),
+    (("a",), (1, 3), None, "periods must be contiguous increasing integers"),
+    (("a",), (1, 2), (1, 3), "series 'y' has shape (1, 3), expected (1, 2)"),
+], ids=["no-entities", "no-periods", "gapped-periods", "mis-shaped-series"])
+def test_dataset_rejects_a_malformed_grid(entities, periods, shape, message):
+    series = {} if shape is None else {"y": PanelSeries(np.zeros(shape), np.ones(shape, bool))}
+    with pytest.raises(DataError) as info:
+        PanelDataset(entities, periods, series)
+    assert str(info.value) == message
+
+
 # ---------------------------------------------------------------------------
 # alignment
 
@@ -836,6 +887,12 @@ def test_align_unknown_variable():
     data = from_arrays(["a"], [1, 2], {"y": np.array([[1.0, 2.0]])})
     with pytest.raises(DataError, match="unknown variable"):
         align(data, ["z"], {})
+
+
+def test_align_negative_lag_rejected():
+    data = from_arrays(["a"], [1, 2], {"y": np.array([[1.0, 2.0]])})
+    with pytest.raises(DataError, match="^negative lag count for 'y'$"):
+        align(data, ["y"], {"y": -1})
 
 
 @pytest.mark.parametrize("k", [1, 2, 10, 11, 12])

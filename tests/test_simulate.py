@@ -91,6 +91,7 @@ def test_spec_validation():
     ("exogenous_betas", (1.0, float("nan")), "exogenous_betas must be finite"),
     ("effect_loading", float("-inf"), "effect_loading must be finite"),
     ("y0", float("nan"), "y0 must be finite"),
+    ("burn_in", -1, "burn_in must be >= 0"),
 ])
 def test_spec_rejects_nonsense_simulation_parameters_by_name(field, value, message):
     with pytest.raises(ValueError, match=message):
@@ -228,6 +229,14 @@ def test_single_rep_summary_matches_fit():
     assert stats.mean == pytest.approx(res.coefficient("y(-1)"))
     assert stats.bias == pytest.approx(res.coefficient("y(-1)") - 0.5)
     assert stats.rmse == pytest.approx(abs(stats.bias))
+
+
+def test_summary_of_an_unknown_estimator_is_a_key_error():
+    summary = run_experiment(DgpSpec(n_entities=30, n_periods=6, seed=1),
+                             fd_od_comparison_configs()[:1], reps=1)
+    with pytest.raises(KeyError) as info:
+        summary.estimator("nope")
+    assert info.value.args == ("no estimator 'nope' in summary",)
 
 
 def test_summary_reproducible():
