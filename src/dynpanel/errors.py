@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types, and the integer checks of spec fields, shared across the package."""
+
+import numbers
 
 
 class DynpanelError(Exception):
@@ -43,3 +45,18 @@ class SingularWeightingError(EstimationError):
 
 class DiagnosticError(DynpanelError):
     """A specification test cannot be computed on the given result."""
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def require_int(name: str, value) -> None:
+    """Raise ValueError naming ``name`` unless ``value`` is an int or numpy integer, not a bool."""
+    if not _is_int(value):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def require_non_negative_int(name: str, value) -> None:
+    if not (_is_int(value) and value >= 0):
+        raise ValueError(f"{name} must be a non-negative integer, got {value!r}")

@@ -15,14 +15,27 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 import scipy.linalg
 from scipy.linalg.lapack import get_lapack_funcs
 
-from .errors import EstimationError, RankError, SingularWeightingError, UnderIdentifiedError
-from .instruments import InstrumentMatrix, InstrumentSpec, assemble, intercept_column
+from .errors import (
+    EstimationError,
+    RankError,
+    SingularWeightingError,
+    UnderIdentifiedError,
+    require_int,
+)
+from .instruments import (
+    InstrumentMatrix,
+    InstrumentSpec,
+    assemble,
+    certified_full_rank,
+    intercept_column,
+)
 from .panel import AlignedSample, PanelDataset, align_columns
 from .transforms import (
     TransformKind,
@@ -41,6 +54,7 @@ class ExogTerm:
     lags: int = 0
 
     def __post_init__(self):
+        require_int("lags", self.lags)
         if self.lags < 0:
             raise ValueError("exogenous lag count must be >= 0")
 
@@ -70,6 +84,7 @@ class ModelSpec:
     transform: TransformKind = TransformKind.NONE
 
     def __post_init__(self):
+        require_int("ar_lags", self.ar_lags)
         if self.ar_lags < 0:
             raise ValueError("ar_lags must be >= 0")
         if not (self.ar_lags or self.exogenous or self.intercept):
@@ -111,6 +126,7 @@ class Weighting:
     def __post_init__(self):
         if self.kind not in ("one_step", "two_step", "n_step"):
             raise ValueError(f"unknown weighting {self.kind!r}")
+        require_int("max_iter", self.max_iter)
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
         if not 0.0 <= self.tol < math.inf:
@@ -155,9 +171,18 @@ class EstimationResult:
     ``design`` owns the fit's rows and inputs: its ``model`` and ``data``,
     the aligned ``sample`` with entity ids and periods, ``y``/``X`` and
     their levels, and random effects' ``theta`` and ``components``. The
-    result keeps what the fit adds: ``fitted_level`` is the level fit at
-    the design's rows where ``level_mask`` holds. Standard errors and t
-    statistics are read off ``covariance``.
+    result keeps what the fit adds. Standard errors and t statistics are
+    read off ``covariance``. Four attributes are derived on first read,
+    from ``design``, ``fitted_transformed``, the slopes
+    ``coefficients[:len(design.x_names)]`` and ``entity_effects``, and then
+    cached on the instance: ``fitted_level``, the level fit at the design's
+    rows where ``level_mask`` holds (``_level_fit``), and
+    ``r_squared_weighted``/``r_squared_unweighted``. They are not fields:
+    a fit hands the constructor no copy of them, and a caller that never
+    reads them never computes them. A plain fit's R-squared is that of its level fit,
+    and random effects report the quasi-demeaned one as weighted; a GMM
+    fit's is the squared correlation of its transformed fit, and random
+    effects report the level fit's as unweighted.
     """
 
     method: str
@@ -167,10 +192,6 @@ class EstimationResult:
     covariance: np.ndarray
     residuals: np.ndarray
     fitted_transformed: np.ndarray
-    fitted_level: np.ndarray
-    level_mask: np.ndarray
-    r_squared_weighted: float
-    r_squared_unweighted: float
     steps_taken: int = 1
     classical_covariance: np.ndarray | None = None
     weighting_matrix: np.ndarray | None = None
@@ -191,6 +212,40 @@ class EstimationResult:
         se = self.standard_errors
         with np.errstate(divide="ignore", invalid="ignore"):
             return np.where(se > 0, self.coefficients / se, np.nan)
+
+    @cached_property
+    def _levels(self) -> tuple[np.ndarray, np.ndarray]:
+        beta = self.coefficients[:len(self.design.x_names)]
+        return _level_fit(self.design, beta, self.fitted_transformed, self.entity_effects)
+
+    @cached_property
+    def fitted_level(self) -> np.ndarray:
+        return self._levels[0]
+
+    @cached_property
+    def level_mask(self) -> np.ndarray:
+        return self._levels[1]
+
+    @cached_property
+    def r_squared_weighted(self) -> float:
+        design = self.design
+        if self.instruments is not None:
+            return _squared_correlation(design.y, self.fitted_transformed)
+        if design.model.transform is not TransformKind.QUASI_DEMEAN:
+            return self.r_squared_unweighted
+        return _r_squared(design.y, self.fitted_transformed, center=True)
+
+    @cached_property
+    def r_squared_unweighted(self) -> float:
+        design = self.design
+        model = design.model
+        if self.instruments is None:
+            center = model.intercept or model.transform is not TransformKind.NONE
+            return _r_squared(design.y_level, self.fitted_level, center)
+        if model.transform is not TransformKind.QUASI_DEMEAN:
+            return self.r_squared_weighted
+        # the two coincide exactly when theta = 0
+        return _squared_correlation(design.y_level, self.fitted_level)
 
     @property
     def design_matrix(self) -> np.ndarray:
@@ -370,10 +425,19 @@ def _column_scale(A: np.ndarray) -> np.ndarray:
 
 
 def _check_rank(X: np.ndarray, names: Sequence[str]) -> None:
-    """Raise RankError naming the dependent columns, via pivoted QR of X's scaled columns."""
+    """Raise RankError naming the dependent columns of X.
+
+    ``certified_full_rank`` on the k x k Gram of X's scaled columns passes
+    only where the pivoted QR below finds full rank, so a certified X
+    needs no factorization. Otherwise the pivoted QR of the scaled columns
+    decides, and names the columns after the rank.
+    """
     if X.shape[1] == 0:
         return
-    r, piv = scipy.linalg.qr(X / _column_scale(X), mode="r", pivoting=True)
+    scale = _column_scale(X)
+    if certified_full_rank(X.T @ X, scale, X.shape[0]):
+        return
+    r, piv = scipy.linalg.qr(X / scale, mode="r", pivoting=True)
     diag = np.abs(np.diag(r[: X.shape[1], : X.shape[1]]))
     if diag.size == 0 or diag[0] == 0.0:
         rank = 0
@@ -452,15 +516,25 @@ def _squared_correlation(y: np.ndarray, fitted: np.ndarray) -> float:
     return float(np.corrcoef(y, fitted)[0, 1] ** 2)
 
 
-def _level_fit(design: Design, beta: np.ndarray, fitted: np.ndarray):
-    """Level fitted values of any fit, the rows where they are defined, and alpha_a.
+def _entity_effects(design: Design, beta: np.ndarray) -> np.ndarray:
+    """A within fit's alpha_a = ybar_a - xbar_a'beta over each entity's level
+    rows, one per entity index and NaN outside the sample."""
+    starts = entity_starts(design.entity_ids)
+    alphas = np.full(design.data.n_entities, np.nan)
+    alphas[design.entity_ids[starts]] = (
+        entity_means(design.y_level, starts) - entity_means(design.X_level, starts) @ beta
+    )
+    return alphas
+
+
+def _level_fit(design: Design, beta: np.ndarray, fitted: np.ndarray,
+               alphas: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+    """Level fitted values of any fit and the rows where they are defined.
 
     FD/OD fits push the transformed ``fitted`` back to level units
     through the inverse transform anchored on the actual series. Within
-    fits are alpha_a + x'beta, with entity effects alpha_a = ybar_a -
-    xbar_a'beta over each entity's level rows, one per entity index and
-    NaN outside the sample; other fits return None for them and apply
-    beta, intercept included, to the level regressors.
+    fits are alpha_a + x'beta, with ``alphas`` from ``_entity_effects``;
+    other fits apply beta, intercept included, to the level regressors.
     """
     model, data = design.model, design.data
     if model.transform.is_calendar:
@@ -471,16 +545,11 @@ def _level_fit(design: Design, beta: np.ndarray, fitted: np.ndarray):
         dep = data.require(model.dependent)
         lvl, lvl_mask = reconstruct_levels(grid_fit, grid_mask, dep.values, dep.mask,
                                            model.transform)
-        return lvl[rows], lvl_mask[rows], None
+        return lvl[rows], lvl_mask[rows]
     level_mask = np.ones(design.n, dtype=bool)
     if model.transform is not TransformKind.WITHIN:
-        return design.X_level @ beta, level_mask, None
-    starts = entity_starts(design.entity_ids)
-    alphas = np.full(data.n_entities, np.nan)
-    alphas[design.entity_ids[starts]] = (
-        entity_means(design.y_level, starts) - entity_means(design.X_level, starts) @ beta
-    )
-    return alphas[design.entity_ids] + design.X_level @ beta, level_mask, alphas
+        return design.X_level @ beta, level_mask
+    return alphas[design.entity_ids] + design.X_level @ beta, level_mask
 
 
 def _grand_mean_intercept(
@@ -543,20 +612,15 @@ def fit_plain(model: ModelSpec, data: PanelDataset) -> EstimationResult:
     cov = bread @ ((X * resid[:, None] ** 2).T @ X) @ bread
     df = max(design.n - absorbed - X.shape[1], 1)
     classical = float(resid @ resid) / df * bread
-    fitted_level, level_mask, alphas = _level_fit(design, beta, fitted)
+    alphas = _entity_effects(design, beta) if kind is TransformKind.WITHIN else None
     beta_full = beta
     if alphas is not None and model.intercept:
         beta_full, names, cov, classical = _grand_mean_intercept(
             design, beta, names, alphas, cov, classical
         )
-    center = model.intercept or kind is not TransformKind.NONE
-    r2 = _r_squared(design.y_level, fitted_level, center)
-    r2_weighted = _r_squared(y, fitted, center) if kind is TransformKind.QUASI_DEMEAN else r2
     return EstimationResult(
         method=_PLAIN_METHODS[kind], design=design, param_names=tuple(names),
         coefficients=beta_full, covariance=cov, residuals=resid, fitted_transformed=fitted,
-        fitted_level=fitted_level, level_mask=level_mask,
-        r_squared_weighted=r2_weighted, r_squared_unweighted=r2,
         classical_covariance=classical, entity_effects=alphas,
     )
 
@@ -790,7 +854,9 @@ def fit_gmm(
     v = Z.T @ y
     if not (np.isfinite(G).all() and np.isfinite(v).all()):
         raise _overflow("Z'X or Z'y")
-    if np.linalg.matrix_rank(G / _column_scale(G)) < k:
+    scale = _column_scale(G)
+    if (not certified_full_rank(G.T @ G, scale, G.shape[0])
+            and np.linalg.matrix_rank(G / scale) < k):
         raise RankError("Z'X is rank deficient; instruments do not identify "
                         f"{list(names)}", names)
     starts = entity_starts(design.entity_ids)
@@ -869,20 +935,13 @@ def fit_gmm(
         if negative:
             raise EstimationError(f"Windmeijer-corrected variance is negative for {negative}")
 
-    # level-space fitted values and (for within) the derived intercept
-    fitted_level, level_mask, alphas = _level_fit(design, beta, fitted)
+    # the within fit's entity effects and their grand-mean intercept
+    alphas = _entity_effects(design, beta) if model.transform is TransformKind.WITHIN else None
     if alphas is not None and model.intercept:
         beta, names, cov = _grand_mean_intercept(design, beta, names, alphas, cov)
-    r2 = _squared_correlation(y, fitted)
-    # quasi-demeaned runs also report the level-space (unweighted) fit;
-    # the two coincide exactly when theta = 0
-    r2_level = (_squared_correlation(design.y_level, fitted_level)
-                if model.transform is TransformKind.QUASI_DEMEAN else r2)
     return EstimationResult(
         method=f"gmm/{model.transform.value}", design=design, param_names=tuple(names),
         coefficients=beta, covariance=cov, residuals=resid, fitted_transformed=fitted,
-        fitted_level=fitted_level, level_mask=level_mask,
-        r_squared_weighted=r2, r_squared_unweighted=r2_level,
         steps_taken=steps, iteration_trace=tuple(trace),
         weighting_matrix=W,
         instruments=zmat,

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import get_lapack_funcs
 
-from .errors import DataError, EstimationError
+from .errors import DataError, EstimationError, require_int
 from .panel import AlignedSample, PanelDataset, lagged_grid
 from .transforms import TransformKind, apply_grid, demean_by_entity
 
@@ -46,6 +46,8 @@ class StaticInstrument:
     lag_to: int = 0
 
     def __post_init__(self):
+        require_int("lag_from", self.lag_from)
+        require_int("lag_to", self.lag_to)
         if self.lag_from < 0 or self.lag_to < self.lag_from:
             raise ValueError(f"bad static lag range {self.lag_from}..{self.lag_to}")
 
@@ -65,6 +67,9 @@ class DynamicInstrument:
     collapsed: bool = False
 
     def __post_init__(self):
+        require_int("start_lag", self.start_lag)
+        if self.max_lag is not None:
+            require_int("max_lag", self.max_lag)
         if self.start_lag < 1:
             raise ValueError("dynamic instrument starting lag must be >= 1")
         if self.max_lag is not None and self.max_lag < self.start_lag:
@@ -383,40 +388,64 @@ def _period_block_rank(matrix: np.ndarray, scaled: np.ndarray, top: np.ndarray,
     return rank
 
 
+def _in_scale(top: np.ndarray) -> bool:
+    """Whether every column maximum ``top`` is within 1e+-100: then no product
+    of the scaled columns overflows, and underflow errs by far less than eps."""
+    return bool(np.all((top >= 1e-100) & (top <= 1e100)))
+
+
+def certified_full_rank(gram: np.ndarray, top: np.ndarray, n_rows: int) -> bool:
+    """Whether an n_rows x k matrix A is certified of full column rank k from A'A.
+
+    ``gram`` is A'A and ``top`` each column's largest magnitude; the
+    certificate judges As, A's columns each over its ``top``, so no
+    column's units decide it. With ``_in_scale(top)``, let R be the
+    Cholesky factor of the Gram of As. By Higham (2002) sections 3.5 and
+    10.1 the exact Gram is R'R + E, ||E||_2 <= (m + k + 3) eps ||R||_F^2 up
+    to second-order terms (m = n_rows). If p = ||R||_F ||R^-1||_F < 0.1 /
+    sqrt(m k eps), the computed R^-1 is accurate to well under 1%, and
+    sigma_min(As)^2 >= ||R||_F^2 (p^-2 - (m + k + 3) eps), about 100 m k eps
+    ||As||_F^2 or more (``_sigma_min_bound``; a NaN norm fails). So a
+    certified As has sigma_min/sigma_max of about 10 sqrt(m k eps) or more,
+    2e-5 at 9,000 x 2. That is far above, rounding included, the cut of
+    ``matrix_rank``, max(m, k) eps sigma_max, and that of a pivoted QR of
+    As at 1e-12 |r_11|: each |r_jj| of the QR's triangular factor is at
+    least its sigma_min, which is that of As, and |r_11| is at most
+    sigma_max. Where the certificate
+    passes, both find full rank; where it fails, nothing is decided and
+    the caller runs its own factorization. ``_scaled_rank``,
+    ``estimators._check_rank`` and ``fit_gmm``'s Z'X check call it.
+    """
+    return _in_scale(top) and _sigma_min_bound(gram / np.outer(top, top), n_rows,
+                                               top.size) > 0.0
+
+
 def _scaled_rank(matrix: np.ndarray, gram: np.ndarray, top: np.ndarray,
                  row_periods: np.ndarray | None = None) -> int:
     """Rank of the columns, each over its largest magnitude ``top`` (none is 0).
 
     So no variable's units decide the rank. It is ``matrix_rank`` of the
-    scaled copy unless a certificate decides first. Let Zs be the M x L
-    scaled matrix, A an m x l block of it and R the Cholesky factor of its
-    computed Gram. With magnitudes within 1e+-100 no product overflows, and
-    underflow errs by far less than eps, so by Higham (2002) sections 3.5
-    and 10.1 the exact Gram is R'R + E, ||E||_2 <= (m + l + 3) eps ||R||_F^2
-    up to second-order terms. If p = ||R||_F ||R^-1||_F < 0.1 / sqrt(m l
-    eps), the computed R^-1 is accurate to well under 1%, and sigma_min(A)^2
-    >= ||R||_F^2 (p^-2 - (m + l + 3) eps), about 100 m l eps ||A||_F^2 or
-    more (``_sigma_min_bound``; a NaN norm fails). For A = Zs that is far
-    above ``matrix_rank``'s cut, max(M, L) eps sigma_max, and its rounding.
+    scaled copy Zs (M x L) unless a certificate decides first: full rank
+    if ``certified_full_rank`` passes on the Gram.
 
     ``row_periods``, given when every column is a non-collapsed dynamic one,
     holds each row's period; a column's period is that of its first nonzero
     row, as period t's columns are zero off its rows (``build_dynamic_block``).
     So up to a permutation Zs is block-diagonal, with the union of its
     period blocks' singular values. Each block certifies min(m, l) of them
-    at 1e3 times the cut or more (sigma_max <= ||Zs||_F), beyond the SVD's
-    backward error, a small multiple of eps sigma_max. The rest are exact zeros, a wide block's
-    surplus and a period's empty rows, which the SVD reads far below its
-    cut: on the brand panel's OD and FD matrices, 5.6e-17 of sigma_max or
-    less against 5.7e-14. If a block fails, the Gram of Zs is tried, then the SVD.
+    (``_sigma_min_bound``, as ``certified_full_rank`` argues) at 1e3 times
+    the cut or more (sigma_max <= ||Zs||_F), beyond the SVD's backward
+    error, a small multiple of eps sigma_max. The rest are exact zeros, a
+    wide block's surplus and a period's empty rows, which the SVD reads far
+    below its cut: on the brand panel's OD and FD matrices, 5.6e-17 of
+    sigma_max or less against 5.7e-14. If a block fails, the Gram of Zs is
+    tried, then the SVD.
     """
     n_rows, n_cols = matrix.shape
-    if np.all((top >= 1e-100) & (top <= 1e100)):
-        scaled = gram / np.outer(top, top)
-        if row_periods is not None:
-            rank = _period_block_rank(matrix, scaled, top, row_periods)
-            if rank is not None:
-                return rank
-        if _sigma_min_bound(scaled, n_rows, n_cols) > 0.0:
-            return n_cols
+    if row_periods is not None and _in_scale(top):
+        rank = _period_block_rank(matrix, gram / np.outer(top, top), top, row_periods)
+        if rank is not None:
+            return rank
+    if certified_full_rank(gram, top, n_rows):
+        return n_cols
     return int(np.linalg.matrix_rank(matrix / top))

@@ -27,7 +27,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .diagnostics import j_test
-from .errors import DynpanelError
+from .errors import DynpanelError, require_non_negative_int
 from .estimators import (
     ONE_STEP,
     TWO_STEP,
@@ -69,7 +69,7 @@ class DgpSpec:
             raise ValueError("missingness must be in [0, 1)")
         if self.n_entities < 1 or self.n_periods < 1:
             raise ValueError("need at least one entity and one period")
-        _require_non_negative_int("seed", self.seed)
+        require_non_negative_int("seed", self.seed)
         for name in ("sigma_effect", "sigma_noise"):
             value = getattr(self, name)
             if not 0.0 <= value < math.inf:
@@ -80,11 +80,6 @@ class DgpSpec:
                 raise ValueError(f"{name} must be finite, got {value!r}")
         if not all(math.isfinite(b) for b in self.exogenous_betas):
             raise ValueError(f"exogenous_betas must be finite, got {self.exogenous_betas!r}")
-
-
-def _require_non_negative_int(name: str, value) -> None:
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
-        raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
 
 
 # SeedSequence's hash constants (numpy/random/bit_generator.pyx) and the
@@ -183,7 +178,7 @@ def generate(dgp: DgpSpec, replication: int = 0) -> PanelDataset:
     the first period and no burn-in is applied; otherwise the start is
     drawn near the stationary mean and ``burn_in`` periods are discarded.
     """
-    _require_non_negative_int("replication", replication)
+    require_non_negative_int("replication", replication)
     n_x = len(dgp.exogenous_betas)
     N, T = dgp.n_entities, dgp.n_periods
     burn = 0 if dgp.y0 is not None else dgp.burn_in

@@ -1,9 +1,12 @@
+import copy
 import csv
 import functools
+import json
 from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.optimize
 from hypothesis import assume, given, settings, strategies as st
 
@@ -25,12 +28,13 @@ from dynpanel import (
     fit_plain,
     n_step,
 )
-from dynpanel import estimators
+from dynpanel import cli, estimators
 from dynpanel.cli import _write_fitted
 from dynpanel.diagnostics import report_for
 from dynpanel.estimators import ExogTerm, ModelSpec, VarianceComponents, build_design, swamy_arora
-from dynpanel.simulate import DgpSpec, ar1_model, generate
-from dynpanel.transforms import TransformKind
+from dynpanel.instruments import certified_full_rank
+from dynpanel.simulate import DgpSpec, ar1_model, fd_od_comparison_configs, generate, run_experiment
+from dynpanel.transforms import TransformKind, reconstruct_levels
 
 
 def cross_section(y, X, names=("x1", "x2"), extra=None):
@@ -156,6 +160,24 @@ def test_design_carries_the_intercept_column(kind):
 def test_model_spec_rejects_degenerate_models(kwargs, message):
     with pytest.raises(ValueError, match=message):
         ModelSpec("y", **kwargs)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: estimators.Weighting("n_step", max_iter=2.5), "max_iter must be an integer, got 2.5"),
+    (lambda: estimators.Weighting("n_step", max_iter=True), "max_iter must be an integer, got True"),
+    (lambda: ModelSpec("y", ar_lags=1.5), "ar_lags must be an integer, got 1.5"),
+    (lambda: ExogTerm("x1", 0.5), "lags must be an integer, got 0.5"),
+], ids=["max_iter", "max_iter-bool", "ar_lags", "lags"])
+def test_spec_counts_must_be_integers(make, message):
+    with pytest.raises(ValueError) as info:
+        make()
+    assert str(info.value) == message
+
+
+def test_spec_counts_may_be_numpy_integers():
+    model = ModelSpec("y", ar_lags=np.int64(1), exogenous=(ExogTerm("x1", np.int32(0)),))
+    assert model == ar1_model(TransformKind.NONE)
+    assert n_step(max_iter=np.int64(3)) == n_step(max_iter=3)
 
 
 def test_fixed_effects_without_slope_raise():
@@ -685,8 +707,11 @@ def test_fitted_out_csv_matches_row_writer(brand_panel, tmp_path, kind):
     else:
         inst = InstrumentSpec(dynamic=(DynamicInstrument("pp", 2, 3),))
         res = fit_gmm(model, brand_panel, inst, ONE_STEP, on_singular="pinv")
-        # blank some level cells, as where a level fit has no anchor
-        res = replace(res, level_mask=res.level_mask & (np.arange(res.level_mask.size) % 5 > 0))
+        # blank some level cells, as where a level fit has no anchor: the mask is
+        # derived on first read, so seed its cached value on a copy
+        mask = res.level_mask & (np.arange(res.level_mask.size) % 5 > 0)
+        res = copy.copy(res)
+        res.__dict__["level_mask"] = mask
     _write_fitted(res, tmp_path / "table.csv")
     reference_fit_csv(res, tmp_path / "reference.csv")
     assert (tmp_path / "table.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
@@ -720,6 +745,212 @@ def test_fd_fitted_levels_anchor_on_lagged_actuals(brand_panel):
         j = t - brand_panel.periods[0]
         expected = pp.values[e, j - 1] + res.fitted_transformed[i]
         assert res.fitted_level[i] == pytest.approx(expected)
+
+
+# ---------------------------------------------------------------------------
+# level fits and R-squared, derived on first read
+
+def eager_level_fit(res):
+    """The level fit and its mask by the formulas fits once ran on every fit:
+    FD/OD through ``reconstruct_levels`` on the grid, within fits alpha_a +
+    x'beta, others the level regressors times beta."""
+    design, model = res.design, res.design.model
+    beta = res.coefficients[:len(design.x_names)]
+    if model.transform.is_calendar:
+        data = design.data
+        rows = (design.entity_ids, design.periods - data.periods[0])
+        grid = np.full((data.n_entities, data.n_periods), np.nan)
+        mask = np.zeros(grid.shape, dtype=bool)
+        grid[rows], mask[rows] = res.fitted_transformed, True
+        dep = data.require(model.dependent)
+        level, level_mask = reconstruct_levels(grid, mask, dep.values, dep.mask, model.transform)
+        return level[rows], level_mask[rows]
+    fitted = design.X_level @ beta
+    if model.transform is TransformKind.WITHIN:
+        fitted = res.entity_effects[design.entity_ids] + fitted
+    return fitted, np.ones(design.n, dtype=bool)
+
+
+def eager_r_squared(res, level):
+    """(weighted, unweighted) R-squared by the formulas fits once ran on every fit."""
+    design, kind = res.design, res.design.model.transform
+    quasi = kind is TransformKind.QUASI_DEMEAN
+    if res.instruments is None:
+        def r2(y, fitted):
+            center = design.model.intercept or kind is not TransformKind.NONE
+            dev = y - y.mean() if center else y
+            ss_tot = float(dev @ dev)
+            return 1.0 - float((y - fitted) @ (y - fitted)) / ss_tot if ss_tot > 0 else np.nan
+        unweighted = r2(design.y_level, level)
+        return (r2(design.y, res.fitted_transformed) if quasi else unweighted), unweighted
+    def corr2(y, fitted):
+        if y.size < 2 or np.std(y) == 0 or np.std(fitted) == 0:
+            return np.nan
+        return float(np.corrcoef(y, fitted)[0, 1] ** 2)
+    weighted = corr2(design.y, res.fitted_transformed)
+    return weighted, (corr2(design.y_level, level) if quasi else weighted)
+
+
+def _derived_cases():
+    level_inst = InstrumentSpec(static=(StaticInstrument("x1", 0, 2),), include_intercept=True)
+    calendar_inst = InstrumentSpec(dynamic=(DynamicInstrument("y", 2, 3),),
+                                   static=(StaticInstrument("x1"),))
+    models = [ar1_model(kind) for kind in TransformKind]
+    models.append(ar1_model(TransformKind.WITHIN, intercept=True))  # grand-mean const
+    for model in models:
+        kind = model.transform
+        inst = calendar_inst if kind.is_calendar else level_inst
+        label = kind.value + ("+const" if kind is TransformKind.WITHIN and model.intercept else "")
+        if not kind.is_calendar:
+            yield pytest.param(model, None, None, id=f"{label}-plain")
+        for weighting in (ONE_STEP, TWO_STEP, n_step(max_iter=500)):
+            yield pytest.param(model, inst, weighting, id=f"{label}-{weighting.kind}")
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("model, inst, weighting", _derived_cases())
+def test_derived_attributes_match_the_eager_formulas(model, inst, weighting, seed):
+    data = generate(DgpSpec(n_entities=40, n_periods=8, missingness=0.15, seed=seed))
+    if inst is None:
+        res = fit_plain(model, data)
+    else:
+        res = fit_gmm(model, data, inst, weighting, on_singular="pinv")
+    assert "fitted_level" not in res.__dict__  # nothing derived before the first read
+    level, mask = eager_level_fit(res)
+    assert res.fitted_level.tobytes() == level.tobytes()
+    assert res.level_mask.tobytes() == mask.tobytes()
+    weighted, unweighted = eager_r_squared(res, level)
+    assert repr(res.r_squared_weighted) == repr(weighted)
+    assert repr(res.r_squared_unweighted) == repr(unweighted)
+    assert (res.entity_effects is None) == (model.transform is not TransformKind.WITHIN)
+
+
+def counted(monkeypatch, module, name):
+    """The calls to ``module.name`` from now on, one entry each."""
+    calls = []
+    original = getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def test_monte_carlo_derives_no_level_fit_or_r_squared(monkeypatch):
+    calls = [counted(monkeypatch, estimators, name)
+             for name in ("reconstruct_levels", "_squared_correlation", "_r_squared")]
+    summary = run_experiment(DgpSpec(n_entities=60, n_periods=8, rho=0.5, seed=4),
+                             fd_od_comparison_configs(), reps=2)
+    assert [e.n_success for e in summary.estimators] == [2, 2]
+    assert calls == [[], [], []]
+
+
+def test_replicate_computes_each_r_squared_once(monkeypatch, brand_panel_csv, tmp_path, capsys):
+    rebuilt = counted(monkeypatch, estimators, "reconstruct_levels")
+    corr = counted(monkeypatch, estimators, "_squared_correlation")
+    code = cli.main(["replicate", "--data", brand_panel_csv, "--out", "json",
+                     "--output-dir", str(tmp_path)])
+    records = json.loads(capsys.readouterr().out)
+    assert code == 0
+    # one per column, and random effects' level R-squared besides its weighted one
+    assert [r["r2"] == r["r2_weighted"] for r in records.values()].count(False) == 1
+    assert (len(corr), rebuilt) == (len(records) + 1, [])
+
+
+def test_a_derived_attribute_is_computed_once(monkeypatch, brand_panel):
+    model = ModelSpec("pp", exogenous=(ExogTerm("bv"),), intercept=False,
+                      transform=TransformKind.FIRST_DIFFERENCE)
+    res = fit_gmm(model, brand_panel, InstrumentSpec(dynamic=(DynamicInstrument("pp", 2, 3),)),
+                  ONE_STEP, on_singular="pinv")
+    calls = counted(monkeypatch, estimators, "reconstruct_levels")
+    assert res.fitted_level is res.fitted_level
+    assert res.level_mask.all()
+    assert len(calls) == 1
+
+
+# ---------------------------------------------------------------------------
+# the rank certificate from the k x k Gram
+
+def qr_dependent_columns(X, names):
+    """The columns the pivoted QR of X's scaled columns names after the rank,
+    [] at full rank: the test ``_check_rank`` ran on every design."""
+    Xs = X / estimators._column_scale(X)
+    r, piv = scipy.linalg.qr(Xs, mode="r", pivoting=True)
+    diag = np.abs(np.diag(r))
+    rank = 0 if diag[0] == 0.0 else int(np.sum(diag > 1e-12 * diag[0]))
+    return [names[j] for j in piv[rank:]]
+
+
+def _dependent_designs():
+    rng = np.random.default_rng(7)
+    x = rng.standard_normal(200)
+    for scale in (1e-90, 1e-45, 1.0, 1e45, 1e90):
+        yield pytest.param(scale * np.column_stack([x, 2.0 * x]), id=f"double-{scale:g}")
+    yield pytest.param(np.column_stack([x, x * (1 + 1e-13 * rng.standard_normal(200))]),
+                       id="near-copy-1e-13")
+    yield pytest.param(np.column_stack([x, np.zeros(200)]), id="zero-column")
+    # the Gram's products are subnormal and keep few digits at 1e-160
+    yield pytest.param(1e-160 * np.column_stack([x[:20], 3.0 * x[:20]]), id="gram-underflows")
+
+
+@pytest.mark.parametrize("X", _dependent_designs())
+def test_the_certificate_passes_no_rank_deficient_design(X):
+    names = ["x1", "x2"]
+    assert not certified_full_rank(X.T @ X, estimators._column_scale(X), X.shape[0])
+    expected = qr_dependent_columns(X, names)
+    assert expected
+    with pytest.raises(RankError) as info:
+        estimators._check_rank(X, names)
+    assert info.value.columns == tuple(expected)
+    assert str(info.value) == f"regressor matrix is rank deficient; collinear column(s): {expected}"
+
+
+@pytest.mark.parametrize("scale", [1e-160, 1e-90, 1e-45, 1.0, 1e45, 1e90])
+def test_the_certificate_passes_no_rank_deficient_cross_moments(scale):
+    # x1 and x2 are independent; the instruments s z and 2 s z give Z'X rank 1
+    rng = np.random.default_rng(2)
+    x = rng.standard_normal((50, 2))
+    z = scale * rng.standard_normal(50)
+    data = cross_section(x @ [1.0, -0.5] + rng.standard_normal(50), x,
+                         extra={"z1": z, "z2": 2.0 * z})
+    model = ModelSpec("y", ar_lags=0, exogenous=(ExogTerm("x1"), ExogTerm("x2")),
+                      intercept=False)
+    inst = InstrumentSpec(static=(StaticInstrument("z1"), StaticInstrument("z2")))
+    Z = np.column_stack([z, 2.0 * z])
+    G = Z.T @ x
+    assert not certified_full_rank(G.T @ G, estimators._column_scale(G), G.shape[0])
+    with pytest.raises(RankError) as info:
+        fit_gmm(model, data, inst, ONE_STEP)
+    assert str(info.value) == "Z'X is rank deficient; instruments do not identify ['x1', 'x2']"
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(
+    n=st.integers(3, 60), k=st.integers(2, 4), digits=st.integers(0, 17),
+    spread=st.integers(0, 90), seed=st.integers(0, 2**32 - 1),
+)
+def test_a_certified_matrix_has_full_rank_by_qr_and_svd(n, k, digits, spread, seed):
+    # the last column repeats a mix of the others up to noise at 10^-digits
+    assume(n >= k)
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n, k))
+    X[:, -1] = X[:, :-1] @ rng.standard_normal(k - 1) + 10.0**-digits * X[:, -1]
+    X *= 10.0 ** rng.uniform(-spread, spread, k)
+    scale = estimators._column_scale(X)
+    if certified_full_rank(X.T @ X, scale, n):
+        assert qr_dependent_columns(X, list(range(k))) == []
+        assert np.linalg.matrix_rank(X / scale) == k
+
+
+def test_comparison_fits_certify_their_designs_without_a_factorization(monkeypatch):
+    data = generate(DgpSpec(500, 11, rho=0.85))
+    qr = counted(monkeypatch, scipy.linalg, "qr")
+    matrix_rank = counted(monkeypatch, np.linalg, "matrix_rank")
+    fits = [config.fit(data) for config in fd_od_comparison_configs()]
+    assert all(np.isfinite(fit.coefficients).all() for fit in fits)
+    assert (qr, matrix_rank) == ([], [])
 
 
 # ---------------------------------------------------------------------------

@@ -68,6 +68,24 @@ def test_static_lag_range_must_not_run_backwards():
         StaticInstrument("x", 2, 1)
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: DynamicInstrument("y", 2.5), "start_lag must be an integer, got 2.5"),
+    (lambda: DynamicInstrument("y", True), "start_lag must be an integer, got True"),
+    (lambda: DynamicInstrument("y", 2, 3.5), "max_lag must be an integer, got 3.5"),
+    (lambda: StaticInstrument("x1", 0.5, 1), "lag_from must be an integer, got 0.5"),
+    (lambda: StaticInstrument("x1", 0, 0.5), "lag_to must be an integer, got 0.5"),
+], ids=["start_lag", "start_lag-bool", "max_lag", "lag_from", "lag_to"])
+def test_instrument_lags_must_be_integers(make, message):
+    with pytest.raises(ValueError) as info:
+        make()
+    assert str(info.value) == message
+
+
+def test_instrument_lags_may_be_numpy_integers():
+    assert DynamicInstrument("y", np.int64(2), np.int32(3)) == DynamicInstrument("y", 2, 3)
+    assert StaticInstrument("x1", np.int64(0), np.uint8(1)) == StaticInstrument("x1", 0, 1)
+
+
 def test_parse_single_lag_static():
     spec = parse_instruments("static(bv,1)")
     assert spec.static[0] == StaticInstrument("bv", 1, 1)
